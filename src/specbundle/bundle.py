@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import sketch as sketchmod
-from .eigsolve import EigResult, LinOp, lanczos_top
+from .eigsolve import EigResult, lanczos_top
 from .problem import SdpProblem, dual_slack_operator, proj_K
 from .subqp import (
     IpmOptions,
@@ -389,18 +389,17 @@ def _derived_seeds(seed: int) -> tuple[int, int]:
 
 def cold_start(prob: SdpProblem, cfg: SolverConfig) -> SolverState:
     """Zero dual point, zero aggregate, basis from the cost's top eigenpairs
-    completed deterministically to k columns."""
+    completed deterministically to k columns.
+
+    The eigensolve that yields the basis is the evaluation of the penalized
+    objective at y = 0, so the state carries f(0) and lambda_max(C) and
+    ``solve`` starts from it without a second eigensolve.
+    """
     k_c, k_p = _clamped_dims(prob, cfg)
     k = k_c + k_p
     sketch_seed, _ = _derived_seeds(cfg.seed)
-    eig = lanczos_top(
-        LinOp(dim=prob.n, matvec=lambda v: prob.cost @ v, matmat=lambda b: prob.cost @ b),
-        k_c,
-        inner_iters=cfg.lanczos.inner_iters,
-        max_restarts=cfg.lanczos.max_restarts,
-        tol=cfg.lanczos.tol,
-        seed=cfg.seed,
-    )
+    y = np.zeros(prob.m)
+    f_y, eig = penalized_obj(prob, y, cfg, k_c=k_c)
     basis = _completion_columns(eig.eigenvectors, k, cfg.seed, tag=0)
     stats = AggregateStats(0.0, 0.0, np.zeros(prob.m))
     if cfg.sketch_rank > 0:
@@ -412,10 +411,10 @@ def cold_start(prob: SdpProblem, cfg: SolverConfig) -> SolverState:
         store = ExplicitStore(np.zeros((prob.n, prob.n)))
     model = BundleModel(basis=basis, stats=stats, k_c=k_c, k_p=k_p, store=store)
     return SolverState(
-        y=np.zeros(prob.m),
+        y=y,
         nu=np.zeros(prob.m),
-        f_y=None,
-        lam_y=None,
+        f_y=f_y,
+        lam_y=float(eig.eigenvalues[0]),
         model=model,
         last_primal=stats.copy(),
         scale_x=prob.scale_x,

@@ -96,6 +96,14 @@ def lanczos_top(
     ``max_restarts`` restarts have been spent.  Non-convergence is reported
     through the result, not raised: callers of this solver tolerate slightly
     inexact eigenvectors.  Identical inputs give bit-identical output.
+
+    The operator is applied to a contiguous copy of the newest basis vector,
+    not to a strided column of the basis, which a sparse operator would copy
+    on every matvec.  The values are the same and the basis layout and the
+    operands of every projection are unchanged, so the iterates are bit for
+    bit those of applying the operator to the basis column.  The array the
+    operator returns is never written to: it may be the input vector or a
+    buffer the operator reuses.  A non-finite matvec raises ``NumericError``.
     """
     n = op.dim
     if k_c < 1:
@@ -111,7 +119,9 @@ def lanczos_top(
         tol = 1e-9
     q = np.zeros((n, m + 1))
     h = np.zeros((m + 1, m + 1))
-    q[:, 0] = _seeded_unit(n, seed, 0)
+    # contiguous copy of the newest basis vector, the one the operator sees
+    v = _seeded_unit(n, seed, 0)
+    q[:, 0] = v
     ell = 0
     reseed_counter = 0
     ritz_history: list[float] = []
@@ -123,32 +133,34 @@ def lanczos_top(
 
     for cycle in range(max_restarts + 1):
         for j in range(ell, m):
-            w = np.asarray(op.matvec(q[:, j]), dtype=float)
-            if not np.all(np.isfinite(w)):
-                raise NumericError("matvec returned non-finite values")
-            coeffs = q[:, : j + 1].T @ w
-            w = w - q[:, : j + 1] @ coeffs
-            extra = q[:, : j + 1].T @ w
-            w = w - q[:, : j + 1] @ extra
+            w = np.asarray(op.matvec(v), dtype=float)
+            basis = q[:, : j + 1]
+            coeffs = basis.T @ w
+            # the first projection allocates, so w is owned from here on
+            w = w - basis @ coeffs
+            extra = basis.T @ w
+            w -= basis @ extra
             coeffs += extra
             h[: j + 1, j] = coeffs
             h[j, : j + 1] = coeffs
+            # a NaN or inf in the matvec survives both projections into beta
             beta = float(np.linalg.norm(w))
+            if not np.isfinite(beta):
+                raise NumericError("matvec returned non-finite values")
             scale = max(1.0, float(np.max(np.abs(coeffs))) if coeffs.size else 0.0)
             if beta <= 1e-13 * scale:
                 # invariant subspace found; continue on a fresh direction
                 reseed_counter += 16
                 fresh = _fresh_direction(q, j + 1, seed, reseed_counter)
-                if fresh is None:
-                    q[:, j + 1] = 0.0
-                else:
-                    q[:, j + 1] = fresh
+                v = np.zeros(n) if fresh is None else fresh
                 h[j + 1, j] = 0.0
                 h[j, j + 1] = 0.0
             else:
-                q[:, j + 1] = w / beta
+                w /= beta
+                v = w
                 h[j + 1, j] = beta
                 h[j, j + 1] = beta
+            q[:, j + 1] = v
         theta, y = small_eigh(h[:m, :m])
         beta_last = h[m, m - 1]
         res = np.abs(beta_last * y[m - 1, :])
@@ -162,9 +174,8 @@ def lanczos_top(
         # thick restart: lock leading Ritz vectors, continue from the residual
         ell = max(1, min(k_c + 3, m - 2))
         kept = q[:, :m] @ y[:, :ell]
-        q_next = q[:, m].copy()
         q[:, :ell] = kept
-        q[:, ell] = q_next
+        q[:, ell] = v
         h[:, :] = 0.0
         h[:ell, :ell] = np.diag(theta[:ell])
         restarts_done += 1

@@ -9,6 +9,7 @@ families (QAP and generic problems).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -54,6 +55,11 @@ class ParseError(ValueError):
 # instances
 
 
+_EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", float)])
+# edges are keyed by lo * n + hi, which must not overflow int64
+_MAX_VERTICES = math.isqrt(np.iinfo(np.int64).max)
+
+
 @dataclass
 class GraphInstance:
     """Undirected weighted graph; duplicate edges are summed, self loops dropped."""
@@ -65,26 +71,35 @@ class GraphInstance:
 
     @classmethod
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int, float]]) -> "GraphInstance":
+        rec = np.fromiter(edges, dtype=_EDGE_DTYPE)
+        return cls.from_arrays(n, rec["u"], rec["v"], rec["w"])
+
+    @classmethod
+    def from_arrays(cls, n: int, u, v, w) -> "GraphInstance":
+        """Edge list as three parallel arrays.  Self loops are dropped, then
+        the first edge in input order with an endpoint outside [0, n) raises
+        ValueError.  Duplicates in either orientation are summed in input
+        order, and the edges come out sorted by (min, max) endpoint."""
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        acc: dict[tuple[int, int], float] = {}
-        for u, v, w in edges:
-            if u == v:
-                continue
-            a, b = (int(u), int(v)) if u < v else (int(v), int(u))
-            if not 0 <= a < n or not 0 <= b < n:
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            acc[(a, b)] = acc.get((a, b), 0.0) + float(w)
-        if acc:
-            keys = sorted(acc)
-            eu = np.array([k[0] for k in keys], dtype=np.int64)
-            ev = np.array([k[1] for k in keys], dtype=np.int64)
-            ew = np.array([acc[k] for k in keys], dtype=float)
-        else:
-            eu = np.zeros(0, dtype=np.int64)
-            ev = np.zeros(0, dtype=np.int64)
-            ew = np.zeros(0, dtype=float)
-        return cls(n=n, edges_u=eu, edges_v=ev, edges_w=ew)
+        if n > _MAX_VERTICES:
+            raise ValueError(f"graph with n={n} vertices is too large")
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        w = np.asarray(w, dtype=float)
+        keep = u != v
+        u, v, w = u[keep], v[keep], w[keep]
+        lo = np.minimum(u, v)
+        hi = np.maximum(u, v)
+        bad = (lo < 0) | (hi >= n)
+        if bad.any():
+            e = int(np.argmax(bad))
+            raise ValueError(f"edge ({u[e]},{v[e]}) out of range for n={n}")
+        keys, inverse = np.unique(lo * n + hi, return_inverse=True)
+        # bincount adds each pair's weights in input order, starting from 0.0;
+        # with no edges it returns integers
+        ew = np.bincount(inverse, weights=w, minlength=keys.size).astype(float, copy=False)
+        return cls(n=n, edges_u=keys // n, edges_v=keys % n, edges_w=ew)
 
     @property
     def num_edges(self) -> int:
@@ -104,8 +119,9 @@ class GraphInstance:
     def subgraph(self, keep: int) -> "GraphInstance":
         """Induced subgraph on the first ``keep`` vertices."""
         mask = (self.edges_u < keep) & (self.edges_v < keep)
-        edges = zip(self.edges_u[mask], self.edges_v[mask], self.edges_w[mask])
-        return GraphInstance.from_edges(keep, [(int(a), int(b), float(c)) for a, b, c in edges])
+        return GraphInstance.from_arrays(
+            keep, self.edges_u[mask], self.edges_v[mask], self.edges_w[mask]
+        )
 
 
 @dataclass
@@ -170,7 +186,10 @@ class DiagonalConstraints:
         # svec(V^T A_i V) for A_i = e_i e_i^T is svec of the outer product of
         # row i of V with itself
         i, j, w = tri_indices(v.shape[1])
-        return v[:, i] * v[:, j] * w[None, :]
+        out = v[:, i]
+        out *= v[:, j]
+        out *= w
+        return out
 
     def frob_norms(self) -> np.ndarray:
         return np.ones(self.m)

@@ -450,3 +450,32 @@ class TestConvergenceGates:
         assert prob.unscale_objective(state.last_primal.cost_ip) == pytest.approx(
             2.0, abs=1e-2
         )
+
+
+class TestColdStartEigensolve:
+    @pytest.mark.parametrize("kind", ["maxcut", "mixed"])
+    def test_carries_f_and_lambda_at_zero(self, kind):
+        if kind == "maxcut":
+            prob = build_maxcut(random_graph(30, 0.3, 4))
+        else:
+            prob, _ = mixed_inequality_problem(12, 2)
+        cfg = SolverConfig(k_c=4, k_p=1, sketch_rank=5)
+        state = cold_start(prob, cfg)
+        f0, eig0 = penalized_obj(prob, np.zeros(prob.m), cfg, k_c=state.model.k_c)
+        assert state.f_y == f0
+        assert state.lam_y == float(eig0.eigenvalues[0])
+        assert np.array_equal(state.model.basis[:, : state.model.k_c], eig0.eigenvectors)
+
+    def test_cold_solve_spends_one_eigensolve_per_iteration_plus_one(self, monkeypatch):
+        from specbundle import bundle
+
+        calls = []
+        real = bundle.lanczos_top
+        monkeypatch.setattr(
+            bundle, "lanczos_top", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+        )
+        prob = build_maxcut(random_graph(30, 0.3, 4))
+        cfg = SolverConfig(k_c=4, k_p=1, sketch_rank=5, max_iters=3, eps=1e-12)
+        state, _ = solve(prob, cfg)
+        assert state.iterations == 3
+        assert len(calls) == 4

@@ -103,3 +103,89 @@ def test_defaults_match_documented_values():
     sig = inspect.signature(lanczos_top)
     assert sig.parameters["inner_iters"].default == 32
     assert sig.parameters["max_restarts"].default == 10
+
+
+def _assert_matches_frozen(op, k_c, **kw):
+    from _oracles import lanczos_top_frozen
+
+    res = lanczos_top(op, k_c, **kw)
+    vals, vecs, resid, converged, restarts, history = lanczos_top_frozen(
+        op.matvec, op.dim, k_c, **kw
+    )
+    assert np.array_equal(res.eigenvalues, vals)
+    assert np.array_equal(res.eigenvectors, vecs)
+    assert np.array_equal(res.residuals, resid)
+    assert res.converged == converged
+    assert res.restarts == restarts
+    assert res.ritz_history == history
+    return res
+
+
+def test_bit_identical_to_frozen_dense():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((300, 300))
+    a = 0.5 * (a + a.T)
+    _assert_matches_frozen(dense_op(a), 5, seed=1)
+
+
+def test_bit_identical_to_frozen_sparse_maxcut():
+    # C - diag(C) of a degree-8 random graph: the top of the spectrum is the
+    # clustered edge of the bulk, so all ten restarts are spent
+    from specbundle.problem import GraphInstance, build_maxcut, dual_slack_operator
+
+    n = 2000
+    rng = np.random.default_rng(8)
+    e = rng.integers(0, n, size=(4 * n, 2))
+    prob = build_maxcut(GraphInstance.from_arrays(n, e[:, 0], e[:, 1], np.ones(4 * n)))
+    op = dual_slack_operator(prob, prob.cost.diagonal().copy())
+    res = _assert_matches_frozen(op, 10, seed=0)
+    assert not res.converged and res.restarts == 10
+
+
+def test_bit_identical_to_frozen_low_rank(monkeypatch):
+    # rank 5 < basis size: the Krylov space closes and the iteration must
+    # continue on freshly drawn directions
+    from specbundle import eigsolve
+
+    calls = []
+    real = eigsolve._fresh_direction
+    monkeypatch.setattr(
+        eigsolve, "_fresh_direction", lambda *args: calls.append(1) or real(*args)
+    )
+    rng = np.random.default_rng(12)
+    u, _ = np.linalg.qr(rng.standard_normal((200, 5)))
+    a = (u * np.array([5.0, 4.0, 3.0, 2.0, 1.0])) @ u.T
+    _assert_matches_frozen(dense_op(a), 3, seed=0)
+    assert calls
+
+
+def test_operator_may_return_its_argument_or_buffer():
+    n = 300
+    d = np.linspace(-1.0, 2.0, n)
+    buf = np.empty(n)
+
+    def scale_into_buffer(v):
+        np.multiply(d, v, out=buf)
+        return buf
+
+    pairs = [
+        (LinOp(dim=n, matvec=lambda v: v), LinOp(dim=n, matvec=lambda v: v.copy())),
+        (LinOp(dim=n, matvec=scale_into_buffer), LinOp(dim=n, matvec=lambda v: d * v)),
+    ]
+    for reused, fresh in pairs:
+        r1 = lanczos_top(reused, 3, seed=4)
+        r2 = _assert_matches_frozen(fresh, 3, seed=4)
+        assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
+        assert np.array_equal(r1.eigenvectors, r2.eigenvectors)
+        assert np.array_equal(r1.residuals, r2.residuals)
+
+
+def test_nonfinite_matvec_raises_through_projection():
+    # a single inf entry, not a whole non-finite vector
+    def mv(v):
+        out = 2.0 * v
+        out[3] = np.inf
+        return out
+
+    with pytest.raises(NumericError):
+        lanczos_top(LinOp(dim=50, matvec=mv), 1, seed=0)

@@ -384,3 +384,72 @@ class TestDualSlackOperator:
         dense = prob.cost.toarray() - np.diag(y)
         v = rng.standard_normal(prob.n)
         np.testing.assert_allclose(op.matvec(v), dense @ v, atol=1e-12)
+
+
+class TestFromEdgesMatchesDict:
+    def _check(self, n, edges):
+        from _oracles import graph_from_edges_dict
+
+        g = GraphInstance.from_edges(n, edges)
+        u, v, w = graph_from_edges_dict(n, edges)
+        assert np.array_equal(g.edges_u, u) and g.edges_u.dtype == np.int64
+        assert np.array_equal(g.edges_v, v) and g.edges_v.dtype == np.int64
+        assert np.array_equal(g.edges_w, w) and g.edges_w.dtype == np.float64
+        return g
+
+    def test_random_with_duplicates_and_loops(self):
+        rng = np.random.default_rng(3)
+        n = 60
+        u = rng.integers(0, n, 800)
+        v = rng.integers(0, n, 800)
+        v[:40] = u[:40]  # self loops
+        w = rng.standard_normal(800)
+        edges = [(int(a), int(b), float(c)) for a, b, c in zip(u, v, w)]
+        # repeat a block in the opposite orientation
+        edges += [(b, a, 0.1 * c) for a, b, c in edges[100:300]]
+        g = self._check(n, edges)
+        assert np.all(g.edges_u < g.edges_v)
+
+    def test_empty_and_loops_only(self):
+        g = self._check(4, [])
+        assert g.num_edges == 0
+        g = self._check(4, [(2, 2, 1.0), (0, 0, 3.0)])
+        assert g.num_edges == 0
+
+    def test_first_out_of_range_edge_raises(self):
+        from _oracles import graph_from_edges_dict
+
+        # the loop on an out-of-range vertex is dropped before the check
+        edges = [(0, 1, 1.0), (9, 9, 1.0), (5, 0, 1.0), (-1, 2, 1.0)]
+        with pytest.raises(ValueError) as ref:
+            graph_from_edges_dict(3, edges)
+        with pytest.raises(ValueError) as got:
+            GraphInstance.from_edges(3, edges)
+        assert str(got.value) == str(ref.value) == "edge (5,0) out of range for n=3"
+
+    def test_vertex_count_beyond_pair_keys_rejected(self):
+        with pytest.raises(ValueError, match="too large"):
+            GraphInstance.from_edges(2**32, [(0, 1, 1.0)])
+
+    def test_subgraph_matches_rebuilt_edges(self):
+        g = random_graph(40, 0.3, 5)
+        sub = g.subgraph(25)
+        mask = (g.edges_u < 25) & (g.edges_v < 25)
+        edges = [
+            (int(a), int(b), float(c))
+            for a, b, c in zip(g.edges_u[mask], g.edges_v[mask], g.edges_w[mask])
+        ]
+        ref = self._check(25, edges)
+        assert np.array_equal(sub.edges_u, ref.edges_u)
+        assert np.array_equal(sub.edges_w, ref.edges_w)
+
+
+class TestDiagonalCompressedRows:
+    def test_bitwise_equal_to_product_form(self):
+        from specbundle.symlin import tri_indices
+
+        rng = np.random.default_rng(9)
+        v = rng.standard_normal((50, 6))
+        i, j, w = tri_indices(6)
+        out = DiagonalConstraints(50).compressed_rows(v)
+        assert np.array_equal(out, v[:, i] * v[:, j] * w[None, :])
