@@ -40,6 +40,7 @@ __all__ = [
     "IterationInfo",
     "PrimalOutput",
     "FingerprintMismatch",
+    "MAX_EXPLICIT_N",
     "Mapping",
     "penalized_obj",
     "candidate_iterate",
@@ -55,6 +56,11 @@ __all__ = [
     "warm_start_pad",
     "fingerprint_of",
 ]
+
+
+# largest problem side for which cold_start keeps the aggregate primal matrix
+# as a dense n x n array (sketch_rank = 0): 3.2 GB of float64 at this size
+MAX_EXPLICIT_N = 20_000
 
 
 class FingerprintMismatch(RuntimeError):
@@ -75,7 +81,7 @@ class SolverConfig:
     k_c: int = 10
     k_p: int = 1
     eps: float = 1e-3
-    sketch_rank: int = 0  # 0 keeps the aggregate matrix explicitly
+    sketch_rank: int = 0  # 0 keeps the aggregate matrix explicitly (n <= MAX_EXPLICIT_N)
     max_iters: int = 1000
     max_time: Optional[float] = None
     seed: int = 0
@@ -148,7 +154,6 @@ class Residuals:
     rel_subopt: float
     rel_infeas: float
     linf_infeas: float
-    dual_gap: float
     dual_feas: float
 
     def converged(self, eps: float, linf_check: bool = False) -> bool:
@@ -173,8 +178,6 @@ class SolverState:
     status: Optional[str] = None
     scale_x: float = 1.0
     scale_c: float = 1.0
-    best_rel_infeas: float = np.inf
-    best_rel_subopt: float = np.inf
 
 
 @dataclass
@@ -350,9 +353,9 @@ def compute_residuals(
 ) -> Residuals:
     """Convergence measures from tracked statistics only.
 
-    The suboptimality numerator uses the dual objective value as an upper
-    bound on the unknown optimum, so the reported value bounds the true
-    relative suboptimality from above.
+    The suboptimality numerator is the gap f(y) - <C, X>: the dual objective
+    value bounds the unknown optimum from above, so for a feasible X the
+    reported value bounds the true relative suboptimality from above.
     """
     a_x = primal.constr_image
     proj = proj_K(a_x, prob)
@@ -361,13 +364,11 @@ def compute_residuals(
     rel_infeas = float(np.linalg.norm(diff)) / (1.0 + b_norm)
     linf = float(np.max(np.abs(diff))) if diff.size else 0.0
     c_x = primal.cost_ip
-    rel_subopt = (c_x - f_y) / (1.0 + abs(c_x))
-    dual_gap = abs(float(prob.b @ y) - c_x)
+    rel_subopt = (f_y - c_x) / (1.0 + abs(c_x))
     return Residuals(
         rel_subopt=rel_subopt,
         rel_infeas=rel_infeas,
         linf_infeas=linf,
-        dual_gap=dual_gap,
         dual_feas=lam_y,
     )
 
@@ -389,12 +390,18 @@ def _derived_seeds(seed: int) -> tuple[int, int]:
 
 def cold_start(prob: SdpProblem, cfg: SolverConfig) -> SolverState:
     """Zero dual point, zero aggregate, basis from the cost's top eigenpairs
-    completed deterministically to k columns.
+    completed deterministically to k columns.  Raises ValueError for
+    ``sketch_rank = 0`` above ``MAX_EXPLICIT_N``, before any eigensolve.
 
     The eigensolve that yields the basis is the evaluation of the penalized
     objective at y = 0, so the state carries f(0) and lambda_max(C) and
     ``solve`` starts from it without a second eigensolve.
     """
+    if cfg.sketch_rank == 0 and prob.n > MAX_EXPLICIT_N:
+        raise ValueError(
+            f"sketch_rank=0 stores a dense {prob.n} x {prob.n} primal matrix; "
+            f"it is allowed up to n={MAX_EXPLICIT_N}, so set sketch_rank > 0"
+        )
     k_c, k_p = _clamped_dims(prob, cfg)
     k = k_c + k_p
     sketch_seed, _ = _derived_seeds(cfg.seed)
@@ -497,8 +504,6 @@ def solve(
         state.last_primal = primal
         state.residuals = residuals
         state.iterations = t + 1
-        state.best_rel_infeas = min(state.best_rel_infeas, residuals.rel_infeas)
-        state.best_rel_subopt = min(state.best_rel_subopt, residuals.rel_subopt)
 
         if callback is not None:
             callback(

@@ -32,8 +32,6 @@ __all__ = [
     "proj_K",
     "proj_N",
     "dual_slack_operator",
-    "partial_trace1",
-    "partial_trace2",
     "parse_graph_mm",
     "write_graph_mm",
     "parse_qaplib",
@@ -216,14 +214,17 @@ class SparseConstraintFamilies:
             self.n, self.m, self.idx, self.rows, self.cols, self.vals * factors[self.idx]
         )
 
+    # row gathers go through np.take: the same copy as v[self.rows], without
+    # the fancy-indexing overhead, which dominates at QAP sizes
+
     def primal_image_lowrank(self, v: np.ndarray, s: np.ndarray) -> np.ndarray:
-        mid = v[self.rows] @ s
-        vals = np.einsum("ej,ej->e", mid, v[self.cols])
+        mid = np.take(v, self.rows, axis=0) @ s
+        vals = np.einsum("ej,ej->e", mid, np.take(v, self.cols, axis=0))
         return np.bincount(self.idx, weights=vals * self._eff, minlength=self.m)
 
     def primal_image_factor(self, u: np.ndarray, lams: np.ndarray) -> np.ndarray:
-        mid = u[self.rows] * lams[None, :]
-        vals = np.einsum("ej,ej->e", mid, u[self.cols])
+        mid = np.take(u, self.rows, axis=0) * lams[None, :]
+        vals = np.einsum("ej,ej->e", mid, np.take(u, self.cols, axis=0))
         return np.bincount(self.idx, weights=vals * self._eff, minlength=self.m)
 
     def primal_image_dense(self, x: np.ndarray) -> np.ndarray:
@@ -248,7 +249,7 @@ class SparseConstraintFamilies:
     def compressed_rows(self, v: np.ndarray) -> np.ndarray:
         k = v.shape[1]
         i, j, w = tri_indices(k)
-        g = v[self.rows][:, :, None] * v[self.cols][:, None, :]
+        g = np.take(v, self.rows, axis=0)[:, :, None] * np.take(v, self.cols, axis=0)[:, None, :]
         g = g + g.transpose(0, 2, 1)
         g[self._diag] *= 0.5
         g *= self.vals[:, None, None]
@@ -320,11 +321,7 @@ def proj_K(z: np.ndarray, prob: SdpProblem) -> np.ndarray:
 def proj_N(z: np.ndarray, prob: SdpProblem) -> np.ndarray:
     """Euclidean projection onto the dual-slack domain (<= 0 on inequality
     rows, 0 on equality rows)."""
-    out = np.zeros_like(prob.b)
-    idx = prob.ineq_idx
-    if idx.size:
-        out[idx] = np.minimum(z[idx], 0.0)
-    return out
+    return np.where(prob.ineq_mask, np.minimum(z, 0.0), 0.0)
 
 
 def dual_slack_operator(prob: SdpProblem, y: np.ndarray) -> LinOp:
@@ -366,18 +363,6 @@ def build_maxcut(g: GraphInstance, alpha: float = 2.0) -> SdpProblem:
         sense=1,
         labels=[("diag", i) for i in range(n)],
     )
-
-
-def partial_trace1(y: np.ndarray, n: int) -> np.ndarray:
-    """Trace out the first factor of an (n*n) x (n*n) matrix."""
-    y4 = y.reshape(n, n, n, n)
-    return np.einsum("ikil->kl", y4)
-
-
-def partial_trace2(y: np.ndarray, n: int) -> np.ndarray:
-    """Trace out the second factor of an (n*n) x (n*n) matrix."""
-    y4 = y.reshape(n, n, n, n)
-    return np.einsum("ikjk->ij", y4)
 
 
 def qap_constraint_entries(q: QapInstance):

@@ -14,15 +14,16 @@ symmetric positive definite solve on the S-block.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .problem import SdpProblem, proj_N
 from .symlin import (
     ConditioningError,
+    is_positive_definite,
     solve_spd,
     svec,
     svec_dim,
@@ -45,7 +46,6 @@ __all__ = [
     "barrier_update",
     "line_search_feasible",
     "newton_direction",
-    "full_newton_residual",
     "alternating_max",
     "AltMaxResult",
 ]
@@ -123,10 +123,10 @@ class IpmState:
         return self.s_mat.shape[0]
 
     def trace_slack(self) -> float:
-        return 1.0 - float(np.trace(self.s_mat)) - self.eta
+        return 1.0 - float(self.s_mat.trace()) - self.eta
 
     def complementarity(self) -> float:
-        total = float(np.sum(self.s_mat * self.t_mat)) + self.omega * self.trace_slack()
+        total = float((self.s_mat * self.t_mat).sum()) + self.omega * self.trace_slack()
         if self.has_eta:
             total += self.eta * self.zeta
         return total
@@ -139,12 +139,7 @@ class IpmState:
             return False
         if self.has_eta and (self.eta <= 0 or self.zeta <= 0):
             return False
-        for m in (self.s_mat, self.t_mat):
-            try:
-                scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-            except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-                return False
-        return True
+        return is_positive_definite(self.s_mat) and is_positive_definite(self.t_mat)
 
 
 @dataclass
@@ -207,11 +202,11 @@ def _objective(q: QuadCoeffs, s_vec: np.ndarray, eta: float) -> float:
     return val
 
 
-def _stationarity(q: QuadCoeffs, st: IpmState) -> tuple[np.ndarray, float]:
-    s_vec = svec(st.s_mat)
-    t_vec = svec(st.t_mat)
-    v_i = q.trace_vec
-    f1 = q.quad_ss @ s_vec + q.lin_s - t_vec + st.omega * v_i
+def _stationarity(
+    q: QuadCoeffs, st: IpmState, s_vec: np.ndarray, t_vec: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Dual residuals at ``st``, given s_vec = svec(S) and t_vec = svec(T)."""
+    f1 = q.quad_ss @ s_vec + q.lin_s - t_vec + st.omega * q.trace_vec
     f2 = 0.0
     if q.has_eta:
         f1 = f1 + st.eta * q.quad_s_eta
@@ -222,20 +217,32 @@ def _stationarity(q: QuadCoeffs, st: IpmState) -> tuple[np.ndarray, float]:
 def newton_direction(q: QuadCoeffs, st: IpmState, mu: float) -> Direction:
     """Newton step for the linearized central-path system, computed by
     analytically eliminating every block except svec(S)."""
-    v_i = q.trace_vec
-    s_vec = svec(st.s_mat)
     t_vec = svec(st.t_mat)
+    f1, f2 = _stationarity(q, st, svec(st.s_mat), t_vec)
+    return _direction(q, st, mu, f1, f2, t_vec, st.trace_slack())
+
+
+def _direction(
+    q: QuadCoeffs,
+    st: IpmState,
+    mu: float,
+    f1: np.ndarray,
+    f2: float,
+    t_vec: np.ndarray,
+    sigma: float,
+) -> Direction:
+    """:func:`newton_direction` from the stationarity residuals (f1, f2),
+    t_vec = svec(T) and the trace slack sigma at ``st``."""
+    v_i = q.trace_vec
     s_inv = np.linalg.inv(st.s_mat)
     s_inv = 0.5 * (s_inv + s_inv.T)
     e_op = symm_kron(st.t_mat, s_inv)
-    f1, f2 = _stationarity(q, st)
-    sigma = st.trace_slack()
     r_c = mu / st.omega - sigma
     r_d = mu * svec(s_inv) - t_vec
     kappa1 = sigma / st.omega
 
     if not q.has_eta:
-        m = q.quad_ss + e_op + np.outer(v_i, v_i) / kappa1
+        m = q.quad_ss + e_op + (v_i[:, None] * v_i[None, :]) / kappa1
         rhs = -f1 + r_d - (r_c / kappa1) * v_i
         ds = solve_spd(m, rhs)
         domega = (r_c + v_i @ ds) / kappa1
@@ -249,7 +256,11 @@ def newton_direction(q: QuadCoeffs, st: IpmState, mu: float) -> Direction:
     m = (
         q.quad_ss
         + e_op
-        - (np.outer(q12, kappa1 * q12 + v_i) + np.outer(v_i, q12 - kappa2 * v_i)) / c
+        - (
+            q12[:, None] * (kappa1 * q12 + v_i)[None, :]
+            + v_i[:, None] * (q12 - kappa2 * v_i)[None, :]
+        )
+        / c
     )
     rhs = (
         q12 * ((r_c + kappa1 * (f2 - r_e)) / c)
@@ -265,45 +276,26 @@ def newton_direction(q: QuadCoeffs, st: IpmState, mu: float) -> Direction:
     return Direction(ds_vec=ds, deta=deta, dt_vec=dt, dzeta=dzeta, domega=domega)
 
 
-def full_newton_residual(q: QuadCoeffs, st: IpmState, mu: float, d: Direction) -> float:
-    """Max-norm residual of the full five-block linearized system at a
-    proposed direction; used to certify the eliminated solve."""
-    v_i = q.trace_vec
-    s_vec = svec(st.s_mat)
-    t_vec = svec(st.t_mat)
-    s_inv = np.linalg.inv(st.s_mat)
-    s_inv = 0.5 * (s_inv + s_inv.T)
-    e_op = symm_kron(st.t_mat, s_inv)
-    f1, f2 = _stationarity(q, st)
-    sigma = st.trace_slack()
-    kappa1 = sigma / st.omega
-
-    r1 = q.quad_ss @ d.ds_vec - d.dt_vec + d.domega * v_i + f1
-    if q.has_eta:
-        r1 = r1 + d.deta * q.quad_s_eta
-    r3 = kappa1 * d.domega - v_i @ d.ds_vec - d.deta - (mu / st.omega - sigma)
-    r4 = e_op @ d.ds_vec + d.dt_vec - (mu * svec(s_inv) - t_vec)
-    worst = max(float(np.max(np.abs(r1))), abs(float(r3)), float(np.max(np.abs(r4))))
-    if q.has_eta:
-        r2 = q.quad_s_eta @ d.ds_vec + d.deta * q.quad_eta - d.dzeta + d.domega + f2
-        r5 = (st.zeta / st.eta) * d.deta + d.dzeta - (mu / st.eta - st.zeta)
-        worst = max(worst, abs(float(r2)), abs(float(r5)))
-    return worst
-
-
 def line_search_feasible(st: IpmState, d: Direction, opts: IpmOptions | None = None) -> float:
     """Largest step fraction in (0, 1] keeping the state strictly feasible.
 
     Scalar blocks and the trace slack have exact boundary steps; the two
     matrix blocks are checked by Cholesky with backtracking.
     """
-    opts = opts or IpmOptions()
+    return _line_search(st, d, opts or IpmOptions(), st.trace_slack())[0]
+
+
+def _line_search(
+    st: IpmState, d: Direction, opts: IpmOptions, sigma: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """:func:`line_search_feasible` given the trace slack sigma at ``st``,
+    also returning svec_inv of the two matrix directions for the update."""
     if not (
-        np.all(np.isfinite(d.ds_vec))
-        and np.all(np.isfinite(d.dt_vec))
-        and np.isfinite(d.deta)
-        and np.isfinite(d.dzeta)
-        and np.isfinite(d.domega)
+        np.isfinite(d.ds_vec).all()
+        and np.isfinite(d.dt_vec).all()
+        and math.isfinite(d.deta)
+        and math.isfinite(d.dzeta)
+        and math.isfinite(d.domega)
     ):
         raise StepFailureError("non-finite direction")
     bounds = []
@@ -313,7 +305,6 @@ def line_search_feasible(st: IpmState, d: Direction, opts: IpmOptions | None = N
     for x, dx in scalars:
         if dx < 0:
             bounds.append(-x / dx)
-    sigma = st.trace_slack()
     v_i = svec_identity(st.k)
     dsigma = -(v_i @ d.ds_vec + d.deta)
     if dsigma < 0:
@@ -322,13 +313,9 @@ def line_search_feasible(st: IpmState, d: Direction, opts: IpmOptions | None = N
     ds_mat = svec_inv(d.ds_vec)
     dt_mat = svec_inv(d.dt_vec)
     while delta >= opts.min_step:
-        ok = True
-        for base, step in ((st.s_mat, ds_mat), (st.t_mat, dt_mat)):
-            try:
-                scipy.linalg.cho_factor(base + delta * step, lower=True, check_finite=False)
-            except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-                ok = False
-                break
+        ok = is_positive_definite(st.s_mat + delta * ds_mat) and is_positive_definite(
+            st.t_mat + delta * dt_mat
+        )
         if ok:
             # guard scalar positivity against rounding at the boundary
             if st.omega + delta * d.domega <= 0 or sigma + delta * dsigma <= 0:
@@ -338,15 +325,19 @@ def line_search_feasible(st: IpmState, d: Direction, opts: IpmOptions | None = N
             ):
                 ok = False
         if ok:
-            return delta
+            return delta, ds_mat, dt_mat
         delta *= opts.backtrack
     raise StepFailureError("no strictly feasible step above minimum")
 
 
 def barrier_update(st: IpmState, delta: float) -> float:
     """Non-increasing barrier estimate after a step of fraction ``delta``."""
+    return _barrier_target(st, delta, st.complementarity() / (2.0 * st.pairs()))
+
+
+def _barrier_target(st: IpmState, delta: float, estimate: float) -> float:
+    """:func:`barrier_update` given the complementarity estimate at ``st``."""
     gamma = 1.0 if delta <= 0.2 else 0.5 - 0.4 * delta**2
-    estimate = st.complementarity() / (2.0 * st.pairs())
     return min(st.mu, gamma * estimate)
 
 
@@ -384,14 +375,16 @@ def _ipm_solve(q: QuadCoeffs, warm: IpmState | None, opts: IpmOptions) -> IpmRes
     exact = False
     failures = 0
     iters = 0
+    # gate on the achieved complementarity, not the barrier target: the
+    # non-increasing target can run ahead of the iterates, and the
+    # complementarity sum bounds every product block of the optimality
+    # system as well as the duality gap.  It changes only with the state, so
+    # the estimate behind each barrier update serves the next step's gate.
+    achieved = st.complementarity() / (2.0 * st.pairs())
     for iters in range(1, opts.max_newton + 1):
-        f1, f2 = _stationarity(q, st)
-        stat_res = max(float(np.max(np.abs(f1))), abs(f2))
-        # gate on the achieved complementarity, not the barrier target: the
-        # non-increasing target can run ahead of the iterates, and the
-        # complementarity sum bounds every product block of the optimality
-        # system as well as the duality gap
-        achieved = st.complementarity() / (2.0 * st.pairs())
+        t_vec = svec(st.t_mat)
+        f1, f2 = _stationarity(q, st, svec(st.s_mat), t_vec)
+        stat_res = max(float(np.abs(f1).max()), abs(f2))
         if (
             mu < opts.mu_tol
             and achieved < opts.mu_tol
@@ -400,9 +393,10 @@ def _ipm_solve(q: QuadCoeffs, warm: IpmState | None, opts: IpmOptions) -> IpmRes
             exact = True
             iters -= 1
             break
+        sigma = st.trace_slack()
         try:
-            d = newton_direction(q, st, mu)
-            delta = line_search_feasible(st, d, opts)
+            d = _direction(q, st, mu, f1, f2, t_vec, sigma)
+            delta, ds_mat, dt_mat = _line_search(st, d, opts, sigma)
         except (ConditioningError, StepFailureError):
             # recovery: recenter by raising the barrier target
             failures += 1
@@ -412,13 +406,14 @@ def _ipm_solve(q: QuadCoeffs, warm: IpmState | None, opts: IpmOptions) -> IpmRes
             st.mu = mu
             continue
         failures = 0
-        st.s_mat = st.s_mat + delta * svec_inv(d.ds_vec)
-        st.t_mat = st.t_mat + delta * svec_inv(d.dt_vec)
+        st.s_mat = st.s_mat + delta * ds_mat
+        st.t_mat = st.t_mat + delta * dt_mat
         st.omega += delta * d.domega
         if q.has_eta:
             st.eta += delta * d.deta
             st.zeta += delta * d.dzeta
-        mu = barrier_update(st, delta)
+        achieved = st.complementarity() / (2.0 * st.pairs())
+        mu = _barrier_target(st, delta, achieved)
         st.mu = mu
 
     s_vec = svec(st.s_mat)
@@ -543,12 +538,6 @@ class AltMaxResult:
     exact: bool
 
 
-def psi_value(prob: SdpProblem, y: np.ndarray, rho: float, c_x: float, a_x: np.ndarray, nu: np.ndarray) -> float:
-    """Proximal coupling objective of an (X, nu) pair at anchor y."""
-    w = prob.b + nu - a_x
-    return float(c_x + w @ y - (w @ w) / (2.0 * rho))
-
-
 def alternating_max(
     prob: SdpProblem,
     model,
@@ -600,8 +589,8 @@ def alternating_max(
         if done:
             break
 
-    c_x = eta_act * model.stats.cost_ip + float(np.sum(base.cost_quad * s_act))
-    tr_x = eta_act * tr + float(np.trace(s_act))
+    c_x = eta_act * model.stats.cost_ip + float((base.cost_quad * s_act).sum())
+    tr_x = eta_act * tr + float(s_act.trace())
     return AltMaxResult(
         eta=eta_act,
         s_mat=s_act,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "ConditioningError",
@@ -26,6 +26,7 @@ __all__ = [
     "orthonormalize",
     "small_eigh",
     "solve_spd",
+    "is_positive_definite",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -69,26 +70,48 @@ def tri_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cached
 
 
+_SVEC_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_SVEC_INV_CACHE: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+
+
 def svec(a: np.ndarray) -> np.ndarray:
-    """Vectorize a symmetric matrix; <A, B> == svec(A) @ svec(B)."""
+    """Vectorize a symmetric matrix; <A, B> == svec(A) @ svec(B).
+
+    Gathers a[i, j] through flat indices i * n + j, then scales by w."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("svec expects a square matrix")
-    i, j, w = tri_indices(n)
-    return a[i, j] * w
+    cached = _SVEC_CACHE.get(n)
+    if cached is None:
+        i, j, w = tri_indices(n)
+        flat = i * n + j
+        flat.setflags(write=False)
+        cached = (flat, w)
+        _SVEC_CACHE[n] = cached
+    flat, w = cached
+    return a.take(flat) * w
 
 
 def svec_inv(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`svec`; exact round trip for symmetric input."""
+    """Inverse of :func:`svec`; exact round trip for symmetric input.
+
+    Entries (i, j) and (j, i) both receive v[p] / w[p] for the position p
+    of the pair, gathered in one pass."""
     v = np.asarray(v, dtype=float)
-    n = mat_dim(v.shape[0])
-    i, j, w = tri_indices(n)
-    a = np.zeros((n, n))
-    vals = v / w
-    a[i, j] = vals
-    a[j, i] = vals
-    return a
+    d = v.shape[0]
+    cached = _SVEC_INV_CACHE.get(d)
+    if cached is None:
+        n = mat_dim(d)
+        i, j, w = tri_indices(n)
+        pos = np.empty((n, n), dtype=np.int64)
+        pos[i, j] = np.arange(d)
+        pos[j, i] = np.arange(d)
+        pos.setflags(write=False)
+        cached = (n, pos.ravel(), w)
+        _SVEC_INV_CACHE[d] = cached
+    n, pos, w = cached
+    return (v / w).take(pos).reshape(n, n)
 
 
 _IDENT_CACHE: dict[int, np.ndarray] = {}
@@ -130,19 +153,38 @@ def u_matrix(n: int) -> np.ndarray:
     return u
 
 
+_KRON_SIDES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def symm_kron(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Symmetric Kronecker product as a dense operator on svec space.
 
     Satisfies (g (x)_s h) @ svec(A) == 0.5 * svec(h A g.T + g A h.T) for all
-    symmetric A.  Materialized via the explicit row-compression matrix since
-    the operator is reused across Newton iterations of one subproblem solve.
+    symmetric A.  Materialized via the explicit row-compression matrix U
+    since the operator is reused across Newton iterations of one subproblem
+    solve.  The result is exactly ``((0.5 * U) @ (kron(g, h) + kron(h, g)))
+    @ U.T``: the two Kronecker products are formed as the same single
+    products g[i, j] * h[k, l] that ``np.kron`` forms, without its overhead,
+    and ``0.5 * U`` and ``U.T`` are cached per size.
     """
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
-    if g.shape != h.shape or g.shape[0] != g.shape[1]:
+    n = g.shape[0]
+    if g.shape != h.shape or g.shape != (n, n):
         raise ValueError("symm_kron expects two square matrices of equal size")
-    u = u_matrix(g.shape[0])
-    return 0.5 * u @ (np.kron(g, h) + np.kron(h, g)) @ u.T
+    sides = _KRON_SIDES.get(n)
+    if sides is None:
+        u = u_matrix(n)
+        half_u = 0.5 * u
+        half_u.setflags(write=False)
+        sides = (half_u, u.T)
+        _KRON_SIDES[n] = sides
+    half_u, u_t = sides
+    # p[i, k, j, l] = g[i, j] * h[k, l] = kron(g, h)[i*n + k, j*n + l];
+    # kron(h, g) holds the same products with both index pairs swapped
+    p = g[:, None, :, None] * h[None, :, None, :]
+    kk = (p + p.transpose(1, 0, 3, 2)).reshape(n * n, n * n)
+    return half_u @ kk @ u_t
 
 
 def orthonormalize(cols, drop_tol: float = 1e-12) -> np.ndarray:
@@ -201,12 +243,19 @@ def small_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def solve_spd(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve m @ x = rhs for symmetric positive definite m via Cholesky.
 
-    Raises ConditioningError if the factorization fails; the caller owns
-    recovery (no silent regularization here).
+    Reads only the lower triangle of m: LAPACK ``dpotrf`` factors it as
+    L L^T and ``dpotrs`` solves with that factor, the routines and arguments
+    that ``scipy.linalg.cho_factor(m, lower=True)`` and ``cho_solve`` call,
+    without their wrappers.  Raises ConditioningError if the factorization
+    fails; the caller owns recovery (no silent regularization here).
     """
-    m = np.asarray(m, dtype=float)
-    try:
-        factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise ConditioningError(str(exc)) from exc
-    return scipy.linalg.cho_solve(factor, np.asarray(rhs, dtype=float), check_finite=False)
+    factor, info = dpotrf(np.asarray(m, dtype=float), lower=1, clean=0)
+    if info != 0:
+        raise ConditioningError(f"Cholesky factorization failed (dpotrf info {info})")
+    return dpotrs(factor, np.asarray(rhs, dtype=float), lower=1)[0]
+
+
+def is_positive_definite(m: np.ndarray) -> bool:
+    """Whether a Cholesky factorization of the lower triangle of m succeeds
+    (``dpotrf`` as in :func:`solve_spd`)."""
+    return dpotrf(m, lower=1, clean=0)[1] == 0

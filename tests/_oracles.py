@@ -234,3 +234,386 @@ def graph_from_edges_dict(n: int, edges):
         np.array([k[1] for k in keys], dtype=np.int64),
         np.array([acc[k] for k in keys], dtype=float),
     )
+
+
+# ---------------------------------------------------------------------------
+# frozen copies of the interior-point Newton core, its kernels and the sparse
+# constraint images, as they stood before their per-call overhead was cut.
+# The solver must reproduce them bit for bit.
+
+
+def svec_frozen(a: np.ndarray) -> np.ndarray:
+    """svec through two-array fancy indexing."""
+    from specbundle.symlin import tri_indices
+
+    i, j, w = tri_indices(a.shape[0])
+    return a[i, j] * w
+
+
+def svec_inv_frozen(v: np.ndarray) -> np.ndarray:
+    """Inverse svec through two fancy-index assignments into zeros."""
+    from specbundle.symlin import mat_dim, tri_indices
+
+    n = mat_dim(v.shape[0])
+    i, j, w = tri_indices(n)
+    a = np.zeros((n, n))
+    vals = v / w
+    a[i, j] = vals
+    a[j, i] = vals
+    return a
+
+
+def symm_kron_frozen(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Symmetric Kronecker product through two ``np.kron`` calls and the
+    row-compression matrix."""
+    from specbundle.symlin import u_matrix
+
+    u = u_matrix(g.shape[0])
+    return 0.5 * u @ (np.kron(g, h) + np.kron(h, g)) @ u.T
+
+
+def solve_spd_frozen(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Cholesky solve through scipy's ``cho_factor`` and ``cho_solve``."""
+    import scipy.linalg
+
+    from specbundle.symlin import ConditioningError
+
+    m = np.asarray(m, dtype=float)
+    try:
+        factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        raise ConditioningError(str(exc)) from exc
+    return scipy.linalg.cho_solve(factor, np.asarray(rhs, dtype=float), check_finite=False)
+
+
+def _chol_ok(m: np.ndarray) -> bool:
+    import scipy.linalg
+
+    try:
+        scipy.linalg.cho_factor(m, lower=True, check_finite=False)
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+        return False
+    return True
+
+
+class FrozenIpmState:
+    """Iterate of the frozen Newton loop (same fields as ``IpmState``)."""
+
+    def __init__(self, s_mat, eta, t_mat, zeta, omega, mu, has_eta):
+        self.s_mat = s_mat
+        self.eta = eta
+        self.t_mat = t_mat
+        self.zeta = zeta
+        self.omega = omega
+        self.mu = mu
+        self.has_eta = has_eta
+
+    @property
+    def k(self) -> int:
+        return self.s_mat.shape[0]
+
+    def trace_slack(self) -> float:
+        return 1.0 - float(np.trace(self.s_mat)) - self.eta
+
+    def complementarity(self) -> float:
+        total = float(np.sum(self.s_mat * self.t_mat)) + self.omega * self.trace_slack()
+        if self.has_eta:
+            total += self.eta * self.zeta
+        return total
+
+    def pairs(self) -> int:
+        return self.k + (2 if self.has_eta else 1)
+
+    def strictly_feasible(self) -> bool:
+        if self.omega <= 0 or self.trace_slack() <= 0:
+            return False
+        if self.has_eta and (self.eta <= 0 or self.zeta <= 0):
+            return False
+        return _chol_ok(self.s_mat) and _chol_ok(self.t_mat)
+
+
+def _frozen_cold_state(k: int, has_eta: bool) -> FrozenIpmState:
+    pairs = k + (2 if has_eta else 1)
+    c = 1.0 / (2.0 * pairs)
+    st = FrozenIpmState(
+        s_mat=c * np.eye(k),
+        eta=c if has_eta else 0.0,
+        t_mat=np.eye(k),
+        zeta=1.0 if has_eta else 0.0,
+        omega=1.0,
+        mu=0.0,
+        has_eta=has_eta,
+    )
+    st.mu = st.complementarity() / (2.0 * st.pairs())
+    return st
+
+
+def stationarity_frozen(q, st) -> tuple[np.ndarray, float]:
+    from specbundle.symlin import svec_identity
+
+    s_vec = svec_frozen(st.s_mat)
+    t_vec = svec_frozen(st.t_mat)
+    v_i = svec_identity(q.k)
+    f1 = q.quad_ss @ s_vec + q.lin_s - t_vec + st.omega * v_i
+    f2 = 0.0
+    if q.has_eta:
+        f1 = f1 + st.eta * q.quad_s_eta
+        f2 = float(q.quad_s_eta @ s_vec + st.eta * q.quad_eta + q.lin_eta - st.zeta + st.omega)
+    return f1, f2
+
+
+def newton_direction_frozen(q, st, mu):
+    """Eliminated Newton step; returns (ds, deta, dt, dzeta, domega)."""
+    from specbundle.symlin import svec_identity
+
+    v_i = svec_identity(q.k)
+    t_vec = svec_frozen(st.t_mat)
+    s_inv = np.linalg.inv(st.s_mat)
+    s_inv = 0.5 * (s_inv + s_inv.T)
+    e_op = symm_kron_frozen(st.t_mat, s_inv)
+    f1, f2 = stationarity_frozen(q, st)
+    sigma = st.trace_slack()
+    r_c = mu / st.omega - sigma
+    r_d = mu * svec_frozen(s_inv) - t_vec
+    kappa1 = sigma / st.omega
+
+    if not q.has_eta:
+        m = q.quad_ss + e_op + np.outer(v_i, v_i) / kappa1
+        rhs = -f1 + r_d - (r_c / kappa1) * v_i
+        ds = solve_spd_frozen(m, rhs)
+        domega = (r_c + v_i @ ds) / kappa1
+        dt = r_d - e_op @ ds
+        return ds, 0.0, dt, 0.0, domega
+
+    r_e = mu / st.eta - st.zeta
+    kappa2 = st.zeta / st.eta + q.quad_eta
+    c = kappa1 * kappa2 + 1.0
+    q12 = q.quad_s_eta
+    m = (
+        q.quad_ss
+        + e_op
+        - (np.outer(q12, kappa1 * q12 + v_i) + np.outer(v_i, q12 - kappa2 * v_i)) / c
+    )
+    rhs = (
+        q12 * ((r_c + kappa1 * (f2 - r_e)) / c)
+        + v_i * ((f2 - r_e - kappa2 * r_c) / c)
+        - f1
+        + r_d
+    )
+    ds = solve_spd_frozen(m, rhs)
+    deta = -(r_c + kappa1 * (f2 - r_e) + (kappa1 * q12 + v_i) @ ds) / c
+    dzeta = r_e - (st.zeta / st.eta) * deta
+    domega = -f2 + r_e - q12 @ ds - kappa2 * deta
+    dt = r_d - e_op @ ds
+    return ds, deta, dt, dzeta, domega
+
+
+class _FrozenStepFailure(RuntimeError):
+    pass
+
+
+def line_search_frozen(st, d, opts) -> float:
+    """Step fraction for the direction tuple ``d``; raises
+    ``_FrozenStepFailure`` where the solver raises ``StepFailureError``."""
+    from specbundle.symlin import svec_identity
+
+    ds, deta, dt, dzeta, domega = d
+    if not (
+        np.all(np.isfinite(ds))
+        and np.all(np.isfinite(dt))
+        and np.isfinite(deta)
+        and np.isfinite(dzeta)
+        and np.isfinite(domega)
+    ):
+        raise _FrozenStepFailure("non-finite direction")
+    bounds = []
+    scalars = [(st.omega, domega)]
+    if st.has_eta:
+        scalars += [(st.eta, deta), (st.zeta, dzeta)]
+    for x, dx in scalars:
+        if dx < 0:
+            bounds.append(-x / dx)
+    sigma = st.trace_slack()
+    v_i = svec_identity(st.k)
+    dsigma = -(v_i @ ds + deta)
+    if dsigma < 0:
+        bounds.append(-sigma / dsigma)
+    delta = min(1.0, opts.step_frac * min(bounds)) if bounds else 1.0
+    ds_mat = svec_inv_frozen(ds)
+    dt_mat = svec_inv_frozen(dt)
+    while delta >= opts.min_step:
+        ok = _chol_ok(st.s_mat + delta * ds_mat) and _chol_ok(st.t_mat + delta * dt_mat)
+        if ok:
+            if st.omega + delta * domega <= 0 or sigma + delta * dsigma <= 0:
+                ok = False
+            if st.has_eta and (st.eta + delta * deta <= 0 or st.zeta + delta * dzeta <= 0):
+                ok = False
+        if ok:
+            return delta
+        delta *= opts.backtrack
+    raise _FrozenStepFailure("no strictly feasible step above minimum")
+
+
+def ipm_solve_frozen(q, warm, opts):
+    """The interior-point Newton loop.  Returns (s_opt, eta_opt, value,
+    state, newton_iters, exact)."""
+    from specbundle.symlin import ConditioningError
+
+    st = None
+    if warm is not None and warm.k == q.k and warm.has_eta == q.has_eta:
+        warm_f = FrozenIpmState(
+            warm.s_mat, warm.eta, warm.t_mat, warm.zeta, warm.omega, warm.mu, warm.has_eta
+        )
+        if warm_f.strictly_feasible():
+            lam = opts.warm_blend
+            cold = _frozen_cold_state(q.k, q.has_eta)
+            st = FrozenIpmState(
+                s_mat=(1 - lam) * warm.s_mat + lam * cold.s_mat,
+                eta=(1 - lam) * warm.eta + lam * cold.eta,
+                t_mat=(1 - lam) * warm.t_mat + lam * cold.t_mat,
+                zeta=(1 - lam) * warm.zeta + lam * cold.zeta,
+                omega=(1 - lam) * warm.omega + lam * cold.omega,
+                mu=0.0,
+                has_eta=q.has_eta,
+            )
+            st.mu = st.complementarity() / (2.0 * st.pairs())
+    if st is None:
+        st = _frozen_cold_state(q.k, q.has_eta)
+    mu = st.mu
+
+    coeff_scale = 1.0 + max(
+        float(np.max(np.abs(q.lin_s))) if q.lin_s.size else 0.0,
+        abs(q.lin_eta),
+        float(np.max(np.abs(q.quad_ss))) if q.quad_ss.size else 0.0,
+        float(np.max(np.abs(q.quad_s_eta))) if q.quad_s_eta.size else 0.0,
+        abs(q.quad_eta),
+    )
+
+    exact = False
+    failures = 0
+    iters = 0
+    for iters in range(1, opts.max_newton + 1):
+        f1, f2 = stationarity_frozen(q, st)
+        stat_res = max(float(np.max(np.abs(f1))), abs(f2))
+        achieved = st.complementarity() / (2.0 * st.pairs())
+        if (
+            mu < opts.mu_tol
+            and achieved < opts.mu_tol
+            and stat_res <= opts.kkt_tol * coeff_scale
+        ):
+            exact = True
+            iters -= 1
+            break
+        try:
+            d = newton_direction_frozen(q, st, mu)
+            delta = line_search_frozen(st, d, opts)
+        except (ConditioningError, _FrozenStepFailure):
+            failures += 1
+            if failures > opts.max_step_failures:
+                break
+            mu = max(mu * 10.0, 10.0 * opts.mu_tol)
+            st.mu = mu
+            continue
+        failures = 0
+        ds, deta, dt, dzeta, domega = d
+        st.s_mat = st.s_mat + delta * svec_inv_frozen(ds)
+        st.t_mat = st.t_mat + delta * svec_inv_frozen(dt)
+        st.omega += delta * domega
+        if q.has_eta:
+            st.eta += delta * deta
+            st.zeta += delta * dzeta
+        gamma = 1.0 if delta <= 0.2 else 0.5 - 0.4 * delta**2
+        estimate = st.complementarity() / (2.0 * st.pairs())
+        mu = min(st.mu, gamma * estimate)
+        st.mu = mu
+
+    s_vec = svec_frozen(st.s_mat)
+    value = float(0.5 * s_vec @ (q.quad_ss @ s_vec) + q.lin_s @ s_vec)
+    if q.has_eta:
+        value += float(
+            st.eta * (q.quad_s_eta @ s_vec) + 0.5 * st.eta**2 * q.quad_eta + st.eta * q.lin_eta
+        )
+    return st.s_mat.copy(), (st.eta if q.has_eta else 0.0), value, st, iters, exact
+
+
+def full_newton_residual(q, st, mu: float, d) -> float:
+    """Max-norm residual of the full five-block linearized system at a
+    proposed direction; used to certify the eliminated solve."""
+    from specbundle.symlin import svec_identity
+
+    v_i = svec_identity(q.k)
+    t_vec = svec_frozen(st.t_mat)
+    s_inv = np.linalg.inv(st.s_mat)
+    s_inv = 0.5 * (s_inv + s_inv.T)
+    e_op = symm_kron_frozen(st.t_mat, s_inv)
+    f1, f2 = stationarity_frozen(q, st)
+    sigma = st.trace_slack()
+    kappa1 = sigma / st.omega
+
+    r1 = q.quad_ss @ d.ds_vec - d.dt_vec + d.domega * v_i + f1
+    if q.has_eta:
+        r1 = r1 + d.deta * q.quad_s_eta
+    r3 = kappa1 * d.domega - v_i @ d.ds_vec - d.deta - (mu / st.omega - sigma)
+    r4 = e_op @ d.ds_vec + d.dt_vec - (mu * svec_frozen(s_inv) - t_vec)
+    worst = max(float(np.max(np.abs(r1))), abs(float(r3)), float(np.max(np.abs(r4))))
+    if q.has_eta:
+        r2 = q.quad_s_eta @ d.ds_vec + d.deta * q.quad_eta - d.dzeta + d.domega + f2
+        r5 = (st.zeta / st.eta) * d.deta + d.dzeta - (mu / st.eta - st.zeta)
+        worst = max(worst, abs(float(r2)), abs(float(r5)))
+    return worst
+
+
+def psi_value(prob, y: np.ndarray, rho: float, c_x: float, a_x: np.ndarray, nu: np.ndarray) -> float:
+    """Proximal coupling objective of an (X, nu) pair at anchor y."""
+    w = prob.b + nu - a_x
+    return float(c_x + w @ y - (w @ w) / (2.0 * rho))
+
+
+def partial_trace1(y: np.ndarray, n: int) -> np.ndarray:
+    """Trace out the first factor of an (n*n) x (n*n) matrix."""
+    y4 = y.reshape(n, n, n, n)
+    return np.einsum("ikil->kl", y4)
+
+
+def partial_trace2(y: np.ndarray, n: int) -> np.ndarray:
+    """Trace out the second factor of an (n*n) x (n*n) matrix."""
+    y4 = y.reshape(n, n, n, n)
+    return np.einsum("ikjk->ij", y4)
+
+
+def primal_image_lowrank_frozen(fam, v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``SparseConstraintFamilies.primal_image_lowrank`` with fancy-index
+    row gathers."""
+    mid = v[fam.rows] @ s
+    vals = np.einsum("ej,ej->e", mid, v[fam.cols])
+    return np.bincount(fam.idx, weights=vals * fam._eff, minlength=fam.m)
+
+
+def primal_image_factor_frozen(fam, u: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    mid = u[fam.rows] * lams[None, :]
+    vals = np.einsum("ej,ej->e", mid, u[fam.cols])
+    return np.bincount(fam.idx, weights=vals * fam._eff, minlength=fam.m)
+
+
+def compressed_rows_frozen(fam, v: np.ndarray) -> np.ndarray:
+    from specbundle.symlin import svec_dim, tri_indices
+
+    k = v.shape[1]
+    i, j, w = tri_indices(k)
+    g = v[fam.rows][:, :, None] * v[fam.cols][:, None, :]
+    g = g + g.transpose(0, 2, 1)
+    g[fam._diag] *= 0.5
+    g *= fam.vals[:, None, None]
+    contrib = g[:, i, j] * w[None, :]
+    out = np.zeros((fam.m, svec_dim(k)))
+    np.add.at(out, fam.idx, contrib)
+    return out
+
+
+def proj_N_frozen(z: np.ndarray, prob) -> np.ndarray:
+    """Dual-slack projection through an index gather and scatter."""
+    out = np.zeros_like(prob.b)
+    idx = prob.ineq_idx
+    if idx.size:
+        out[idx] = np.minimum(z[idx], 0.0)
+    return out

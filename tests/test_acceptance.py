@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_k3, mixed_inequality_problem, random_graph, random_qap
-from _oracles import brute_force_qap, random_quad_coeffs
+from _oracles import brute_force_qap, full_newton_residual, random_quad_coeffs
 from specbundle.bundle import (
     Mapping,
     SolverConfig,
@@ -23,7 +23,6 @@ from specbundle.subqp import (
     EvalCoeffs,
     IpmState,
     QuadCoeffs,
-    full_newton_residual,
     ipm_eval,
     ipm_quad,
     newton_direction,

@@ -19,7 +19,7 @@ from specbundle.bundle import (
     state_from_record,
     warm_start_pad,
 )
-from specbundle.problem import build_maxcut
+from specbundle.problem import GraphInstance, build_maxcut
 from specbundle.subqp import assemble_eval_coeffs, ipm_eval
 
 
@@ -479,3 +479,57 @@ class TestColdStartEigensolve:
         state, _ = solve(prob, cfg)
         assert state.iterations == 3
         assert len(calls) == 4
+
+
+def path_graph(n: int) -> GraphInstance:
+    u = np.arange(n - 1)
+    return GraphInstance.from_arrays(n, u, u + 1, np.ones(n - 1))
+
+
+class TestExplicitStoreLimit:
+    def test_dense_store_rejected_above_limit_before_eigensolve(self, monkeypatch):
+        from specbundle import bundle
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigensolve before the size check")
+
+        monkeypatch.setattr(bundle, "lanczos_top", no_eigensolve)
+        prob = build_maxcut(path_graph(bundle.MAX_EXPLICIT_N + 1))
+        with pytest.raises(ValueError, match="sketch_rank"):
+            cold_start(prob, SolverConfig(sketch_rank=0))
+        with pytest.raises(ValueError, match="sketch_rank"):
+            solve(prob, SolverConfig(sketch_rank=0))
+
+    def test_limit_is_inclusive_and_sketch_is_exempt(self, monkeypatch):
+        from specbundle import bundle
+
+        monkeypatch.setattr(bundle, "MAX_EXPLICIT_N", 6)
+        at_limit = cold_start(build_maxcut(path_graph(6)), SolverConfig(k_c=2, sketch_rank=0))
+        assert isinstance(at_limit.model.store, bundle.ExplicitStore)
+        above = build_maxcut(path_graph(7))
+        with pytest.raises(ValueError, match="sketch_rank"):
+            cold_start(above, SolverConfig(k_c=2, sketch_rank=0))
+        sketched = cold_start(above, SolverConfig(k_c=2, sketch_rank=3))
+        assert isinstance(sketched.model.store, bundle.SketchStore)
+
+
+class TestCertificateGap:
+    def test_converged_maxcut_has_gap_at_most_eps(self):
+        """rel_subopt is the gap f(y) - <C, X> over 1 + |<C, X>|, so a run
+        that reports "converged" has a certified gap.  With the sign reversed,
+        this graph stopped at iteration 47 with a gap of 1.19e-3."""
+        eps = 1e-3
+        prob = build_maxcut(random_graph(25, 0.3, 7))
+        gaps = []
+
+        def callback(info):
+            c_x = info.primal.cost_ip
+            gap = (info.f_y - c_x) / (1.0 + abs(c_x))
+            assert info.residuals.rel_subopt == gap
+            gaps.append(gap)
+
+        state, _ = solve(prob, SolverConfig(eps=eps, max_iters=1000, seed=0), callback=callback)
+        assert state.status == "converged"
+        c_x = state.last_primal.cost_ip
+        assert (state.f_y - c_x) / (1.0 + abs(c_x)) <= eps
+        assert gaps[-1] <= eps

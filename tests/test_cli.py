@@ -296,3 +296,22 @@ class TestQapCommands:
         assert rc == 0
         text = capsys.readouterr().out
         assert "permutation:" in text
+
+
+def test_dense_store_at_scale_exits_with_message(tmp_path, capsys):
+    from specbundle.bundle import MAX_EXPLICIT_N
+    from specbundle.problem import GraphInstance
+
+    n = MAX_EXPLICIT_N + 1
+    u = list(range(n - 1))
+    path = tmp_path / "path.mtx"
+    write_graph_mm(GraphInstance.from_arrays(n, u, [i + 1 for i in u], [1.0] * (n - 1)), path)
+    code = main(
+        [
+            "solve", "--problem", "maxcut", "--input", str(path), "--sketch-rank", "0",
+            "--out", str(tmp_path / "m.csv"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "sketch_rank" in err and "Traceback" not in err

@@ -2,6 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import make_k3, random_graph, random_qap
+from _oracles import (
+    compressed_rows_frozen,
+    partial_trace1,
+    partial_trace2,
+    primal_image_factor_frozen,
+    primal_image_lowrank_frozen,
+    proj_N_frozen,
+)
 from specbundle.problem import (
     DiagonalConstraints,
     GraphInstance,
@@ -12,8 +20,6 @@ from specbundle.problem import (
     build_qap,
     parse_graph_mm,
     parse_qaplib,
-    partial_trace1,
-    partial_trace2,
     proj_K,
     proj_N,
     write_graph_mm,
@@ -453,3 +459,40 @@ class TestDiagonalCompressedRows:
         i, j, w = tri_indices(6)
         out = DiagonalConstraints(50).compressed_rows(v)
         assert np.array_equal(out, v[:, i] * v[:, j] * w[None, :])
+
+
+class TestSparseImagesBitIdentity:
+    """The np.take row gathers and the masked projection must equal the
+    frozen fancy-index versions bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def qap5(self):
+        return build_qap(random_qap(5, seed=11))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_images(self, qap5, k):
+        fam = qap5.constraints
+        rng = np.random.default_rng(700 + k)
+        v = np.linalg.qr(rng.standard_normal((qap5.n, k)))[0]
+        a = rng.standard_normal((k, k))
+        s = a @ a.T
+        lams = rng.random(k)
+        # column-major and strided bases gather the same rows
+        for basis in (v, np.asfortranarray(v), np.repeat(v, 2, axis=1)[:, ::2]):
+            assert np.array_equal(
+                fam.primal_image_lowrank(basis, s), primal_image_lowrank_frozen(fam, v, s)
+            )
+            assert np.array_equal(
+                fam.primal_image_factor(basis, lams), primal_image_factor_frozen(fam, v, lams)
+            )
+            assert np.array_equal(fam.compressed_rows(basis), compressed_rows_frozen(fam, v))
+
+    def test_proj_n(self, qap5):
+        rng = np.random.default_rng(12)
+        for z in (rng.standard_normal(qap5.m), np.zeros(qap5.m), -np.zeros(qap5.m)):
+            out = proj_N(z, qap5)
+            ref = proj_N_frozen(z, qap5)
+            assert np.array_equal(out, ref) and np.array_equal(np.signbit(out), np.signbit(ref))
+        maxcut = build_maxcut(make_k3())
+        z = np.array([1.0, -2.0, 0.5])
+        assert np.array_equal(proj_N(z, maxcut), proj_N_frozen(z, maxcut))

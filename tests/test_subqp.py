@@ -3,11 +3,22 @@ import pytest
 from dataclasses import replace
 
 from conftest import make_k3, mixed_inequality_problem
-from _oracles import pg_quad_oracle, random_quad_coeffs
+from _oracles import (
+    full_newton_residual,
+    ipm_solve_frozen,
+    line_search_frozen,
+    newton_direction_frozen,
+    pg_quad_oracle,
+    psi_value,
+    random_quad_coeffs,
+)
+from conftest import random_qap
+from specbundle import bundle, subqp
 from specbundle.bundle import SolverConfig, cold_start
-from specbundle.problem import build_from_families, build_maxcut, proj_N
+from specbundle.problem import build_from_families, build_maxcut, build_qap, proj_N
 from specbundle.subqp import (
     EvalCoeffs,
+    IpmOptions,
     IpmState,
     QuadCoeffs,
     StepFailureError,
@@ -15,12 +26,10 @@ from specbundle.subqp import (
     assemble_eval_coeffs,
     assemble_quad_coeffs,
     barrier_update,
-    full_newton_residual,
     ipm_eval,
     ipm_quad,
     line_search_feasible,
     newton_direction,
-    psi_value,
 )
 from specbundle.subqp import Direction
 from specbundle.symlin import svec, svec_dim, svec_inv
@@ -486,3 +495,89 @@ class TestExitCertificate:
             assert np.abs(st.s_mat @ st.t_mat).max() <= 1e-6 * scale
             assert st.eta * st.zeta <= 1e-6 * scale
             assert st.omega * st.trace_slack() <= 1e-6 * scale
+
+
+def assert_same_solve(res, frozen):
+    s_opt, eta_opt, value, st, iters, exact = frozen
+    assert res.newton_iters == iters and res.exact == exact
+    assert np.array_equal(res.s_opt, s_opt)
+    assert res.eta_opt == eta_opt and res.value == value
+    assert np.array_equal(res.state.s_mat, st.s_mat)
+    assert np.array_equal(res.state.t_mat, st.t_mat)
+    for name in ("eta", "zeta", "omega", "mu"):
+        assert getattr(res.state, name) == getattr(st, name)
+
+
+class TestNewtonBitIdentity:
+    """The Newton loop must reproduce a frozen copy of the previous loop
+    (np.kron, cho_factor/cho_solve, stationarity computed twice per step,
+    direction matrices rebuilt for the update) bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 11])
+    @pytest.mark.parametrize("has_eta", [True, False])
+    def test_cold_and_warm_solves(self, k, has_eta):
+        rng = np.random.default_rng(400 + 10 * k + int(has_eta))
+        opts = IpmOptions()
+        warm = None
+        for trial in range(4):
+            coeffs = random_quad(rng, k, has_eta, include_quad=trial != 2)
+            res = ipm_quad(coeffs, warm=warm, opts=opts)
+            assert_same_solve(res, ipm_solve_frozen(coeffs, warm, opts))
+            warm = res.state
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 11])
+    def test_eval_solve(self, k):
+        rng = np.random.default_rng(500 + k)
+        for has_eta in (True, False):
+            coeffs = random_quad(rng, k, has_eta, include_quad=False)
+            ev = EvalCoeffs(
+                lin_s=coeffs.lin_s, lin_eta=coeffs.lin_eta, has_eta=has_eta, k=k
+            )
+            assert_same_solve(ipm_eval(ev), ipm_solve_frozen(coeffs, None, IpmOptions()))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 11])
+    def test_direction_and_step(self, k):
+        rng = np.random.default_rng(600 + k)
+        opts = IpmOptions()
+        for trial in range(6):
+            has_eta = trial % 2 == 0
+            coeffs = random_quad(rng, k, has_eta)
+            st = random_feasible_state(rng, k, has_eta)
+            mu = 10.0 ** float(rng.uniform(-8, -1))
+            d = newton_direction(coeffs, st, mu)
+            frozen = newton_direction_frozen(coeffs, st, mu)
+            assert np.array_equal(d.ds_vec, frozen[0]) and d.deta == frozen[1]
+            assert np.array_equal(d.dt_vec, frozen[2])
+            assert d.dzeta == frozen[3] and d.domega == frozen[4]
+            assert line_search_feasible(st, d, opts) == line_search_frozen(st, frozen, opts)
+
+    def test_qap_alternation_matches_frozen(self, monkeypatch):
+        """Every IPM solve of a few QAP outer iterations, with the warm
+        starts and coefficients the alternation really produces."""
+        prob = build_qap(random_qap(5, seed=3))
+        cfg = SolverConfig(rho=0.005, k_c=2, k_p=0, sketch_rank=5, max_iters=3, eps=1e-12)
+        calls = []
+        real_quad, real_eval = subqp.ipm_quad, bundle.ipm_eval
+
+        def checked_quad(coeffs, warm=None, opts=None):
+            res = real_quad(coeffs, warm=warm, opts=opts)
+            assert_same_solve(res, ipm_solve_frozen(coeffs, warm, opts or IpmOptions()))
+            calls.append(res.newton_iters)
+            return res
+
+        def checked_eval(coeffs, opts=None):
+            res = real_eval(coeffs, opts)
+            sd = svec_dim(coeffs.k)
+            as_quad = QuadCoeffs(
+                quad_ss=np.zeros((sd, sd)), quad_s_eta=np.zeros(sd), quad_eta=0.0,
+                lin_s=coeffs.lin_s, lin_eta=coeffs.lin_eta, has_eta=coeffs.has_eta,
+                k=coeffs.k,
+            )
+            assert_same_solve(res, ipm_solve_frozen(as_quad, None, opts or IpmOptions()))
+            return res
+
+        monkeypatch.setattr(subqp, "ipm_quad", checked_quad)
+        monkeypatch.setattr(bundle, "ipm_eval", checked_eval)
+        state, _ = bundle.solve(prob, cfg)
+        assert state.iterations == 3
+        assert len(calls) > 3 and sum(calls) > 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import solve_spd_frozen, svec_frozen, svec_inv_frozen, symm_kron_frozen
 from specbundle.symlin import (
     ConditioningError,
     EmptyBasisError,
@@ -206,3 +207,69 @@ class TestSolveSpd:
 
 def test_svec_identity_cached_matches():
     np.testing.assert_array_equal(svec_identity(4), svec(np.eye(4)))
+
+
+class TestBitIdentity:
+    """The lean kernels must equal the frozen np.kron, cho_factor/cho_solve
+    and fancy-index versions bit for bit: rounding differences of 1e-17 in
+    the Newton core move the solver's iteration counts."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 11])
+    def test_symm_kron(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(5):
+            g = random_sym(rng, k)
+            h = np.linalg.inv(random_sym(rng, k) + k * np.eye(k))
+            assert np.array_equal(symm_kron(g, h), symm_kron_frozen(g, h))
+            # the products need no symmetry
+            a, b = rng.standard_normal((2, k, k))
+            assert np.array_equal(symm_kron(a, b), symm_kron_frozen(a, b))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 11])
+    def test_solve_spd(self, k):
+        rng = np.random.default_rng(200 + k)
+        d = svec_dim(k)
+        for _ in range(5):
+            a = rng.standard_normal((d, d))
+            m = a @ a.T + 0.1 * np.eye(d)
+            rhs = rng.standard_normal(d)
+            assert np.array_equal(solve_spd(m, rhs), solve_spd_frozen(m, rhs))
+            # only the lower triangle is read
+            skew = m + np.triu(rng.standard_normal((d, d)), 1)
+            assert np.array_equal(solve_spd(skew, rhs), solve_spd_frozen(skew, rhs))
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.diag([1.0, -1.0, 2.0]),
+            np.array([[1.0, 2.0], [2.0, 1.0]]),
+            np.zeros((3, 3)),
+        ],
+    )
+    def test_not_positive_definite_raises(self, m):
+        rhs = np.ones(m.shape[0])
+        with pytest.raises(ConditioningError):
+            solve_spd_frozen(m, rhs)
+        with pytest.raises(ConditioningError):
+            solve_spd(m, rhs)
+
+    def test_nan_matrix_same_outcome(self):
+        m = np.array([[1.0, 0.0], [0.0, np.nan]])
+        rhs = np.ones(2)
+        assert np.array_equal(solve_spd(m, rhs), solve_spd_frozen(m, rhs), equal_nan=True)
+
+    def test_solve_spd_leaves_inputs(self):
+        m = np.array([[4.0, 1.0], [1.0, 3.0]])
+        rhs = np.array([1.0, 2.0])
+        m0, rhs0 = m.copy(), rhs.copy()
+        solve_spd(m, rhs)
+        assert np.array_equal(m, m0) and np.array_equal(rhs, rhs0)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 11])
+    def test_svec_and_inverse(self, k):
+        rng = np.random.default_rng(300 + k)
+        a = random_sym(rng, k)
+        assert np.array_equal(svec(a), svec_frozen(a))
+        assert np.array_equal(svec(np.asfortranarray(a)), svec_frozen(a))
+        v = rng.standard_normal(svec_dim(k))
+        assert np.array_equal(svec_inv(v), svec_inv_frozen(v))
