@@ -141,7 +141,7 @@ class BundleModel:
     stats: AggregateStats
     k_c: int
     k_p: int
-    store: object  # ExplicitStore | SketchStore | None
+    store: object  # ExplicitStore | SketchStore
     last_update: Optional[tuple[float, np.ndarray, np.ndarray]] = None
 
     @property
@@ -315,8 +315,7 @@ def model_update(
     new_stats = AggregateStats(new_trace, new_cost, new_image)
 
     store = model.store
-    if store is not None:
-        store.update(eta, factor, lam_c)
+    store.update(eta, factor, lam_c)
 
     if k_p == 0:
         new_basis = np.asarray(new_vecs, dtype=float)
@@ -534,9 +533,6 @@ def solve(
 
 
 def primal_output(model: BundleModel) -> PrimalOutput:
-    if model.store is None:
-        n = model.basis.shape[0]
-        return PrimalOutput(factor=np.eye(n, 1), lams=np.zeros(1))
     factor, lams = model.store.factorize()
     dense = model.store.xbar if isinstance(model.store, ExplicitStore) else None
     return PrimalOutput(factor=factor, lams=lams, dense=dense)
@@ -562,7 +558,7 @@ class StateRecord:
     b_hash: int
     k_c: int
     k_p: int
-    store_kind: int  # 0 none, 1 explicit, 2 sketch
+    store_kind: int  # 1 explicit, 2 sketch
     sketch_rank: int
     psi_seed: int
     scale_x: float
@@ -588,10 +584,8 @@ def save_state(path, state: SolverState, prob: SdpProblem) -> None:
     store = model.store
     if isinstance(store, ExplicitStore):
         kind, rank, seed = 1, 0, 0
-    elif isinstance(store, SketchStore):
-        kind, rank, seed = 2, store.sk.r, store.sk.psi_seed
     else:
-        kind, rank, seed = 0, 0, 0
+        kind, rank, seed = 2, store.sk.r, store.sk.psi_seed
     f_y = state.f_y if state.f_y is not None else np.nan
     lam_y = state.lam_y if state.lam_y is not None else np.nan
     header = struct.pack(
@@ -622,11 +616,15 @@ def save_state(path, state: SolverState, prob: SdpProblem) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         if kind == 1:
             fh.write(np.ascontiguousarray(store.xbar, dtype="<f8").tobytes())
-        elif kind == 2:
+        else:
             fh.write(np.ascontiguousarray(store.sk.sketch_mat, dtype="<f8").tobytes())
 
 
 def load_state(path) -> StateRecord:
+    """Read a state file written by :func:`save_state`.  Raises ValueError
+    for a wrong magic or version, an unknown store kind, a payload shorter
+    or longer than the header declares, and non-finite arrays or
+    statistics."""
     with open(path, "rb") as fh:
         raw = fh.read()
     head_fmt = "<4sI QQQQ II B II dd dd QQ dd"
@@ -658,25 +656,22 @@ def load_state(path) -> StateRecord:
         raise ValueError("not a solver state file")
     if version != _VERSION:
         raise ValueError(f"unsupported state file version {version}")
+    if kind not in (1, 2):
+        raise ValueError(f"unknown store kind {kind} in state file (1 explicit, 2 sketch)")
     k = k_c + k_p
-    offset = head_size
-
-    def take(count):
-        nonlocal offset
-        out = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).astype(float)
-        offset += count * 8
-        return out
-
-    y = take(m)
-    nu = take(m)
-    a_xbar = take(m)
-    basis = take(n * k).reshape(n, k)
-    xbar = None
-    sketch_mat = None
-    if kind == 1:
-        xbar = take(n * n).reshape(n, n)
-    elif kind == 2:
-        sketch_mat = take(n * rank).reshape(n, rank)
+    store_size = n * n if kind == 1 else n * rank
+    expected = head_size + 8 * (3 * m + n * k + store_size)
+    if len(raw) < expected:
+        raise ValueError(f"truncated state file: {len(raw)} bytes, the header declares {expected}")
+    if len(raw) > expected:
+        raise ValueError(f"state file has {len(raw) - expected} trailing bytes after its payload")
+    payload = np.frombuffer(raw, dtype="<f8", offset=head_size).astype(float)
+    if not (np.all(np.isfinite(payload)) and np.isfinite([scale_x, scale_c, trace, cost_ip]).all()):
+        raise ValueError("state file holds non-finite arrays, scales, trace or cost")
+    y, nu, a_xbar, basis, store_mat = np.split(payload, np.cumsum([m, m, m, n * k]))
+    basis = basis.reshape(n, k)
+    xbar = store_mat.reshape(n, n) if kind == 1 else None
+    sketch_mat = store_mat.reshape(n, rank) if kind == 2 else None
     return StateRecord(
         n=n,
         m=m,
@@ -709,14 +704,12 @@ def record_to_state(rec: StateRecord) -> SolverState:
     padding; use :func:`state_from_record` when the problem must match."""
     if rec.store_kind == 1:
         store: object = ExplicitStore(rec.xbar.copy())
-    elif rec.store_kind == 2:
+    else:
         store = SketchStore(
             sketchmod.NystromSketch(
                 n=rec.n, r=rec.sketch_rank, psi_seed=rec.psi_seed, sketch_mat=rec.sketch_mat.copy()
             )
         )
-    else:
-        store = None
     stats = AggregateStats(rec.trace, rec.cost_ip, rec.a_xbar.copy())
     model = BundleModel(basis=rec.basis.copy(), stats=stats, k_c=rec.k_c, k_p=rec.k_p, store=store)
     return SolverState(
@@ -776,11 +769,7 @@ def warm_start_pad(
 
     model = prev.model
     tau = prev.scale_x / new_prob.scale_x
-    if model.store is not None:
-        factor_old, lams_old = model.store.factorize()
-    else:
-        factor_old = np.zeros((vmap.size, 1))
-        lams_old = np.zeros(1)
+    factor_old, lams_old = model.store.factorize()
     factor = np.zeros((new_prob.n, factor_old.shape[1]))
     factor[vmap] = factor_old
     lams = tau * lams_old
@@ -800,13 +789,11 @@ def warm_start_pad(
 
     if isinstance(model.store, ExplicitStore):
         store: object = ExplicitStore((factor * lams[None, :]) @ factor.T)
-    elif isinstance(model.store, SketchStore):
+    else:
         seed = sketch_seed if sketch_seed is not None else model.store.sk.psi_seed
         sk = sketchmod.sketch_init(new_prob.n, min(model.store.sk.r, new_prob.n), seed)
         sk = sketchmod.sketch_update(sk, 0.0, factor, np.eye(factor.shape[1]), lams)
         store = SketchStore(sk)
-    else:
-        store = None
 
     new_model = BundleModel(basis=basis, stats=stats, k_c=model.k_c, k_p=model.k_p, store=store)
     return SolverState(

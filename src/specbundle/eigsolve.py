@@ -8,6 +8,8 @@ from one cycle to the next.
 """
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -16,6 +18,8 @@ import numpy as np
 from .symlin import small_eigh
 
 __all__ = ["LinOp", "EigResult", "lanczos_top", "NumericError"]
+
+log = logging.getLogger(__name__)
 
 
 class NumericError(RuntimeError):
@@ -43,6 +47,7 @@ class EigResult:
     residuals: np.ndarray  # per-pair residual norms
     converged: bool
     restarts: int
+    matvecs: int  # operator applications; the dense fallback counts n
     ritz_history: list = field(default_factory=list)
 
 
@@ -76,6 +81,7 @@ def _dense_fallback(op: LinOp, k_c: int) -> EigResult:
         residuals=np.zeros(k),
         converged=True,
         restarts=0,
+        matvecs=n,
         ritz_history=[float(vals[0])],
     )
 
@@ -97,6 +103,16 @@ def lanczos_top(
     through the result, not raised: callers of this solver tolerate slightly
     inexact eigenvectors.  Identical inputs give bit-identical output.
 
+    Only the leading pair has to be accurate; the trailing ``k_c - 1`` pairs
+    enrich a model.  So from the third cycle on, once the leading residual
+    meets the tolerance, the iteration also stops when the worst trailing
+    residual cannot reach it in the restarts left: it has not fallen over the
+    last two cycles, or it would still exceed the tolerance after shrinking
+    at that two-cycle rate in every remaining restart.  Such a result is bit
+    for bit the one ``max_restarts`` equal to its ``restarts`` gives, and is
+    reported unconverged.  A result whose leading pair misses the tolerance
+    is logged as a warning.
+
     The operator is applied to a contiguous copy of the newest basis vector,
     not to a strided column of the basis, which a sparse operator would copy
     on every matvec.  The values are the same and the basis layout and the
@@ -108,6 +124,8 @@ def lanczos_top(
     n = op.dim
     if k_c < 1:
         raise ValueError("k_c must be at least 1")
+    if max_restarts < 0:
+        raise ValueError("max_restarts must be non-negative")
     if k_c >= n or inner_iters >= n:
         return _dense_fallback(op, k_c)
     # the basis must strictly exceed the wanted count for a restart to make
@@ -127,11 +145,14 @@ def lanczos_top(
     ritz_history: list[float] = []
     converged = False
     restarts_done = 0
+    matvecs = 0
+    trail: list[float] = []  # worst trailing residual of each cycle
     theta = np.zeros(m)
     y = np.eye(m)
     res = np.full(m, np.inf)
 
     for cycle in range(max_restarts + 1):
+        matvecs += m - ell
         for j in range(ell, m):
             w = np.asarray(op.matvec(v), dtype=float)
             basis = q[:, : j + 1]
@@ -144,10 +165,10 @@ def lanczos_top(
             h[: j + 1, j] = coeffs
             h[j, : j + 1] = coeffs
             # a NaN or inf in the matvec survives both projections into beta
-            beta = float(np.linalg.norm(w))
-            if not np.isfinite(beta):
+            beta = math.sqrt(w @ w)
+            if not math.isfinite(beta):
                 raise NumericError("matvec returned non-finite values")
-            scale = max(1.0, float(np.max(np.abs(coeffs))) if coeffs.size else 0.0)
+            scale = max(1.0, float(np.abs(coeffs).max()))
             if beta <= 1e-13 * scale:
                 # invariant subspace found; continue on a fresh direction
                 reseed_counter += 16
@@ -171,6 +192,13 @@ def lanczos_top(
             break
         if cycle == max_restarts:
             break
+        if k_c > 1:
+            trail.append(float(res[1:k_c].max()))
+            if cycle >= 2 and res[0] <= tol_eff:
+                # the trailing pairs cannot converge in the restarts left
+                now, before, left = trail[cycle], trail[cycle - 2], max_restarts - cycle
+                if now >= before or now * math.sqrt(now / before) ** left > tol_eff:
+                    break
         # thick restart: lock leading Ritz vectors, continue from the residual
         ell = max(1, min(k_c + 3, m - 2))
         kept = q[:, :m] @ y[:, :ell]
@@ -180,6 +208,13 @@ def lanczos_top(
         h[:ell, :ell] = np.diag(theta[:ell])
         restarts_done += 1
 
+    if not res[0] <= tol_eff:
+        log.warning(
+            "leading Ritz pair unconverged after %d restarts: residual %.3e > tolerance %.3e",
+            restarts_done,
+            res[0],
+            tol_eff,
+        )
     vals = theta[:k_c].copy()
     vecs = q[:, :m] @ y[:, :k_c]
     return EigResult(
@@ -188,5 +223,6 @@ def lanczos_top(
         residuals=res[:k_c].copy(),
         converged=converged,
         restarts=restarts_done,
+        matvecs=matvecs,
         ritz_history=ritz_history,
     )

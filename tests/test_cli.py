@@ -315,3 +315,66 @@ def test_dense_store_at_scale_exits_with_message(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "sketch_rank" in err and "Traceback" not in err
+
+
+def _corrupt_state(raw: bytes, case: str) -> bytes:
+    """Damage one part of a state file written by ``save_state``."""
+    import struct
+
+    head = "<4sI QQQQ II B II dd dd QQ dd"
+    kind_at = struct.calcsize("<4sI QQQQ II")
+    trace_at = struct.calcsize("<4sI QQQQ II B II dd dd QQ")
+    size = struct.calcsize(head)
+    if case == "store kind 0":
+        return raw[:kind_at] + bytes([0]) + raw[kind_at + 1:]
+    if case == "store kind 3":
+        return raw[:kind_at] + bytes([3]) + raw[kind_at + 1:]
+    if case == "truncated payload":
+        return raw[:-8]
+    if case == "trailing bytes":
+        return raw + b"\0" * 8
+    if case == "nan in y":
+        return raw[:size] + struct.pack("<d", float("nan")) + raw[size + 8:]
+    if case == "inf in primal store":
+        return raw[:-8] + struct.pack("<d", float("inf"))
+    if case == "inf trace":
+        return raw[:trace_at] + struct.pack("<d", float("inf")) + raw[trace_at + 8:]
+    if case == "nan cost":
+        return raw[:trace_at + 8] + struct.pack("<d", float("nan")) + raw[trace_at + 16:]
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("store kind 0", "store kind"),
+        ("store kind 3", "store kind"),
+        ("truncated payload", "truncated"),
+        ("trailing bytes", "trailing bytes"),
+        ("nan in y", "non-finite"),
+        ("inf in primal store", "non-finite"),
+        ("inf trace", "non-finite"),
+        ("nan cost", "non-finite"),
+    ],
+)
+def test_malformed_state_file_exits_with_message(tmp_path, k3_file, capsys, case, message):
+    state = tmp_path / "s.bin"
+    assert main(
+        [
+            "solve", "--problem", "maxcut", "--input", str(k3_file),
+            "--save-state", str(state), "--out", str(tmp_path / "x.csv"),
+        ]
+    ) == 0
+    assert main(["round", "--problem", "maxcut", "--input", str(k3_file), "--state", str(state)]) == 0
+    state.write_bytes(_corrupt_state(state.read_bytes(), case))
+    capsys.readouterr()
+    for argv in (
+        ["round", "--problem", "maxcut", "--input", str(k3_file), "--state", str(state)],
+        [
+            "solve", "--problem", "maxcut", "--input", str(k3_file),
+            "--warm-start", str(state), "--out", str(tmp_path / "y.csv"),
+        ],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err

@@ -105,10 +105,14 @@ def test_defaults_match_documented_values():
     assert sig.parameters["max_restarts"].default == 10
 
 
-def _assert_matches_frozen(op, k_c, **kw):
+def _assert_matches_frozen(op, k_c, frozen_restarts=None, **kw):
+    """``lanczos_top`` equals the frozen copy bit for bit; ``frozen_restarts``
+    runs the frozen copy with that restart budget instead of the same one."""
     from _oracles import lanczos_top_frozen
 
     res = lanczos_top(op, k_c, **kw)
+    if frozen_restarts is not None:
+        kw = dict(kw, max_restarts=frozen_restarts)
     vals, vecs, resid, converged, restarts, history = lanczos_top_frozen(
         op.matvec, op.dim, k_c, **kw
     )
@@ -121,6 +125,17 @@ def _assert_matches_frozen(op, k_c, **kw):
     return res
 
 
+def _maxcut_slack_op(n=2000, seed=8):
+    # C - diag(C) of a degree-8 random graph: the top of the spectrum is the
+    # clustered edge of the bulk
+    from specbundle.problem import GraphInstance, build_maxcut, dual_slack_operator
+
+    rng = np.random.default_rng(seed)
+    e = rng.integers(0, n, size=(4 * n, 2))
+    prob = build_maxcut(GraphInstance.from_arrays(n, e[:, 0], e[:, 1], np.ones(4 * n)))
+    return dual_slack_operator(prob, prob.cost.diagonal().copy())
+
+
 def test_bit_identical_to_frozen_dense():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((300, 300))
@@ -129,17 +144,44 @@ def test_bit_identical_to_frozen_dense():
 
 
 def test_bit_identical_to_frozen_sparse_maxcut():
-    # C - diag(C) of a degree-8 random graph: the top of the spectrum is the
-    # clustered edge of the bulk, so all ten restarts are spent
-    from specbundle.problem import GraphInstance, build_maxcut, dual_slack_operator
+    # the trailing pairs of the clustered bulk edge cannot converge in ten
+    # restarts, so the iteration stops once lambda_max is certified, with
+    # exactly what a budget of that many restarts gives
+    from scipy.sparse.linalg import LinearOperator, eigsh
 
-    n = 2000
-    rng = np.random.default_rng(8)
-    e = rng.integers(0, n, size=(4 * n, 2))
-    prob = build_maxcut(GraphInstance.from_arrays(n, e[:, 0], e[:, 1], np.ones(4 * n)))
-    op = dual_slack_operator(prob, prob.cost.diagonal().copy())
-    res = _assert_matches_frozen(op, 10, seed=0)
-    assert not res.converged and res.restarts == 10
+    op = _maxcut_slack_op()
+    res = lanczos_top(op, 10, seed=0)
+    _assert_matches_frozen(op, 10, frozen_restarts=res.restarts, seed=0)
+    assert not res.converged and res.restarts < 10
+    theta0 = res.eigenvalues[0]
+    assert res.residuals[0] <= 1e-9 * (1.0 + abs(theta0))
+    lin = LinearOperator((op.dim, op.dim), matvec=op.matvec, dtype=float)
+    ref = eigsh(lin, k=1, which="LA", tol=1e-14, return_eigenvectors=False)[0]
+    assert abs(theta0 - ref) <= 1e-12 * abs(ref)
+
+
+def test_bit_identical_to_frozen_single_pair():
+    # k_c = 1 has no trailing pairs: the iteration runs until lambda_max
+    # converges, after several restarts, exactly as before
+    res = _assert_matches_frozen(_maxcut_slack_op(), 1, seed=0)
+    assert res.converged and res.restarts >= 3
+
+
+def test_bit_identical_to_frozen_qap_slack():
+    # QAP n=5 slack operator at the first candidate point: lambda_max is
+    # certified from the first cycle on, but the trailing pairs shrink fast
+    # enough to converge within the budget, so the iteration must not stop
+    from conftest import random_qap
+    from specbundle.bundle import SolverConfig, solve
+    from specbundle.problem import build_qap, dual_slack_operator
+
+    prob = build_qap(random_qap(5, seed=3))
+    cands = []
+    cfg = SolverConfig(k_c=2, k_p=1, eps=1e-12, max_iters=1)
+    solve(prob, cfg, callback=lambda info: cands.append(info.y_cand.copy()))
+    op = dual_slack_operator(prob, cands[0])
+    res = _assert_matches_frozen(op, 3, seed=0, inner_iters=12)
+    assert res.converged and res.restarts >= 4
 
 
 def test_bit_identical_to_frozen_low_rank(monkeypatch):
@@ -189,3 +231,51 @@ def test_nonfinite_matvec_raises_through_projection():
 
     with pytest.raises(NumericError):
         lanczos_top(LinOp(dim=50, matvec=mv), 1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "make_op, k_c, kw",
+    [
+        (_maxcut_slack_op, 10, {}),  # stops early
+        (_maxcut_slack_op, 1, {}),  # converges
+        (lambda: dense_op(np.diag(np.linspace(-1.0, 1.0, 300))), 4, {"max_restarts": 2}),
+        (lambda: dense_op(np.diag(np.arange(6.0))), 6, {}),  # dense fallback
+    ],
+)
+def test_matvec_count(make_op, k_c, kw):
+    op = make_op()
+    calls = []
+    counted = LinOp(dim=op.dim, matvec=lambda v: calls.append(1) or op.matvec(v))
+    res = lanczos_top(counted, k_c, seed=0, **kw)
+    assert res.matvecs == len(calls) > 0
+
+
+def test_warns_on_unconverged_leading_pair(caplog):
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((400, 400))
+    a = 0.5 * (a + a.T)
+    with caplog.at_level("WARNING", logger="specbundle.eigsolve"):
+        res = lanczos_top(dense_op(a), 3, inner_iters=8, max_restarts=0, seed=0)
+    tol_eff = 1e-9 * (1.0 + abs(res.eigenvalues[0]))
+    assert res.residuals[0] > tol_eff
+    [rec] = caplog.records
+    assert rec.levelname == "WARNING" and rec.name == "specbundle.eigsolve"
+    assert f"{res.residuals[0]:.3e}" in rec.getMessage()
+    assert f"{tol_eff:.3e}" in rec.getMessage()
+
+
+def test_converging_operators_log_nothing(caplog):
+    rng = np.random.default_rng(42)
+    a = rng.standard_normal((200, 200))
+    a = 0.5 * (a + a.T)
+    with caplog.at_level("DEBUG", logger="specbundle.eigsolve"):
+        assert lanczos_top(dense_op(a), 5, seed=1).converged
+        lanczos_top(LinOp(dim=4, matvec=lambda v: np.array([5.0, 1.0, 1.0, 1.0]) * v), 1,
+                    inner_iters=3, seed=0)
+        lanczos_top(_maxcut_slack_op(), 10, seed=0)  # stops early with lambda_max certified
+    assert caplog.records == []
+
+
+def test_negative_restart_budget_rejected():
+    with pytest.raises(ValueError, match="max_restarts"):
+        lanczos_top(LinOp(dim=50, matvec=lambda v: 2.0 * v), 1, max_restarts=-1)
