@@ -199,6 +199,14 @@ class IterationInfo:
     lam_cand: float
     state: SolverState
     model: BundleModel
+    # the eigensolve at y_cand, as scalars so that a kept record does not
+    # hold its n x k_c eigenvectors; eig_leading_converged is False when
+    # lam_cand comes from a leading pair that missed its tolerance
+    eig_matvecs: int
+    eig_restarts: int
+    eig_converged: bool
+    eig_leading_residual: float
+    eig_leading_converged: bool
 
 
 @dataclass
@@ -522,6 +530,11 @@ def solve(
                     lam_cand=float(eig_cand.eigenvalues[0]),
                     state=state,
                     model=model,
+                    eig_matvecs=eig_cand.matvecs,
+                    eig_restarts=eig_cand.restarts,
+                    eig_converged=eig_cand.converged,
+                    eig_leading_residual=float(eig_cand.residuals[0]),
+                    eig_leading_converged=eig_cand.leading_converged,
                 )
             )
         t += 1
@@ -745,6 +758,25 @@ class Mapping:
     constraint_map: np.ndarray
 
 
+def _arrival_duals(y_kept: np.ndarray, prob: SdpProblem, cmap: np.ndarray) -> np.ndarray:
+    """The padding rule of :func:`warm_start_pad` applied to every row of
+    ``prob``; the caller then puts ``y_kept`` back on the kept rows."""
+    ops = prob.constraints
+    norm2 = ops.frob_norms() ** 2
+    ratio = np.divide(
+        ops.primal_image_sparse(prob.cost), norm2, out=np.zeros(prob.m), where=norm2 > 0
+    )
+    kept = ratio[cmap]
+    ok = kept != 0
+    r = float(np.median(y_kept[ok] / kept[ok])) if ok.any() else 0.0
+    if r == 0.0:  # exact zeros, not -0.0 on rows with a negative ratio
+        return np.zeros(prob.m)
+    y = r * ratio
+    idx = prob.ineq_idx
+    y[idx] = np.maximum(y[idx], 0.0)
+    return y
+
+
 def warm_start_pad(
     prev: SolverState,
     new_prob: SdpProblem,
@@ -753,10 +785,19 @@ def warm_start_pad(
 ) -> SolverState:
     """Embed a solved state into a larger problem.
 
-    Dual vectors are padded with zeros on new constraints; the primal factor
-    is padded with zero rows on new vertices and rescaled by the ratio of
-    trace normalizations so the padded matrix represents the same unscaled
-    object; statistics are recomputed against the new problem data.
+    Kept constraints keep their dual values.  A new constraint i gets
+    ``r * <A_i, C> / ||A_i||_F^2`` on the new problem's data, where ``r`` is
+    the median of ``y_j / (<A_j, C> / ||A_j||_F^2)`` over the kept rows j
+    whose denominator is nonzero; new inequality rows are clipped to the
+    sign cone y >= 0.  A new row with ``<A_i, C> = 0`` stays at zero, and
+    every new row does when no kept row qualifies.  For MaxCut this is
+    complementary slackness, y_i = (C X)_ii / X_ii, with one common scale:
+    a new vertex gets ``r * C_ii`` instead of leaving its whole diagonal
+    in ``C - A*(y)``.  The nu vector is padded with zeros.  The primal
+    factor is padded with zero rows on new vertices and rescaled by the
+    ratio of trace normalizations so the padded matrix represents the same
+    unscaled object; statistics are recomputed against the new problem
+    data.
     """
     vmap = np.asarray(mapping.vertex_map, dtype=np.int64)
     cmap = np.asarray(mapping.constraint_map, dtype=np.int64)
@@ -774,7 +815,7 @@ def warm_start_pad(
     factor[vmap] = factor_old
     lams = tau * lams_old
 
-    y = np.zeros(new_prob.m)
+    y = _arrival_duals(prev.y, new_prob, cmap)
     y[cmap] = prev.y
     nu = np.zeros(new_prob.m)
     nu[cmap] = prev.nu

@@ -45,7 +45,8 @@ class EigResult:
     eigenvalues: np.ndarray  # descending, length k
     eigenvectors: np.ndarray  # dim x k, orthonormal columns
     residuals: np.ndarray  # per-pair residual norms
-    converged: bool
+    converged: bool  # every wanted pair met the tolerance
+    leading_converged: bool  # the leading pair, which gives lambda_max, met it
     restarts: int
     matvecs: int  # operator applications; the dense fallback counts n
     ritz_history: list = field(default_factory=list)
@@ -80,12 +81,14 @@ def _dense_fallback(op: LinOp, k_c: int) -> EigResult:
         eigenvectors=vecs[:, :k],
         residuals=np.zeros(k),
         converged=True,
+        leading_converged=True,
         restarts=0,
         matvecs=n,
         ritz_history=[float(vals[0])],
     )
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def lanczos_top(
     op: LinOp,
     k_c: int,
@@ -119,7 +122,10 @@ def lanczos_top(
     operands of every projection are unchanged, so the iterates are bit for
     bit those of applying the operator to the basis column.  The array the
     operator returns is never written to: it may be the input vector or a
-    buffer the operator reuses.  A non-finite matvec raises ``NumericError``.
+    buffer the operator reuses.  A non-finite matvec raises ``NumericError``,
+    with no numpy floating-point warning before it: the non-finite values
+    reach ``beta`` through both projections, and the warnings those would
+    emit are silenced in this function.
     """
     n = op.dim
     if k_c < 1:
@@ -208,7 +214,8 @@ def lanczos_top(
         h[:ell, :ell] = np.diag(theta[:ell])
         restarts_done += 1
 
-    if not res[0] <= tol_eff:
+    leading_converged = bool(res[0] <= tol_eff)
+    if not leading_converged:
         log.warning(
             "leading Ritz pair unconverged after %d restarts: residual %.3e > tolerance %.3e",
             restarts_done,
@@ -222,6 +229,7 @@ def lanczos_top(
         eigenvectors=vecs,
         residuals=res[:k_c].copy(),
         converged=converged,
+        leading_converged=leading_converged,
         restarts=restarts_done,
         matvecs=matvecs,
         ritz_history=ritz_history,

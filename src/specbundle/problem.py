@@ -77,7 +77,8 @@ class GraphInstance:
         """Edge list as three parallel arrays.  Self loops are dropped, then
         the first edge in input order with an endpoint outside [0, n) raises
         ValueError.  Duplicates in either orientation are summed in input
-        order, and the edges come out sorted by (min, max) endpoint."""
+        order, and the edges come out sorted by (min, max) endpoint.  A
+        non-finite summed weight raises ValueError."""
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         if n > _MAX_VERTICES:
@@ -97,6 +98,8 @@ class GraphInstance:
         # bincount adds each pair's weights in input order, starting from 0.0;
         # with no edges it returns integers
         ew = np.bincount(inverse, weights=w, minlength=keys.size).astype(float, copy=False)
+        if not np.isfinite(ew).all():
+            raise ValueError("edge weights must be finite")
         return cls(n=n, edges_u=keys // n, edges_v=keys % n, edges_w=ew)
 
     @property
@@ -135,10 +138,15 @@ class QapInstance:
         d = np.asarray(self.distances, dtype=float)
         if w.shape != d.shape or w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight and distance matrices must be square and the same size")
-        if not np.allclose(w, w.T, atol=1e-12 * (1 + np.abs(w).max(initial=0.0))):
-            raise ValueError("weight matrix must be symmetric")
-        if not np.allclose(d, d.T, atol=1e-12 * (1 + np.abs(d).max(initial=0.0))):
-            raise ValueError("distance matrix must be symmetric")
+        for name, a in (("weight", w), ("distance", d)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} matrix must be finite")
+            # near the float range a - a.T overflows, which rightly reads as
+            # asymmetric
+            with np.errstate(over="ignore"):
+                sym = np.allclose(a, a.T, atol=1e-12 * (1 + np.abs(a).max(initial=0.0)))
+            if not sym:
+                raise ValueError(f"{name} matrix must be symmetric")
         self.weights = w
         self.distances = d
 
@@ -170,6 +178,9 @@ class DiagonalConstraints:
 
     def primal_image_dense(self, x: np.ndarray) -> np.ndarray:
         return np.diag(x).copy()
+
+    def primal_image_sparse(self, x: sp.spmatrix) -> np.ndarray:
+        return x.diagonal()
 
     def adjoint_matrix(self, y: np.ndarray):
         return sp.diags(y)
@@ -229,6 +240,12 @@ class SparseConstraintFamilies:
 
     def primal_image_dense(self, x: np.ndarray) -> np.ndarray:
         vals = x[self.rows, self.cols]
+        return np.bincount(self.idx, weights=vals * self._eff, minlength=self.m)
+
+    def primal_image_sparse(self, x: sp.csr_matrix) -> np.ndarray:
+        if not self.idx.size:  # scipy returns a sparse matrix for an empty gather
+            return np.zeros(self.m)
+        vals = np.asarray(x[self.rows, self.cols]).ravel()
         return np.bincount(self.idx, weights=vals * self._eff, minlength=self.m)
 
     def adjoint_matrix(self, y: np.ndarray):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import make_k3, mixed_inequality_problem, random_graph
+from conftest import make_k3, mixed_inequality_problem, random_graph, random_qap
 from specbundle.bundle import (
     AggregateStats,
     FingerprintMismatch,
+    LanczosSettings,
     Mapping,
     SolverConfig,
     candidate_iterate,
@@ -19,7 +20,7 @@ from specbundle.bundle import (
     state_from_record,
     warm_start_pad,
 )
-from specbundle.problem import GraphInstance, build_maxcut
+from specbundle.problem import GraphInstance, build_maxcut, build_qap
 from specbundle.subqp import assemble_eval_coeffs, ipm_eval
 
 
@@ -300,6 +301,23 @@ class TestSolveEndToEnd:
         assert state.status == "budget"
         assert state.iterations == 3
 
+    def test_inexact_eigensolve_flagged_in_iteration_record(self):
+        # with no restarts the leading pair misses its tolerance, and each
+        # iteration record says so for the eigensolve that gave lam_cand
+        prob = build_maxcut(random_graph(60, 0.2, 12))
+        cfg = SolverConfig(
+            k_c=4, k_p=1, max_iters=5, seed=0,
+            lanczos=LanczosSettings(inner_iters=6, max_restarts=0),
+        )
+        infos = []
+        solve(prob, cfg, callback=infos.append)
+        assert len(infos) == 5
+        for info in infos:
+            assert info.eig_restarts == 0 and info.eig_matvecs == 6 and not info.eig_converged
+            tol = 1e-9 * (1 + abs(info.lam_cand))
+            assert info.eig_leading_converged == (info.eig_leading_residual <= tol)
+        assert any(not info.eig_leading_converged for info in infos)
+
     def test_sketch_and_explicit_agree(self):
         # the sketch changes only the primal store: the dual path is
         # identical, and the reconstruction approximates the exact aggregate
@@ -368,27 +386,108 @@ class TestWarmStartPad:
             padded.model.stats.constr_image, state.model.stats.constr_image, atol=1e-10
         )
 
-    def test_new_vertex_gets_zero(self):
-        g_small = random_graph(9, 0.5, 60)
-        prob_small = build_maxcut(g_small)
-        cfg = SolverConfig(k_c=4, k_p=1, eps=1e-3, max_iters=500, seed=0)
-        state, _ = solve(prob_small, cfg)
-        edges = list(zip(g_small.edges_u, g_small.edges_v, g_small.edges_w))
-        edges.append((0, 9, 1.0))
-        from specbundle.problem import GraphInstance
+    CFG = SolverConfig(k_c=4, k_p=1, eps=1e-3, max_iters=500, seed=0)
 
-        g_big = GraphInstance.from_edges(10, [(int(a), int(b), float(c)) for a, b, c in edges])
-        prob_big = build_maxcut(g_big)
-        mapping = Mapping(np.arange(9), np.arange(9))
-        padded = warm_start_pad(state, prob_big, mapping)
-        assert padded.y[9] == 0.0
+    def _arrival(self, extra_edges):
+        """A solved 9-vertex state and a 10-vertex problem with ``extra_edges``
+        added, padded by the prefix mapping."""
+        g_small = random_graph(9, 0.5, 60)
+        state, _ = solve(build_maxcut(g_small), self.CFG)
+        edges = list(
+            zip(g_small.edges_u.tolist(), g_small.edges_v.tolist(), g_small.edges_w.tolist())
+        )
+        prob_big = build_maxcut(GraphInstance.from_edges(10, edges + extra_edges))
+        padded = warm_start_pad(state, prob_big, Mapping(np.arange(9), np.arange(9)))
+        return state, prob_big, padded
+
+    def test_new_vertex_gets_median_ratio_times_its_diagonal(self):
+        state, prob_big, padded = self._arrival([(0, 9, 1.0)])
+        diag = prob_big.cost.diagonal()
+        assert np.all(diag > 0)
+        r = np.median(state.y / diag[:9])
+        assert r > 0
+        np.testing.assert_array_equal(padded.y[:9], state.y)
+        assert padded.y[9] == pytest.approx(r * diag[9], rel=1e-12)
+        np.testing.assert_array_equal(padded.nu[9:], 0.0)
         assert padded.model.basis.shape == (10, state.model.k)
         # rescale ratio: old trace normalization over new
         assert padded.model.stats.trace == pytest.approx(
             state.model.stats.trace * 9 / 10, rel=1e-9
         )
-        state2, _ = solve(prob_big, cfg, init=padded)
+        state2, _ = solve(prob_big, self.CFG, init=padded)
         assert state2.status == "converged"
+
+    def test_new_isolated_vertex_gets_zero(self):
+        _, prob_big, padded = self._arrival([])
+        assert prob_big.cost[9, 9] == 0.0
+        assert padded.y[9] == 0.0
+
+    def test_no_qualifying_kept_row_pads_zeros(self):
+        state, _, _ = self._arrival([])
+        # the kept vertices are isolated in the new graph, the arrivals are not
+        prob = build_maxcut(GraphInstance.from_edges(11, [(9, 10, 1.0)]))
+        assert np.all(prob.cost.diagonal()[9:] > 0)
+        padded = warm_start_pad(state, prob, Mapping(np.arange(9), np.arange(9)))
+        np.testing.assert_array_equal(padded.y[:9], state.y)
+        np.testing.assert_array_equal(padded.y[9:], 0.0)
+
+    def test_new_inequality_rows_stay_in_the_sign_cone(self):
+        small, _ = mixed_inequality_problem(12, 2, n_ineq=6)
+        big, _ = mixed_inequality_problem(12, 2, n_ineq=12)
+        assert np.array_equal(small.b, big.b[:18])  # the same first 18 rows
+        # the rule reads only the duals, so a 20-iteration state will do
+        state, _ = solve(small, SolverConfig(k_c=4, k_p=1, max_iters=20, seed=0))
+        padded = warm_start_pad(state, big, Mapping(np.arange(12), np.arange(18)))
+        # <A_i, C> and ||A_i||^2 from each dense A_i, apart from the
+        # constraint-family method the padding uses
+        cost = big.cost.toarray()
+        mats = [big.constraints.adjoint_matrix(e).toarray() for e in np.eye(big.m)]
+        ratio = np.array([np.sum(a * cost) / np.sum(a * a) for a in mats])
+        kept = ratio[:18] != 0
+        r = np.median(state.y[kept] / ratio[:18][kept])
+        assert r > 0
+        new = padded.y[18:]
+        assert np.any(ratio[18:] < 0) and np.any(ratio[18:] > 0)
+        np.testing.assert_allclose(new, np.maximum(r * ratio[18:], 0.0), rtol=1e-12, atol=0)
+        assert np.all(new >= 0.0)
+        f, _ = penalized_obj(big, padded.y, self.CFG)
+        assert np.isfinite(f)
+
+    def test_arrival_certifies_sooner_than_zero_padding(self):
+        # one percent of the vertices arrive, as in the benchmark's arrivals;
+        # with a tenth arriving, the zero primal rows of the new vertices set
+        # the pace and both paddings take about as many iterations
+        g = random_graph(505, 8.0 / 505, 17)
+        cfg = SolverConfig(k_c=10, k_p=1, eps=1e-3, max_iters=1000, seed=0, sketch_rank=10)
+        prev, _ = solve(build_maxcut(g.subgraph(500)), cfg)
+        prob = build_maxcut(g)
+        mapping = Mapping(np.arange(500), np.arange(500))
+        padded = warm_start_pad(prev, prob, mapping, sketch_seed=0)
+        zeroed = warm_start_pad(prev, prob, mapping, sketch_seed=0)
+        zeroed.y[500:] = 0.0
+        assert np.all(padded.y[500:] > 0)
+        warm, _ = solve(prob, cfg, init=padded)
+        zero, _ = solve(prob, cfg, init=zeroed)
+        assert warm.status == zero.status == "converged"
+        assert warm.iterations < zero.iterations
+
+    def test_qap_submatrix_arrival_pads_zeros(self):
+        # nearly every kept dual with a nonzero ratio is an inactive
+        # inequality at zero, so the median ratio and the padding are zero
+        from specbundle.cli import _qap_mapping
+
+        full = random_qap(4, 1)
+        sub = full.shrink()
+        cfg = SolverConfig(rho=0.005, k_c=2, k_p=0, eps=1e-1, max_iters=400, seed=0, sketch_rank=3)
+        prev, _ = solve(build_qap(sub), cfg)
+        raw = _qap_mapping(sub, full)
+        mapping = Mapping(np.array(raw["vertex_map"]), np.array(raw["constraint_map"]))
+        prob = build_qap(full)
+        padded = warm_start_pad(prev, prob, mapping, sketch_seed=0)
+        arriving = np.ones(prob.m, dtype=bool)
+        arriving[mapping.constraint_map] = False
+        np.testing.assert_array_equal(padded.y[mapping.constraint_map], prev.y)
+        assert np.all(padded.y[arriving] == 0.0) and not np.any(np.signbit(padded.y[arriving]))
 
     def test_out_of_range_mapping(self, k3):
         prob = build_maxcut(k3)

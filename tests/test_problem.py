@@ -261,6 +261,17 @@ class TestOperatorBundles:
         )
         np.testing.assert_allclose(diag.frob_norms(), generic.frob_norms())
 
+    def test_primal_image_sparse_matches_dense(self):
+        # <A_i, C> for every row, from the sparse cost
+        for prob in (build_maxcut(random_graph(12, 0.4, 0)), build_qap(random_qap(3, 1))):
+            np.testing.assert_allclose(
+                prob.constraints.primal_image_sparse(prob.cost),
+                prob.constraints.primal_image_dense(prob.cost.toarray()),
+                rtol=1e-12, atol=1e-15,
+            )
+        empty = SparseConstraintFamilies(4, 2, [], [], [], [])
+        np.testing.assert_array_equal(empty.primal_image_sparse(build_maxcut(make_k3()).cost), 0.0)
+
     def test_compressed_rows_definition(self):
         prob = build_qap(random_qap(2, 4))
         rng = np.random.default_rng(7)
@@ -364,6 +375,33 @@ class TestParsers:
         path = tmp_path / "asym.dat"
         path.write_text("2\n0 1\n2 0\n0 0\n0 0\n")
         with pytest.raises(ParseError):
+            parse_qaplib(path)
+
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-1e999"])
+    def test_non_finite_edge_weight_rejected(self, tmp_path, weight):
+        path = tmp_path / "w.mtx"
+        header = "%%MatrixMarket matrix coordinate real symmetric"
+        path.write_text(f"{header}\n3 3 2\n2 1 1\n3 1 {weight}\n")
+        with pytest.raises(ValueError, match="finite"):
+            parse_graph_mm(path)
+
+    def test_overflowing_duplicate_edges_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            GraphInstance.from_edges(2, [(0, 1, 1e308), (1, 0, 1e308)])
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ("0 nan nan 0 0 0 0 0", "finite"),
+            ("0 0 0 0 0 inf inf 0", "finite"),
+            ("0 1e308 -1e308 0 0 0 0 0", "symmetric"),
+        ],
+    )
+    def test_qaplib_non_finite_or_overflowing_rejected(self, tmp_path, entries, message):
+        path = tmp_path / "bad.dat"
+        path.write_text(f"2\n{entries}\n")
+        with pytest.raises(ParseError, match=message):
             parse_qaplib(path)
 
 
