@@ -21,7 +21,6 @@ from . import sketch as sketchmod
 from .eigsolve import EigResult, lanczos_top
 from .problem import SdpProblem, dual_slack_operator, proj_K
 from .subqp import (
-    IpmOptions,
     alternating_max,
     assemble_eval_coeffs,
     ipm_eval,
@@ -71,7 +70,6 @@ class FingerprintMismatch(RuntimeError):
 class LanczosSettings:
     inner_iters: int = 32
     max_restarts: int = 10
-    tol: Optional[float] = None
 
 
 @dataclass
@@ -87,8 +85,6 @@ class SolverConfig:
     seed: int = 0
     lanczos: LanczosSettings = field(default_factory=LanczosSettings)
     linf_check: bool = False
-    store_psi: bool = True
-    ipm: IpmOptions = field(default_factory=IpmOptions)
 
     def __post_init__(self):
         if not (self.rho > 0 and 0 < self.beta < 1 and self.k_c >= 1 and self.k_p >= 0):
@@ -239,7 +235,6 @@ def penalized_obj(
         k_c,
         inner_iters=cfg.lanczos.inner_iters,
         max_restarts=cfg.lanczos.max_restarts,
-        tol=cfg.lanczos.tol,
         seed=cfg.seed,
     )
     lam = float(eig.eigenvalues[0])
@@ -334,12 +329,7 @@ def model_update(
         except EmptyBasisError:
             new_basis = np.zeros((model.basis.shape[0], 0))
     if new_basis.shape[1] < model.k:
-        if new_basis.shape[1] == 0:
-            new_basis = _completion_columns(
-                np.zeros((model.basis.shape[0], 0)), model.k, seed, tag
-            )
-        else:
-            new_basis = _completion_columns(new_basis, model.k, seed, tag)
+        new_basis = _completion_columns(new_basis, model.k, seed, tag)
 
     return BundleModel(
         basis=new_basis,
@@ -419,7 +409,7 @@ def cold_start(prob: SdpProblem, cfg: SolverConfig) -> SolverState:
     if cfg.sketch_rank > 0:
         r = min(cfg.sketch_rank, prob.n)
         store: object = SketchStore(
-            sketchmod.sketch_init(prob.n, r, sketch_seed, store_psi=cfg.store_psi)
+            sketchmod.sketch_init(prob.n, r, sketch_seed)
         )
     else:
         store = ExplicitStore(np.zeros((prob.n, prob.n)))
@@ -480,11 +470,11 @@ def solve(
             status = "budget"
             break
 
-        alt = alternating_max(prob, model, y, cfg.rho, opts=cfg.ipm, nu0=inner_nu)
+        alt = alternating_max(prob, model, y, cfg.rho, nu0=inner_nu)
         inner_nu = alt.nu
         y_cand = candidate_iterate(y, alt.nu, alt.a_x, prob.b, cfg.rho, prob.ineq_idx)
         f_cand, eig_cand = penalized_obj(prob, y_cand, cfg, k_c=model.k_c)
-        ev = ipm_eval(assemble_eval_coeffs(prob, model, y_cand), cfg.ipm)
+        ev = ipm_eval(assemble_eval_coeffs(prob, model, y_cand))
         model_val = float(prob.b @ y_cand) - ev.value
 
         accept = descent_test(f_y, f_cand, model_val, cfg.beta)

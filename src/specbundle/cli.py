@@ -35,6 +35,7 @@ from .problem import (
     build_qap,
     parse_graph_mm,
     parse_qaplib,
+    qap_submatrix_constraint_map,
     write_graph_mm,
     write_qaplib,
 )
@@ -310,23 +311,7 @@ def _qap_mapping(sub: QapInstance, full: QapInstance) -> dict:
     vertex_map = [0] + [
         1 + i * n_full + k for i in range(n_sub) for k in range(n_sub)
     ]
-    full_prob = build_qap(full)
-    sub_prob = build_qap(sub)
-    lookup = {label: pos for pos, label in enumerate(full_prob.labels)}
-
-    def translate(label):
-        name = label[0]
-        if name == "G":
-            a, b = label[1], label[2]
-            ai, ak = divmod(a, n_sub)
-            bi, bk = divmod(b, n_sub)
-            return ("G", ai * n_full + ak, bi * n_full + bk)
-        if name == "diagY":
-            ai, ak = divmod(label[1], n_sub)
-            return ("diagY", ai * n_full + ak)
-        return label
-
-    constraint_map = [lookup[translate(label)] for label in sub_prob.labels]
+    constraint_map = qap_submatrix_constraint_map(full, n_sub).tolist()
     return {"kind": "qap", "vertex_map": vertex_map, "constraint_map": constraint_map}
 
 

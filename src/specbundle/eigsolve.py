@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,7 +49,6 @@ class EigResult:
     leading_converged: bool  # the leading pair, which gives lambda_max, met it
     restarts: int
     matvecs: int  # operator applications; the dense fallback counts n
-    ritz_history: list = field(default_factory=list)
 
 
 def _seeded_unit(n: int, seed: int, counter: int) -> np.ndarray:
@@ -84,7 +83,6 @@ def _dense_fallback(op: LinOp, k_c: int) -> EigResult:
         leading_converged=True,
         restarts=0,
         matvecs=n,
-        ritz_history=[float(vals[0])],
     )
 
 
@@ -94,7 +92,7 @@ def lanczos_top(
     k_c: int,
     inner_iters: int = 32,
     max_restarts: int = 10,
-    tol: float | None = None,
+    tol: float = 1e-9,
     seed: int = 0,
 ) -> EigResult:
     """Algebraically largest k_c Ritz pairs of a symmetric operator.
@@ -139,8 +137,6 @@ def lanczos_top(
     m = max(int(inner_iters), k_c + 1, 2)
     if m >= n:
         return _dense_fallback(op, k_c)
-    if tol is None:
-        tol = 1e-9
     q = np.zeros((n, m + 1))
     h = np.zeros((m + 1, m + 1))
     # contiguous copy of the newest basis vector, the one the operator sees
@@ -148,7 +144,6 @@ def lanczos_top(
     q[:, 0] = v
     ell = 0
     reseed_counter = 0
-    ritz_history: list[float] = []
     converged = False
     restarts_done = 0
     matvecs = 0
@@ -191,7 +186,6 @@ def lanczos_top(
         theta, y = small_eigh(h[:m, :m])
         beta_last = h[m, m - 1]
         res = np.abs(beta_last * y[m - 1, :])
-        ritz_history.append(float(theta[0]))
         tol_eff = tol * (1.0 + abs(float(theta[0])))
         if np.all(res[:k_c] <= tol_eff):
             converged = True
@@ -232,5 +226,4 @@ def lanczos_top(
         leading_converged=leading_converged,
         restarts=restarts_done,
         matvecs=matvecs,
-        ritz_history=ritz_history,
     )

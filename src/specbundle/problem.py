@@ -10,7 +10,7 @@ families (QAP and generic problems).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -185,9 +185,6 @@ class DiagonalConstraints:
     def adjoint_matrix(self, y: np.ndarray):
         return sp.diags(y)
 
-    def adjoint_matvec(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return y * v
-
     def adjoint_inner_lowrank(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         return v.T @ (v * y[:, None])
 
@@ -256,9 +253,6 @@ class SparseConstraintFamilies:
         d = np.concatenate([data, data[off]])
         return sp.coo_matrix((d, (r, c)), shape=(self.n, self.n)).tocsr()
 
-    def adjoint_matvec(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.adjoint_matrix(y) @ v
-
     def adjoint_inner_lowrank(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         m = v.T @ (self.adjoint_matrix(y) @ v)
         return 0.5 * (m + m.T)
@@ -298,8 +292,6 @@ class SdpProblem:
     scale_c: float
     scale_x: float
     sense: int = 1  # +1: native maximization; -1: cost was negated at build
-    labels: Optional[list] = None
-    op_norm_estimate: Optional[float] = None
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float)
@@ -351,20 +343,42 @@ def dual_slack_operator(prob: SdpProblem, y: np.ndarray) -> LinOp:
 # builders
 
 
-def _frob_norm_sparse(a: sp.spmatrix) -> float:
-    return float(np.sqrt((a.multiply(a)).sum()))
+# a cost whose Frobenius norm reaches this bound is rejected: the sum of its
+# squares would come within a factor of four of the float range
+_MAX_COST_NORM = math.sqrt(np.finfo(float).max) / 2
+
+
+def _check_cost_size(size: float, what: str) -> None:
+    if size >= _MAX_COST_NORM:
+        raise ValueError(
+            f"{what} is {size:.3g}, so the cost's Frobenius norm would overflow; "
+            "rescale the instance"
+        )
+
+
+def _normalized_cost(c_raw: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
+    """The cost over its Frobenius norm, and that norm (1 for a zero cost).
+    Raises ValueError before it sums squares that would overflow."""
+    data = np.abs(c_raw.data)
+    peak = float(data.max(initial=0.0))
+    if peak * math.sqrt(data.size) >= _MAX_COST_NORM:  # it may reach the bound
+        norm = peak * math.sqrt(float(np.sum(np.square(data / peak))))  # in units of peak
+        _check_cost_size(norm, "the cost's Frobenius norm")
+    scale_c = float(np.sqrt((c_raw.multiply(c_raw)).sum())) or 1.0
+    return (c_raw / scale_c).tocsr(), scale_c
 
 
 def build_maxcut(g: GraphInstance, alpha: float = 2.0) -> SdpProblem:
     """Quarter-Laplacian objective with unit diagonal constraints, rescaled
-    so the cost has unit Frobenius norm and the solution has unit trace."""
+    so the cost has unit Frobenius norm and the solution has unit trace.
+    Raises ValueError when that norm would overflow."""
     if g.n < 1:
         raise ValueError("empty graph")
     n = g.n
-    lap = g.laplacian()
-    c_raw = (lap / 4.0).tocsr()
-    scale_c = _frob_norm_sparse(c_raw) or 1.0
-    cost = (c_raw / scale_c).tocsr()
+    # an edge of weight w is a cost entry w/4; checking it first keeps the
+    # Laplacian's degree sums finite
+    _check_cost_size(float(np.abs(g.edges_w).max(initial=0.0)) / 4.0, "the largest edge weight / 4")
+    cost, scale_c = _normalized_cost((g.laplacian() / 4.0).tocsr())
     scale_x = float(n)
     b = np.full(n, 1.0 / scale_x)
     return SdpProblem(
@@ -378,84 +392,102 @@ def build_maxcut(g: GraphInstance, alpha: float = 2.0) -> SdpProblem:
         scale_c=scale_c,
         scale_x=scale_x,
         sense=1,
-        labels=[("diag", i) for i in range(n)],
     )
+
+
+def _qap_kron(q: QapInstance) -> np.ndarray:
+    """``np.kron(distances, weights)``, the lifted objective.  Its largest
+    entry is the product of the two largest magnitudes, checked before the
+    product is formed."""
+    peak = float(np.abs(q.distances).max()) * float(np.abs(q.weights).max())
+    _check_cost_size(peak, "the largest distance times the largest weight")
+    return np.kron(q.distances, q.weights)
+
+
+QAP_FAMILIES = ("tr1", "tr2", "G", "diagY", "rowsum", "colsum", "B", "corner", "trY")
+
+
+def qap_family_offsets(n: int, n_g: int) -> dict[str, slice]:
+    """Rows of each ``QAP_FAMILIES`` family of the size-n lifted assignment
+    relaxation whose objective has n_g nonzero entries."""
+    t = n * (n + 1) // 2
+    stops = np.cumsum([t, t, n_g, n * n, n, n, n * n, 1, 1]).tolist()
+    return {f: slice(start, stop) for f, start, stop in zip(QAP_FAMILIES, [0, *stops], stops)}
 
 
 def qap_constraint_entries(q: QapInstance):
-    """Entry families, right-hand sides, inequality flags, and labels for the
-    lifted assignment relaxation.  Composite indices follow a = i*n + k with
-    i the first (distance) factor and k the second (weight) factor; row and
-    column 0 of the lifted matrix hold the affine corner."""
+    """Entries (idx, rows, cols, vals), right-hand sides b, inequality flags
+    and the objective ``kron`` of the lifted assignment relaxation.
+
+    Composite indices follow a = i*n + k with i the first (distance) factor
+    and k the second (weight) factor; the lifted matrix holds a at 1 + a and
+    the affine corner in row and column 0.  Rows come family by family in
+    ``QAP_FAMILIES`` order: the two partial traces (tr1 over k <= l, tr2 over
+    i <= j), Y[a,b] >= 0 on the objective's nonzeros (G, row-major),
+    Y[a,a] = x_a (diagY), the assignment's row and column sums, x_a >= 0
+    (B), the corner and tr Y = n.  Each row lists its entries by its running
+    index, with row <= col.
+    """
     n = q.size
-    kron = np.kron(q.distances, q.weights)
-    idx: list[int] = []
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    b: list[float] = []
-    ineq: list[bool] = []
-    labels: list[tuple] = []
+    kron = _qap_kron(q)
+    a = np.arange(n * n)
+    lifted = (1 + a).reshape(n, n)  # lifted[i, k] = 1 + i*n + k
+    row0, x_col = np.zeros((n * n, 1), dtype=np.int64), 1 + a[:, None]  # x_a = X[0, 1 + a]
+    k, l = np.triu_indices(n)
+    half = np.where(k == l, 1.0, 0.5)[:, None]
+    delta = (k == l).astype(float)
+    ga, gb = np.nonzero(kron)
+    g_vals = np.where(ga == gb, -1.0, -0.5)[:, None]
+    # rows, cols and vals broadcast to (family rows, entries per row), then
+    # the right-hand side and the inequality flag
+    families = [
+        (lifted.T[k], lifted.T[l], half, delta, False),
+        (lifted[k], lifted[l], half, delta, False),
+        (1 + np.minimum(ga, gb)[:, None], 1 + np.maximum(ga, gb)[:, None], g_vals, 0.0, True),
+        (np.hstack([x_col, row0]), x_col, np.array([1.0, -0.5]), 0.0, False),
+        (0, lifted.T, 0.5, 1.0, False),
+        (0, lifted, 0.5, 1.0, False),
+        (row0, x_col, -0.5, 0.0, True),
+        (np.zeros((1, 1), dtype=np.int64), 0, 1.0, 1.0, False),
+        (1 + a[None, :], 1 + a[None, :], 1.0, float(n), False),
+    ]
+    parts = []
+    start = 0
+    for rows, cols, vals, rhs, is_ineq in families:
+        rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+        count = rows.shape[0]
+        idx = np.broadcast_to(np.arange(start, start + count)[:, None], rows.shape)
+        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (count,))
+        parts.append((idx, rows, cols, vals, rhs, np.full(count, is_ineq)))
+        start += count
+    idx, rows, cols, vals, b, ineq = (np.concatenate([v.ravel() for v in p]) for p in zip(*parts))
+    return idx, rows, cols, vals, b, ineq, kron
 
-    def add_constraint(entries, rhs, is_ineq, label):
-        ci = len(b)
-        for r, c, v in entries:
-            if r > c:
-                r, c = c, r
-            idx.append(ci)
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-        b.append(rhs)
-        ineq.append(is_ineq)
-        labels.append(label)
 
-    # partial trace over the first factor equals the identity
-    for k in range(n):
-        for l in range(k, n):
-            v = 1.0 if k == l else 0.5
-            entries = [(1 + i * n + k, 1 + i * n + l, v) for i in range(n)]
-            add_constraint(entries, 1.0 if k == l else 0.0, False, ("tr1", k, l))
-    # partial trace over the second factor equals the identity
-    for i in range(n):
-        for j in range(i, n):
-            v = 1.0 if i == j else 0.5
-            entries = [(1 + i * n + k, 1 + j * n + k, v) for k in range(n)]
-            add_constraint(entries, 1.0 if i == j else 0.0, False, ("tr2", i, j))
-    # lifted entries on the support of the objective stay nonnegative
-    ka, kb = np.nonzero(kron)
-    for a, bb in zip(ka.tolist(), kb.tolist()):
-        v = -1.0 if a == bb else -0.5
-        add_constraint([(1 + a, 1 + bb, v)], 0.0, True, ("G", a, bb))
-    # diagonal of the lifted block reproduces the assignment vector
-    for a in range(n * n):
-        add_constraint([(1 + a, 1 + a, 1.0), (0, 1 + a, -0.5)], 0.0, False, ("diagY", a))
-    # assignment row sums
-    for k in range(n):
-        entries = [(0, 1 + i * n + k, 0.5) for i in range(n)]
-        add_constraint(entries, 1.0, False, ("rowsum", k))
-    # assignment column sums
-    for i in range(n):
-        entries = [(0, 1 + i * n + k, 0.5) for k in range(n)]
-        add_constraint(entries, 1.0, False, ("colsum", i))
-    # assignment entries stay nonnegative
-    for a in range(n * n):
-        add_constraint([(0, 1 + a, -0.5)], 0.0, True, ("B", a))
-    # affine corner
-    add_constraint([(0, 0, 1.0)], 1.0, False, ("corner",))
-    # lifted block trace
-    add_constraint([(1 + a, 1 + a, 1.0) for a in range(n * n)], float(n), False, ("trY",))
+def qap_submatrix_constraint_map(full: QapInstance, n_sub: int) -> np.ndarray:
+    """For each row of the relaxation of the leading ``n_sub`` x ``n_sub``
+    blocks of ``full`` (``full.shrink()`` for n_sub = n - 1), the row of the
+    full relaxation it maps to.
 
-    return (
-        np.array(idx),
-        np.array(rows),
-        np.array(cols),
-        np.array(vals, dtype=float),
-        np.array(b, dtype=float),
-        np.array(ineq, dtype=bool),
-        labels,
-        kron,
-    )
+    A row keeps its position within its family.  The diagY, B and G rows
+    move a = i*n_sub + k to a' = i*n + k, and the G row (a, b) becomes the
+    rank of (a', b') among the full objective's nonzeros: the sub objective
+    is the full one at the kept indices, the same products.
+    """
+    n = full.size
+    if not 1 <= n_sub <= n:
+        raise ValueError(f"sub-instance size {n_sub} must lie in [1, {n}]")
+    support = _qap_kron(full) != 0
+    a = np.arange(n_sub * n_sub)
+    kept = (a // n_sub) * n + a % n_sub
+    k, l = np.triu_indices(n_sub)
+    tri = k * n - k * (k + 1) // 2 + l  # rank of (k, l) in the full np.triu_indices(n)
+    sub_g = (kept[:, None] * (n * n) + kept[None, :])[support[np.ix_(kept, kept)]]
+    g = np.searchsorted(np.flatnonzero(support), sub_g)
+    same = np.arange(n_sub)
+    within = dict(zip(QAP_FAMILIES, [tri, tri, g, kept, same, same, kept, [0], [0]]))
+    offsets = qap_family_offsets(n, int(support.sum()))
+    return np.concatenate([offsets[f].start + np.asarray(within[f]) for f in QAP_FAMILIES])
 
 
 def estimate_operator_norm(ops, n: int, tol: float = 1e-6, max_iters: int = 500, seed: int = 0) -> float:
@@ -484,18 +516,17 @@ def build_qap(q: QapInstance, alpha: float = 2.0) -> SdpProblem:
     """Lifted assignment relaxation with the full normalization: unit cost
     norm, unit solution trace, unit operator norm, and equal row norms.  The
     native minimization is encoded by negating the cost; reports restore the
-    sign through ``sense``."""
+    sign through ``sense``.  Raises ValueError when the cost's norm would
+    overflow."""
     n = q.size
     big_n = n * n + 1
-    idx, rows, cols, vals, b_raw, ineq, labels, kron = qap_constraint_entries(q)
+    idx, rows, cols, vals, b_raw, ineq, kron = qap_constraint_entries(q)
     m = len(b_raw)
 
     ka, kb = np.nonzero(kron)
-    c_raw = sp.coo_matrix(
-        (-kron[ka, kb], (1 + ka, 1 + kb)), shape=(big_n, big_n)
-    ).tocsr()
-    scale_c = _frob_norm_sparse(c_raw) or 1.0
-    cost = (c_raw / scale_c).tocsr()
+    cost, scale_c = _normalized_cost(
+        sp.coo_matrix((-kron[ka, kb], (1 + ka, 1 + kb)), shape=(big_n, big_n)).tocsr()
+    )
 
     scale_x = float(n + 1)  # corner contributes 1, lifted block contributes n
     b = b_raw / scale_x
@@ -522,8 +553,6 @@ def build_qap(q: QapInstance, alpha: float = 2.0) -> SdpProblem:
         scale_c=scale_c,
         scale_x=scale_x,
         sense=-1,
-        labels=labels,
-        op_norm_estimate=op_norm,
     )
 
 
@@ -535,20 +564,19 @@ def build_from_families(
     ineq_mask,
     alpha: float = 2.0,
     scale_x: float = 1.0,
-    labels: Optional[list] = None,
 ) -> SdpProblem:
     """Generic problem from (constraint, row, col, value) entries.  Applies
     the unit-cost-norm scaling and divides b by ``scale_x``; no per-row or
-    operator-norm normalization."""
-    cost_raw = sp.csr_matrix(cost_raw)
-    scale_c = _frob_norm_sparse(cost_raw) or 1.0
+    operator-norm normalization.  Raises ValueError when the cost's norm
+    would overflow."""
+    cost, scale_c = _normalized_cost(sp.csr_matrix(cost_raw))
     idx, rows, cols, vals = (np.asarray(a) for a in triples)
     m = len(b_raw)
     ops = SparseConstraintFamilies(n, m, idx, rows, cols, vals)
     return SdpProblem(
         n=n,
         m=m,
-        cost=(cost_raw / scale_c).tocsr(),
+        cost=cost,
         constraints=ops,
         b=np.asarray(b_raw, dtype=float) / scale_x,
         ineq_mask=np.asarray(ineq_mask, dtype=bool),
@@ -556,7 +584,6 @@ def build_from_families(
         scale_c=scale_c,
         scale_x=scale_x,
         sense=1,
-        labels=labels,
     )
 
 

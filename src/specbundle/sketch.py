@@ -41,17 +41,16 @@ class NystromSketch:
         return make_test_matrix(self.n, self.r, self.psi_seed)
 
 
-def sketch_init(n: int, r: int, seed: int, store_psi: bool = True) -> NystromSketch:
+def sketch_init(n: int, r: int, seed: int) -> NystromSketch:
     """Zero sketch of an all-zero matrix with a reproducible test matrix."""
     if not 1 <= r <= n:
         raise ValueError(f"sketch rank {r} must lie in [1, {n}]")
-    psi = make_test_matrix(n, r, seed)
     return NystromSketch(
         n=n,
         r=r,
         psi_seed=int(seed),
         sketch_mat=np.zeros((n, r)),
-        psi_cache=psi if store_psi else None,
+        psi_cache=make_test_matrix(n, r, seed),
     )
 
 

@@ -146,9 +146,10 @@ def lanczos_top_frozen(matvec, n: int, k_c: int, inner_iters: int = 32,
     operator is applied to the strided basis column and every projection
     allocates.  The solver's ``lanczos_top`` must reproduce it bit for bit.
 
-    Returns (eigenvalues, eigenvectors, residuals, converged, restarts,
-    ritz_history).  Only the iterative path is copied, so n must exceed the
-    basis size.
+    Returns (eigenvalues, eigenvectors, residuals, converged, restarts).
+    The leading Ritz value of each cycle is checked here to be
+    non-decreasing, as the thick restart guarantees.  Only the iterative
+    path is copied, so n must exceed the basis size.
     """
     m = max(int(inner_iters), k_c + 1, 2)
     assert k_c < n and m < n
@@ -209,8 +210,9 @@ def lanczos_top_frozen(matvec, n: int, k_c: int, inner_iters: int = 32,
         h[:, :] = 0.0
         h[:ell, :ell] = np.diag(theta[:ell])
         restarts_done += 1
+    assert all(b >= a - 1e-10 * (1 + abs(a)) for a, b in zip(ritz_history, ritz_history[1:]))
     return (theta[:k_c].copy(), q[:, :m] @ y[:, :k_c], res[:k_c].copy(), converged,
-            restarts_done, ritz_history)
+            restarts_done)
 
 
 def graph_from_edges_dict(n: int, edges):
@@ -617,3 +619,92 @@ def proj_N_frozen(z: np.ndarray, prob) -> np.ndarray:
     if idx.size:
         out[idx] = np.minimum(z[idx], 0.0)
     return out
+
+
+def qap_constraint_entries_frozen(q):
+    """Frozen copy of the per-constraint loop that built the lifted
+    assignment rows before they were built from index arrays.  Returns
+    (idx, rows, cols, vals, b, ineq, labels, kron), where labels[i] names
+    row i's family and indices, e.g. ("G", a, b) or ("corner",)."""
+    n = q.size
+    kron = np.kron(q.distances, q.weights)
+    idx, rows, cols, vals, b, ineq, labels = [], [], [], [], [], [], []
+
+    def add_constraint(entries, rhs, is_ineq, label):
+        ci = len(b)
+        for r, c, v in entries:
+            if r > c:
+                r, c = c, r
+            idx.append(ci)
+            rows.append(r)
+            cols.append(c)
+            vals.append(v)
+        b.append(rhs)
+        ineq.append(is_ineq)
+        labels.append(label)
+
+    for k in range(n):
+        for l in range(k, n):
+            v = 1.0 if k == l else 0.5
+            entries = [(1 + i * n + k, 1 + i * n + l, v) for i in range(n)]
+            add_constraint(entries, 1.0 if k == l else 0.0, False, ("tr1", k, l))
+    for i in range(n):
+        for j in range(i, n):
+            v = 1.0 if i == j else 0.5
+            entries = [(1 + i * n + k, 1 + j * n + k, v) for k in range(n)]
+            add_constraint(entries, 1.0 if i == j else 0.0, False, ("tr2", i, j))
+    ka, kb = np.nonzero(kron)
+    for a, bb in zip(ka.tolist(), kb.tolist()):
+        v = -1.0 if a == bb else -0.5
+        add_constraint([(1 + a, 1 + bb, v)], 0.0, True, ("G", a, bb))
+    for a in range(n * n):
+        add_constraint([(1 + a, 1 + a, 1.0), (0, 1 + a, -0.5)], 0.0, False, ("diagY", a))
+    for k in range(n):
+        entries = [(0, 1 + i * n + k, 0.5) for i in range(n)]
+        add_constraint(entries, 1.0, False, ("rowsum", k))
+    for i in range(n):
+        entries = [(0, 1 + i * n + k, 0.5) for k in range(n)]
+        add_constraint(entries, 1.0, False, ("colsum", i))
+    for a in range(n * n):
+        add_constraint([(0, 1 + a, -0.5)], 0.0, True, ("B", a))
+    add_constraint([(0, 0, 1.0)], 1.0, False, ("corner",))
+    add_constraint([(1 + a, 1 + a, 1.0) for a in range(n * n)], float(n), False, ("trY",))
+
+    return (
+        np.array(idx),
+        np.array(rows),
+        np.array(cols),
+        np.array(vals, dtype=float),
+        np.array(b, dtype=float),
+        np.array(ineq, dtype=bool),
+        labels,
+        kron,
+    )
+
+
+def build_qap_frozen(q):
+    """The scaled QAP data as the loop-based builder produced it, from
+    ``qap_constraint_entries_frozen``: returns (cost, scale_c, b, idx, rows,
+    cols, vals) with the unit-norm cost, the trace, row-norm and
+    operator-norm scalings applied."""
+    import scipy.sparse as sp
+
+    from specbundle.problem import SparseConstraintFamilies, estimate_operator_norm
+
+    n = q.size
+    big_n = n * n + 1
+    idx, rows, cols, vals, b_raw, ineq, _, kron = qap_constraint_entries_frozen(q)
+    m = len(b_raw)
+    ka, kb = np.nonzero(kron)
+    c_raw = sp.coo_matrix((-kron[ka, kb], (1 + ka, 1 + kb)), shape=(big_n, big_n)).tocsr()
+    scale_c = float(np.sqrt((c_raw.multiply(c_raw)).sum())) or 1.0
+    cost = (c_raw / scale_c).tocsr()
+    b = b_raw / float(n + 1)
+    ops = SparseConstraintFamilies(big_n, m, idx, rows, cols, vals)
+    norms = ops.frob_norms()
+    ops = ops.scaled(1.0 / norms)
+    b = b / norms
+    op_norm = estimate_operator_norm(ops, big_n)
+    ops = ops.scaled(np.full(m, 1.0 / op_norm))
+    b = b / op_norm
+    return cost, scale_c, b, ops.idx, ops.rows, ops.cols, ops.vals

@@ -474,14 +474,15 @@ class TestWarmStartPad:
     def test_qap_submatrix_arrival_pads_zeros(self):
         # nearly every kept dual with a nonzero ratio is an inactive
         # inequality at zero, so the median ratio and the padding are zero
-        from specbundle.cli import _qap_mapping
+        from specbundle.problem import qap_submatrix_constraint_map
 
         full = random_qap(4, 1)
         sub = full.shrink()
         cfg = SolverConfig(rho=0.005, k_c=2, k_p=0, eps=1e-1, max_iters=400, seed=0, sketch_rank=3)
         prev, _ = solve(build_qap(sub), cfg)
-        raw = _qap_mapping(sub, full)
-        mapping = Mapping(np.array(raw["vertex_map"]), np.array(raw["constraint_map"]))
+        kept = np.arange(sub.size**2)
+        vertex_map = np.concatenate([[0], 1 + (kept // sub.size) * full.size + kept % sub.size])
+        mapping = Mapping(vertex_map, qap_submatrix_constraint_map(full, sub.size))
         prob = build_qap(full)
         padded = warm_start_pad(prev, prob, mapping, sketch_seed=0)
         arriving = np.ones(prob.m, dtype=bool)

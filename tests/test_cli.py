@@ -1,11 +1,19 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from _oracles import qap_constraint_entries_frozen
 from conftest import random_graph, random_qap
 from specbundle.cli import main
-from specbundle.problem import parse_graph_mm, parse_qaplib, write_graph_mm, write_qaplib
+from specbundle.problem import (
+    QapInstance,
+    parse_graph_mm,
+    parse_qaplib,
+    write_graph_mm,
+    write_qaplib,
+)
 
 K3_MTX = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 3\n2 1\n3 1\n3 2\n"
 
@@ -15,6 +23,36 @@ def k3_file(tmp_path):
     path = tmp_path / "k3.mtx"
     path.write_text(K3_MTX)
     return path
+
+
+def _row_entries(idx, rows, cols, vals, vertex_map):
+    """One {(row, col): value} dict per constraint, with row <= col after
+    moving both indices through ``vertex_map``."""
+    r, c = vertex_map[rows], vertex_map[cols]
+    lo, hi = np.minimum(r, c).tolist(), np.maximum(r, c).tolist()
+    out = [{} for _ in range(int(idx.max()) + 1)]
+    for i, pair, v in zip(idx.tolist(), zip(lo, hi), vals.tolist()):
+        out[i][pair] = v
+    return out
+
+
+def assert_rows_map_onto_support(full, mapping):
+    """Each row of the shrunken instance, its entries moved through the
+    vertex map, lies in the support of the full row it maps to, and equals
+    that row when the full row's entries all sit on kept indices."""
+    vertex_map = np.asarray(mapping["vertex_map"])
+    constraint_map = mapping["constraint_map"]
+    n_full = full.size**2 + 1
+    sub_rows = _row_entries(*qap_constraint_entries_frozen(full.shrink())[:4], vertex_map)
+    full_rows = _row_entries(*qap_constraint_entries_frozen(full)[:4], np.arange(n_full))
+    assert len(constraint_map) == len(sub_rows)
+    assert len(set(constraint_map)) == len(constraint_map)
+    kept = set(vertex_map.tolist())
+    for s, f in enumerate(constraint_map):
+        moved, target = sub_rows[s], full_rows[f]
+        assert moved.keys() <= target.keys(), (s, f)
+        if all(r in kept and c in kept for r, c in target):
+            assert moved == target, (s, f)
 
 
 def read_rows(path):
@@ -226,9 +264,26 @@ class TestPerturbCommand:
         assert len(mapping["constraint_map"]) == sub_prob.m
         assert max(mapping["vertex_map"]) < full_prob.n
         assert max(mapping["constraint_map"]) < full_prob.m
-        # labels must agree between mapped positions
-        for sub_pos, full_pos in enumerate(mapping["constraint_map"]):
-            assert sub_prob.labels[sub_pos][0] == full_prob.labels[full_pos][0]
+        assert_rows_map_onto_support(q, mapping)
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    @pytest.mark.parametrize("support", ["sparse", "dense"])
+    def test_qap_mapping_keeps_row_support(self, tmp_path, n, support):
+        q = random_qap(n, 20 + n)
+        if support == "dense":  # no zero entry: every objective entry has a G row
+            rng = np.random.default_rng(n)
+            w, d = rng.uniform(1, 2, (2, n, n))
+            q = QapInstance(w + w.T, d + d.T)
+        src = tmp_path / "q.dat"
+        write_qaplib(q, src)
+        map_path = tmp_path / "map.json"
+        assert main(
+            [
+                "perturb", "--problem", "qap", "--input", str(src),
+                "--out-instance", str(tmp_path / "sub.dat"), "--out-mapping", str(map_path),
+            ]
+        ) == 0
+        assert_rows_map_onto_support(q, json.loads(map_path.read_text()))
 
     def test_pad_round_trip_dimension_valid(self, tmp_path):
         g = random_graph(30, 0.3, 5)
@@ -378,3 +433,27 @@ def test_malformed_state_file_exits_with_message(tmp_path, k3_file, capsys, case
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["maxcut edge 1e160", "qap weight 1e160", "qap weight 1e200"])
+def test_overflowing_cost_exits_with_message(tmp_path, capsys, case):
+    from specbundle.problem import GraphInstance
+
+    if case.startswith("maxcut"):
+        path = tmp_path / "g.mtx"
+        write_graph_mm(GraphInstance.from_edges(3, [(0, 1, 1e160), (1, 2, 1.0)]), path)
+        problem = "maxcut"
+    else:
+        q = random_qap(3, 4)
+        w = q.weights.copy()
+        w[0, 1] = w[1, 0] = float(case.rsplit(" ", 1)[1])
+        path = tmp_path / "q.dat"
+        write_qaplib(QapInstance(w, q.distances), path)
+        problem = "qap"
+    capsys.readouterr()
+    rc = main(
+        ["solve", "--problem", problem, "--input", str(path), "--out", str(tmp_path / "m.csv")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "overflow" in err and "Traceback" not in err

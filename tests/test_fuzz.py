@@ -3,8 +3,10 @@
 On malformed input ``parse_graph_mm``, ``parse_qaplib`` and ``load_state``
 may raise only ``ParseError`` or ``ValueError``, and the CLI reading the
 same file must exit with code 1 and a message, never a traceback.
-An instance the parsers accept carries only finite numbers.  Examples are
-derandomized so every run sees the same cases.
+An instance the parsers accept carries only finite numbers, and either
+builds a problem with a finite, nonzero cost scale and a finite cost or is
+rejected by the builder with ``ValueError``, which the CLI reports the same
+way.  Examples are derandomized so every run sees the same cases.
 """
 import functools
 import re
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from specbundle.bundle import SolverConfig, load_state, save_state, solve
 from specbundle.cli import main
-from specbundle.problem import build_maxcut, parse_graph_mm, parse_qaplib
+from specbundle.problem import build_maxcut, build_qap, parse_graph_mm, parse_qaplib
 from conftest import make_k3
 
 FUZZ = settings(
@@ -125,6 +127,18 @@ def _cli_rejects(argv, capsys):
     assert err.strip() and "Traceback" not in err
 
 
+def _builds_or_rejects(build, instance, argv, capsys):
+    """``build(instance)`` gives a finite, nonzero cost scale and a finite
+    cost, or raises ValueError and the CLI exits 1 with a message."""
+    try:
+        prob = build(instance)
+    except ValueError:
+        _cli_rejects(argv, capsys)
+        return
+    assert np.isfinite(prob.scale_c) and prob.scale_c != 0
+    assert np.all(np.isfinite(prob.cost.data))
+
+
 @FUZZ
 @given(data=_mostly(MM_TEXT, st.binary()))
 def test_parse_graph_mm_fuzz(tmp_path, capsys, data):
@@ -138,6 +152,8 @@ def test_parse_graph_mm_fuzz(tmp_path, capsys, data):
         return
     assert np.all(np.isfinite(g.edges_w))
     assert np.all((0 <= g.edges_u) & (g.edges_u < g.edges_v) & (g.edges_v < g.n))
+    argv = ["round", "--problem", "maxcut", "--input", str(path), "--state", "unused.bin"]
+    _builds_or_rejects(build_maxcut, g, argv, capsys)
 
 
 @FUZZ
@@ -152,6 +168,8 @@ def test_parse_qaplib_fuzz(tmp_path, capsys, data):
         _cli_rejects(argv, capsys)
         return
     assert np.all(np.isfinite(q.weights)) and np.all(np.isfinite(q.distances))
+    argv = ["round", "--problem", "qap", "--input", str(path), "--state", "unused.bin"]
+    _builds_or_rejects(build_qap, q, argv, capsys)
 
 
 _HEAD_FMT = "<4sI QQQQ II B II dd dd QQ dd"

@@ -19,6 +19,7 @@ from specbundle.problem import (
     build_maxcut,
     build_qap,
     parse_graph_mm,
+    qap_family_offsets,
     parse_qaplib,
     proj_K,
     proj_N,
@@ -79,25 +80,50 @@ class TestBuildMaxcut:
             GraphInstance.from_edges(0, [])
 
 
+def qap_family_rows(prob) -> dict:
+    """Rows of a built QAP problem grouped by their shape alone: the
+    inequality flag, the entries per row, whether the entries touch the
+    corner row 0 and whether one is off the diagonal."""
+    fam = prob.constraints
+    per_row = np.bincount(fam.idx, minlength=prob.m)
+    corner = np.bincount(fam.idx, weights=fam.rows == 0, minlength=prob.m) > 0
+    offdiag = np.bincount(fam.idx, weights=fam.rows != fam.cols, minlength=prob.m) > 0
+    out = {}
+    for i in range(prob.m):
+        key = (bool(prob.ineq_mask[i]), int(per_row[i]), bool(corner[i]), bool(offdiag[i]))
+        out.setdefault(key, []).append(i)
+    return out
+
+
 class TestBuildQap:
     def test_constraint_families_n2(self):
         q = random_qap(2, 0, lo=1, hi=9)  # dense, no zero entries off-diagonal
         prob = build_qap(q)
-        from collections import Counter
-
-        counts = Counter(label[0] for label in prob.labels)
-        kron = np.kron(q.distances, q.weights)
-        assert counts["tr1"] == 3
-        assert counts["tr2"] == 3
-        assert counts["G"] == int(np.count_nonzero(kron))
-        assert counts["diagY"] == 4
-        assert counts["rowsum"] == 2
-        assert counts["colsum"] == 2
-        assert counts["B"] == 4
-        assert counts["corner"] == 1
-        assert counts["trY"] == 1
-        assert prob.m == sum(counts.values())
+        n_g = int(np.count_nonzero(np.kron(q.distances, q.weights)))
+        off = qap_family_offsets(2, n_g)
+        sizes = {name: s.stop - s.start for name, s in off.items()}
+        assert sizes == {
+            "tr1": 3, "tr2": 3, "G": n_g, "diagY": 4, "rowsum": 2, "colsum": 2,
+            "B": 4, "corner": 1, "trY": 1,
+        }
+        assert off["trY"].stop == prob.m
         assert prob.n == 5
+
+        def rows(*names):
+            return [i for name in names for i in range(off[name].start, off[name].stop)]
+
+        # key: (inequality, entries per row, touches row 0, has an
+        # off-diagonal entry); the zero diagonals of both matrices leave the
+        # objective, and so the G rows, off the diagonal
+        assert qap_family_rows(prob) == {
+            (False, 2, False, False): [0, 2, 3, 5],  # tr1 (k, k) and tr2 (i, i)
+            (False, 2, False, True): [1, 4],  # tr1 (0, 1) and tr2 (0, 1)
+            (True, 1, False, True): rows("G"),
+            (False, 2, True, True): rows("diagY", "rowsum", "colsum"),
+            (True, 1, True, True): rows("B"),
+            (False, 1, True, False): rows("corner"),
+            (False, 4, False, False): rows("trY"),
+        }
 
     def test_g_count_tracks_kron_support(self):
         rng = np.random.default_rng(3)
@@ -108,8 +134,11 @@ class TestBuildQap:
         np.fill_diagonal(d, 0)
         q = QapInstance(w, d)
         prob = build_qap(q)
-        n_g = sum(1 for label in prob.labels if label[0] == "G")
+        # the G rows are the inequalities off the corner row
+        shapes = qap_family_rows(prob)
+        n_g = sum(len(v) for (ineq, _, corner, _), v in shapes.items() if ineq and not corner)
         assert n_g == np.count_nonzero(w) * np.count_nonzero(d)
+        assert prob.m == qap_family_offsets(3, n_g)["trY"].stop
 
     def test_partial_trace_identities(self):
         rng = np.random.default_rng(1)
@@ -125,7 +154,6 @@ class TestBuildQap:
         assert frob(prob.cost) == pytest.approx(1.0, abs=1e-10)
         norms = prob.constraints.frob_norms()
         assert norms.max() - norms.min() <= 1e-12 * norms.max()
-        assert prob.op_norm_estimate is not None
         # after normalization the operator norm estimate is one
         from specbundle.problem import estimate_operator_norm
 
@@ -245,7 +273,7 @@ class TestOperatorBundles:
         x = rng.standard_normal((n, n))
         x = x + x.T
         np.testing.assert_allclose(
-            diag.adjoint_matvec(y, v[:, 0]), generic.adjoint_matvec(y, v[:, 0]), atol=1e-13
+            diag.adjoint_matrix(y) @ v[:, 0], generic.adjoint_matrix(y) @ v[:, 0], atol=1e-13
         )
         np.testing.assert_allclose(
             diag.adjoint_inner_lowrank(y, v), generic.adjoint_inner_lowrank(y, v), atol=1e-13
@@ -534,3 +562,97 @@ class TestSparseImagesBitIdentity:
         maxcut = build_maxcut(make_k3())
         z = np.array([1.0, -2.0, 0.5])
         assert np.array_equal(proj_N(z, maxcut), proj_N_frozen(z, maxcut))
+
+
+def _qap_cases():
+    rng = np.random.default_rng(41)
+    cases = []
+    for n in (1, 2, 3, 5, 12):
+        cases.append((f"sparse-{n}", random_qap(n, n)))
+        # no zero entry anywhere: every objective entry carries a G row
+        w = rng.uniform(1, 2, (n, n))
+        d = rng.uniform(1, 2, (n, n))
+        cases.append((f"dense-{n}", QapInstance(w + w.T, d + d.T)))
+    cases.append(("zero-weights-3", QapInstance(np.zeros((3, 3)), random_qap(3, 2).distances)))
+    return cases
+
+
+QAP_CASES = _qap_cases()
+
+
+def _assert_same_array(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+class TestQapEntriesFrozen:
+    """The array-built QAP rows equal the frozen per-constraint loop bit for
+    bit, and so does every scaled quantity of ``build_qap``."""
+
+    @pytest.mark.parametrize("name,q", QAP_CASES, ids=[c[0] for c in QAP_CASES])
+    def test_entries_match_loop(self, name, q):
+        from _oracles import qap_constraint_entries_frozen
+        from specbundle.problem import qap_constraint_entries
+
+        *want, labels, kron_want = qap_constraint_entries_frozen(q)
+        *got, kron = qap_constraint_entries(q)
+        for g, w in zip(got, want):
+            _assert_same_array(g, w)
+        _assert_same_array(kron, kron_want)
+        # every family sits where the offsets put it
+        off = qap_family_offsets(q.size, int(np.count_nonzero(kron)))
+        assert [label[0] for label in labels] == [
+            name for name, s in off.items() for _ in range(s.start, s.stop)
+        ]
+
+    @pytest.mark.parametrize("name,q", QAP_CASES, ids=[c[0] for c in QAP_CASES])
+    def test_build_qap_matches_loop(self, name, q):
+        from _oracles import build_qap_frozen
+
+        cost, scale_c, b, idx, rows, cols, vals = build_qap_frozen(q)
+        prob = build_qap(q)
+        assert prob.scale_c == scale_c
+        for g, w in (
+            (prob.cost.data, cost.data),
+            (prob.cost.indices, cost.indices),
+            (prob.cost.indptr, cost.indptr),
+            (prob.b, b),
+            (prob.constraints.idx, idx),
+            (prob.constraints.rows, rows),
+            (prob.constraints.cols, cols),
+            (prob.constraints.vals, vals),
+        ):
+            _assert_same_array(g, w)
+
+
+class TestCostOverflow:
+    """A cost whose Frobenius norm would overflow is rejected with a message
+    that names the cause, with no floating-point warning first."""
+
+    def test_maxcut_heavy_edge(self):
+        g = GraphInstance.from_edges(3, [(0, 1, 1e160), (1, 2, 1.0)])
+        with pytest.raises(ValueError, match="edge weight.*overflow"):
+            build_maxcut(g)
+
+    def test_maxcut_norm_at_the_bound(self):
+        # entries below the bound whose norm reaches it, and just below
+        with pytest.raises(ValueError, match="Frobenius norm is .*overflow"):
+            build_maxcut(GraphInstance.from_edges(3, [(0, 1, 2e154), (1, 2, 1.0)]))
+        prob = build_maxcut(GraphInstance.from_edges(3, [(0, 1, 1e154), (1, 2, 1.0)]))
+        assert np.isfinite(prob.scale_c) and np.isfinite(prob.cost.data).all()
+
+    @pytest.mark.parametrize("big", [1e160, 1e200])
+    def test_qap_heavy_entry(self, big):
+        q = random_qap(3, 4)
+        w = q.weights.copy()
+        w[0, 1] = w[1, 0] = big
+        with pytest.raises(ValueError, match="distance times the largest weight.*overflow"):
+            build_qap(QapInstance(w, q.distances))
+
+    def test_generic_cost(self):
+        from specbundle.problem import build_from_families
+
+        cost = np.array([[1e155, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="Frobenius norm is .*overflow"):
+            build_from_families(2, cost, ([0], [0], [0], [1.0]), [1.0], [False])
