@@ -38,7 +38,6 @@ from .rounding import CutResult, GapTracker, PermResult, hungarian, maxcut_round
 from .sketch import NystromSketch, reconstruct, sketch_init, sketch_update
 from .subqp import (
     EvalCoeffs,
-    IpmOptions,
     IpmState,
     QuadCoeffs,
     alternating_max,

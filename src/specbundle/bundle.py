@@ -203,6 +203,10 @@ class IterationInfo:
     eig_converged: bool
     eig_leading_residual: float
     eig_leading_converged: bool
+    # passes of the (X, nu) alternation; alt_exact is False when it stopped at
+    # its pass cap with nu still moving, or an interior-point solve was inexact
+    alt_passes: int
+    alt_exact: bool
 
 
 @dataclass
@@ -525,6 +529,8 @@ def solve(
                     eig_converged=eig_cand.converged,
                     eig_leading_residual=float(eig_cand.residuals[0]),
                     eig_leading_converged=eig_cand.leading_converged,
+                    alt_passes=alt.passes,
+                    alt_exact=alt.exact,
                 )
             )
         t += 1

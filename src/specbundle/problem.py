@@ -346,6 +346,8 @@ def dual_slack_operator(prob: SdpProblem, y: np.ndarray) -> LinOp:
 # a cost whose Frobenius norm reaches this bound is rejected: the sum of its
 # squares would come within a factor of four of the float range
 _MAX_COST_NORM = math.sqrt(np.finfo(float).max) / 2
+# below this largest entry the squares of the cost underflow
+_MIN_COST_PEAK = math.sqrt(np.finfo(float).tiny)
 
 
 def _check_cost_size(size: float, what: str) -> None:
@@ -358,13 +360,16 @@ def _check_cost_size(size: float, what: str) -> None:
 
 def _normalized_cost(c_raw: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
     """The cost over its Frobenius norm, and that norm (1 for a zero cost).
-    Raises ValueError before it sums squares that would overflow."""
+    Raises ValueError before it sums squares that would overflow, and sums
+    squares that would underflow in units of the largest entry."""
     data = np.abs(c_raw.data)
     peak = float(data.max(initial=0.0))
-    if peak * math.sqrt(data.size) >= _MAX_COST_NORM:  # it may reach the bound
-        norm = peak * math.sqrt(float(np.sum(np.square(data / peak))))  # in units of peak
-        _check_cost_size(norm, "the cost's Frobenius norm")
-    scale_c = float(np.sqrt((c_raw.multiply(c_raw)).sum())) or 1.0
+    tiny = 0.0 < peak < _MIN_COST_PEAK  # its squares would underflow
+    if tiny or peak * math.sqrt(data.size) >= _MAX_COST_NORM:  # or the norm may reach the bound
+        scale_c = peak * math.sqrt(float(np.sum(np.square(data / peak))))  # in units of peak
+        _check_cost_size(scale_c, "the cost's Frobenius norm")
+    if not tiny:
+        scale_c = float(np.sqrt((c_raw.multiply(c_raw)).sum())) or 1.0
     return (c_raw / scale_c).tocsr(), scale_c
 
 
@@ -398,9 +403,15 @@ def build_maxcut(g: GraphInstance, alpha: float = 2.0) -> SdpProblem:
 def _qap_kron(q: QapInstance) -> np.ndarray:
     """``np.kron(distances, weights)``, the lifted objective.  Its largest
     entry is the product of the two largest magnitudes, checked before the
-    product is formed."""
-    peak = float(np.abs(q.distances).max()) * float(np.abs(q.weights).max())
+    product is formed: it must neither overflow nor underflow."""
+    d_max, w_max = float(np.abs(q.distances).max()), float(np.abs(q.weights).max())
+    peak = d_max * w_max
     _check_cost_size(peak, "the largest distance times the largest weight")
+    if d_max > 0.0 and w_max > 0.0 and peak < np.finfo(float).tiny:
+        raise ValueError(
+            f"the largest distance times the largest weight is {d_max:.3g} x {w_max:.3g}, "
+            "below the smallest normal float, so the cost would underflow; rescale the instance"
+        )
     return np.kron(q.distances, q.weights)
 
 

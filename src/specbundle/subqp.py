@@ -1,15 +1,16 @@
-"""Primal-dual path-following solvers for the small bundle subproblems.
+"""Solvers for the small bundle subproblems.
 
-Two subproblems share one Newton core: evaluating the model (a linear
-objective over the trace-budget spectrahedron) and the quadratic proximal
-subproblem whose solution drives the candidate iterate.  Both are solved in
-budget-rescaled variables where the feasible set is
+Both live in budget-rescaled variables where the feasible set is
 
     eta >= 0,  S >= 0,  tr(S) + eta <= 1,
 
 and the trace-bound factor is absorbed into the coefficients; solutions are
-rescaled on exit.  The Newton system is reduced analytically to a single
-symmetric positive definite solve on the S-block.
+rescaled on exit.  The model value at a candidate minimizes a linear
+objective over this set, so it sits at a vertex and takes one k x k
+eigenvalue.  The quadratic proximal subproblem, whose solution drives the
+candidate iterate, is solved by a primal-dual path-following method whose
+Newton system is reduced analytically to a single symmetric positive
+definite solve on the S-block.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .problem import SdpProblem, proj_N
 from .symlin import (
     ConditioningError,
     is_positive_definite,
+    small_eigh,
     solve_spd,
     svec,
     svec_dim,
@@ -36,7 +38,6 @@ __all__ = [
     "EvalCoeffs",
     "QuadCoeffs",
     "IpmState",
-    "IpmOptions",
     "IpmResult",
     "StepFailureError",
     "assemble_eval_coeffs",
@@ -66,10 +67,6 @@ class EvalCoeffs:
     has_eta: bool
     k: int
 
-    @property
-    def trace_vec(self) -> np.ndarray:
-        return svec_identity(self.k)
-
 
 @dataclass
 class QuadCoeffs:
@@ -89,23 +86,6 @@ class QuadCoeffs:
     k: int
     cost_quad: Optional[np.ndarray] = None  # V^T C V, cached for reuse
     compressed: Optional[np.ndarray] = None  # stacked svec(V^T A_i V) rows
-
-    @property
-    def trace_vec(self) -> np.ndarray:
-        return svec_identity(self.k)
-
-
-def _as_quad(c: EvalCoeffs) -> QuadCoeffs:
-    d = svec_dim(c.k)
-    return QuadCoeffs(
-        quad_ss=np.zeros((d, d)),
-        quad_s_eta=np.zeros(d),
-        quad_eta=0.0,
-        lin_s=c.lin_s,
-        lin_eta=c.lin_eta,
-        has_eta=c.has_eta,
-        k=c.k,
-    )
 
 
 @dataclass
@@ -142,19 +122,21 @@ class IpmState:
         return is_positive_definite(self.s_mat) and is_positive_definite(self.t_mat)
 
 
-@dataclass
-class IpmOptions:
-    # the final duality gap tracks mu times the number of complementarity
-    # pairs (empirically about 1e2 x mu), so the barrier exit sits well
-    # below the 1e-8 slack the model-condition checks rely on
-    mu_tol: float = 1e-11
-    kkt_tol: float = 1e-6
-    max_newton: int = 100
-    step_frac: float = 0.99
-    backtrack: float = 0.8
-    min_step: float = 1e-12
-    max_step_failures: int = 6
-    warm_blend: float = 0.2  # pull warm starts this far toward the cold center
+# interior-point settings.  The final duality gap tracks mu times the number
+# of complementarity pairs (empirically about 1e2 x mu), so the barrier exit
+# sits well below the 1e-8 slack the model-condition checks rely on
+MU_TOL = 1e-11
+KKT_TOL = 1e-6
+MAX_NEWTON = 100
+STEP_FRAC = 0.99
+BACKTRACK = 0.8
+MIN_STEP = 1e-12
+MAX_STEP_FAILURES = 6
+WARM_BLEND = 0.2  # pull warm starts this far toward the cold center
+
+# the alternation is exact once nu moves by at most ALT_TOL * (1 + ||b||)
+ALT_MAX_PASSES = 50
+ALT_TOL = 1e-8
 
 
 @dataclass
@@ -171,7 +153,7 @@ class IpmResult:
     s_opt: np.ndarray  # k x k, budget-rescaled units
     eta_opt: float
     value: float
-    state: IpmState
+    state: Optional[IpmState]  # None for the closed-form model value
     newton_iters: int
     exact: bool
 
@@ -206,7 +188,7 @@ def _stationarity(
     q: QuadCoeffs, st: IpmState, s_vec: np.ndarray, t_vec: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Dual residuals at ``st``, given s_vec = svec(S) and t_vec = svec(T)."""
-    f1 = q.quad_ss @ s_vec + q.lin_s - t_vec + st.omega * q.trace_vec
+    f1 = q.quad_ss @ s_vec + q.lin_s - t_vec + st.omega * svec_identity(q.k)
     f2 = 0.0
     if q.has_eta:
         f1 = f1 + st.eta * q.quad_s_eta
@@ -233,7 +215,7 @@ def _direction(
 ) -> Direction:
     """:func:`newton_direction` from the stationarity residuals (f1, f2),
     t_vec = svec(T) and the trace slack sigma at ``st``."""
-    v_i = q.trace_vec
+    v_i = svec_identity(q.k)
     s_inv = np.linalg.inv(st.s_mat)
     s_inv = 0.5 * (s_inv + s_inv.T)
     e_op = symm_kron(st.t_mat, s_inv)
@@ -276,17 +258,17 @@ def _direction(
     return Direction(ds_vec=ds, deta=deta, dt_vec=dt, dzeta=dzeta, domega=domega)
 
 
-def line_search_feasible(st: IpmState, d: Direction, opts: IpmOptions | None = None) -> float:
+def line_search_feasible(st: IpmState, d: Direction) -> float:
     """Largest step fraction in (0, 1] keeping the state strictly feasible.
 
     Scalar blocks and the trace slack have exact boundary steps; the two
     matrix blocks are checked by Cholesky with backtracking.
     """
-    return _line_search(st, d, opts or IpmOptions(), st.trace_slack())[0]
+    return _line_search(st, d, st.trace_slack())[0]
 
 
 def _line_search(
-    st: IpmState, d: Direction, opts: IpmOptions, sigma: float
+    st: IpmState, d: Direction, sigma: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """:func:`line_search_feasible` given the trace slack sigma at ``st``,
     also returning svec_inv of the two matrix directions for the update."""
@@ -309,10 +291,10 @@ def _line_search(
     dsigma = -(v_i @ d.ds_vec + d.deta)
     if dsigma < 0:
         bounds.append(-sigma / dsigma)
-    delta = min(1.0, opts.step_frac * min(bounds)) if bounds else 1.0
+    delta = min(1.0, STEP_FRAC * min(bounds)) if bounds else 1.0
     ds_mat = svec_inv(d.ds_vec)
     dt_mat = svec_inv(d.dt_vec)
-    while delta >= opts.min_step:
+    while delta >= MIN_STEP:
         ok = is_positive_definite(st.s_mat + delta * ds_mat) and is_positive_definite(
             st.t_mat + delta * dt_mat
         )
@@ -326,7 +308,7 @@ def _line_search(
                 ok = False
         if ok:
             return delta, ds_mat, dt_mat
-        delta *= opts.backtrack
+        delta *= BACKTRACK
     raise StepFailureError("no strictly feasible step above minimum")
 
 
@@ -341,14 +323,38 @@ def _barrier_target(st: IpmState, delta: float, estimate: float) -> float:
     return min(st.mu, gamma * estimate)
 
 
-def _ipm_solve(q: QuadCoeffs, warm: IpmState | None, opts: IpmOptions) -> IpmResult:
+def ipm_eval(coeffs: EvalCoeffs) -> IpmResult:
+    """Minimize the linear model objective over the budget set.
+
+    A linear function is smallest at a vertex of the set: the origin,
+    S = v v^T for a unit eigenvector v of the least eigenvalue of
+    svec_inv(lin_s), or eta = 1.  So the value is min(0, lambda_min, lin_eta)
+    and no Newton step runs.
+    """
+    vals, vecs = small_eigh(svec_inv(coeffs.lin_s))
+    lam = float(vals[-1])
+    s_opt = np.zeros((coeffs.k, coeffs.k))
+    eta_opt = value = 0.0
+    if coeffs.has_eta and coeffs.lin_eta < min(lam, 0.0):
+        eta_opt, value = 1.0, float(coeffs.lin_eta)
+    elif lam < 0.0:
+        s_opt, value = np.outer(vecs[:, -1], vecs[:, -1]), lam
+    return IpmResult(
+        s_opt=s_opt, eta_opt=eta_opt, value=value, state=None, newton_iters=0, exact=True
+    )
+
+
+def ipm_quad(coeffs: QuadCoeffs, warm: IpmState | None = None) -> IpmResult:
+    """Minimize the quadratic proximal objective over the budget set,
+    optionally warm-started from a previous strictly feasible state."""
+    q = coeffs
     st = None
     if warm is not None and warm.k == q.k and warm.has_eta == q.has_eta:
         if warm.strictly_feasible():
             # blend toward the cold center: a converged previous state sits
             # on the boundary, where Newton steps for the new coefficients
             # would be truncated to nothing
-            lam = opts.warm_blend
+            lam = WARM_BLEND
             cold = _cold_state(q.k, q.has_eta)
             st = IpmState(
                 s_mat=(1 - lam) * warm.s_mat + lam * cold.s_mat,
@@ -381,28 +387,24 @@ def _ipm_solve(q: QuadCoeffs, warm: IpmState | None, opts: IpmOptions) -> IpmRes
     # system as well as the duality gap.  It changes only with the state, so
     # the estimate behind each barrier update serves the next step's gate.
     achieved = st.complementarity() / (2.0 * st.pairs())
-    for iters in range(1, opts.max_newton + 1):
+    for iters in range(1, MAX_NEWTON + 1):
         t_vec = svec(st.t_mat)
         f1, f2 = _stationarity(q, st, svec(st.s_mat), t_vec)
         stat_res = max(float(np.abs(f1).max()), abs(f2))
-        if (
-            mu < opts.mu_tol
-            and achieved < opts.mu_tol
-            and stat_res <= opts.kkt_tol * coeff_scale
-        ):
+        if mu < MU_TOL and achieved < MU_TOL and stat_res <= KKT_TOL * coeff_scale:
             exact = True
             iters -= 1
             break
         sigma = st.trace_slack()
         try:
             d = _direction(q, st, mu, f1, f2, t_vec, sigma)
-            delta, ds_mat, dt_mat = _line_search(st, d, opts, sigma)
+            delta, ds_mat, dt_mat = _line_search(st, d, sigma)
         except (ConditioningError, StepFailureError):
             # recovery: recenter by raising the barrier target
             failures += 1
-            if failures > opts.max_step_failures:
+            if failures > MAX_STEP_FAILURES:
                 break
-            mu = max(mu * 10.0, 10.0 * opts.mu_tol)
+            mu = max(mu * 10.0, 10.0 * MU_TOL)
             st.mu = mu
             continue
         failures = 0
@@ -428,19 +430,6 @@ def _ipm_solve(q: QuadCoeffs, warm: IpmState | None, opts: IpmOptions) -> IpmRes
         newton_iters=iters,
         exact=exact,
     )
-
-
-def ipm_eval(coeffs: EvalCoeffs, opts: IpmOptions | None = None) -> IpmResult:
-    """Minimize the linear model objective over the budget set."""
-    return _ipm_solve(_as_quad(coeffs), None, opts or IpmOptions())
-
-
-def ipm_quad(
-    coeffs: QuadCoeffs, warm: IpmState | None = None, opts: IpmOptions | None = None
-) -> IpmResult:
-    """Minimize the quadratic proximal objective over the budget set,
-    optionally warm-started from a previous strictly feasible state."""
-    return _ipm_solve(coeffs, warm, opts or IpmOptions())
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +532,6 @@ def alternating_max(
     model,
     y: np.ndarray,
     rho: float,
-    opts: IpmOptions | None = None,
-    max_passes: int = 50,
-    tol: float = 1e-8,
     nu0: np.ndarray | None = None,
 ) -> AltMaxResult:
     """Blockwise maximization of the proximal coupling over (X, nu).
@@ -554,9 +540,9 @@ def alternating_max(
     started between passes); the slack block is a closed-form projection.
     Without inequality rows a single X step is exact.  ``nu0`` seeds the
     slack block (the caller's previous slack), so inner progress compounds
-    across outer iterations when the pass budget truncates convergence.
+    across outer iterations when the pass budget truncates convergence; a
+    result cut off by the pass cap is not exact.
     """
-    opts = opts or IpmOptions()
     alpha = prob.alpha
     tr = model.stats.trace
     has_eta = tr > 0.0
@@ -565,15 +551,10 @@ def alternating_max(
     base: QuadCoeffs | None = None
     exact = True
     b_norm = float(np.linalg.norm(prob.b))
-
-    eta_act = 0.0
-    s_act = np.zeros((model.basis.shape[1],) * 2)
-    a_x = np.zeros(prob.m)
-    passes = 0
-    for passes in range(1, max_passes + 1):
+    for passes in range(1, ALT_MAX_PASSES + 1):
         coeffs = assemble_quad_coeffs(prob, model, y, nu, rho, base=base)
         base = coeffs
-        res = ipm_quad(coeffs, warm=warm, opts=opts)
+        res = ipm_quad(coeffs, warm=warm)
         warm = res.state
         exact = exact and res.exact
         s_act = alpha * res.s_opt
@@ -582,8 +563,8 @@ def alternating_max(
             model.basis, s_act
         )
         nu_next = proj_N(a_x + rho * y - prob.b, prob)
-        done = (not prob.has_ineq) or (
-            np.linalg.norm(nu_next - nu) <= tol * (1.0 + b_norm)
+        done = (not prob.has_ineq) or bool(
+            np.linalg.norm(nu_next - nu) <= ALT_TOL * (1.0 + b_norm)
         )
         nu = nu_next
         if done:
@@ -599,5 +580,5 @@ def alternating_max(
         c_x=c_x,
         tr_x=tr_x,
         passes=passes,
-        exact=exact,
+        exact=exact and done,
     )

@@ -414,7 +414,19 @@ class _FrozenStepFailure(RuntimeError):
     pass
 
 
-def line_search_frozen(st, d, opts) -> float:
+# the interior-point settings the frozen loop was pinned with, copied here so
+# that a changed setting in the solver breaks the pins
+_MU_TOL = 1e-11
+_KKT_TOL = 1e-6
+_MAX_NEWTON = 100
+_STEP_FRAC = 0.99
+_BACKTRACK = 0.8
+_MIN_STEP = 1e-12
+_MAX_STEP_FAILURES = 6
+_WARM_BLEND = 0.2
+
+
+def line_search_frozen(st, d) -> float:
     """Step fraction for the direction tuple ``d``; raises
     ``_FrozenStepFailure`` where the solver raises ``StepFailureError``."""
     from specbundle.symlin import svec_identity
@@ -440,10 +452,10 @@ def line_search_frozen(st, d, opts) -> float:
     dsigma = -(v_i @ ds + deta)
     if dsigma < 0:
         bounds.append(-sigma / dsigma)
-    delta = min(1.0, opts.step_frac * min(bounds)) if bounds else 1.0
+    delta = min(1.0, _STEP_FRAC * min(bounds)) if bounds else 1.0
     ds_mat = svec_inv_frozen(ds)
     dt_mat = svec_inv_frozen(dt)
-    while delta >= opts.min_step:
+    while delta >= _MIN_STEP:
         ok = _chol_ok(st.s_mat + delta * ds_mat) and _chol_ok(st.t_mat + delta * dt_mat)
         if ok:
             if st.omega + delta * domega <= 0 or sigma + delta * dsigma <= 0:
@@ -452,11 +464,11 @@ def line_search_frozen(st, d, opts) -> float:
                 ok = False
         if ok:
             return delta
-        delta *= opts.backtrack
+        delta *= _BACKTRACK
     raise _FrozenStepFailure("no strictly feasible step above minimum")
 
 
-def ipm_solve_frozen(q, warm, opts):
+def ipm_solve_frozen(q, warm):
     """The interior-point Newton loop.  Returns (s_opt, eta_opt, value,
     state, newton_iters, exact)."""
     from specbundle.symlin import ConditioningError
@@ -467,7 +479,7 @@ def ipm_solve_frozen(q, warm, opts):
             warm.s_mat, warm.eta, warm.t_mat, warm.zeta, warm.omega, warm.mu, warm.has_eta
         )
         if warm_f.strictly_feasible():
-            lam = opts.warm_blend
+            lam = _WARM_BLEND
             cold = _frozen_cold_state(q.k, q.has_eta)
             st = FrozenIpmState(
                 s_mat=(1 - lam) * warm.s_mat + lam * cold.s_mat,
@@ -494,26 +506,26 @@ def ipm_solve_frozen(q, warm, opts):
     exact = False
     failures = 0
     iters = 0
-    for iters in range(1, opts.max_newton + 1):
+    for iters in range(1, _MAX_NEWTON + 1):
         f1, f2 = stationarity_frozen(q, st)
         stat_res = max(float(np.max(np.abs(f1))), abs(f2))
         achieved = st.complementarity() / (2.0 * st.pairs())
         if (
-            mu < opts.mu_tol
-            and achieved < opts.mu_tol
-            and stat_res <= opts.kkt_tol * coeff_scale
+            mu < _MU_TOL
+            and achieved < _MU_TOL
+            and stat_res <= _KKT_TOL * coeff_scale
         ):
             exact = True
             iters -= 1
             break
         try:
             d = newton_direction_frozen(q, st, mu)
-            delta = line_search_frozen(st, d, opts)
+            delta = line_search_frozen(st, d)
         except (ConditioningError, _FrozenStepFailure):
             failures += 1
-            if failures > opts.max_step_failures:
+            if failures > _MAX_STEP_FAILURES:
                 break
-            mu = max(mu * 10.0, 10.0 * opts.mu_tol)
+            mu = max(mu * 10.0, 10.0 * _MU_TOL)
             st.mu = mu
             continue
         failures = 0

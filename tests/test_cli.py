@@ -457,3 +457,15 @@ def test_overflowing_cost_exits_with_message(tmp_path, capsys, case):
     assert rc == 1
     err = capsys.readouterr().err
     assert "overflow" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tiny", [1e-170, 1e-160])
+def test_underflowing_qap_cost_exits_with_message(tmp_path, capsys, tiny):
+    q = random_qap(3, 4, lo=1)
+    path = tmp_path / "q.dat"
+    write_qaplib(QapInstance(tiny * q.weights, tiny * q.distances), path)
+    capsys.readouterr()
+    rc = main(["solve", "--problem", "qap", "--input", str(path), "--out", str(tmp_path / "m.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "underflow" in err and "Traceback" not in err

@@ -656,3 +656,24 @@ class TestCostOverflow:
         cost = np.array([[1e155, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="Frobenius norm is .*overflow"):
             build_from_families(2, cost, ([0], [0], [0], [1.0]), [1.0], [False])
+
+
+class TestCostUnderflow:
+    """A cost whose squares underflow is normalized in units of its largest
+    entry; a QAP objective whose products underflow is rejected with a
+    message that names the cause."""
+
+    @pytest.mark.parametrize("w", [1e-170, 1e-160])
+    def test_maxcut_tiny_edges(self, w):
+        edges = [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0)]
+        ref = build_maxcut(GraphInstance.from_edges(3, edges))
+        prob = build_maxcut(GraphInstance.from_edges(3, [(a, b, w * x) for a, b, x in edges]))
+        assert prob.scale_c == pytest.approx(w * ref.scale_c, rel=1e-14)
+        assert float(np.sqrt(np.sum(prob.cost.data**2))) == pytest.approx(1.0, rel=1e-14)
+        np.testing.assert_allclose(prob.cost.toarray(), ref.cost.toarray(), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("tiny", [1e-170, 1e-160])
+    def test_qap_tiny_entries(self, tiny):
+        q = random_qap(3, 4, lo=1)
+        with pytest.raises(ValueError, match="distance times the largest weight.*underflow"):
+            build_qap(QapInstance(tiny * q.weights, tiny * q.distances))

@@ -18,7 +18,7 @@ from specbundle.bundle import SolverConfig, cold_start
 from specbundle.problem import build_from_families, build_maxcut, build_qap, proj_N
 from specbundle.subqp import (
     EvalCoeffs,
-    IpmOptions,
+    IpmResult,
     IpmState,
     QuadCoeffs,
     StepFailureError,
@@ -149,6 +149,74 @@ class TestIpmEval:
             lam_min = float(np.linalg.eigvalsh(g)[0])
             oracle = min(lam_min, g2, 0.0) if has_eta else min(lam_min, 0.0)
             assert res.value == pytest.approx(oracle, abs=1e-6)
+
+    def test_closed_form_vertex(self):
+        """The value is the analytic minimum to rounding, and the returned
+        vertex lies in the budget set and attains it."""
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            k = int(rng.integers(1, 12))
+            g = rng.standard_normal((k, k))
+            g = 0.5 * (g + g.T) + float(rng.uniform(-1.0, 3.0)) * np.eye(k)
+            g2 = float(rng.standard_normal())
+            has_eta = bool(rng.integers(0, 2))
+            res = ipm_eval(eval_coeffs(g, g2 if has_eta else None))
+            lam_min = float(np.linalg.eigvalsh(g)[0])
+            oracle = min(lam_min, g2, 0.0) if has_eta else min(lam_min, 0.0)
+            assert abs(res.value - oracle) <= 1e-12 * (1.0 + abs(oracle))
+            assert res.newton_iters == 0 and res.exact and res.state is None
+            s = res.s_opt
+            assert np.array_equal(s, s.T) and np.linalg.eigvalsh(s)[0] >= -1e-12
+            assert res.eta_opt >= 0.0 and (has_eta or res.eta_opt == 0.0)
+            assert np.trace(s) + res.eta_opt <= 1.0 + 1e-12
+            attained = float(np.sum(g * s)) + (g2 * res.eta_opt if has_eta else 0.0)
+            assert abs(attained - res.value) <= 1e-12 * (1.0 + abs(oracle))
+
+
+def frozen_eval(coeffs):
+    """The model value by the frozen interior-point loop, on the
+    zero-quadratic coefficients, as the solver computed it before."""
+    sd = svec_dim(coeffs.k)
+    as_quad = QuadCoeffs(
+        quad_ss=np.zeros((sd, sd)), quad_s_eta=np.zeros(sd), quad_eta=0.0,
+        lin_s=coeffs.lin_s, lin_eta=coeffs.lin_eta, has_eta=coeffs.has_eta, k=coeffs.k,
+    )
+    return IpmResult(*ipm_solve_frozen(as_quad, None))
+
+
+class TestEvalDecisions:
+    """The closed-form model value takes every descent/null decision the
+    interior-point value took, so the iterates do not move."""
+
+    def run(self, prob, cfg, evaluate=None, monkeypatch=None):
+        if evaluate is not None:
+            monkeypatch.setattr(bundle, "ipm_eval", evaluate)
+        records = []
+        bundle.solve(
+            prob, cfg, callback=lambda info: records.append((info.step, info.y, info.model_val))
+        )
+        if evaluate is not None:
+            monkeypatch.undo()
+        return records
+
+    @pytest.mark.parametrize("case", ["maxcut", "qap"])
+    def test_same_steps_and_iterates(self, monkeypatch, case):
+        if case == "maxcut":
+            from conftest import random_graph
+
+            prob = build_maxcut(random_graph(30, 0.2, 5))
+            cfg = SolverConfig(k_c=4, k_p=1, eps=1e-4, max_iters=60, seed=1)
+        else:
+            prob = build_qap(random_qap(5, seed=2))
+            cfg = SolverConfig(rho=0.005, k_c=2, k_p=0, sketch_rank=5, eps=1e-12, max_iters=25)
+        closed = self.run(prob, cfg)
+        frozen = self.run(prob, cfg, frozen_eval, monkeypatch)
+        assert len(closed) == len(frozen) >= 20
+        assert [r[0] for r in closed] == [r[0] for r in frozen]
+        assert {r[0] for r in closed} == {"descent", "null"}
+        for (_, y, val), (_, y_ref, val_ref) in zip(closed, frozen):
+            assert np.array_equal(y, y_ref)
+            assert abs(val - val_ref) <= 1e-8
 
 
 class TestAssembleQuad:
@@ -417,6 +485,21 @@ class TestAlternatingMax:
         tol = 1e-8 * (1.0 + max(abs(v) for v in values))
         assert all(b >= a - tol for a, b in zip(values, values[1:]))
 
+    def test_pass_cap_recorded_as_inexact(self):
+        """A QAP solve with the CLI's settings stops its second alternation
+        at the pass cap with nu still moving; MaxCut takes one exact pass."""
+        prob = build_qap(random_qap(5, 1))
+        cfg = SolverConfig(rho=0.005, beta=0.25, k_c=2, k_p=0, sketch_rank=5, max_iters=2)
+        infos = []
+        bundle.solve(prob, cfg, callback=infos.append)
+        assert infos[0].alt_passes < 50 and infos[0].alt_exact is True
+        assert infos[1].alt_passes == 50 and infos[1].alt_exact is False
+
+        prob = build_maxcut(make_k3())
+        infos = []
+        bundle.solve(prob, SolverConfig(max_iters=1), callback=infos.append)
+        assert infos[0].alt_passes == 1 and infos[0].alt_exact is True
+
     def test_trace_budget_respected(self):
         prob = build_maxcut(make_k3())
         cfg = SolverConfig(k_c=3, k_p=0)
@@ -517,28 +600,16 @@ class TestNewtonBitIdentity:
     @pytest.mark.parametrize("has_eta", [True, False])
     def test_cold_and_warm_solves(self, k, has_eta):
         rng = np.random.default_rng(400 + 10 * k + int(has_eta))
-        opts = IpmOptions()
         warm = None
         for trial in range(4):
             coeffs = random_quad(rng, k, has_eta, include_quad=trial != 2)
-            res = ipm_quad(coeffs, warm=warm, opts=opts)
-            assert_same_solve(res, ipm_solve_frozen(coeffs, warm, opts))
+            res = ipm_quad(coeffs, warm=warm)
+            assert_same_solve(res, ipm_solve_frozen(coeffs, warm))
             warm = res.state
-
-    @pytest.mark.parametrize("k", [1, 2, 5, 11])
-    def test_eval_solve(self, k):
-        rng = np.random.default_rng(500 + k)
-        for has_eta in (True, False):
-            coeffs = random_quad(rng, k, has_eta, include_quad=False)
-            ev = EvalCoeffs(
-                lin_s=coeffs.lin_s, lin_eta=coeffs.lin_eta, has_eta=has_eta, k=k
-            )
-            assert_same_solve(ipm_eval(ev), ipm_solve_frozen(coeffs, None, IpmOptions()))
 
     @pytest.mark.parametrize("k", [1, 2, 5, 11])
     def test_direction_and_step(self, k):
         rng = np.random.default_rng(600 + k)
-        opts = IpmOptions()
         for trial in range(6):
             has_eta = trial % 2 == 0
             coeffs = random_quad(rng, k, has_eta)
@@ -549,35 +620,23 @@ class TestNewtonBitIdentity:
             assert np.array_equal(d.ds_vec, frozen[0]) and d.deta == frozen[1]
             assert np.array_equal(d.dt_vec, frozen[2])
             assert d.dzeta == frozen[3] and d.domega == frozen[4]
-            assert line_search_feasible(st, d, opts) == line_search_frozen(st, frozen, opts)
+            assert line_search_feasible(st, d) == line_search_frozen(st, frozen)
 
     def test_qap_alternation_matches_frozen(self, monkeypatch):
-        """Every IPM solve of a few QAP outer iterations, with the warm
-        starts and coefficients the alternation really produces."""
+        """Every quadratic IPM solve of a few QAP outer iterations, with the
+        warm starts and coefficients the alternation really produces."""
         prob = build_qap(random_qap(5, seed=3))
         cfg = SolverConfig(rho=0.005, k_c=2, k_p=0, sketch_rank=5, max_iters=3, eps=1e-12)
         calls = []
-        real_quad, real_eval = subqp.ipm_quad, bundle.ipm_eval
+        real_quad = subqp.ipm_quad
 
-        def checked_quad(coeffs, warm=None, opts=None):
-            res = real_quad(coeffs, warm=warm, opts=opts)
-            assert_same_solve(res, ipm_solve_frozen(coeffs, warm, opts or IpmOptions()))
+        def checked_quad(coeffs, warm=None):
+            res = real_quad(coeffs, warm=warm)
+            assert_same_solve(res, ipm_solve_frozen(coeffs, warm))
             calls.append(res.newton_iters)
             return res
 
-        def checked_eval(coeffs, opts=None):
-            res = real_eval(coeffs, opts)
-            sd = svec_dim(coeffs.k)
-            as_quad = QuadCoeffs(
-                quad_ss=np.zeros((sd, sd)), quad_s_eta=np.zeros(sd), quad_eta=0.0,
-                lin_s=coeffs.lin_s, lin_eta=coeffs.lin_eta, has_eta=coeffs.has_eta,
-                k=coeffs.k,
-            )
-            assert_same_solve(res, ipm_solve_frozen(as_quad, None, opts or IpmOptions()))
-            return res
-
         monkeypatch.setattr(subqp, "ipm_quad", checked_quad)
-        monkeypatch.setattr(bundle, "ipm_eval", checked_eval)
         state, _ = bundle.solve(prob, cfg)
         assert state.iterations == 3
         assert len(calls) > 3 and sum(calls) > 0
