@@ -773,6 +773,12 @@ def _arrival_duals(y_kept: np.ndarray, prob: SdpProblem, cmap: np.ndarray) -> np
     return y
 
 
+def _rows_or_zeros(a: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Row ``src[v]`` of ``a`` for each v, or a zero row where ``src[v]`` is
+    ``len(a)``: one np.take gather in place of a zero fill and a row scatter."""
+    return np.take(np.vstack([a, np.zeros((1, a.shape[1]))]), src, axis=0)
+
+
 def warm_start_pad(
     prev: SolverState,
     new_prob: SdpProblem,
@@ -807,8 +813,10 @@ def warm_start_pad(
     model = prev.model
     tau = prev.scale_x / new_prob.scale_x
     factor_old, lams_old = model.store.factorize()
-    factor = np.zeros((new_prob.n, factor_old.shape[1]))
-    factor[vmap] = factor_old
+    # old row of each new vertex; a new vertex points one past the last row
+    src = np.full(new_prob.n, vmap.size)
+    src[vmap] = np.arange(vmap.size)
+    factor = _rows_or_zeros(factor_old, src)
     lams = tau * lams_old
 
     y = _arrival_duals(prev.y, new_prob, cmap)
@@ -816,8 +824,7 @@ def warm_start_pad(
     nu = np.zeros(new_prob.m)
     nu[cmap] = prev.nu
 
-    basis = np.zeros((new_prob.n, model.k))
-    basis[vmap] = model.basis
+    basis = _rows_or_zeros(model.basis, src)
 
     trace = float(lams.sum())
     cost_ip = new_prob.cost_factor_ip(factor, lams)

@@ -9,7 +9,11 @@ families (QAP and generic problems).
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -87,14 +91,17 @@ class GraphInstance:
         v = np.asarray(v, dtype=np.int64)
         w = np.asarray(w, dtype=float)
         keep = u != v
-        u, v, w = u[keep], v[keep], w[keep]
+        if not keep.all():  # copy only to drop self loops
+            u, v, w = u[keep], v[keep], w[keep]
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
         bad = (lo < 0) | (hi >= n)
         if bad.any():
             e = int(np.argmax(bad))
             raise ValueError(f"edge ({u[e]},{v[e]}) out of range for n={n}")
-        keys, inverse = np.unique(lo * n + hi, return_inverse=True)
+        key = lo * n
+        key += hi
+        keys, inverse = np.unique(key, return_inverse=True)
         # bincount adds each pair's weights in input order, starting from 0.0;
         # with no edges it returns integers
         ew = np.bincount(inverse, weights=w, minlength=keys.size).astype(float, copy=False)
@@ -218,9 +225,12 @@ class SparseConstraintFamilies:
         self._eff = np.where(self._diag, 1.0, 2.0) * self.vals
 
     def scaled(self, factors: np.ndarray) -> "SparseConstraintFamilies":
-        return SparseConstraintFamilies(
+        out = SparseConstraintFamilies(
             self.n, self.m, self.idx, self.rows, self.cols, self.vals * factors[self.idx]
         )
+        if "_adjoint_pattern" in self.__dict__:  # the same entries: share the pattern
+            out._adjoint_pattern = self._adjoint_pattern
+        return out
 
     # row gathers go through np.take: the same copy as v[self.rows], without
     # the fancy-indexing overhead, which dominates at QAP sizes
@@ -245,13 +255,50 @@ class SparseConstraintFamilies:
         vals = np.asarray(x[self.rows, self.cols]).ravel()
         return np.bincount(self.idx, weights=vals * self._eff, minlength=self.m)
 
-    def adjoint_matrix(self, y: np.ndarray):
-        data = y[self.idx] * self.vals
+    @functools.cached_property
+    def _adjoint_pattern(self):
+        """The CSR pattern of the adjoint, and the entries that fill each
+        stored value: ``(indptr, indices, first, steps)``.  The value at slot
+        s starts as entry ``first[s]``; each ``(slots, entries)`` in ``steps``
+        then adds one more duplicate to those slots.  This is the layout and
+        summation order of ``coo_matrix.tocsr()`` on the entries and their
+        mirrors: a stable scatter by row, scipy's own column sort (run here
+        on position tags), then duplicates summed in sorted order."""
         off = ~self._diag
         r = np.concatenate([self.rows, self.cols[off]])
         c = np.concatenate([self.cols, self.rows[off]])
-        d = np.concatenate([data, data[off]])
-        return sp.coo_matrix((d, (r, c)), shape=(self.n, self.n)).tocsr()
+        entry = np.concatenate([np.arange(self.rows.size), np.flatnonzero(off)])
+        by_row = np.argsort(r, kind="stable")
+        itype = np.int32 if max(r.size, self.n) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(self.n + 1, dtype=itype)
+        np.cumsum(np.bincount(r, minlength=self.n), out=indptr[1:])
+        # scipy's own column sort, on entry numbers in place of values
+        tags = sp.csr_matrix(
+            (entry[by_row].astype(float), c[by_row].astype(itype), indptr), shape=(self.n, self.n)
+        )
+        tags.sort_indices()
+        order = tags.data.astype(np.int64)
+        cols, rows = tags.indices, np.repeat(np.arange(self.n), np.diff(indptr))
+        opens = np.ones(cols.size, dtype=bool)  # first of a run of equal (row, col)
+        opens[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(opens)
+        sizes = np.diff(np.r_[starts, cols.size])
+        steps = []
+        for k in range(1, int(sizes.max(initial=1))):
+            slots = np.flatnonzero(sizes > k)
+            steps.append((slots, order[starts[slots] + k]))
+        indptr = np.searchsorted(starts, indptr).astype(itype)
+        return indptr, cols[starts], order[starts], steps
+
+    def adjoint_matrix(self, y: np.ndarray):
+        data = np.take(y, self.idx) * self.vals
+        indptr, indices, first, steps = self._adjoint_pattern
+        out = np.take(data, first)
+        for slots, entries in steps:
+            out[slots] += np.take(data, entries)
+        mat = sp.csr_matrix((out, indices.copy(), indptr.copy()), shape=(self.n, self.n))
+        mat.has_canonical_format = True
+        return mat
 
     def adjoint_inner_lowrank(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         m = v.T @ (self.adjoint_matrix(y) @ v)
@@ -264,7 +311,7 @@ class SparseConstraintFamilies:
         g = g + g.transpose(0, 2, 1)
         g[self._diag] *= 0.5
         g *= self.vals[:, None, None]
-        contrib = g[:, i, j] * w[None, :]
+        contrib = np.take(g.reshape(g.shape[0], k * k), i * k + j, axis=1) * w[None, :]
         out = np.zeros((self.m, svec_dim(k)))
         np.add.at(out, self.idx, contrib)
         return out
@@ -602,83 +649,195 @@ def build_from_families(
 # file formats
 
 
+# Entry fields as np.loadtxt reads them: ASCII digits with no digit
+# separators, and indices within int64.  The rescan that names a rejected
+# line applies the same grammar.
+_INDEX_TOKEN = re.compile(r"[+-]?[0-9]+", re.ASCII)
+_REAL_TOKEN = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|nan)",
+    re.ASCII | re.IGNORECASE,
+)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_ENTRY_DTYPES = {
+    2: np.dtype([("i", np.int64), ("j", np.int64)]),
+    3: np.dtype([("i", np.int64), ("j", np.int64), ("w", float)]),
+}
+# bytes after which a "%" starts a field of its own
+_FIELD_BREAKS = np.frombuffer(b" \t\n\r\x0b\x0c%", dtype=np.uint8)
+
+
+def _index_ok(tok: str) -> bool:
+    return _INDEX_TOKEN.fullmatch(tok) is not None and -_INT64_MAX - 1 <= int(tok) <= _INT64_MAX
+
+
+def _entry_lines(path, size_lineno: int):
+    """(line number, fields) of each entry line after the size line."""
+    with open(path, "r") as fh:
+        for ln, line in enumerate(fh, start=1):
+            text = line.strip()
+            if ln > size_lineno and text and not text.startswith("%"):
+                yield ln, text.split()
+
+
+def _first_bad_entry(path, size_lineno: int, want: int, nrows: int) -> ParseError | None:
+    """The per-line checks in file order: the error of the first entry line
+    with too few fields, a bad token or an index out of range."""
+    for ln, parts in _entry_lines(path, size_lineno):
+        if len(parts) < want:
+            return ParseError("entry line has too few fields", ln)
+        fields = parts[:want]
+        if not (_index_ok(fields[0]) and _index_ok(fields[1])) or (
+            want == 3 and _REAL_TOKEN.fullmatch(fields[2]) is None
+        ):
+            return ParseError(f"bad entry {' '.join(fields)!r}", ln)
+        i, j = int(fields[0]), int(fields[1])
+        if not (1 <= i <= nrows and 1 <= j <= nrows):
+            return ParseError(f"entry ({i},{j}) out of range", ln)
+    return None
+
+
+def _loadtxt_unsafe(path, encoding: str, size_lineno: int, want: int) -> bool:
+    """Whether an entry line holds a "%" or a non-ASCII character inside one
+    of its first ``want`` fields.  Such a line is malformed, and np.loadtxt
+    must not read it: it takes the "%" for the start of a comment and keeps
+    the field cut short, and its integer parser reads some non-ASCII
+    characters as digits and crashes on others."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    raw = np.frombuffer(data, dtype=np.uint8)
+    pct = np.flatnonzero(raw[1:] == ord("%")) + 1
+    glued = pct[~np.isin(raw[pct - 1], _FIELD_BREAKS)]
+    pos = np.concatenate([np.flatnonzero(raw >= 0x80), glued])
+    if not pos.size:
+        return False
+    # line ends as universal newlines reads them: \n, \r\n or a lone \r
+    lf, cr = raw == ord("\n"), raw == ord("\r")
+    cr[:-1] &= ~lf[1:]
+    ends = np.flatnonzero(lf | cr)
+    starts, stops = np.r_[0, ends + 1], np.r_[ends, raw.size]
+    lines = np.unique(np.searchsorted(ends, pos))  # 0-based, so line k + 1
+    for k in lines[lines >= size_lineno].tolist():
+        text = data[starts[k] : stops[k]].decode(encoding).strip()
+        fields = [] if text.startswith("%") else text.split()[:want]
+        if any("%" in f or not f.isascii() for f in fields):
+            return True
+    return False
+
+
+def _mirror_fault(i: np.ndarray, j: np.ndarray, w: np.ndarray) -> tuple[int, str] | None:
+    """The general-symmetry check.  Every off-diagonal entry (i, j) needs an
+    entry (j, i) whose weight matches to 1e-12 relative to its own; a
+    repeated entry counts with its last weight.  Returns the position of the
+    last entry of the first failing (i, j), in order of first appearance,
+    and the message, or None."""
+    count = i.size
+    if count == 0:
+        return None
+    ki, kj = i, j
+    span = int(max(i.max(), j.max())) + 1
+    if span > _MAX_VERTICES:  # i * span + j would overflow: number the indices in use
+        _, ranks = np.unique(np.concatenate([i, j]), return_inverse=True)
+        ki, kj, span = ranks[:count], ranks[count:], 2 * count
+    key = ki * span + kj
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
+    first = order[starts]
+    last = order[np.r_[starts[1:], count] - 1]
+    keys = sorted_key[starts]
+    mirror = kj[first] * span + ki[first]
+    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+    found = keys[at] == mirror
+    wl = w[last]
+    # inf - inf and differences past the float range compare as Python's do
+    with np.errstate(invalid="ignore", over="ignore"):
+        mismatch = np.abs(wl[at] - wl) > 1e-12 * (1 + np.abs(wl))
+    bad = np.flatnonzero((ki[first] != kj[first]) & (~found | mismatch))
+    if not bad.size:
+        return None
+    k = bad[np.argmin(first[bad])]
+    what = "mirror mismatch" if found[k] else "has no mirror"
+    return int(last[k]), f"entry ({i[first[k]]},{j[first[k]]}) {what}"
+
+
 def parse_graph_mm(path) -> GraphInstance:
     """MatrixMarket coordinate reader for symmetric pattern/real/integer
-    matrices; general-symmetry files must contain both mirror entries."""
+    matrices; general-symmetry files must contain both mirror entries.
+
+    The header and the size line are read line by line, the entry block in
+    one ``np.loadtxt`` pass, and the checks on it are array operations.
+    Only a block that fails them is read again, line by line, to name the
+    line at fault."""
     with open(path, "r") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ParseError("empty file", 1)
-    header = lines[0].strip().split()
-    if len(header) < 5 or not header[0].startswith("%%MatrixMarket"):
-        raise ParseError("missing MatrixMarket header", 1)
-    obj, fmt, fieldkind, symmetry = (t.lower() for t in header[1:5])
-    if obj != "matrix" or fmt != "coordinate":
-        raise ParseError("only coordinate matrices are supported", 1)
-    if fieldkind not in ("real", "integer", "pattern"):
-        raise ParseError(f"unsupported field {fieldkind}", 1)
-    if symmetry not in ("symmetric", "general"):
-        raise ParseError(f"unsupported symmetry {symmetry}", 1)
-    pattern = fieldkind == "pattern"
+        first = fh.readline()
+        if not first:
+            raise ParseError("empty file", 1)
+        header = first.strip().split()
+        if len(header) < 5 or not header[0].startswith("%%MatrixMarket"):
+            raise ParseError("missing MatrixMarket header", 1)
+        obj, fmt, fieldkind, symmetry = (t.lower() for t in header[1:5])
+        if obj != "matrix" or fmt != "coordinate":
+            raise ParseError("only coordinate matrices are supported", 1)
+        if fieldkind not in ("real", "integer", "pattern"):
+            raise ParseError(f"unsupported field {fieldkind}", 1)
+        if symmetry not in ("symmetric", "general"):
+            raise ParseError(f"unsupported symmetry {symmetry}", 1)
+        want = 2 if fieldkind == "pattern" else 3
 
-    lineno = 1
-    size_line = None
-    for lineno in range(2, len(lines) + 1):
-        text = lines[lineno - 1].strip()
-        if not text or text.startswith("%"):
-            continue
-        size_line = text
-        break
-    if size_line is None:
-        raise ParseError("missing size line", len(lines))
-    parts = size_line.split()
-    if len(parts) != 3:
-        raise ParseError("size line must have three fields", lineno)
-    try:
-        nrows, ncols, nnz = (int(p) for p in parts)
-    except ValueError as exc:
-        raise ParseError(f"bad size line: {exc}", lineno) from exc
-    if nrows != ncols:
-        raise ParseError(f"matrix must be square, got {nrows}x{ncols}", lineno)
-
-    entries: list[tuple[int, int, float]] = []
-    seen: dict[tuple[int, int], tuple[float, int]] = {}
-    count = 0
-    for ln in range(lineno + 1, len(lines) + 1):
-        text = lines[ln - 1].strip()
-        if not text or text.startswith("%"):
-            continue
+        lineno = 1
+        while True:
+            line = fh.readline()
+            if not line:
+                raise ParseError("missing size line", lineno)
+            lineno += 1
+            text = line.strip()
+            if text and not text.startswith("%"):
+                break
         parts = text.split()
-        want = 2 if pattern else 3
-        if len(parts) < want:
-            raise ParseError("entry line has too few fields", ln)
+        if len(parts) != 3:
+            raise ParseError("size line must have three fields", lineno)
         try:
-            i = int(parts[0]) - 1
-            j = int(parts[1]) - 1
-            w = 1.0 if pattern else float(parts[2])
+            nrows, ncols, nnz = (int(p) for p in parts)
         except ValueError as exc:
-            raise ParseError(f"bad entry: {exc}", ln) from exc
-        if not 0 <= i < nrows or not 0 <= j < ncols:
-            raise ParseError(f"entry ({i + 1},{j + 1}) out of range", ln)
-        count += 1
-        if symmetry == "general":
-            seen[(i, j)] = (w, ln)
-        if i != j:
-            entries.append((i, j, w))
+            raise ParseError(f"bad size line: {exc}", lineno) from exc
+        if nrows != ncols:
+            raise ParseError(f"matrix must be square, got {nrows}x{ncols}", lineno)
+
+        block = None
+        if not _loadtxt_unsafe(path, fh.encoding, lineno, want):
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    block = np.loadtxt(
+                        fh, dtype=_ENTRY_DTYPES[want], comments="%", usecols=range(want), ndmin=1
+                    )
+            except ValueError:
+                pass
+
+    if block is not None:
+        i, j = block["i"], block["j"]
+        low = min(i.min(initial=1), j.min(initial=1))
+        high = max(i.max(initial=0), j.max(initial=0))
+    if block is None or low < 1 or high > nrows:
+        raise _first_bad_entry(path, lineno, want, nrows) or ParseError(
+            "entry block could not be read", lineno
+        )
+    count = block.size
     if count != nnz:
-        raise ParseError(f"expected {nnz} entries, found {count}", len(lines))
+        with open(path, "r") as fh:
+            total = sum(1 for _ in fh)
+        raise ParseError(f"expected {nnz} entries, found {count}", total)
+    w = block["w"] if want == 3 else np.ones(count)
     if symmetry == "general":
-        for (i, j), (w, ln) in seen.items():
-            if i == j:
-                continue
-            mirror = seen.get((j, i))
-            if mirror is None:
-                raise ParseError(f"entry ({i + 1},{j + 1}) has no mirror", ln)
-            if abs(mirror[0] - w) > 1e-12 * (1 + abs(w)):
-                raise ParseError(f"entry ({i + 1},{j + 1}) mirror mismatch", ln)
+        fault = _mirror_fault(i, j, w)
+        if fault is not None:
+            entry, message = fault
+            ln, _ = next(itertools.islice(_entry_lines(path, lineno), entry, None))
+            raise ParseError(message, ln)
         # each undirected edge appeared twice
-        entries = [(i, j, w) for (i, j, w) in entries if i > j]
-    return GraphInstance.from_edges(nrows, entries)
+        keep = i > j
+        i, j, w = i[keep], j[keep], w[keep]
+    return GraphInstance.from_arrays(nrows, i - 1, j - 1, w)
 
 
 def write_graph_mm(g: GraphInstance, path) -> None:
@@ -689,40 +848,47 @@ def write_graph_mm(g: GraphInstance, path) -> None:
             fh.write(f"{int(v) + 1} {int(u) + 1} {w:.17g}\n")
 
 
+def _token_line(text: str, k: int) -> int:
+    """Line number of whitespace-separated token ``k`` of ``text``."""
+    counts = np.cumsum([len(line.split()) for line in text.split("\n")])
+    return int(np.searchsorted(counts, k, side="right")) + 1
+
+
 def parse_qaplib(path) -> QapInstance:
     """Plain-text reader: size line, then the weight block, then the
-    distance block, whitespace separated with arbitrary line breaks."""
-    tokens: list[tuple[str, int]] = []
+    distance block, whitespace separated with arbitrary line breaks.  The
+    2 n^2 matrix tokens go through one array conversion; line numbers are
+    looked up only for an error."""
     with open(path, "r") as fh:
-        for ln, line in enumerate(fh, start=1):
-            for tok in line.split():
-                tokens.append((tok, ln))
+        text = fh.read()
+    tokens = text.split()
     if not tokens:
         raise ParseError("empty file", 1)
     try:
-        n = int(tokens[0][0])
+        n = int(tokens[0])
     except ValueError as exc:
-        raise ParseError(f"bad size field: {exc}", tokens[0][1]) from exc
+        raise ParseError(f"bad size field: {exc}", _token_line(text, 0)) from exc
     if n < 1:
-        raise ParseError("size must be positive", tokens[0][1])
+        raise ParseError("size must be positive", _token_line(text, 0))
     need = 1 + 2 * n * n
     if len(tokens) < need:
-        last_line = tokens[-1][1]
         raise ParseError(
-            f"expected {need - 1} matrix entries, found {len(tokens) - 1}", last_line
+            f"expected {need - 1} matrix entries, found {len(tokens) - 1}",
+            _token_line(text, len(tokens) - 1),
         )
     if len(tokens) > need:
-        raise ParseError("trailing data after matrices", tokens[need][1])
-    vals = []
-    for tok, ln in tokens[1:need]:
-        try:
-            vals.append(float(tok))
-        except ValueError as exc:
-            raise ParseError(f"bad matrix entry {tok!r}", ln) from exc
-    w = np.array(vals[: n * n]).reshape(n, n)
-    d = np.array(vals[n * n :]).reshape(n, n)
+        raise ParseError("trailing data after matrices", _token_line(text, need))
     try:
-        return QapInstance(w, d)
+        vals = np.array(tokens[1:], dtype=float)
+    except ValueError:
+        for k, tok in enumerate(tokens[1:], start=1):
+            try:
+                float(tok)
+            except ValueError as exc:
+                raise ParseError(f"bad matrix entry {tok!r}", _token_line(text, k)) from exc
+        raise
+    try:
+        return QapInstance(vals[: n * n].reshape(n, n), vals[n * n :].reshape(n, n))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -624,6 +624,19 @@ def compressed_rows_frozen(fam, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def adjoint_matrix_frozen(fam, y: np.ndarray):
+    """``SparseConstraintFamilies.adjoint_matrix`` as a COO matrix of the
+    entries and their mirrors, converted to CSR on every call."""
+    import scipy.sparse as sp
+
+    data = y[fam.idx] * fam.vals
+    off = ~fam._diag
+    r = np.concatenate([fam.rows, fam.cols[off]])
+    c = np.concatenate([fam.cols, fam.rows[off]])
+    d = np.concatenate([data, data[off]])
+    return sp.coo_matrix((d, (r, c)), shape=(fam.n, fam.n)).tocsr()
+
+
 def proj_N_frozen(z: np.ndarray, prob) -> np.ndarray:
     """Dual-slack projection through an index gather and scatter."""
     out = np.zeros_like(prob.b)
@@ -720,3 +733,129 @@ def build_qap_frozen(q):
     ops = ops.scaled(np.full(m, 1.0 / op_norm))
     b = b / op_norm
     return cost, scale_c, b, ops.idx, ops.rows, ops.cols, ops.vals
+
+
+# ---------------------------------------------------------------------------
+# frozen copies of the per-line instance readers.  The vectorized readers
+# must return the same instance bit for bit, or raise ParseError on the same
+# line.
+
+
+def parse_graph_mm_frozen(path):
+    """``parse_graph_mm`` as a per-line loop over ``readlines()``."""
+    from specbundle.problem import GraphInstance, ParseError
+
+    with open(path, "r") as fh:
+        lines = fh.readlines()
+    if not lines:
+        raise ParseError("empty file", 1)
+    header = lines[0].strip().split()
+    if len(header) < 5 or not header[0].startswith("%%MatrixMarket"):
+        raise ParseError("missing MatrixMarket header", 1)
+    obj, fmt, fieldkind, symmetry = (t.lower() for t in header[1:5])
+    if obj != "matrix" or fmt != "coordinate":
+        raise ParseError("only coordinate matrices are supported", 1)
+    if fieldkind not in ("real", "integer", "pattern"):
+        raise ParseError(f"unsupported field {fieldkind}", 1)
+    if symmetry not in ("symmetric", "general"):
+        raise ParseError(f"unsupported symmetry {symmetry}", 1)
+    pattern = fieldkind == "pattern"
+
+    lineno = 1
+    size_line = None
+    for lineno in range(2, len(lines) + 1):
+        text = lines[lineno - 1].strip()
+        if not text or text.startswith("%"):
+            continue
+        size_line = text
+        break
+    if size_line is None:
+        raise ParseError("missing size line", len(lines))
+    parts = size_line.split()
+    if len(parts) != 3:
+        raise ParseError("size line must have three fields", lineno)
+    try:
+        nrows, ncols, nnz = (int(p) for p in parts)
+    except ValueError as exc:
+        raise ParseError(f"bad size line: {exc}", lineno) from exc
+    if nrows != ncols:
+        raise ParseError(f"matrix must be square, got {nrows}x{ncols}", lineno)
+
+    entries = []
+    seen = {}
+    count = 0
+    for ln in range(lineno + 1, len(lines) + 1):
+        text = lines[ln - 1].strip()
+        if not text or text.startswith("%"):
+            continue
+        parts = text.split()
+        want = 2 if pattern else 3
+        if len(parts) < want:
+            raise ParseError("entry line has too few fields", ln)
+        try:
+            i = int(parts[0]) - 1
+            j = int(parts[1]) - 1
+            w = 1.0 if pattern else float(parts[2])
+        except ValueError as exc:
+            raise ParseError(f"bad entry: {exc}", ln) from exc
+        if not 0 <= i < nrows or not 0 <= j < ncols:
+            raise ParseError(f"entry ({i + 1},{j + 1}) out of range", ln)
+        count += 1
+        if symmetry == "general":
+            seen[(i, j)] = (w, ln)
+        if i != j:
+            entries.append((i, j, w))
+    if count != nnz:
+        raise ParseError(f"expected {nnz} entries, found {count}", len(lines))
+    if symmetry == "general":
+        for (i, j), (w, ln) in seen.items():
+            if i == j:
+                continue
+            mirror = seen.get((j, i))
+            if mirror is None:
+                raise ParseError(f"entry ({i + 1},{j + 1}) has no mirror", ln)
+            if abs(mirror[0] - w) > 1e-12 * (1 + abs(w)):
+                raise ParseError(f"entry ({i + 1},{j + 1}) mirror mismatch", ln)
+        # each undirected edge appeared twice
+        entries = [(i, j, w) for (i, j, w) in entries if i > j]
+    return GraphInstance.from_edges(nrows, entries)
+
+
+def parse_qaplib_frozen(path):
+    """``parse_qaplib`` with a (token, line) pair per token and one float()
+    call per matrix entry."""
+    from specbundle.problem import ParseError, QapInstance
+
+    tokens = []
+    with open(path, "r") as fh:
+        for ln, line in enumerate(fh, start=1):
+            for tok in line.split():
+                tokens.append((tok, ln))
+    if not tokens:
+        raise ParseError("empty file", 1)
+    try:
+        n = int(tokens[0][0])
+    except ValueError as exc:
+        raise ParseError(f"bad size field: {exc}", tokens[0][1]) from exc
+    if n < 1:
+        raise ParseError("size must be positive", tokens[0][1])
+    need = 1 + 2 * n * n
+    if len(tokens) < need:
+        last_line = tokens[-1][1]
+        raise ParseError(
+            f"expected {need - 1} matrix entries, found {len(tokens) - 1}", last_line
+        )
+    if len(tokens) > need:
+        raise ParseError("trailing data after matrices", tokens[need][1])
+    vals = []
+    for tok, ln in tokens[1:need]:
+        try:
+            vals.append(float(tok))
+        except ValueError as exc:
+            raise ParseError(f"bad matrix entry {tok!r}", ln) from exc
+    w = np.array(vals[: n * n]).reshape(n, n)
+    d = np.array(vals[n * n :]).reshape(n, n)
+    try:
+        return QapInstance(w, d)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc

@@ -490,6 +490,34 @@ class TestWarmStartPad:
         np.testing.assert_array_equal(padded.y[mapping.constraint_map], prev.y)
         assert np.all(padded.y[arriving] == 0.0) and not np.any(np.signbit(padded.y[arriving]))
 
+    @pytest.mark.parametrize("sketch_rank", [0, 3])
+    def test_padding_gathers_match_zero_fill_scatter(self, sketch_rank):
+        """The padded basis and primal factor equal a zero fill plus a row
+        scatter bit for bit, on a vertex map that is not a prefix."""
+        from specbundle.problem import qap_submatrix_constraint_map
+
+        full = random_qap(4, 1)
+        sub = full.shrink()
+        cfg = SolverConfig(rho=0.005, k_c=2, k_p=0, eps=1e-1, max_iters=20, seed=0,
+                           sketch_rank=sketch_rank)
+        prev, _ = solve(build_qap(sub), cfg)
+        kept = np.arange(sub.size**2)
+        vmap = np.concatenate([[0], 1 + (kept // sub.size) * full.size + kept % sub.size])
+        prob = build_qap(full)
+        padded = warm_start_pad(
+            prev, prob, Mapping(vmap, qap_submatrix_constraint_map(full, sub.size)), sketch_seed=0
+        )
+        basis = np.zeros((prob.n, prev.model.k))
+        basis[vmap] = prev.model.basis
+        assert padded.model.basis.tobytes() == basis.tobytes()
+        factor_old, lams_old = prev.model.store.factorize()
+        factor = np.zeros((prob.n, factor_old.shape[1]))
+        factor[vmap] = factor_old
+        lams = (prev.scale_x / prob.scale_x) * lams_old
+        image = prob.constraints.primal_image_factor(factor, lams)
+        assert padded.model.stats.constr_image.tobytes() == image.tobytes()
+        assert padded.model.stats.cost_ip == prob.cost_factor_ip(factor, lams)
+
     def test_out_of_range_mapping(self, k3):
         prob = build_maxcut(k3)
         cfg = SolverConfig(eps=1e-3, max_iters=50, seed=0)

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import make_k3, random_graph, random_qap
 from _oracles import (
+    adjoint_matrix_frozen,
     compressed_rows_frozen,
     partial_trace1,
     partial_trace2,
@@ -552,6 +553,30 @@ class TestSparseImagesBitIdentity:
                 fam.primal_image_factor(basis, lams), primal_image_factor_frozen(fam, v, lams)
             )
             assert np.array_equal(fam.compressed_rows(basis), compressed_rows_frozen(fam, v))
+
+    @staticmethod
+    def _same_csr(a, b):
+        assert type(a) is type(b) and a.shape == b.shape
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    def test_adjoint_matrix(self, qap5):
+        """The cached CSR pattern sums duplicates in scipy's own order: the
+        same matrix as the COO conversion, bit for bit."""
+        rng = np.random.default_rng(13)
+        fam = qap5.constraints
+        for _ in range(5):
+            y = rng.standard_normal(fam.m) * 10.0 ** rng.integers(-8, 9, fam.m)
+            self._same_csr(fam.adjoint_matrix(y), adjoint_matrix_frozen(fam, y))
+        # many duplicates per cell, beyond the sizes scipy sorts by insertion
+        for n, e in ((1, 40), (3, 200), (20, 300), (40, 0)):
+            a, b = rng.integers(0, n, (2, e))
+            fam = SparseConstraintFamilies(
+                n, 7, rng.integers(0, 7, e), np.minimum(a, b), np.maximum(a, b),
+                rng.standard_normal(e),
+            )
+            y = rng.standard_normal(7) * 10.0 ** rng.integers(-8, 9, 7)
+            self._same_csr(fam.adjoint_matrix(y), adjoint_matrix_frozen(fam, y))
 
     def test_proj_n(self, qap5):
         rng = np.random.default_rng(12)
