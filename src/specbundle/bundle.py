@@ -9,6 +9,7 @@ closed form so residuals never need the dense primal matrix.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import struct
 import time
@@ -124,8 +125,7 @@ class SketchStore:
     sk: sketchmod.NystromSketch
 
     def update(self, eta: float, factor: np.ndarray, lams: np.ndarray) -> None:
-        k = factor.shape[1]
-        self.sk = sketchmod.sketch_update(self.sk, eta, factor, np.eye(k), lams)
+        self.sk = sketchmod.sketch_update(self.sk, eta, factor, lams)
 
     def factorize(self) -> tuple[np.ndarray, np.ndarray]:
         return sketchmod.reconstruct(self.sk)
@@ -138,7 +138,6 @@ class BundleModel:
     k_c: int
     k_p: int
     store: object  # ExplicitStore | SketchStore
-    last_update: Optional[tuple[float, np.ndarray, np.ndarray]] = None
 
     @property
     def k(self) -> int:
@@ -335,14 +334,7 @@ def model_update(
     if new_basis.shape[1] < model.k:
         new_basis = _completion_columns(new_basis, model.k, seed, tag)
 
-    return BundleModel(
-        basis=new_basis,
-        stats=new_stats,
-        k_c=k_c,
-        k_p=k_p,
-        store=store,
-        last_update=(eta, factor, lam_c),
-    )
+    return BundleModel(basis=new_basis, stats=new_stats, k_c=k_c, k_p=k_p, store=store)
 
 
 def compute_residuals(
@@ -552,6 +544,13 @@ def primal_output(model: BundleModel) -> PrimalOutput:
 
 _MAGIC = b"USBS"
 _VERSION = 1
+# the fixed-size head of a state file, in order: magic, version; the problem
+# fingerprint n, m, |I|, hash of b; k_c, k_p; store kind (1 explicit,
+# 2 sketch), sketch rank, psi seed; scale_x, scale_c; f_y, lam_y (NaN when
+# unknown); descent steps, null steps; aggregate trace, aggregate cost
+# inner product.  The float64 payload follows: y, nu, the aggregate
+# constraint image, the n x k basis, then the n x n matrix or the n x r sketch.
+_HEADER = struct.Struct("<4sI QQQQ II B II dd dd QQ dd")
 
 
 def fingerprint_of(prob: SdpProblem) -> tuple[int, int, int, int]:
@@ -561,50 +560,25 @@ def fingerprint_of(prob: SdpProblem) -> tuple[int, int, int, int]:
 
 @dataclass
 class StateRecord:
-    n: int
-    m: int
-    n_ineq: int
-    b_hash: int
-    k_c: int
-    k_p: int
-    store_kind: int  # 1 explicit, 2 sketch
-    sketch_rank: int
-    psi_seed: int
-    scale_x: float
-    scale_c: float
-    f_y: Optional[float]
-    lam_y: Optional[float]
-    descent_steps: int
-    null_steps: int
-    y: np.ndarray
-    nu: np.ndarray
-    a_xbar: np.ndarray
-    trace: float
-    cost_ip: float
-    basis: np.ndarray
-    xbar: Optional[np.ndarray]
-    sketch_mat: Optional[np.ndarray]
+    """A loaded state file: the fingerprint of the problem it was saved
+    from and the state itself."""
+
+    fingerprint: tuple[int, int, int, int]
+    state: SolverState
 
 
 def save_state(path, state: SolverState, prob: SdpProblem) -> None:
     """Versioned little-endian binary container for warm starts."""
-    n, m, n_ineq, b_hash = fingerprint_of(prob)
     model = state.model
     store = model.store
     if isinstance(store, ExplicitStore):
-        kind, rank, seed = 1, 0, 0
+        kind, rank, seed, store_mat = 1, 0, 0, store.xbar
     else:
-        kind, rank, seed = 2, store.sk.r, store.sk.psi_seed
-    f_y = state.f_y if state.f_y is not None else np.nan
-    lam_y = state.lam_y if state.lam_y is not None else np.nan
-    header = struct.pack(
-        "<4sI QQQQ II B II dd dd QQ dd",
+        kind, rank, seed, store_mat = 2, store.sk.r, store.sk.psi_seed, store.sk.sketch_mat
+    header = _HEADER.pack(
         _MAGIC,
         _VERSION,
-        n,
-        m,
-        n_ineq,
-        b_hash,
+        *fingerprint_of(prob),
         model.k_c,
         model.k_p,
         kind,
@@ -612,8 +586,8 @@ def save_state(path, state: SolverState, prob: SdpProblem) -> None:
         seed & 0xFFFFFFFF,
         state.scale_x,
         state.scale_c,
-        f_y,
-        lam_y,
+        state.f_y if state.f_y is not None else np.nan,
+        state.lam_y if state.lam_y is not None else np.nan,
         state.descent_steps,
         state.null_steps,
         model.stats.trace,
@@ -621,12 +595,8 @@ def save_state(path, state: SolverState, prob: SdpProblem) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for arr in (state.y, state.nu, model.stats.constr_image, model.basis):
+        for arr in (state.y, state.nu, model.stats.constr_image, model.basis, store_mat):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        if kind == 1:
-            fh.write(np.ascontiguousarray(store.xbar, dtype="<f8").tobytes())
-        else:
-            fh.write(np.ascontiguousarray(store.sk.sketch_mat, dtype="<f8").tobytes())
 
 
 def load_state(path) -> StateRecord:
@@ -636,9 +606,7 @@ def load_state(path) -> StateRecord:
     statistics."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    head_fmt = "<4sI QQQQ II B II dd dd QQ dd"
-    head_size = struct.calcsize(head_fmt)
-    if len(raw) < head_size:
+    if len(raw) < _HEADER.size:
         raise ValueError("truncated state file")
     (
         magic,
@@ -660,7 +628,7 @@ def load_state(path) -> StateRecord:
         null,
         trace,
         cost_ip,
-    ) = struct.unpack(head_fmt, raw[:head_size])
+    ) = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
         raise ValueError("not a solver state file")
     if version != _VERSION:
@@ -669,75 +637,50 @@ def load_state(path) -> StateRecord:
         raise ValueError(f"unknown store kind {kind} in state file (1 explicit, 2 sketch)")
     k = k_c + k_p
     store_size = n * n if kind == 1 else n * rank
-    expected = head_size + 8 * (3 * m + n * k + store_size)
+    expected = _HEADER.size + 8 * (3 * m + n * k + store_size)
     if len(raw) < expected:
         raise ValueError(f"truncated state file: {len(raw)} bytes, the header declares {expected}")
     if len(raw) > expected:
         raise ValueError(f"state file has {len(raw) - expected} trailing bytes after its payload")
-    payload = np.frombuffer(raw, dtype="<f8", offset=head_size).astype(float)
+    payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).astype(float)
     if not (np.all(np.isfinite(payload)) and np.isfinite([scale_x, scale_c, trace, cost_ip]).all()):
         raise ValueError("state file holds non-finite arrays, scales, trace or cost")
     y, nu, a_xbar, basis, store_mat = np.split(payload, np.cumsum([m, m, m, n * k]))
-    basis = basis.reshape(n, k)
-    xbar = store_mat.reshape(n, n) if kind == 1 else None
-    sketch_mat = store_mat.reshape(n, rank) if kind == 2 else None
-    return StateRecord(
-        n=n,
-        m=m,
-        n_ineq=n_ineq,
-        b_hash=b_hash,
-        k_c=k_c,
-        k_p=k_p,
-        store_kind=kind,
-        sketch_rank=rank,
-        psi_seed=psi_seed,
-        scale_x=scale_x,
-        scale_c=scale_c,
-        f_y=None if np.isnan(f_y) else float(f_y),
-        lam_y=None if np.isnan(lam_y) else float(lam_y),
-        descent_steps=descent,
-        null_steps=null,
-        y=y,
-        nu=nu,
-        a_xbar=a_xbar,
-        trace=trace,
-        cost_ip=cost_ip,
-        basis=basis,
-        xbar=xbar,
-        sketch_mat=sketch_mat,
-    )
-
-
-def record_to_state(rec: StateRecord) -> SolverState:
-    """Rebuild a state without a fingerprint check, for cross-problem
-    padding; use :func:`state_from_record` when the problem must match."""
-    if rec.store_kind == 1:
-        store: object = ExplicitStore(rec.xbar.copy())
+    if kind == 1:
+        store: object = ExplicitStore(store_mat.reshape(n, n))
     else:
         store = SketchStore(
             sketchmod.NystromSketch(
-                n=rec.n, r=rec.sketch_rank, psi_seed=rec.psi_seed, sketch_mat=rec.sketch_mat.copy()
+                n=n, r=rank, psi_seed=psi_seed, sketch_mat=store_mat.reshape(n, rank)
             )
         )
-    stats = AggregateStats(rec.trace, rec.cost_ip, rec.a_xbar.copy())
-    model = BundleModel(basis=rec.basis.copy(), stats=stats, k_c=rec.k_c, k_p=rec.k_p, store=store)
-    return SolverState(
-        y=rec.y.copy(),
-        nu=rec.nu.copy(),
-        f_y=rec.f_y,
-        lam_y=rec.lam_y,
+    stats = AggregateStats(trace, cost_ip, a_xbar)
+    model = BundleModel(basis=basis.reshape(n, k), stats=stats, k_c=k_c, k_p=k_p, store=store)
+    state = SolverState(
+        y=y,
+        nu=nu,
+        f_y=None if np.isnan(f_y) else float(f_y),
+        lam_y=None if np.isnan(lam_y) else float(lam_y),
         model=model,
-        descent_steps=rec.descent_steps,
-        null_steps=rec.null_steps,
+        descent_steps=descent,
+        null_steps=null,
         last_primal=stats.copy(),
-        scale_x=rec.scale_x,
-        scale_c=rec.scale_c,
+        scale_x=scale_x,
+        scale_c=scale_c,
     )
+    return StateRecord(fingerprint=(n, m, n_ineq, b_hash), state=state)
+
+
+def record_to_state(rec: StateRecord) -> SolverState:
+    """An independent copy of the loaded state, without a fingerprint check,
+    for cross-problem padding; use :func:`state_from_record` when the
+    problem must match."""
+    return copy.deepcopy(rec.state)
 
 
 def state_from_record(rec: StateRecord, prob: SdpProblem) -> SolverState:
     """Rebuild a state for the exact problem it was saved from."""
-    if (rec.n, rec.m, rec.n_ineq, rec.b_hash) != fingerprint_of(prob):
+    if rec.fingerprint != fingerprint_of(prob):
         raise FingerprintMismatch("state fingerprint does not match this problem")
     state = record_to_state(rec)
     state.scale_x = prob.scale_x
@@ -760,7 +703,7 @@ def _arrival_duals(y_kept: np.ndarray, prob: SdpProblem, cmap: np.ndarray) -> np
     ops = prob.constraints
     norm2 = ops.frob_norms() ** 2
     ratio = np.divide(
-        ops.primal_image_sparse(prob.cost), norm2, out=np.zeros(prob.m), where=norm2 > 0
+        ops.primal_image_matrix(prob.cost), norm2, out=np.zeros(prob.m), where=norm2 > 0
     )
     kept = ratio[cmap]
     ok = kept != 0
@@ -836,7 +779,7 @@ def warm_start_pad(
     else:
         seed = sketch_seed if sketch_seed is not None else model.store.sk.psi_seed
         sk = sketchmod.sketch_init(new_prob.n, min(model.store.sk.r, new_prob.n), seed)
-        sk = sketchmod.sketch_update(sk, 0.0, factor, np.eye(factor.shape[1]), lams)
+        sk = sketchmod.sketch_update(sk, 0.0, factor, lams)
         store = SketchStore(sk)
 
     new_model = BundleModel(basis=basis, stats=stats, k_c=model.k_c, k_p=model.k_p, store=store)

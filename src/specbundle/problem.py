@@ -183,11 +183,9 @@ class DiagonalConstraints:
     def primal_image_factor(self, u: np.ndarray, lams: np.ndarray) -> np.ndarray:
         return (u * u) @ lams
 
-    def primal_image_dense(self, x: np.ndarray) -> np.ndarray:
-        return np.diag(x).copy()
-
-    def primal_image_sparse(self, x: sp.spmatrix) -> np.ndarray:
-        return x.diagonal()
+    def primal_image_matrix(self, x) -> np.ndarray:
+        """diag(X) of an ndarray or a scipy sparse matrix."""
+        return np.array(x.diagonal())
 
     def adjoint_matrix(self, y: np.ndarray):
         return sp.diags(y)
@@ -245,11 +243,8 @@ class SparseConstraintFamilies:
         vals = np.einsum("ej,ej->e", mid, np.take(u, self.cols, axis=0))
         return np.bincount(self.idx, weights=vals * self._eff, minlength=self.m)
 
-    def primal_image_dense(self, x: np.ndarray) -> np.ndarray:
-        vals = x[self.rows, self.cols]
-        return np.bincount(self.idx, weights=vals * self._eff, minlength=self.m)
-
-    def primal_image_sparse(self, x: sp.csr_matrix) -> np.ndarray:
+    def primal_image_matrix(self, x) -> np.ndarray:
+        """The image of an ndarray or a scipy CSR matrix."""
         if not self.idx.size:  # scipy returns a sparse matrix for an empty gather
             return np.zeros(self.m)
         vals = np.asarray(x[self.rows, self.cols]).ravel()
@@ -558,7 +553,7 @@ def estimate_operator_norm(ops, n: int, tol: float = 1e-6, max_iters: int = 500,
     lam_prev = 0.0
     lam = 0.0
     for _ in range(max_iters):
-        z = ops.primal_image_dense(x)
+        z = ops.primal_image_matrix(x)
         y = np.asarray(ops.adjoint_matrix(z).todense(), dtype=float)
         lam = float(np.linalg.norm(y))
         if lam == 0.0:
@@ -664,6 +659,11 @@ _ENTRY_DTYPES = {
 }
 # bytes after which a "%" starts a field of its own
 _FIELD_BREAKS = np.frombuffer(b" \t\n\r\x0b\x0c%", dtype=np.uint8)
+
+
+# a byte-order mark at the start of a file is not part of its text; both
+# readers drop one
+_BOM = "\ufeff"
 
 
 def _index_ok(tok: str) -> bool:
@@ -772,7 +772,7 @@ def parse_graph_mm(path) -> GraphInstance:
         first = fh.readline()
         if not first:
             raise ParseError("empty file", 1)
-        header = first.strip().split()
+        header = first.removeprefix(_BOM).strip().split()
         if len(header) < 5 or not header[0].startswith("%%MatrixMarket"):
             raise ParseError("missing MatrixMarket header", 1)
         obj, fmt, fieldkind, symmetry = (t.lower() for t in header[1:5])
@@ -860,7 +860,7 @@ def parse_qaplib(path) -> QapInstance:
     2 n^2 matrix tokens go through one array conversion; line numbers are
     looked up only for an error."""
     with open(path, "r") as fh:
-        text = fh.read()
+        text = fh.read().removeprefix(_BOM)
     tokens = text.split()
     if not tokens:
         raise ParseError("empty file", 1)

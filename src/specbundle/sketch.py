@@ -36,9 +36,10 @@ class NystromSketch:
     psi_cache: Optional[np.ndarray] = field(default=None, repr=False)
 
     def psi(self) -> np.ndarray:
-        if self.psi_cache is not None:
-            return self.psi_cache
-        return make_test_matrix(self.n, self.r, self.psi_seed)
+        """The test matrix, drawn from its seed on first use and kept."""
+        if self.psi_cache is None:
+            self.psi_cache = make_test_matrix(self.n, self.r, self.psi_seed)
+        return self.psi_cache
 
 
 def sketch_init(n: int, r: int, seed: int) -> NystromSketch:
@@ -54,20 +55,17 @@ def sketch_init(n: int, r: int, seed: int) -> NystromSketch:
     )
 
 
-def sketch_update(
-    s: NystromSketch, eta: float, v: np.ndarray, q: np.ndarray, lams: np.ndarray
-) -> NystromSketch:
+def sketch_update(s: NystromSketch, eta: float, v: np.ndarray, lams: np.ndarray) -> NystromSketch:
     """Apply the low-rank transition: tracked matrix becomes
-    eta * old + (V Q) diag(lams) (V Q)^T.  Cost O(n k r), no n x n product."""
+    eta * old + V diag(lams) V^T.  Cost O(n k r), no n x n product."""
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     lams = np.asarray(lams, dtype=float)
     if np.any(lams < -1e-12 * max(1.0, float(np.max(np.abs(lams), initial=0.0)))):
         raise ValueError("update eigenvalues must be nonnegative")
-    if v.shape[0] != s.n or v.shape[1] != q.shape[0]:
+    if v.shape[0] != s.n or lams.shape != (v.shape[1],):
         raise ValueError("dimension mismatch in sketch update")
-    factor = v @ q
-    new_mat = eta * s.sketch_mat + (factor * lams[None, :]) @ (factor.T @ s.psi())
+    new_mat = eta * s.sketch_mat + (v * lams[None, :]) @ (v.T @ s.psi())
     return NystromSketch(
         n=s.n, r=s.r, psi_seed=s.psi_seed, sketch_mat=new_mat, psi_cache=s.psi_cache
     )

@@ -44,9 +44,6 @@ __all__ = [
     "assemble_quad_coeffs",
     "ipm_eval",
     "ipm_quad",
-    "barrier_update",
-    "line_search_feasible",
-    "newton_direction",
     "alternating_max",
     "AltMaxResult",
 ]
@@ -196,14 +193,6 @@ def _stationarity(
     return f1, f2
 
 
-def newton_direction(q: QuadCoeffs, st: IpmState, mu: float) -> Direction:
-    """Newton step for the linearized central-path system, computed by
-    analytically eliminating every block except svec(S)."""
-    t_vec = svec(st.t_mat)
-    f1, f2 = _stationarity(q, st, svec(st.s_mat), t_vec)
-    return _direction(q, st, mu, f1, f2, t_vec, st.trace_slack())
-
-
 def _direction(
     q: QuadCoeffs,
     st: IpmState,
@@ -213,8 +202,10 @@ def _direction(
     t_vec: np.ndarray,
     sigma: float,
 ) -> Direction:
-    """:func:`newton_direction` from the stationarity residuals (f1, f2),
-    t_vec = svec(T) and the trace slack sigma at ``st``."""
+    """Newton step for the linearized central-path system, computed by
+    analytically eliminating every block except svec(S), from the
+    stationarity residuals (f1, f2), t_vec = svec(T) and the trace slack
+    sigma at ``st``."""
     v_i = svec_identity(q.k)
     s_inv = np.linalg.inv(st.s_mat)
     s_inv = 0.5 * (s_inv + s_inv.T)
@@ -258,20 +249,16 @@ def _direction(
     return Direction(ds_vec=ds, deta=deta, dt_vec=dt, dzeta=dzeta, domega=domega)
 
 
-def line_search_feasible(st: IpmState, d: Direction) -> float:
-    """Largest step fraction in (0, 1] keeping the state strictly feasible.
+def _line_search(
+    st: IpmState, d: Direction, sigma: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Largest step fraction in (0, 1] keeping the state strictly feasible,
+    given the trace slack sigma at ``st``, and svec_inv of the two matrix
+    directions for the update.
 
     Scalar blocks and the trace slack have exact boundary steps; the two
     matrix blocks are checked by Cholesky with backtracking.
     """
-    return _line_search(st, d, st.trace_slack())[0]
-
-
-def _line_search(
-    st: IpmState, d: Direction, sigma: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """:func:`line_search_feasible` given the trace slack sigma at ``st``,
-    also returning svec_inv of the two matrix directions for the update."""
     if not (
         np.isfinite(d.ds_vec).all()
         and np.isfinite(d.dt_vec).all()
@@ -312,13 +299,9 @@ def _line_search(
     raise StepFailureError("no strictly feasible step above minimum")
 
 
-def barrier_update(st: IpmState, delta: float) -> float:
-    """Non-increasing barrier estimate after a step of fraction ``delta``."""
-    return _barrier_target(st, delta, st.complementarity() / (2.0 * st.pairs()))
-
-
 def _barrier_target(st: IpmState, delta: float, estimate: float) -> float:
-    """:func:`barrier_update` given the complementarity estimate at ``st``."""
+    """Non-increasing barrier estimate after a step of fraction ``delta``,
+    given the complementarity estimate at ``st``."""
     gamma = 1.0 if delta <= 0.2 else 0.5 - 0.4 * delta**2
     return min(st.mu, gamma * estimate)
 

@@ -749,7 +749,7 @@ def parse_graph_mm_frozen(path):
         lines = fh.readlines()
     if not lines:
         raise ParseError("empty file", 1)
-    header = lines[0].strip().split()
+    header = lines[0].removeprefix("\ufeff").strip().split()
     if len(header) < 5 or not header[0].startswith("%%MatrixMarket"):
         raise ParseError("missing MatrixMarket header", 1)
     obj, fmt, fieldkind, symmetry = (t.lower() for t in header[1:5])
@@ -829,7 +829,7 @@ def parse_qaplib_frozen(path):
     tokens = []
     with open(path, "r") as fh:
         for ln, line in enumerate(fh, start=1):
-            for tok in line.split():
+            for tok in (line.removeprefix("\ufeff") if ln == 1 else line).split():
                 tokens.append((tok, ln))
     if not tokens:
         raise ParseError("empty file", 1)

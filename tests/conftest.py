@@ -41,6 +41,20 @@ def random_qap(n: int, seed: int, lo: int = 0, hi: int = 10) -> QapInstance:
     return QapInstance(w, d)
 
 
+def record_store_updates(monkeypatch, store_cls) -> list:
+    """Wrap ``store_cls.update`` for the test: each call appends its
+    (eta, factor, lams) to the returned list, then updates the store."""
+    updates = []
+    real = store_cls.update
+
+    def update(self, eta, factor, lams):
+        updates.append((eta, factor, lams))
+        real(self, eta, factor, lams)
+
+    monkeypatch.setattr(store_cls, "update", update)
+    return updates
+
+
 def mixed_inequality_problem(n: int, seed: int, n_ineq: int = 6):
     """MaxCut diagonal equalities plus random sparse inequality rows."""
     g = random_graph(n, 0.3, seed)

@@ -1,9 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import make_k3, mixed_inequality_problem, random_graph, random_qap
+from conftest import (
+    make_k3,
+    mixed_inequality_problem,
+    random_graph,
+    random_qap,
+    record_store_updates,
+)
 from specbundle.bundle import (
     AggregateStats,
+    ExplicitStore,
     FingerprintMismatch,
     LanczosSettings,
     Mapping,
@@ -20,6 +29,7 @@ from specbundle.bundle import (
     state_from_record,
     warm_start_pad,
 )
+from specbundle import sketch as sketchmod
 from specbundle.problem import GraphInstance, build_maxcut, build_qap
 from specbundle.subqp import assemble_eval_coeffs, ipm_eval
 
@@ -145,8 +155,9 @@ class TestModelUpdate:
         assert new.stats.cost_ip == pytest.approx(before.cost_ip)
         np.testing.assert_allclose(new.stats.constr_image, before.constr_image)
 
-    def test_stats_match_dense_shadow(self):
+    def test_stats_match_dense_shadow(self, monkeypatch):
         prob, cfg, model = self.setup_model(n=20, k_c=4, k_p=2, seed=3)
+        updates = record_store_updates(monkeypatch, ExplicitStore)
         rng = np.random.default_rng(4)
         shadow = np.zeros((prob.n, prob.n))
         cost = prob.cost.toarray()
@@ -157,7 +168,7 @@ class TestModelUpdate:
             vecs, _ = np.linalg.qr(rng.standard_normal((prob.n, model.k_c)))
             basis = model.basis
             model = model_update(model, eta, s, vecs, prob, seed=0, tag=t)
-            eta_u, factor, lams = model.last_update
+            eta_u, factor, lams = updates[-1]
             shadow = eta * shadow + (factor * lams[None, :]) @ factor.T
             assert abs(model.stats.trace - np.trace(shadow)) <= 1e-9
             assert abs(model.stats.cost_ip - np.sum(cost * shadow)) <= 1e-9
@@ -364,6 +375,26 @@ class TestStateFile:
         other = build_maxcut(random_graph(4, 0.9, 0))
         with pytest.raises(FingerprintMismatch):
             state_from_record(load_state(path), other)
+
+    def test_resumed_sketch_draws_its_test_matrix_once(self, tmp_path, monkeypatch):
+        prob = build_maxcut(random_graph(30, 0.3, 2))
+        cfg = SolverConfig(k_c=4, k_p=1, eps=1e-9, max_iters=3, seed=0, sketch_rank=5)
+        state, _ = solve(prob, cfg)
+        path = tmp_path / "s.bin"
+        save_state(path, state, prob)
+        draws = []
+        real = sketchmod.make_test_matrix
+
+        def counted(*args):
+            draws.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sketchmod, "make_test_matrix", counted)
+        init = state_from_record(load_state(path), prob)
+        resumed, _ = solve(prob, replace(cfg, max_iters=5), init=init)
+        assert resumed.iterations == 5
+        assert len(draws) == 1
+        np.testing.assert_array_equal(resumed.model.store.sk.psi(), real(prob.n, 5, draws[0][2]))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -80,6 +80,19 @@ class TestSolveCommand:
         assert final[7] in ("descent", "null")
         assert float(final[8]) == 2.0
 
+    def test_byte_order_mark_input(self, tmp_path):
+        path = tmp_path / "k3-bom.mtx"
+        path.write_text(K3_MTX, encoding="utf-8-sig")
+        out = tmp_path / "m.csv"
+        rc = main(
+            [
+                "solve", "--problem", "maxcut", "--input", str(path),
+                "--eps", "1e-3", "--out", str(out), "--round",
+            ]
+        )
+        assert rc == 0
+        assert float(read_rows(out)[-1][8]) == 2.0
+
     def test_zero_budget(self, tmp_path, k3_file):
         out = tmp_path / "z.csv"
         rc = main(

@@ -174,7 +174,7 @@ class TestBuildQap:
         y_vec = pi.flatten(order="F")
         x = np.concatenate([[1.0], y_vec])
         big = np.outer(x, x) / prob.scale_x
-        image = prob.constraints.primal_image_dense(big)
+        image = prob.constraints.primal_image_matrix(big)
         viol_eq = np.abs(image - prob.b)[~prob.ineq_mask].max()
         viol_in = (image - prob.b)[prob.ineq_mask].max()
         assert viol_eq <= 1e-12
@@ -283,7 +283,7 @@ class TestOperatorBundles:
             diag.primal_image_lowrank(v, s), generic.primal_image_lowrank(v, s), atol=1e-13
         )
         np.testing.assert_allclose(
-            diag.primal_image_dense(x), generic.primal_image_dense(x), atol=1e-13
+            diag.primal_image_matrix(x), generic.primal_image_matrix(x), atol=1e-13
         )
         np.testing.assert_allclose(
             diag.compressed_rows(v), generic.compressed_rows(v), atol=1e-13
@@ -291,15 +291,17 @@ class TestOperatorBundles:
         np.testing.assert_allclose(diag.frob_norms(), generic.frob_norms())
 
     def test_primal_image_sparse_matches_dense(self):
-        # <A_i, C> for every row, from the sparse cost
+        # <A_i, C> for every row: the sparse cost and its dense copy give
+        # the same values, in both constraint families
         for prob in (build_maxcut(random_graph(12, 0.4, 0)), build_qap(random_qap(3, 1))):
-            np.testing.assert_allclose(
-                prob.constraints.primal_image_sparse(prob.cost),
-                prob.constraints.primal_image_dense(prob.cost.toarray()),
-                rtol=1e-12, atol=1e-15,
+            ops = prob.constraints
+            np.testing.assert_array_equal(
+                ops.primal_image_matrix(prob.cost), ops.primal_image_matrix(prob.cost.toarray())
             )
         empty = SparseConstraintFamilies(4, 2, [], [], [], [])
-        np.testing.assert_array_equal(empty.primal_image_sparse(build_maxcut(make_k3()).cost), 0.0)
+        cost = build_maxcut(make_k3()).cost
+        np.testing.assert_array_equal(empty.primal_image_matrix(cost), 0.0)
+        np.testing.assert_array_equal(empty.primal_image_matrix(cost.toarray()), 0.0)
 
     def test_compressed_rows_definition(self):
         prob = build_qap(random_qap(2, 4))

@@ -333,3 +333,44 @@ def test_malformed_qap_names_line(tmp_path, text, line):
         parse_qaplib(path)
     assert err.value.line == line
     assert _outcome(parse_qaplib_frozen, path) == ("parse", line)
+
+
+# ---------------------------------------------------------------------------
+# a leading UTF-8 byte-order mark
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (parse_graph_mm, REALSYM + "% c\n3 3 2\n2 1 1.5\n3 2 -2.0\n"),
+        (parse_graph_mm, "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 2 3\n2 1 3\n"),
+        (parse_qaplib, "2\n\n0 1\n1 0\n\n0 2\n2 0\n"),
+    ],
+    ids=["mm symmetric", "mm general", "qaplib"],
+)
+def test_byte_order_mark_is_ignored(tmp_path, reader, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    same = _same_graph if reader is parse_graph_mm else _same_qap
+    same(reader(marked), reader(plain))
+
+
+@pytest.mark.parametrize(
+    "reader, text, line",
+    [
+        (parse_graph_mm, PAT + "3 3 2\n2 1\n4 1\n", 4),
+        (parse_graph_mm, "%%MatrixMarket matrix array real general\n", 1),
+        (parse_qaplib, "2\n0 1\n1 0\n0 y\n2 0\n", 4),
+        (parse_qaplib, "x\n", 1),
+        (parse_graph_mm, "\ufeff" + PAT + "2 2 1\n2 1\n", 1),
+        (parse_qaplib, "\ufeff1\n0\n0\n", 1),
+    ],
+    ids=["mm range", "mm header", "qaplib entry", "qaplib size", "mm second mark", "qaplib second mark"],
+)
+def test_byte_order_mark_keeps_error_lines(tmp_path, reader, text, line):
+    path = tmp_path / "marked"
+    path.write_text(text, encoding="utf-8-sig")
+    assert _outcome(reader, path) == ("parse", line)
+

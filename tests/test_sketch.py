@@ -54,15 +54,15 @@ class TestUpdate:
         s = sketch_init(20, 4, seed=0)
         rng = np.random.default_rng(1)
         f, lams = random_psd_factor(rng, 20, 3)
-        s = sketch_update(s, 1.0, f, np.eye(3), lams)
+        s = sketch_update(s, 1.0, f, lams)
         before = s.sketch_mat.copy()
-        s = sketch_update(s, 1.0, f, np.eye(3), np.zeros(3))
+        s = sketch_update(s, 1.0, f, np.zeros(3))
         np.testing.assert_array_equal(s.sketch_mat, before)
 
     def test_rank_one_from_zero(self):
         s = sketch_init(15, 3, seed=2)
         v = np.arange(15.0)[:, None]
-        s = sketch_update(s, 0.0, v, np.eye(1), np.ones(1))
+        s = sketch_update(s, 0.0, v, np.ones(1))
         expected = v @ (v.T @ s.psi())
         np.testing.assert_allclose(s.sketch_mat, expected, atol=1e-12)
 
@@ -77,20 +77,20 @@ class TestUpdate:
             v, _ = np.linalg.qr(rng.standard_normal((n, k)))
             q, _ = np.linalg.qr(rng.standard_normal((k, k)))
             lams = np.abs(rng.standard_normal(k))
-            s = sketch_update(s, eta, v, q, lams)
             f = v @ q
+            s = sketch_update(s, eta, f, lams)
             shadow = eta * shadow + (f * lams[None, :]) @ f.T
         np.testing.assert_allclose(s.sketch_mat, shadow @ s.psi(), atol=1e-9)
 
     def test_dimension_mismatch(self):
         s = sketch_init(10, 2, seed=0)
         with pytest.raises(ValueError):
-            sketch_update(s, 1.0, np.zeros((9, 2)), np.eye(2), np.ones(2))
+            sketch_update(s, 1.0, np.zeros((9, 2)), np.ones(2))
 
     def test_negative_weight_rejected(self):
         s = sketch_init(10, 2, seed=0)
         with pytest.raises(ValueError):
-            sketch_update(s, -0.5, np.zeros((10, 2)), np.eye(2), np.ones(2))
+            sketch_update(s, -0.5, np.zeros((10, 2)), np.ones(2))
 
     def test_linearity(self):
         n, r = 30, 5
@@ -99,8 +99,8 @@ class TestUpdate:
         f2, l2 = random_psd_factor(rng, n, 2)
         eta = 0.7
         a = sketch_init(n, r, seed=8)
-        a = sketch_update(a, 1.0, f1, np.eye(2), l1)
-        a = sketch_update(a, eta, f2, np.eye(2), l2)
+        a = sketch_update(a, 1.0, f1, l1)
+        a = sketch_update(a, eta, f2, l2)
         # same object assembled in one shot
         dense = eta * (f1 * l1[None, :]) @ f1.T + (f2 * l2[None, :]) @ f2.T
         np.testing.assert_allclose(
@@ -120,7 +120,7 @@ class TestReconstruct:
         rng = np.random.default_rng(9)
         v = rng.standard_normal(n)
         s = sketch_init(n, 2, seed=10)
-        s = sketch_update(s, 0.0, v[:, None], np.eye(1), np.ones(1))
+        s = sketch_update(s, 0.0, v[:, None], np.ones(1))
         u, lams = reconstruct(s)
         target = np.outer(v, v)
         recon = (u * lams[None, :]) @ u.T
@@ -133,7 +133,7 @@ class TestReconstruct:
         f, lams0 = random_psd_factor(rng, n, 3)
         target = (f * lams0[None, :]) @ f.T
         s = sketch_init(n, 6, seed=12)
-        s = sketch_update(s, 0.0, f, np.eye(3), lams0)
+        s = sketch_update(s, 0.0, f, lams0)
         u, lams = reconstruct(s)
         recon = (u * lams[None, :]) @ u.T
         rel = np.linalg.norm(recon - target) / np.linalg.norm(target)
@@ -149,7 +149,7 @@ class TestReconstruct:
         errors = []
         for seed in range(50):
             s = sketch_init(n, 6, seed=seed)
-            s = sketch_update(s, 0.0, f, np.eye(3), lams0)
+            s = sketch_update(s, 0.0, f, lams0)
             u, lams = reconstruct(s)
             recon = (u * lams[None, :]) @ u.T
             errors.append(np.linalg.eigvalsh(target - recon))
@@ -162,7 +162,7 @@ class TestReconstruct:
         s = sketch_init(n, 5, seed=15)
         for _ in range(10):
             f, lams0 = random_psd_factor(rng, n, 2)
-            s = sketch_update(s, float(rng.random()), f, np.eye(2), lams0)
+            s = sketch_update(s, float(rng.random()), f, lams0)
         _, lams = reconstruct(s)
         assert np.all(lams >= -1e-10)
 
@@ -172,11 +172,11 @@ class TestReconstruct:
         rng = np.random.default_rng(16)
         f, lams0 = random_psd_factor(rng, n, 3)
         one = sketch_init(n, 6, seed=17)
-        one = sketch_update(one, 0.0, f, np.eye(3), lams0)
+        one = sketch_update(one, 0.0, f, lams0)
         many = sketch_init(n, 6, seed=17)
-        many = sketch_update(many, 0.0, f, np.eye(3), lams0 / 100.0)
+        many = sketch_update(many, 0.0, f, lams0 / 100.0)
         for _ in range(99):
-            many = sketch_update(many, 1.0, f, np.eye(3), lams0 / 100.0)
+            many = sketch_update(many, 1.0, f, lams0 / 100.0)
         u1, l1 = reconstruct(one)
         u2, l2 = reconstruct(many)
         r1 = (u1 * l1[None, :]) @ u1.T

@@ -13,6 +13,7 @@ from _oracles import (
     random_quad_coeffs,
 )
 from conftest import random_qap
+from _ipm_steps import barrier_update, line_search_feasible, newton_direction
 from specbundle import bundle, subqp
 from specbundle.bundle import SolverConfig, cold_start
 from specbundle.problem import build_from_families, build_maxcut, build_qap, proj_N
@@ -25,11 +26,8 @@ from specbundle.subqp import (
     alternating_max,
     assemble_eval_coeffs,
     assemble_quad_coeffs,
-    barrier_update,
     ipm_eval,
     ipm_quad,
-    line_search_feasible,
-    newton_direction,
 )
 from specbundle.subqp import Direction
 from specbundle.symlin import svec, svec_dim, svec_inv
