@@ -416,7 +416,6 @@ def cold_start(prob: SdpProblem, cfg: SolverConfig) -> SolverState:
         f_y=f_y,
         lam_y=float(eig.eigenvalues[0]),
         model=model,
-        last_primal=stats.copy(),
         scale_x=prob.scale_x,
         scale_c=prob.scale_c,
     )
@@ -431,91 +430,78 @@ def solve(
     """Run the bundle loop until the residual targets or the budget is hit.
 
     Returns the final state (status "converged" or "budget") and the primal
-    output reconstructed from the aggregate store.
+    output reconstructed from the aggregate store.  The loop reads and
+    writes ``state`` alone, and assigns new arrays rather than mutating
+    them, so a saved state resumes exactly where this solve stopped.
     """
     state = init if init is not None else cold_start(prob, cfg)
-    model = state.model
-    if model.basis.shape[0] != prob.n or state.y.shape[0] != prob.m:
+    if state.model.basis.shape[0] != prob.n or state.y.shape[0] != prob.m:
         raise ValueError("initial state does not match the problem dimensions")
     t_start = time.monotonic()
 
-    y = state.y
     if state.f_y is None or state.lam_y is None:
-        f_y, eig = penalized_obj(prob, y, cfg, k_c=model.k_c)
-        if not np.isfinite(f_y):
+        state.f_y, eig = penalized_obj(prob, state.y, cfg, k_c=state.model.k_c)
+        if not np.isfinite(state.f_y):
             raise ValueError("initial dual point violates the sign constraints")
-        lam_y = float(eig.eigenvalues[0])
-    else:
-        f_y, lam_y = state.f_y, state.lam_y
+        state.lam_y = float(eig.eigenvalues[0])
+    if state.last_primal is None:  # the last iterate's primal is not saved
+        state.last_primal = state.model.stats.copy()
+    state.residuals = compute_residuals(prob, state.y, state.f_y, state.lam_y, state.last_primal)
+    state.iterations = 0
+    state.status = "converged" if state.residuals.converged(cfg.eps, cfg.linf_check) else None
 
-    primal = state.last_primal if state.last_primal is not None else model.stats.copy()
-    residuals = compute_residuals(prob, y, f_y, lam_y, primal)
-    state.f_y, state.lam_y = f_y, lam_y
-    state.residuals = residuals
-    status: Optional[str] = None
-    if residuals.converged(cfg.eps, cfg.linf_check):
-        status = "converged"
-
-    t = 0
-    inner_nu = state.nu.copy()
-    while status is None:
-        if t >= cfg.max_iters:
-            status = "budget"
-            break
-        if cfg.max_time is not None and time.monotonic() - t_start > cfg.max_time:
-            status = "budget"
+    while state.status is None:
+        if state.iterations >= cfg.max_iters or (
+            cfg.max_time is not None and time.monotonic() - t_start > cfg.max_time
+        ):
+            state.status = "budget"
             break
 
-        alt = alternating_max(prob, model, y, cfg.rho, nu0=inner_nu)
-        inner_nu = alt.nu
-        y_cand = candidate_iterate(y, alt.nu, alt.a_x, prob.b, cfg.rho, prob.ineq_idx)
-        f_cand, eig_cand = penalized_obj(prob, y_cand, cfg, k_c=model.k_c)
-        ev = ipm_eval(assemble_eval_coeffs(prob, model, y_cand))
+        alt = alternating_max(prob, state.model, state.y, cfg.rho, nu0=state.nu)
+        state.nu = alt.nu
+        y_cand = candidate_iterate(state.y, alt.nu, alt.a_x, prob.b, cfg.rho, prob.ineq_idx)
+        f_cand, eig_cand = penalized_obj(prob, y_cand, cfg, k_c=state.model.k_c)
+        ev = ipm_eval(assemble_eval_coeffs(prob, state.model, y_cand))
         model_val = float(prob.b @ y_cand) - ev.value
 
-        accept = descent_test(f_y, f_cand, model_val, cfg.beta)
+        accept = descent_test(state.f_y, f_cand, model_val, cfg.beta)
         if accept:
-            y = y_cand
-            f_y = f_cand
-            lam_y = float(eig_cand.eigenvalues[0])
-            state.nu = alt.nu
+            state.y, state.f_y, state.lam_y = y_cand, f_cand, float(eig_cand.eigenvalues[0])
             state.descent_steps += 1
         else:
             state.null_steps += 1
         step = "descent" if accept else "null"
 
-        model = model_update(
-            model, alt.eta, alt.s_mat, eig_cand.eigenvectors, prob, seed=cfg.seed, tag=t + 1
+        # the completion tag numbers this iteration over the whole run, so a
+        # resumed solve draws the columns the uninterrupted one would
+        state.model = model_update(
+            state.model, alt.eta, alt.s_mat, eig_cand.eigenvectors, prob,
+            seed=cfg.seed, tag=state.descent_steps + state.null_steps,
         )
-        primal = AggregateStats(alt.tr_x, alt.c_x, alt.a_x)
-        residuals = compute_residuals(prob, y, f_y, lam_y, primal)
-
-        state.y = y
-        state.f_y = f_y
-        state.lam_y = lam_y
-        state.model = model
-        state.last_primal = primal
-        state.residuals = residuals
-        state.iterations = t + 1
+        state.last_primal = AggregateStats(alt.tr_x, alt.c_x, alt.a_x)
+        state.residuals = compute_residuals(
+            prob, state.y, state.f_y, state.lam_y, state.last_primal
+        )
+        state.iterations += 1
 
         if callback is not None:
             callback(
                 IterationInfo(
-                    t=t,
+                    t=state.iterations - 1,
                     elapsed=time.monotonic() - t_start,
                     step=step,
-                    f_y=f_y,
+                    f_y=state.f_y,
                     f_cand=f_cand,
                     model_val=model_val,
-                    y=y,
+                    y=state.y,
                     y_cand=y_cand,
                     nu_cand=alt.nu,
-                    residuals=residuals,
-                    primal=primal,
+                    residuals=state.residuals,
+                    primal=state.last_primal,
                     eta=alt.eta,
                     lam_cand=float(eig_cand.eigenvalues[0]),
                     state=state,
-                    model=model,
+                    model=state.model,
                     eig_matvecs=eig_cand.matvecs,
                     eig_restarts=eig_cand.restarts,
                     eig_converged=eig_cand.converged,
@@ -525,12 +511,10 @@ def solve(
                     alt_exact=alt.exact,
                 )
             )
-        t += 1
-        if residuals.converged(cfg.eps, cfg.linf_check):
-            status = "converged"
+        if state.residuals.converged(cfg.eps, cfg.linf_check):
+            state.status = "converged"
 
-    state.status = status
-    return state, primal_output(model)
+    return state, primal_output(state.model)
 
 
 def primal_output(model: BundleModel) -> PrimalOutput:
@@ -601,9 +585,10 @@ def save_state(path, state: SolverState, prob: SdpProblem) -> None:
 
 def load_state(path) -> StateRecord:
     """Read a state file written by :func:`save_state`.  Raises ValueError
-    for a wrong magic or version, an unknown store kind, a payload shorter
-    or longer than the header declares, and non-finite arrays or
-    statistics."""
+    for a wrong magic or version, an unknown store kind, ``k_c < 1``,
+    ``k_c + k_p > n``, a sketch rank outside [1, n] (the rules
+    :func:`cold_start` keeps), a payload shorter or longer than the header
+    declares, and non-finite arrays or statistics."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -635,7 +620,13 @@ def load_state(path) -> StateRecord:
         raise ValueError(f"unsupported state file version {version}")
     if kind not in (1, 2):
         raise ValueError(f"unknown store kind {kind} in state file (1 explicit, 2 sketch)")
+    if k_c < 1:
+        raise ValueError(f"state file has k_c = {k_c}; it must be at least 1")
     k = k_c + k_p
+    if k > n:
+        raise ValueError(f"state file has k_c + k_p = {k}; it must be at most n = {n}")
+    if kind == 2 and not 1 <= rank <= n:
+        raise ValueError(f"state file has sketch rank {rank}; it must lie in [1, n = {n}]")
     store_size = n * n if kind == 1 else n * rank
     expected = _HEADER.size + 8 * (3 * m + n * k + store_size)
     if len(raw) < expected:
@@ -664,7 +655,6 @@ def load_state(path) -> StateRecord:
         model=model,
         descent_steps=descent,
         null_steps=null,
-        last_primal=stats.copy(),
         scale_x=scale_x,
         scale_c=scale_c,
     )
@@ -789,7 +779,6 @@ def warm_start_pad(
         f_y=None,
         lam_y=None,
         model=new_model,
-        last_primal=stats.copy(),
         scale_x=new_prob.scale_x,
         scale_c=new_prob.scale_c,
     )

@@ -230,6 +230,9 @@ def cmd_solve(args) -> int:
             prev = bundle.record_to_state(record)
             init = warm_start_pad(prev, prob, _load_mapping(args.mapping), sketch_seed=cfg.seed)
 
+    # the state's step counts run over every solve it went through; the
+    # summary reports this solve's
+    base = (init.descent_steps, init.null_steps) if init is not None else (0, 0)
     tracker = GapTracker() if (args.problem == "qap" and args.optimum is not None) else None
     out_path = args.out or "metrics.csv"
     with open(out_path, "w", newline="") as fh:
@@ -263,7 +266,8 @@ def cmd_solve(args) -> int:
 
     obj = prob.unscale_objective(state.last_primal.cost_ip)
     print(f"status: {state.status}")
-    print(f"iterations: {state.iterations} (descent {state.descent_steps}, null {state.null_steps})")
+    descent, null = state.descent_steps - base[0], state.null_steps - base[1]
+    print(f"iterations: {state.iterations} (descent {descent}, null {null})")
     print(f"objective (original units): {obj:.10g}")
     r = state.residuals
     print(

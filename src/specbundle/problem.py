@@ -844,8 +844,8 @@ def write_graph_mm(g: GraphInstance, path) -> None:
     with open(path, "w") as fh:
         fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
         fh.write(f"{g.n} {g.n} {g.num_edges}\n")
-        for u, v, w in zip(g.edges_u, g.edges_v, g.edges_w):
-            fh.write(f"{int(v) + 1} {int(u) + 1} {w:.17g}\n")
+        rows, cols = (g.edges_v + 1).tolist(), (g.edges_u + 1).tolist()
+        fh.write("".join(map("{} {} {:.17g}\n".format, rows, cols, g.edges_w.tolist())))
 
 
 def _token_line(text: str, k: int) -> int:

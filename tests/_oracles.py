@@ -859,3 +859,17 @@ def parse_qaplib_frozen(path):
         return QapInstance(w, d)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+# ---------------------------------------------------------------------------
+# frozen copy of the per-edge MatrixMarket writer.  The one-pass writer must
+# write the same bytes.
+
+
+def write_graph_mm_frozen(g, path) -> None:
+    """``write_graph_mm`` with one ``write`` call per edge."""
+    with open(path, "w") as fh:
+        fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
+        fh.write(f"{g.n} {g.n} {g.num_edges}\n")
+        for u, v, w in zip(g.edges_u, g.edges_v, g.edges_w):
+            fh.write(f"{int(v) + 1} {int(u) + 1} {w:.17g}\n")

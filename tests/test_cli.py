@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -442,6 +443,58 @@ def test_malformed_state_file_exits_with_message(tmp_path, k3_file, capsys, case
             "solve", "--problem", "maxcut", "--input", str(k3_file),
             "--warm-start", str(state), "--out", str(tmp_path / "y.csv"),
         ],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
+def _resized_state(state, case: str) -> None:
+    """Give ``state`` a header that breaks one dimension rule, with a payload
+    of the size that header declares, so only the rule can reject it."""
+    from specbundle.sketch import NystromSketch
+
+    model, n = state.model, state.model.basis.shape[0]
+    if case == "k_c 0":
+        model.k_c, model.k_p = 0, model.k
+    elif case == "k_c + k_p past n":
+        model.basis = np.hstack([model.basis, np.zeros((n, 3))])
+        model.k_c += 3
+    else:
+        rank = 0 if case == "sketch rank 0" else n + 5
+        model.store.sk = NystromSketch(n, rank, model.store.sk.psi_seed, np.zeros((n, rank)))
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("k_c 0", "k_c = 0"),
+        ("k_c + k_p past n", "k_c + k_p = 6"),
+        ("sketch rank 0", "sketch rank 0"),
+        ("sketch rank past n", "sketch rank 8"),
+    ],
+)
+def test_state_header_breaking_a_dimension_rule_exits_with_message(
+    tmp_path, k3_file, capsys, case, message
+):
+    from specbundle.bundle import load_state, save_state, state_from_record
+    from specbundle.problem import build_maxcut
+
+    state = tmp_path / "s.bin"
+    argv_solve = [
+        "solve", "--problem", "maxcut", "--input", str(k3_file), "--out", str(tmp_path / "x.csv"),
+    ]
+    assert main(argv_solve + ["--save-state", str(state)]) == 0
+    prob = build_maxcut(parse_graph_mm(k3_file))
+    bad = state_from_record(load_state(state), prob)
+    _resized_state(bad, case)
+    save_state(state, bad, prob)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_state(state)
+    capsys.readouterr()
+    for argv in (
+        ["round", "--problem", "maxcut", "--input", str(k3_file), "--state", str(state)],
+        argv_solve + ["--warm-start", str(state)],
     ):
         assert main(argv) == 1
         err = capsys.readouterr().err

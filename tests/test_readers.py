@@ -18,8 +18,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _oracles import parse_graph_mm_frozen, parse_qaplib_frozen
-from specbundle.problem import ParseError, parse_graph_mm, parse_qaplib
+from _oracles import parse_graph_mm_frozen, parse_qaplib_frozen, write_graph_mm_frozen
+from specbundle.problem import (
+    GraphInstance,
+    ParseError,
+    parse_graph_mm,
+    parse_qaplib,
+    write_graph_mm,
+)
 
 DIFF = settings(
     max_examples=400,
@@ -374,3 +380,27 @@ def test_byte_order_mark_keeps_error_lines(tmp_path, reader, text, line):
     path.write_text(text, encoding="utf-8-sig")
     assert _outcome(reader, path) == ("parse", line)
 
+
+
+# ---------------------------------------------------------------------------
+# the one-pass MatrixMarket writer against its per-edge frozen copy
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_graph_writer_matches_frozen(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    pairs = rng.choice(n * n, int(rng.integers(0, 3 * n)), replace=False)
+    pairs = pairs[pairs // n < pairs % n]  # each edge once, no self loops
+    m = pairs.size
+    # negative, integral, subnormal and extreme weights, 1e-300 to 1e300
+    w = rng.choice([1.0, -1.0], m) * 10.0 ** rng.uniform(-300, 300, m)
+    w[::5] = rng.standard_normal(w[::5].size)
+    w[1::7] = rng.integers(-9, 10, w[1::7].size)
+    specials = [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -0.0, 0.1]
+    w[2::11] = rng.choice(specials, w[2::11].size)
+    g = GraphInstance.from_arrays(n, pairs // n, pairs % n, w)
+    write_graph_mm(g, tmp_path / "one-pass.mtx")
+    write_graph_mm_frozen(g, tmp_path / "per-edge.mtx")
+    assert (tmp_path / "one-pass.mtx").read_bytes() == (tmp_path / "per-edge.mtx").read_bytes()
+    _same_graph(parse_graph_mm(tmp_path / "one-pass.mtx"), g)
