@@ -5,7 +5,9 @@ set, forms the candidate dual point, evaluates the true objective there (an
 extreme eigenvalue computation), accepts or rejects by the sufficient
 decrease test, and updates the model either way.  Aggregate primal
 statistics (trace, cost inner product, constraint image) are tracked in
-closed form so residuals never need the dense primal matrix.
+closed form so residuals never need the dense primal matrix.  The proximal
+weight is then rebalanced from those residuals, so it depends on outcomes,
+never on the iteration count.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import copy
 import hashlib
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,6 +49,7 @@ __all__ = [
     "descent_test",
     "model_update",
     "compute_residuals",
+    "balance_rho",
     "cold_start",
     "solve",
     "primal_output",
@@ -62,6 +65,12 @@ __all__ = [
 # as a dense n x n array (sketch_rank = 0): 3.2 GB of float64 at this size
 MAX_EXPLICIT_N = 20_000
 
+# residual balancing of the proximal weight (see balance_rho): rho moves by
+# the factor RHO_STEP when one side of the certificate exceeds the other by
+# the factor RHO_IMBALANCE
+RHO_IMBALANCE = 2.0
+RHO_STEP = 2.0
+
 
 class FingerprintMismatch(RuntimeError):
     """Serialized state does not belong to this problem."""
@@ -75,7 +84,7 @@ class LanczosSettings:
 
 @dataclass
 class SolverConfig:
-    rho: float = 0.01
+    rho: float = 0.01  # the initial proximal weight; solve adapts it
     beta: float = 0.25
     k_c: int = 10
     k_p: int = 1
@@ -108,8 +117,10 @@ class AggregateStats:
 class ExplicitStore:
     xbar: np.ndarray
 
-    def update(self, eta: float, factor: np.ndarray, lams: np.ndarray) -> None:
-        self.xbar = eta * self.xbar + (factor * lams[None, :]) @ factor.T
+    def update(self, eta: float, factor: np.ndarray, lams: np.ndarray) -> "ExplicitStore":
+        """A new store of eta * Xbar + factor diag(lams) factor^T; this one
+        keeps its matrix, so each BundleModel owns its iteration's aggregate."""
+        return ExplicitStore(eta * self.xbar + (factor * lams[None, :]) @ factor.T)
 
     def factorize(self) -> tuple[np.ndarray, np.ndarray]:
         vals, vecs = small_eigh(self.xbar)
@@ -124,8 +135,10 @@ class ExplicitStore:
 class SketchStore:
     sk: sketchmod.NystromSketch
 
-    def update(self, eta: float, factor: np.ndarray, lams: np.ndarray) -> None:
-        self.sk = sketchmod.sketch_update(self.sk, eta, factor, lams)
+    def update(self, eta: float, factor: np.ndarray, lams: np.ndarray) -> "SketchStore":
+        """A new store holding the sketch of the same transition as
+        :meth:`ExplicitStore.update`; this one keeps its sketch."""
+        return SketchStore(sketchmod.sketch_update(self.sk, eta, factor, lams))
 
     def factorize(self) -> tuple[np.ndarray, np.ndarray]:
         return sketchmod.reconstruct(self.sk)
@@ -173,6 +186,8 @@ class SolverState:
     status: Optional[str] = None
     scale_x: float = 1.0
     scale_c: float = 1.0
+    # the proximal weight of the next iteration; None starts a solve at cfg.rho
+    rho: Optional[float] = None
 
 
 @dataclass
@@ -191,6 +206,7 @@ class IterationInfo:
     residuals: Residuals
     primal: AggregateStats
     eta: float
+    rho: float  # the proximal weight of this step; state.rho is the next one
     lam_cand: float
     state: SolverState
     model: BundleModel
@@ -320,8 +336,7 @@ def model_update(
     new_image = eta * stats.constr_image + prob.constraints.primal_image_factor(factor, lam_c)
     new_stats = AggregateStats(new_trace, new_cost, new_image)
 
-    store = model.store
-    store.update(eta, factor, lam_c)
+    store = model.store.update(eta, factor, lam_c)
 
     if k_p == 0:
         new_basis = np.asarray(new_vecs, dtype=float)
@@ -364,6 +379,22 @@ def compute_residuals(
         linf_infeas=linf,
         dual_feas=lam_y,
     )
+
+
+def balance_rho(rho: float, res: Residuals, descent: bool) -> float:
+    """The proximal weight for the next iteration, from the residuals of
+    this one.  Residual balancing: with P = ``rel_infeas`` and
+    D = max(``rel_subopt``, ``dual_feas``), the measures the certificate
+    checks, rho grows when D > RHO_IMBALANCE * P (shorter steps, on any
+    step) and shrinks when P > RHO_IMBALANCE * D, but only at a descent
+    step, so a null step never lengthens the next one."""
+    primal = res.rel_infeas
+    dual = max(res.rel_subopt, res.dual_feas)
+    if dual > RHO_IMBALANCE * primal:
+        return rho * RHO_STEP
+    if descent and primal > RHO_IMBALANCE * dual:
+        return rho / RHO_STEP
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +449,7 @@ def cold_start(prob: SdpProblem, cfg: SolverConfig) -> SolverState:
         model=model,
         scale_x=prob.scale_x,
         scale_c=prob.scale_c,
+        rho=cfg.rho,
     )
 
 
@@ -432,11 +464,16 @@ def solve(
     Returns the final state (status "converged" or "budget") and the primal
     output reconstructed from the aggregate store.  The loop reads and
     writes ``state`` alone, and assigns new arrays rather than mutating
-    them, so a saved state resumes exactly where this solve stopped.
+    them, so a saved state resumes exactly where this solve stopped, and
+    ``init`` is left as it was.  ``cfg.rho`` is the initial proximal weight
+    of a state that carries none; :func:`balance_rho` moves it after every
+    iteration.
     """
-    state = init if init is not None else cold_start(prob, cfg)
+    state = replace(init) if init is not None else cold_start(prob, cfg)
     if state.model.basis.shape[0] != prob.n or state.y.shape[0] != prob.m:
         raise ValueError("initial state does not match the problem dimensions")
+    if state.rho is None:
+        state.rho = cfg.rho
     t_start = time.monotonic()
 
     if state.f_y is None or state.lam_y is None:
@@ -457,9 +494,10 @@ def solve(
             state.status = "budget"
             break
 
-        alt = alternating_max(prob, state.model, state.y, cfg.rho, nu0=state.nu)
+        rho = state.rho
+        alt = alternating_max(prob, state.model, state.y, rho, nu0=state.nu)
         state.nu = alt.nu
-        y_cand = candidate_iterate(state.y, alt.nu, alt.a_x, prob.b, cfg.rho, prob.ineq_idx)
+        y_cand = candidate_iterate(state.y, alt.nu, alt.a_x, prob.b, rho, prob.ineq_idx)
         f_cand, eig_cand = penalized_obj(prob, y_cand, cfg, k_c=state.model.k_c)
         ev = ipm_eval(assemble_eval_coeffs(prob, state.model, y_cand))
         model_val = float(prob.b @ y_cand) - ev.value
@@ -482,6 +520,7 @@ def solve(
         state.residuals = compute_residuals(
             prob, state.y, state.f_y, state.lam_y, state.last_primal
         )
+        state.rho = balance_rho(rho, state.residuals, accept)
         state.iterations += 1
 
         if callback is not None:
@@ -499,6 +538,7 @@ def solve(
                     residuals=state.residuals,
                     primal=state.last_primal,
                     eta=alt.eta,
+                    rho=rho,
                     lam_cand=float(eig_cand.eigenvalues[0]),
                     state=state,
                     model=state.model,
@@ -527,14 +567,17 @@ def primal_output(model: BundleModel) -> PrimalOutput:
 # state serialization and warm starts
 
 _MAGIC = b"USBS"
-_VERSION = 1
+_VERSION = 2
 # the fixed-size head of a state file, in order: magic, version; the problem
 # fingerprint n, m, |I|, hash of b; k_c, k_p; store kind (1 explicit,
 # 2 sketch), sketch rank, psi seed; scale_x, scale_c; f_y, lam_y (NaN when
 # unknown); descent steps, null steps; aggregate trace, aggregate cost
-# inner product.  The float64 payload follows: y, nu, the aggregate
-# constraint image, the n x k basis, then the n x n matrix or the n x r sketch.
-_HEADER = struct.Struct("<4sI QQQQ II B II dd dd QQ dd")
+# inner product; the proximal weight rho (NaN when unknown).  The float64
+# payload follows: y, nu, the aggregate constraint image, the n x k basis,
+# then the n x n matrix or the n x r sketch.  Version 1 is the same file
+# without rho.
+_HEADER = struct.Struct("<4sI QQQQ II B II dd dd QQ dd d")
+_HEADER_V1 = struct.Struct(_HEADER.format[:-2])
 
 
 def fingerprint_of(prob: SdpProblem) -> tuple[int, int, int, int]:
@@ -576,6 +619,7 @@ def save_state(path, state: SolverState, prob: SdpProblem) -> None:
         state.null_steps,
         model.stats.trace,
         model.stats.cost_ip,
+        state.rho if state.rho is not None else np.nan,
     )
     with open(path, "wb") as fh:
         fh.write(header)
@@ -584,18 +628,29 @@ def save_state(path, state: SolverState, prob: SdpProblem) -> None:
 
 
 def load_state(path) -> StateRecord:
-    """Read a state file written by :func:`save_state`.  Raises ValueError
-    for a wrong magic or version, an unknown store kind, ``k_c < 1``,
-    ``k_c + k_p > n``, a sketch rank outside [1, n] (the rules
-    :func:`cold_start` keeps), a payload shorter or longer than the header
+    """Read a state file written by :func:`save_state`, or by its version 1,
+    which has no rho: such a state, like one saved with ``rho=None``, has
+    ``rho=None`` and resumes at ``cfg.rho``.  Raises ValueError for a wrong
+    magic or version, an unknown store kind, ``k_c < 1``, ``k_c + k_p > n``,
+    a sketch rank outside [1, n] (the rules :func:`cold_start` keeps), a rho
+    that is not positive, a payload shorter or longer than the header
     declares, and non-finite arrays or statistics."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < _HEADER.size:
+    if len(raw) < _HEADER_V1.size:
         raise ValueError("truncated state file")
+    magic, version = struct.unpack_from("<4sI", raw)
+    if magic != _MAGIC:
+        raise ValueError("not a solver state file")
+    if version not in (1, _VERSION):
+        raise ValueError(f"unsupported state file version {version}")
+    header = _HEADER if version == _VERSION else _HEADER_V1
+    if len(raw) < header.size:
+        raise ValueError("truncated state file")
+    fields = header.unpack_from(raw)
     (
-        magic,
-        version,
+        _,
+        _,
         n,
         m,
         n_ineq,
@@ -613,11 +668,8 @@ def load_state(path) -> StateRecord:
         null,
         trace,
         cost_ip,
-    ) = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise ValueError("not a solver state file")
-    if version != _VERSION:
-        raise ValueError(f"unsupported state file version {version}")
+        rho,
+    ) = fields if version == _VERSION else fields + (np.nan,)
     if kind not in (1, 2):
         raise ValueError(f"unknown store kind {kind} in state file (1 explicit, 2 sketch)")
     if k_c < 1:
@@ -627,13 +679,15 @@ def load_state(path) -> StateRecord:
         raise ValueError(f"state file has k_c + k_p = {k}; it must be at most n = {n}")
     if kind == 2 and not 1 <= rank <= n:
         raise ValueError(f"state file has sketch rank {rank}; it must lie in [1, n = {n}]")
+    if not (np.isnan(rho) or (np.isfinite(rho) and rho > 0)):
+        raise ValueError(f"state file has rho = {rho}; it must be positive and finite")
     store_size = n * n if kind == 1 else n * rank
-    expected = _HEADER.size + 8 * (3 * m + n * k + store_size)
+    expected = header.size + 8 * (3 * m + n * k + store_size)
     if len(raw) < expected:
         raise ValueError(f"truncated state file: {len(raw)} bytes, the header declares {expected}")
     if len(raw) > expected:
         raise ValueError(f"state file has {len(raw) - expected} trailing bytes after its payload")
-    payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).astype(float)
+    payload = np.frombuffer(raw, dtype="<f8", offset=header.size).astype(float)
     if not (np.all(np.isfinite(payload)) and np.isfinite([scale_x, scale_c, trace, cost_ip]).all()):
         raise ValueError("state file holds non-finite arrays, scales, trace or cost")
     y, nu, a_xbar, basis, store_mat = np.split(payload, np.cumsum([m, m, m, n * k]))
@@ -657,6 +711,7 @@ def load_state(path) -> StateRecord:
         null_steps=null,
         scale_x=scale_x,
         scale_c=scale_c,
+        rho=None if np.isnan(rho) else float(rho),
     )
     return StateRecord(fingerprint=(n, m, n_ineq, b_hash), state=state)
 
@@ -728,11 +783,11 @@ def warm_start_pad(
     every new row does when no kept row qualifies.  For MaxCut this is
     complementary slackness, y_i = (C X)_ii / X_ii, with one common scale:
     a new vertex gets ``r * C_ii`` instead of leaving its whole diagonal
-    in ``C - A*(y)``.  The nu vector is padded with zeros.  The primal
-    factor is padded with zero rows on new vertices and rescaled by the
-    ratio of trace normalizations so the padded matrix represents the same
-    unscaled object; statistics are recomputed against the new problem
-    data.
+    in ``C - A*(y)``.  The nu vector is padded with zeros, and the proximal
+    weight rho is carried over as it is.  The primal factor is padded with
+    zero rows on new vertices and rescaled by the ratio of trace
+    normalizations so the padded matrix represents the same unscaled
+    object; statistics are recomputed against the new problem data.
     """
     vmap = np.asarray(mapping.vertex_map, dtype=np.int64)
     cmap = np.asarray(mapping.constraint_map, dtype=np.int64)
@@ -781,4 +836,5 @@ def warm_start_pad(
         model=new_model,
         scale_x=new_prob.scale_x,
         scale_c=new_prob.scale_c,
+        rho=prev.rho,
     )

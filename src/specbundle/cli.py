@@ -93,7 +93,9 @@ def _build_parser() -> _Parser:
     ps.add_argument("--problem", required=True, choices=["maxcut", "qap"])
     ps.add_argument("--input", required=True)
     ps.add_argument("--config", default=None, help="key=value file, overridden by flags")
-    ps.add_argument("--rho", type=float, default=None)
+    ps.add_argument(
+        "--rho", type=float, default=None, help="initial proximal weight; the solver adapts it"
+    )
     ps.add_argument("--beta", type=float, default=None)
     ps.add_argument("--kc", type=int, default=None)
     ps.add_argument("--kp", type=int, default=None)
@@ -230,9 +232,6 @@ def cmd_solve(args) -> int:
             prev = bundle.record_to_state(record)
             init = warm_start_pad(prev, prob, _load_mapping(args.mapping), sketch_seed=cfg.seed)
 
-    # the state's step counts run over every solve it went through; the
-    # summary reports this solve's
-    base = (init.descent_steps, init.null_steps) if init is not None else (0, 0)
     tracker = GapTracker() if (args.problem == "qap" and args.optimum is not None) else None
     out_path = args.out or "metrics.csv"
     with open(out_path, "w", newline="") as fh:
@@ -266,7 +265,11 @@ def cmd_solve(args) -> int:
 
     obj = prob.unscale_objective(state.last_primal.cost_ip)
     print(f"status: {state.status}")
-    descent, null = state.descent_steps - base[0], state.null_steps - base[1]
+    # the state's step counts run over every solve it went through, and
+    # solve leaves init as it was; the summary reports this solve's
+    descent, null = state.descent_steps, state.null_steps
+    if init is not None:
+        descent, null = descent - init.descent_steps, null - init.null_steps
     print(f"iterations: {state.iterations} (descent {descent}, null {null})")
     print(f"objective (original units): {obj:.10g}")
     r = state.residuals

@@ -15,7 +15,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,7 +57,6 @@ class ParseError(ValueError):
 # instances
 
 
-_EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", float)])
 # edges are keyed by lo * n + hi, which must not overflow int64
 _MAX_VERTICES = math.isqrt(np.iinfo(np.int64).max)
 
@@ -70,11 +69,6 @@ class GraphInstance:
     edges_u: np.ndarray
     edges_v: np.ndarray
     edges_w: np.ndarray
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Sequence[tuple[int, int, float]]) -> "GraphInstance":
-        rec = np.fromiter(edges, dtype=_EDGE_DTYPE)
-        return cls.from_arrays(n, rec["u"], rec["v"], rec["w"])
 
     @classmethod
     def from_arrays(cls, n: int, u, v, w) -> "GraphInstance":

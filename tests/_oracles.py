@@ -215,6 +215,14 @@ def lanczos_top_frozen(matvec, n: int, k_c: int, inner_iters: int = 32,
             restarts_done)
 
 
+def graph_from_edges(n: int, edges):
+    """``GraphInstance.from_arrays`` on a list of (u, v, w) tuples."""
+    from specbundle.problem import GraphInstance
+
+    rec = np.fromiter(edges, dtype=[("u", np.int64), ("v", np.int64), ("w", float)])
+    return GraphInstance.from_arrays(n, rec["u"], rec["v"], rec["w"])
+
+
 def graph_from_edges_dict(n: int, edges):
     """Dictionary accumulation of an undirected edge list: self loops
     dropped, each pair keyed as (min, max) and range-checked in input order,
@@ -743,7 +751,7 @@ def build_qap_frozen(q):
 
 def parse_graph_mm_frozen(path):
     """``parse_graph_mm`` as a per-line loop over ``readlines()``."""
-    from specbundle.problem import GraphInstance, ParseError
+    from specbundle.problem import ParseError
 
     with open(path, "r") as fh:
         lines = fh.readlines()
@@ -818,7 +826,7 @@ def parse_graph_mm_frozen(path):
                 raise ParseError(f"entry ({i + 1},{j + 1}) mirror mismatch", ln)
         # each undirected edge appeared twice
         entries = [(i, j, w) for (i, j, w) in entries if i > j]
-    return GraphInstance.from_edges(nrows, entries)
+    return graph_from_edges(nrows, entries)
 
 
 def parse_qaplib_frozen(path):
@@ -873,3 +881,51 @@ def write_graph_mm_frozen(g, path) -> None:
         fh.write(f"{g.n} {g.n} {g.num_edges}\n")
         for u, v, w in zip(g.edges_u, g.edges_v, g.edges_w):
             fh.write(f"{int(v) + 1} {int(u) + 1} {w:.17g}\n")
+
+
+# ---------------------------------------------------------------------------
+# frozen writer of the version-1 state file, which has no rho.  Version-1
+# files must keep loading.
+
+
+def save_state_v1_frozen(path, state, prob) -> None:
+    """``save_state`` as it wrote format version 1: the 19-field header
+    without rho, then the same float64 payload."""
+    import hashlib
+    import struct
+
+    from specbundle.bundle import ExplicitStore
+
+    model = state.model
+    store = model.store
+    if isinstance(store, ExplicitStore):
+        kind, rank, seed, store_mat = 1, 0, 0, store.xbar
+    else:
+        kind, rank, seed, store_mat = 2, store.sk.r, store.sk.psi_seed, store.sk.sketch_mat
+    b_hash = hashlib.sha256(np.ascontiguousarray(prob.b, dtype="<f8").tobytes()).digest()
+    header = struct.pack(
+        "<4sI QQQQ II B II dd dd QQ dd",
+        b"USBS",
+        1,
+        prob.n,
+        prob.m,
+        int(prob.ineq_idx.size),
+        int.from_bytes(b_hash[:8], "little"),
+        model.k_c,
+        model.k_p,
+        kind,
+        rank,
+        seed & 0xFFFFFFFF,
+        state.scale_x,
+        state.scale_c,
+        state.f_y if state.f_y is not None else np.nan,
+        state.lam_y if state.lam_y is not None else np.nan,
+        state.descent_steps,
+        state.null_steps,
+        model.stats.trace,
+        model.stats.cost_ip,
+    )
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for arr in (state.y, state.nu, model.stats.constr_image, model.basis, store_mat):
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())

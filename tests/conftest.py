@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from _oracles import graph_from_edges
 from specbundle.problem import GraphInstance, QapInstance, build_from_families
 
 
@@ -19,7 +20,7 @@ def pytest_addoption(parser):
 
 
 def make_k3() -> GraphInstance:
-    return GraphInstance.from_edges(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+    return graph_from_edges(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
 
 
 def random_graph(n: int, p: float, seed: int) -> GraphInstance:
@@ -27,7 +28,7 @@ def random_graph(n: int, p: float, seed: int) -> GraphInstance:
     edges = [(i, j, 1.0) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     if not edges:
         edges = [(0, 1, 1.0)]
-    return GraphInstance.from_edges(n, edges)
+    return graph_from_edges(n, edges)
 
 
 def random_qap(n: int, seed: int, lo: int = 0, hi: int = 10) -> QapInstance:
@@ -43,13 +44,13 @@ def random_qap(n: int, seed: int, lo: int = 0, hi: int = 10) -> QapInstance:
 
 def record_store_updates(monkeypatch, store_cls) -> list:
     """Wrap ``store_cls.update`` for the test: each call appends its
-    (eta, factor, lams) to the returned list, then updates the store."""
+    (eta, factor, lams) to the returned list, then returns the updated store."""
     updates = []
     real = store_cls.update
 
     def update(self, eta, factor, lams):
         updates.append((eta, factor, lams))
-        real(self, eta, factor, lams)
+        return real(self, eta, factor, lams)
 
     monkeypatch.setattr(store_cls, "update", update)
     return updates

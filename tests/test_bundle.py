@@ -3,7 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from _oracles import save_state_v1_frozen
 from conftest import (
+    graph_from_edges,
     make_k3,
     mixed_inequality_problem,
     random_graph,
@@ -16,7 +18,9 @@ from specbundle.bundle import (
     FingerprintMismatch,
     LanczosSettings,
     Mapping,
+    Residuals,
     SolverConfig,
+    balance_rho,
     candidate_iterate,
     cold_start,
     compute_residuals,
@@ -24,6 +28,7 @@ from specbundle.bundle import (
     load_state,
     model_update,
     penalized_obj,
+    primal_output,
     save_state,
     solve,
     state_from_record,
@@ -216,6 +221,40 @@ class TestModelUpdate:
         )
 
 
+class TestKeptRecords:
+    def test_each_record_keeps_its_iteration_aggregate(self):
+        """Each model owns its primal store: a record kept after the solve
+        moves on gives the aggregate its callback saw, bit for bit."""
+        prob = build_maxcut(random_graph(30, 0.3, 2))
+        cfg = SolverConfig(k_c=4, k_p=1, sketch_rank=0, eps=1e-12, max_iters=5, seed=0)
+        records, seen = [], []
+
+        def keep(info):
+            records.append(info)
+            out = primal_output(info.model)
+            seen.append((out.dense.copy(), out.factor.copy(), out.lams.copy()))
+
+        solve(prob, cfg, callback=keep)
+        assert len(records) == 5
+        assert len({id(r.model.store) for r in records}) == 5
+        for info, (dense, factor, lams) in zip(records, seen):
+            out = primal_output(info.model)
+            np.testing.assert_array_equal(out.dense, dense)
+            np.testing.assert_array_equal(out.factor, factor)
+            np.testing.assert_array_equal(out.lams, lams)
+        assert not np.array_equal(seen[0][0], seen[-1][0])
+
+    def test_update_leaves_the_old_store_as_it_was(self):
+        prob = build_maxcut(random_graph(12, 0.4, 1))
+        for rank in (0, 4):
+            store = cold_start(prob, SolverConfig(k_c=3, k_p=1, sketch_rank=rank)).model.store
+            before = store.xbar.copy() if rank == 0 else store.sk.sketch_mat.copy()
+            new = store.update(0.5, np.eye(prob.n, 2), np.array([0.3, 0.1]))
+            assert type(new) is type(store) and new is not store
+            after = store.xbar if rank == 0 else store.sk.sketch_mat
+            np.testing.assert_array_equal(after, before)
+
+
 class TestResiduals:
     def test_feasible_point_zero_infeas(self):
         prob = build_maxcut(make_k3())
@@ -304,6 +343,35 @@ class TestSolveEndToEnd:
         state2, _ = solve(prob, cfg, init=state)
         assert state2.status == "converged"
         assert state2.descent_steps == descent_before  # zero new descent steps
+
+    @pytest.mark.parametrize("rank", [0, 5])
+    def test_solve_leaves_init_untouched(self, rank):
+        """``solve(prob, cfg, init=s)`` works on a copy: s keeps its point,
+        model, weight and step counts, and two solves from s agree."""
+        prob = build_maxcut(random_graph(30, 0.3, 2))
+        cfg = SolverConfig(k_c=4, k_p=1, sketch_rank=rank, eps=1e-12, max_iters=4, seed=0)
+
+        def snapshot(st):
+            store = st.model.store
+            mat = store.xbar if rank == 0 else store.sk.sketch_mat
+            arrays = [a.copy() for a in (st.y, st.nu, st.model.basis, st.model.stats.constr_image, mat)]
+            scalars = (st.f_y, st.lam_y, st.rho, st.descent_steps, st.null_steps, st.iterations,
+                       st.model.stats.trace, st.model.stats.cost_ip, st.status)
+            return arrays, scalars, st.model, store
+
+        s, _ = solve(prob, cfg)
+        before = snapshot(s)
+        first, _ = solve(prob, cfg, init=s)
+        second, _ = solve(prob, cfg, init=s)
+        after = snapshot(s)
+        assert after[1] == before[1] and after[2] is before[2] and after[3] is before[3]
+        for old, new in zip(before[0], after[0]):
+            np.testing.assert_array_equal(new, old)
+        assert first.iterations == 4 and first.descent_steps + first.null_steps == 8
+        one, two = snapshot(first), snapshot(second)
+        assert one[1] == two[1]
+        for a, b in zip(one[0], two[0]):
+            np.testing.assert_array_equal(a, b)
 
     def test_budget_exhaustion_flagged(self):
         prob = build_maxcut(random_graph(40, 0.3, 77))
@@ -402,6 +470,47 @@ class TestStateFile:
         with pytest.raises(ValueError):
             load_state(path)
 
+    def test_version_2_round_trips_rho(self, tmp_path):
+        prob = build_maxcut(random_graph(12, 0.4, 3))
+        cfg = SolverConfig(k_c=3, k_p=1, eps=1e-12, max_iters=3, seed=0, sketch_rank=3)
+        state, _ = solve(prob, cfg)
+        path = tmp_path / "s.bin"
+        for rho in (state.rho, 0.1 + 2.0**-50, 1e-300, None):
+            save_state(path, replace(state, rho=rho), prob)
+            assert state_from_record(load_state(path), prob).rho == rho
+        assert path.read_bytes()[4:8] == (2).to_bytes(4, "little")
+
+    @pytest.mark.parametrize("rank", [0, 3])
+    def test_version_1_file_resumes_at_cfg_rho(self, tmp_path, rank):
+        """A file of format version 1 has no rho: it loads with rho None and
+        resumes exactly as the same state started at cfg.rho."""
+        prob = build_maxcut(random_graph(12, 0.4, 3))
+        cfg = SolverConfig(k_c=3, k_p=1, eps=1e-12, max_iters=3, seed=0, sketch_rank=rank)
+        state, _ = solve(prob, cfg)
+        assert state.rho != cfg.rho
+        v1, v2 = tmp_path / "v1.bin", tmp_path / "v2.bin"
+        save_state_v1_frozen(v1, state, prob)
+        save_state(v2, replace(state, rho=cfg.rho), prob)
+        old = state_from_record(load_state(v1), prob)
+        assert old.rho is None
+        infos = []
+        resumed, _ = solve(prob, cfg, init=old, callback=infos.append)
+        assert infos[0].rho == cfg.rho
+        again, _ = solve(prob, cfg, init=state_from_record(load_state(v2), prob))
+        np.testing.assert_array_equal(resumed.y, again.y)
+        assert resumed.rho == again.rho
+        # the payloads agree; only the header grew by one float64
+        assert v1.read_bytes()[121:] == v2.read_bytes()[129:]
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.inf])
+    def test_rejects_a_rho_that_is_not_positive(self, tmp_path, rho):
+        prob = build_maxcut(make_k3())
+        state = cold_start(prob, SolverConfig(k_c=2, k_p=0, sketch_rank=2))
+        path = tmp_path / "s.bin"
+        save_state(path, replace(state, rho=rho), prob)
+        with pytest.raises(ValueError, match="rho"):
+            load_state(path)
+
 
 class TestWarmStartPad:
     def test_identity_mapping_same_problem(self, k3):
@@ -427,7 +536,7 @@ class TestWarmStartPad:
         edges = list(
             zip(g_small.edges_u.tolist(), g_small.edges_v.tolist(), g_small.edges_w.tolist())
         )
-        prob_big = build_maxcut(GraphInstance.from_edges(10, edges + extra_edges))
+        prob_big = build_maxcut(graph_from_edges(10, edges + extra_edges))
         padded = warm_start_pad(state, prob_big, Mapping(np.arange(9), np.arange(9)))
         return state, prob_big, padded
 
@@ -456,7 +565,7 @@ class TestWarmStartPad:
     def test_no_qualifying_kept_row_pads_zeros(self):
         state, _, _ = self._arrival([])
         # the kept vertices are isolated in the new graph, the arrivals are not
-        prob = build_maxcut(GraphInstance.from_edges(11, [(9, 10, 1.0)]))
+        prob = build_maxcut(graph_from_edges(11, [(9, 10, 1.0)]))
         assert np.all(prob.cost.diagonal()[9:] > 0)
         padded = warm_start_pad(state, prob, Mapping(np.arange(9), np.arange(9)))
         np.testing.assert_array_equal(padded.y[:9], state.y)
@@ -503,19 +612,26 @@ class TestWarmStartPad:
         assert warm.iterations < zero.iterations
 
     def test_qap_submatrix_arrival_pads_zeros(self):
-        # nearly every kept dual with a nonzero ratio is an inactive
-        # inequality at zero, so the median ratio and the padding are zero
+        # every kept row with a nonzero ratio is an inequality; with those
+        # inactive at zero the median ratio and the padding are zero
         from specbundle.problem import qap_submatrix_constraint_map
 
         full = random_qap(4, 1)
         sub = full.shrink()
         cfg = SolverConfig(rho=0.005, k_c=2, k_p=0, eps=1e-1, max_iters=400, seed=0, sketch_rank=3)
-        prev, _ = solve(build_qap(sub), cfg)
+        sub_prob = build_qap(sub)
+        prev, _ = solve(sub_prob, cfg)
+        y = prev.y.copy()
+        y[sub_prob.ineq_idx] = 0.0
+        assert np.any(y != 0.0)
+        prev = replace(prev, y=y)
         kept = np.arange(sub.size**2)
         vertex_map = np.concatenate([[0], 1 + (kept // sub.size) * full.size + kept % sub.size])
         mapping = Mapping(vertex_map, qap_submatrix_constraint_map(full, sub.size))
         prob = build_qap(full)
         padded = warm_start_pad(prev, prob, mapping, sketch_seed=0)
+        ratio = prob.constraints.primal_image_matrix(prob.cost)[mapping.constraint_map]
+        assert np.all(np.isin(np.flatnonzero(ratio), sub_prob.ineq_idx))
         arriving = np.ones(prob.m, dtype=bool)
         arriving[mapping.constraint_map] = False
         np.testing.assert_array_equal(padded.y[mapping.constraint_map], prev.y)
@@ -548,6 +664,18 @@ class TestWarmStartPad:
         image = prob.constraints.primal_image_factor(factor, lams)
         assert padded.model.stats.constr_image.tobytes() == image.tobytes()
         assert padded.model.stats.cost_ip == prob.cost_factor_ip(factor, lams)
+
+    @pytest.mark.parametrize("rho", [0.37, None])
+    def test_keeps_prev_rho(self, rho):
+        g = random_graph(10, 0.4, 5)
+        keep = np.arange(9)
+        inside = g.edges_v < 9  # edges_u < edges_v
+        sub = GraphInstance.from_arrays(9, g.edges_u[inside], g.edges_v[inside], g.edges_w[inside])
+        prev = cold_start(build_maxcut(sub), SolverConfig(k_c=3, k_p=1, sketch_rank=3))
+        padded = warm_start_pad(
+            replace(prev, rho=rho), build_maxcut(g), Mapping(keep, keep), sketch_seed=0
+        )
+        assert padded.rho == rho
 
     def test_out_of_range_mapping(self, k3):
         prob = build_maxcut(k3)
@@ -582,11 +710,10 @@ class TestConvergenceGates:
             for j in range(i + 1, 12)
             if rng.random() < 0.4
         ]
-        from specbundle.problem import GraphInstance
         from specbundle.rounding import maxcut_round
         from _oracles import brute_force_maxcut
 
-        g = GraphInstance.from_edges(12, edges)
+        g = graph_from_edges(12, edges)
         prob = build_maxcut(g)
         cfg = SolverConfig(k_c=6, k_p=1, eps=1e-4, max_iters=1000, seed=0)
         state, out = solve(prob, cfg)
@@ -598,9 +725,7 @@ class TestConvergenceGates:
         assert cut.value <= best + 1e-9
 
     def test_disconnected_graph(self):
-        from specbundle.problem import GraphInstance
-
-        g = GraphInstance.from_edges(6, [(0, 1, 1.0), (2, 3, 1.0)])
+        g = graph_from_edges(6, [(0, 1, 1.0), (2, 3, 1.0)])
         prob = build_maxcut(g)
         cfg = SolverConfig(k_c=4, k_p=1, eps=1e-3, max_iters=500, seed=0)
         state, _ = solve(prob, cfg)
@@ -692,3 +817,46 @@ class TestCertificateGap:
         c_x = state.last_primal.cost_ip
         assert (state.f_y - c_x) / (1.0 + abs(c_x)) <= eps
         assert gaps[-1] <= eps
+
+
+class TestAdaptiveRho:
+    @staticmethod
+    def res(primal, subopt, dual):
+        return Residuals(rel_subopt=subopt, rel_infeas=primal, linf_infeas=primal, dual_feas=dual)
+
+    def test_balance_rule(self):
+        # D = max(rel_subopt, dual_feas) against P = rel_infeas
+        assert balance_rho(0.01, self.res(1e-3, 3e-3, -1.0), False) == 0.02
+        assert balance_rho(0.01, self.res(1e-3, -1.0, 3e-3), True) == 0.02
+        assert balance_rho(0.01, self.res(3e-3, 1e-3, 1e-4), True) == 0.005
+        assert balance_rho(0.01, self.res(3e-3, 1e-3, 1e-4), False) == 0.01
+        # within a factor 2 either way rho stays
+        assert balance_rho(0.01, self.res(1e-3, 2e-3, 0.0), True) == 0.01
+        assert balance_rho(0.01, self.res(2e-3, 1e-3, 0.0), True) == 0.01
+
+    @pytest.mark.parametrize("kind", ["maxcut", "qap"])
+    def test_rho_never_falls_on_a_null_step(self, kind):
+        """Over whole solves the weight moves, falls only at descent steps,
+        and each record reports the weight its step used."""
+        if kind == "maxcut":
+            prob = build_maxcut(random_graph(60, 0.2, 4))
+            cfg = SolverConfig(k_c=6, k_p=1, sketch_rank=6, eps=1e-4, max_iters=1000, seed=0)
+        else:
+            prob = build_qap(random_qap(5, 1))
+            cfg = SolverConfig(rho=0.005, k_c=2, k_p=0, sketch_rank=5, eps=1e-2, max_iters=400,
+                               seed=0)
+        steps = []
+        solve_state, _ = solve(
+            prob, cfg, callback=lambda info: steps.append((info.step, info.rho, info.state.rho))
+        )
+        assert solve_state.status == "converged"
+        assert steps[0][1] == cfg.rho
+        for (_, _, nxt), (_, used, _) in zip(steps, steps[1:]):
+            assert used == nxt
+        for step, used, nxt in steps:
+            assert nxt in (used, 2.0 * used, 0.5 * used)
+            if step == "null":
+                assert nxt >= used
+        assert any(nxt > used for _, used, nxt in steps)
+        if kind == "maxcut":
+            assert any(nxt < used for _, used, nxt in steps)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import qap_constraint_entries_frozen
-from conftest import random_graph, random_qap
+from conftest import graph_from_edges, random_graph, random_qap
 from specbundle.cli import main
 from specbundle.problem import (
     QapInstance,
@@ -390,9 +390,10 @@ def _corrupt_state(raw: bytes, case: str) -> bytes:
     """Damage one part of a state file written by ``save_state``."""
     import struct
 
-    head = "<4sI QQQQ II B II dd dd QQ dd"
+    head = "<4sI QQQQ II B II dd dd QQ dd d"  # format version 2
     kind_at = struct.calcsize("<4sI QQQQ II")
     trace_at = struct.calcsize("<4sI QQQQ II B II dd dd QQ")
+    rho_at = struct.calcsize("<4sI QQQQ II B II dd dd QQ dd")
     size = struct.calcsize(head)
     if case == "store kind 0":
         return raw[:kind_at] + bytes([0]) + raw[kind_at + 1:]
@@ -410,6 +411,8 @@ def _corrupt_state(raw: bytes, case: str) -> bytes:
         return raw[:trace_at] + struct.pack("<d", float("inf")) + raw[trace_at + 8:]
     if case == "nan cost":
         return raw[:trace_at + 8] + struct.pack("<d", float("nan")) + raw[trace_at + 16:]
+    if case == "negative rho":
+        return raw[:rho_at] + struct.pack("<d", -0.01) + raw[rho_at + 8:]
     raise AssertionError(case)
 
 
@@ -424,6 +427,7 @@ def _corrupt_state(raw: bytes, case: str) -> bytes:
         ("inf in primal store", "non-finite"),
         ("inf trace", "non-finite"),
         ("nan cost", "non-finite"),
+        ("negative rho", "rho"),
     ],
 )
 def test_malformed_state_file_exits_with_message(tmp_path, k3_file, capsys, case, message):
@@ -503,11 +507,9 @@ def test_state_header_breaking_a_dimension_rule_exits_with_message(
 
 @pytest.mark.parametrize("case", ["maxcut edge 1e160", "qap weight 1e160", "qap weight 1e200"])
 def test_overflowing_cost_exits_with_message(tmp_path, capsys, case):
-    from specbundle.problem import GraphInstance
-
     if case.startswith("maxcut"):
         path = tmp_path / "g.mtx"
-        write_graph_mm(GraphInstance.from_edges(3, [(0, 1, 1e160), (1, 2, 1.0)]), path)
+        write_graph_mm(graph_from_edges(3, [(0, 1, 1e160), (1, 2, 1.0)]), path)
         problem = "maxcut"
     else:
         q = random_qap(3, 4)

@@ -172,7 +172,7 @@ def test_parse_qaplib_fuzz(tmp_path, capsys, data):
     _builds_or_rejects(build_qap, q, argv, capsys)
 
 
-_HEAD_FMT = "<4sI QQQQ II B II dd dd QQ dd"
+_HEAD_FMT = "<4sI QQQQ II B II dd dd QQ dd d"  # format version 2
 
 
 @functools.cache
@@ -222,6 +222,7 @@ def mutated_state(draw):
 STATE_BYTES = st.one_of(
     mutated_state(),
     st.binary(max_size=256).map(lambda b: b"USBS\x01\0\0\0" + b),
+    st.binary(max_size=256).map(lambda b: b"USBS\x02\0\0\0" + b),
     st.binary(),
 )
 

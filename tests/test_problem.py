@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_k3, random_graph, random_qap
+from conftest import graph_from_edges, make_k3, random_graph, random_qap
 from _oracles import (
     adjoint_matrix_frozen,
     compressed_rows_frozen,
@@ -13,7 +13,6 @@ from _oracles import (
 )
 from specbundle.problem import (
     DiagonalConstraints,
-    GraphInstance,
     ParseError,
     QapInstance,
     SparseConstraintFamilies,
@@ -39,11 +38,11 @@ class TestGraphInstance:
         np.testing.assert_allclose(lap, 2 * np.eye(3) - (np.ones((3, 3)) - np.eye(3)))
 
     def test_single_edge(self):
-        g = GraphInstance.from_edges(2, [(0, 1, 1.0)])
+        g = graph_from_edges(2, [(0, 1, 1.0)])
         np.testing.assert_allclose(g.laplacian().toarray(), [[1, -1], [-1, 1]])
 
     def test_duplicates_summed_self_loops_dropped(self):
-        g = GraphInstance.from_edges(3, [(0, 1, 1.0), (1, 0, 2.0), (2, 2, 5.0)])
+        g = graph_from_edges(3, [(0, 1, 1.0), (1, 0, 2.0), (2, 2, 5.0)])
         assert g.num_edges == 1
         assert g.edges_w[0] == 3.0
         lap = g.laplacian().toarray()
@@ -78,7 +77,7 @@ class TestBuildMaxcut:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            GraphInstance.from_edges(0, [])
+            graph_from_edges(0, [])
 
 
 def qap_family_rows(prob) -> dict:
@@ -419,7 +418,7 @@ class TestParsers:
 
     def test_overflowing_duplicate_edges_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            GraphInstance.from_edges(2, [(0, 1, 1e308), (1, 0, 1e308)])
+            graph_from_edges(2, [(0, 1, 1e308), (1, 0, 1e308)])
 
     @pytest.mark.parametrize(
         "entries, message",
@@ -465,7 +464,7 @@ class TestFromEdgesMatchesDict:
     def _check(self, n, edges):
         from _oracles import graph_from_edges_dict
 
-        g = GraphInstance.from_edges(n, edges)
+        g = graph_from_edges(n, edges)
         u, v, w = graph_from_edges_dict(n, edges)
         assert np.array_equal(g.edges_u, u) and g.edges_u.dtype == np.int64
         assert np.array_equal(g.edges_v, v) and g.edges_v.dtype == np.int64
@@ -499,12 +498,12 @@ class TestFromEdgesMatchesDict:
         with pytest.raises(ValueError) as ref:
             graph_from_edges_dict(3, edges)
         with pytest.raises(ValueError) as got:
-            GraphInstance.from_edges(3, edges)
+            graph_from_edges(3, edges)
         assert str(got.value) == str(ref.value) == "edge (5,0) out of range for n=3"
 
     def test_vertex_count_beyond_pair_keys_rejected(self):
         with pytest.raises(ValueError, match="too large"):
-            GraphInstance.from_edges(2**32, [(0, 1, 1.0)])
+            graph_from_edges(2**32, [(0, 1, 1.0)])
 
     def test_subgraph_matches_rebuilt_edges(self):
         g = random_graph(40, 0.3, 5)
@@ -658,15 +657,15 @@ class TestCostOverflow:
     that names the cause, with no floating-point warning first."""
 
     def test_maxcut_heavy_edge(self):
-        g = GraphInstance.from_edges(3, [(0, 1, 1e160), (1, 2, 1.0)])
+        g = graph_from_edges(3, [(0, 1, 1e160), (1, 2, 1.0)])
         with pytest.raises(ValueError, match="edge weight.*overflow"):
             build_maxcut(g)
 
     def test_maxcut_norm_at_the_bound(self):
         # entries below the bound whose norm reaches it, and just below
         with pytest.raises(ValueError, match="Frobenius norm is .*overflow"):
-            build_maxcut(GraphInstance.from_edges(3, [(0, 1, 2e154), (1, 2, 1.0)]))
-        prob = build_maxcut(GraphInstance.from_edges(3, [(0, 1, 1e154), (1, 2, 1.0)]))
+            build_maxcut(graph_from_edges(3, [(0, 1, 2e154), (1, 2, 1.0)]))
+        prob = build_maxcut(graph_from_edges(3, [(0, 1, 1e154), (1, 2, 1.0)]))
         assert np.isfinite(prob.scale_c) and np.isfinite(prob.cost.data).all()
 
     @pytest.mark.parametrize("big", [1e160, 1e200])
@@ -693,8 +692,8 @@ class TestCostUnderflow:
     @pytest.mark.parametrize("w", [1e-170, 1e-160])
     def test_maxcut_tiny_edges(self, w):
         edges = [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0)]
-        ref = build_maxcut(GraphInstance.from_edges(3, edges))
-        prob = build_maxcut(GraphInstance.from_edges(3, [(a, b, w * x) for a, b, x in edges]))
+        ref = build_maxcut(graph_from_edges(3, edges))
+        prob = build_maxcut(graph_from_edges(3, [(a, b, w * x) for a, b, x in edges]))
         assert prob.scale_c == pytest.approx(w * ref.scale_c, rel=1e-14)
         assert float(np.sqrt(np.sum(prob.cost.data**2))) == pytest.approx(1.0, rel=1e-14)
         np.testing.assert_allclose(prob.cost.toarray(), ref.cost.toarray(), rtol=1e-14, atol=0)

@@ -46,8 +46,11 @@ def _store_matrix(state):
 @pytest.mark.parametrize("kind", ["maxcut-sketch", "maxcut-dense", "qap"])
 def test_split_solve_equals_straight_solve(tmp_path, kind):
     prob, cfg, splits = _case(kind)
-    straight, _ = solve(prob, cfg)
+    weights = []
+    straight, _ = solve(prob, cfg, callback=lambda info: weights.append(info.rho))
     assert straight.iterations == cfg.max_iters
+    # the proximal weight moved during the run, so the split carries it
+    assert len(set(weights)) > 1
     for n1 in splits:
         first, _ = solve(prob, replace(cfg, max_iters=n1))
         path = tmp_path / f"split-{n1}.bin"
@@ -60,6 +63,7 @@ def test_split_solve_equals_straight_solve(tmp_path, kind):
         np.testing.assert_array_equal(resumed.model.basis, straight.model.basis)
         np.testing.assert_array_equal(_store_matrix(resumed), _store_matrix(straight))
         assert resumed.f_y == straight.f_y and resumed.lam_y == straight.lam_y
+        assert resumed.rho == straight.rho
         assert (resumed.descent_steps, resumed.null_steps) == (
             straight.descent_steps,
             straight.null_steps,
@@ -98,3 +102,24 @@ def test_cli_split_run_writes_the_straight_state_file(tmp_path, capsys, problem)
     assert (tmp_path / "resumed.bin").read_bytes() == (tmp_path / "straight.bin").read_bytes()
     # the summary counts this solve's steps, not the saved run's as well
     assert iters == 16 and descent + null == 16
+
+
+def test_cli_warm_start_resumes_at_the_saved_rho(tmp_path, capsys):
+    """A version-2 state carries its weight, so ``--rho`` on the resumed
+    run does not change where it goes."""
+    instance = tmp_path / "g.mtx"
+    write_graph_mm(random_graph(30, 0.3, 2), instance)
+
+    def run(iters, save, *extra):
+        argv = [
+            "solve", "--problem", "maxcut", "--input", str(instance), "--eps", "1e-12",
+            "--max-iters", str(iters), "--save-state", str(tmp_path / save),
+            "--out", str(tmp_path / f"{save}.csv"), *extra,
+        ]
+        assert main(argv) == 2
+        return load_state(tmp_path / save).state.rho
+
+    assert run(12, "straight.bin") != 0.01
+    run(5, "first.bin")
+    run(7, "resumed.bin", "--warm-start", str(tmp_path / "first.bin"), "--rho", "0.5")
+    assert (tmp_path / "resumed.bin").read_bytes() == (tmp_path / "straight.bin").read_bytes()

@@ -484,13 +484,19 @@ class TestAlternatingMax:
         assert all(b >= a - tol for a, b in zip(values, values[1:]))
 
     def test_pass_cap_recorded_as_inexact(self):
-        """A QAP solve with the CLI's settings stops its second alternation
-        at the pass cap with nu still moving; MaxCut takes one exact pass."""
+        """With the CLI's QAP settings the first alternation is exact.  From
+        the state that iteration leaves, an alternation at the initial
+        weight stops at the pass cap with nu still moving, and the solve
+        records it as inexact.  MaxCut takes one exact pass."""
         prob = build_qap(random_qap(5, 1))
-        cfg = SolverConfig(rho=0.005, beta=0.25, k_c=2, k_p=0, sketch_rank=5, max_iters=2)
+        cfg = SolverConfig(rho=0.005, beta=0.25, k_c=2, k_p=0, sketch_rank=5, max_iters=1)
         infos = []
-        bundle.solve(prob, cfg, callback=infos.append)
+        state, _ = bundle.solve(prob, cfg, callback=infos.append)
         assert infos[0].alt_passes < 50 and infos[0].alt_exact is True
+        capped = alternating_max(prob, state.model, state.y, cfg.rho, nu0=state.nu)
+        assert capped.passes == subqp.ALT_MAX_PASSES == 50 and capped.exact is False
+        bundle.solve(prob, cfg, init=replace(state, rho=cfg.rho), callback=infos.append)
+        assert infos[1].rho == cfg.rho
         assert infos[1].alt_passes == 50 and infos[1].alt_exact is False
 
         prob = build_maxcut(make_k3())
