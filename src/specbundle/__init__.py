@@ -4,7 +4,6 @@ matrix and end-to-end MaxCut / assignment-problem pipelines."""
 
 from .bundle import (
     BundleModel,
-    LanczosSettings,
     Mapping,
     PrimalOutput,
     Residuals,

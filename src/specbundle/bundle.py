@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import math
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg
 
 from . import sketch as sketchmod
 from .eigsolve import EigResult, lanczos_top
@@ -28,10 +30,9 @@ from .subqp import (
     assemble_eval_coeffs,
     ipm_eval,
 )
-from .symlin import EmptyBasisError, orthonormalize, small_eigh
+from .symlin import small_eigh
 
 __all__ = [
-    "LanczosSettings",
     "SolverConfig",
     "AggregateStats",
     "ExplicitStore",
@@ -77,12 +78,6 @@ class FingerprintMismatch(RuntimeError):
 
 
 @dataclass
-class LanczosSettings:
-    inner_iters: int = 32
-    max_restarts: int = 10
-
-
-@dataclass
 class SolverConfig:
     rho: float = 0.01  # the initial proximal weight; solve adapts it
     beta: float = 0.25
@@ -93,14 +88,24 @@ class SolverConfig:
     max_iters: int = 1000
     max_time: Optional[float] = None
     seed: int = 0
-    lanczos: LanczosSettings = field(default_factory=LanczosSettings)
     linf_check: bool = False
 
     def __post_init__(self):
-        if not (self.rho > 0 and 0 < self.beta < 1 and self.k_c >= 1 and self.k_p >= 0):
-            raise ValueError("invalid solver configuration")
-        if self.eps <= 0 or self.sketch_rank < 0:
-            raise ValueError("invalid solver configuration")
+        rules = {
+            # a 1/rho that overflows makes the first candidate step non-finite
+            "rho": (0 < self.rho < math.inf and 1.0 / float(self.rho) < math.inf,
+                    "positive and finite with a finite 1/rho"),
+            "beta": (0 < self.beta < 1, "in (0, 1)"),
+            "k_c": (self.k_c >= 1, "at least 1"),
+            "k_p": (self.k_p >= 0, "at least 0"),
+            "eps": (0 < self.eps < math.inf, "positive and finite"),
+            "sketch_rank": (self.sketch_rank >= 0, "at least 0"),
+            "max_iters": (self.max_iters >= 0, "at least 0"),
+            "max_time": (self.max_time is None or self.max_time >= 0, "None or at least 0"),
+        }
+        for name, (ok, rule) in rules.items():
+            if not ok:
+                raise ValueError(f"SolverConfig.{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -249,13 +254,7 @@ def penalized_obj(
     if k_c is None:
         k_c = min(cfg.k_c, prob.n)
     op = dual_slack_operator(prob, y)
-    eig = lanczos_top(
-        op,
-        k_c,
-        inner_iters=cfg.lanczos.inner_iters,
-        max_restarts=cfg.lanczos.max_restarts,
-        seed=cfg.seed,
-    )
+    eig = lanczos_top(op, k_c, seed=cfg.seed)
     lam = float(eig.eigenvalues[0])
     f = prob.alpha * max(lam, 0.0) + float(prob.b @ y)
     return f, eig
@@ -286,25 +285,32 @@ def descent_test(f_y: float, f_cand: float, model_val: float, beta: float) -> bo
     return beta * (f_y - model_val) <= f_y - f_cand
 
 
+def _orthonormalize(cols: np.ndarray) -> np.ndarray:
+    """Orthonormal basis, C-ordered, for the span of the columns of ``cols``.
+
+    Column-pivoted Householder QR (LAPACK ``dgeqp3``) keeps the leading
+    columns of Q whose |R_ii| exceed 1e-12 * |R_00|; pivoting makes
+    |R_00| the largest input column norm.  An all-zero or numerically
+    dependent block keeps no column."""
+    q, r, _ = scipy.linalg.qr(cols, mode="economic", pivoting=True)
+    kept = np.abs(np.diag(r)) > 1e-12 * abs(r[0, 0])
+    rank = kept.size if kept.all() else int(np.argmin(kept))  # the first dropped
+    return np.ascontiguousarray(q[:, :rank])
+
+
 def _completion_columns(basis: np.ndarray, k: int, seed: int, tag: int) -> np.ndarray:
-    """Deterministically extend an orthonormal basis to k columns."""
-    n = basis.shape[0]
-    cols = [basis]
-    have = basis.shape[1]
-    attempt = 0
-    while have < k:
-        rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, 0x5EED, tag, attempt])
-        v = rng.standard_normal(n)
-        cur = np.column_stack(cols) if len(cols) > 1 else cols[0]
-        v -= cur @ (cur.T @ v)
-        nv = np.linalg.norm(v)
-        attempt += 1
-        if nv < 1e-10:
-            continue
-        cols.append((v / nv)[:, None])
-        have += 1
-    out = np.column_stack(cols) if len(cols) > 1 else cols[0]
-    return out[:, :k]
+    """Deterministically extend an orthonormal n x c basis to k <= n columns.
+
+    The k - c new columns are one Gaussian block drawn from (seed, tag),
+    projected off the basis and orthonormalized by QR; for k <= n that block
+    has full rank with probability 1."""
+    n, c = basis.shape
+    if c >= k:
+        return basis
+    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, 0x5EED, tag, 0])
+    block = rng.standard_normal((n, k - c))
+    block -= basis @ (basis.T @ block)
+    return np.hstack([basis, np.linalg.qr(block)[0]])
 
 
 def model_update(
@@ -341,11 +347,7 @@ def model_update(
     if k_p == 0:
         new_basis = np.asarray(new_vecs, dtype=float)
     else:
-        cand = np.column_stack([model.basis @ q_p, new_vecs])
-        try:
-            new_basis = orthonormalize(cand)
-        except EmptyBasisError:
-            new_basis = np.zeros((model.basis.shape[0], 0))
+        new_basis = _orthonormalize(np.column_stack([model.basis @ q_p, new_vecs]))
     if new_basis.shape[1] < model.k:
         new_basis = _completion_columns(new_basis, model.k, seed, tag)
 
@@ -412,6 +414,15 @@ def _derived_seeds(seed: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
+def _check_explicit_size(n: int) -> None:
+    """Refuse a dense n x n primal store above MAX_EXPLICIT_N."""
+    if n > MAX_EXPLICIT_N:
+        raise ValueError(
+            f"sketch_rank=0 stores a dense {n} x {n} primal matrix; "
+            f"it is allowed up to n={MAX_EXPLICIT_N}, so set sketch_rank > 0"
+        )
+
+
 def cold_start(prob: SdpProblem, cfg: SolverConfig) -> SolverState:
     """Zero dual point, zero aggregate, basis from the cost's top eigenpairs
     completed deterministically to k columns.  Raises ValueError for
@@ -421,11 +432,8 @@ def cold_start(prob: SdpProblem, cfg: SolverConfig) -> SolverState:
     objective at y = 0, so the state carries f(0) and lambda_max(C) and
     ``solve`` starts from it without a second eigensolve.
     """
-    if cfg.sketch_rank == 0 and prob.n > MAX_EXPLICIT_N:
-        raise ValueError(
-            f"sketch_rank=0 stores a dense {prob.n} x {prob.n} primal matrix; "
-            f"it is allowed up to n={MAX_EXPLICIT_N}, so set sketch_rank > 0"
-        )
+    if cfg.sketch_rank == 0:
+        _check_explicit_size(prob.n)
     k_c, k_p = _clamped_dims(prob, cfg)
     k = k_c + k_p
     sketch_seed, _ = _derived_seeds(cfg.seed)
@@ -787,7 +795,9 @@ def warm_start_pad(
     weight rho is carried over as it is.  The primal factor is padded with
     zero rows on new vertices and rescaled by the ratio of trace
     normalizations so the padded matrix represents the same unscaled
-    object; statistics are recomputed against the new problem data.
+    object; statistics are recomputed against the new problem data.  A
+    dense store is refused, with the ValueError of :func:`cold_start`, when
+    the new problem is larger than ``MAX_EXPLICIT_N``.
     """
     vmap = np.asarray(mapping.vertex_map, dtype=np.int64)
     cmap = np.asarray(mapping.constraint_map, dtype=np.int64)
@@ -799,6 +809,8 @@ def warm_start_pad(
         raise ValueError("mapping does not match the previous state dimensions")
 
     model = prev.model
+    if isinstance(model.store, ExplicitStore):
+        _check_explicit_size(new_prob.n)
     tau = prev.scale_x / new_prob.scale_x
     factor_old, lams_old = model.store.factorize()
     # old row of each new vertex; a new vertex points one past the last row

@@ -18,7 +18,6 @@ import numpy as np
 from . import bundle
 from .bundle import (
     FingerprintMismatch,
-    LanczosSettings,
     Mapping,
     SolverConfig,
     load_state,
@@ -70,8 +69,6 @@ _COMMON = {
     "max_iters": 1000,
     "max_time": None,
     "seed": 0,
-    "lanczos_inner": 32,
-    "lanczos_restarts": 10,
     "linf_check": False,
 }
 
@@ -177,10 +174,6 @@ def _resolve_config(args, kind: str, instance) -> SolverConfig:
         max_iters=settings["max_iters"],
         max_time=settings["max_time"],
         seed=int(settings["seed"]),
-        lanczos=LanczosSettings(
-            inner_iters=int(settings["lanczos_inner"]),
-            max_restarts=int(settings["lanczos_restarts"]),
-        ),
         linf_check=bool(settings["linf_check"]),
     )
 

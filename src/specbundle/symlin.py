@@ -14,7 +14,6 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "ConditioningError",
-    "EmptyBasisError",
     "svec_dim",
     "mat_dim",
     "tri_indices",
@@ -23,7 +22,6 @@ __all__ = [
     "svec_identity",
     "u_matrix",
     "symm_kron",
-    "orthonormalize",
     "small_eigh",
     "solve_spd",
     "is_positive_definite",
@@ -34,10 +32,6 @@ _SQRT2 = math.sqrt(2.0)
 
 class ConditioningError(RuntimeError):
     """A factorization found the matrix not numerically positive definite."""
-
-
-class EmptyBasisError(ValueError):
-    """Orthonormalization received no usable directions."""
 
 
 _IDX_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -185,51 +179,6 @@ def symm_kron(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     p = g[:, None, :, None] * h[None, :, None, :]
     kk = (p + p.transpose(1, 0, 3, 2)).reshape(n * n, n * n)
     return half_u @ kk @ u_t
-
-
-def orthonormalize(cols, drop_tol: float = 1e-12) -> np.ndarray:
-    """Orthonormal basis for the span of the given columns.
-
-    Column-pivoted Gram-Schmidt with two projection passes; columns whose
-    residual norm falls below drop_tol times the largest input column norm
-    are dropped, which bounds the condition number of the returned basis.
-    """
-    if isinstance(cols, np.ndarray):
-        a = np.array(cols, dtype=float)
-        if a.ndim == 1:
-            a = a[:, None]
-    else:
-        a = np.column_stack([np.asarray(c, dtype=float) for c in cols])
-    if a.size == 0:
-        raise EmptyBasisError("no input columns")
-    max_norm = float(np.max(np.linalg.norm(a, axis=0)))
-    if max_norm == 0.0:
-        raise EmptyBasisError("all input columns are zero")
-    thresh = drop_tol * max_norm
-    work = a.copy()
-    alive = list(range(a.shape[1]))
-    basis: list[np.ndarray] = []
-    while alive:
-        norms = np.linalg.norm(work[:, alive], axis=0)
-        pick = int(np.argmax(norms))
-        if norms[pick] <= thresh:
-            break
-        piv = alive.pop(pick)
-        q = work[:, piv]
-        if basis:
-            qm = np.column_stack(basis)
-            q = q - qm @ (qm.T @ q)
-        nq = np.linalg.norm(q)
-        if nq <= thresh:
-            continue
-        q = q / nq
-        basis.append(q)
-        if alive:
-            rest = work[:, alive]
-            work[:, alive] = rest - np.outer(q, q @ rest)
-    if not basis:
-        raise EmptyBasisError("all input columns are numerically dependent")
-    return np.column_stack(basis)
 
 
 def small_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -929,3 +929,34 @@ def save_state_v1_frozen(path, state, prob) -> None:
         fh.write(header)
         for arr in (state.y, state.nu, model.stats.constr_image, model.basis, store_mat):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def orthonormalize_frozen(a: np.ndarray) -> np.ndarray:
+    """The column-pivoted Gram-Schmidt that built the bundle basis before the
+    pivoted QR: two projection passes, dropping a column whose residual norm
+    is at most 1e-12 times the largest input column norm.  Returns an n x 0
+    array for an all-zero or fully dependent block."""
+    a = np.array(a, dtype=float)
+    thresh = 1e-12 * float(np.max(np.linalg.norm(a, axis=0)))
+    work = a.copy()
+    alive = list(range(a.shape[1]))
+    basis: list[np.ndarray] = []
+    while alive:
+        norms = np.linalg.norm(work[:, alive], axis=0)
+        pick = int(np.argmax(norms))
+        if norms[pick] <= thresh:
+            break
+        piv = alive.pop(pick)
+        q = work[:, piv]
+        if basis:
+            qm = np.column_stack(basis)
+            q = q - qm @ (qm.T @ q)
+        nq = np.linalg.norm(q)
+        if nq <= thresh:
+            continue
+        q = q / nq
+        basis.append(q)
+        if alive:
+            rest = work[:, alive]
+            work[:, alive] = rest - np.outer(q, q @ rest)
+    return np.column_stack(basis) if basis else np.zeros((a.shape[0], 0))

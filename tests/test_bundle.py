@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -16,10 +17,10 @@ from specbundle.bundle import (
     AggregateStats,
     ExplicitStore,
     FingerprintMismatch,
-    LanczosSettings,
     Mapping,
     Residuals,
     SolverConfig,
+    _completion_columns,
     balance_rho,
     candidate_iterate,
     cold_start,
@@ -37,6 +38,38 @@ from specbundle.bundle import (
 from specbundle import sketch as sketchmod
 from specbundle.problem import GraphInstance, build_maxcut, build_qap
 from specbundle.subqp import assemble_eval_coeffs, ipm_eval
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rho", 0.0),
+            ("rho", -0.01),
+            ("rho", float("inf")),
+            ("rho", float("nan")),
+            ("rho", 1e-320),
+            ("eps", 0.0),
+            ("eps", float("inf")),
+            ("eps", float("nan")),
+            ("beta", 1.0),
+            ("k_c", 0),
+            ("k_p", -1),
+            ("sketch_rank", -1),
+            ("max_iters", -3),
+            ("max_time", -1.0),
+            ("max_time", float("nan")),
+        ],
+    )
+    def test_rejects_a_setting_that_breaks_the_solve(self, field, value):
+        with pytest.raises(ValueError, match=f"SolverConfig.{field} must be"):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value", [("rho", 1e-300), ("max_iters", 0), ("max_time", 0.0), ("eps", 1e300)]
+    )
+    def test_accepts_the_edge_of_each_range(self, field, value):
+        assert getattr(SolverConfig(**{field: value}), field) == value
 
 
 class TestPenalizedObj:
@@ -220,6 +253,34 @@ class TestModelUpdate:
             new.basis.T @ new.basis, np.eye(model.k), atol=1e-10
         )
 
+    def test_all_zero_block_is_completed_from_seed_and_tag(self):
+        # no kept direction and no new one: every column comes from the
+        # completion draw of (seed, tag)
+        prob, cfg, model = self.setup_model(n=12, k_c=3, k_p=2, seed=9)
+        model = replace(model, basis=np.zeros_like(model.basis))
+        s = np.diag([1.0, 0.8, 0.5, 0.0, 0.0])
+        vecs = np.zeros((prob.n, model.k_c))
+
+        def basis(tag):
+            return model_update(model, 0.1, s, vecs, prob, seed=3, tag=tag).basis
+
+        new = basis(5)
+        assert new.shape == model.basis.shape
+        assert new.flags.c_contiguous
+        np.testing.assert_allclose(new.T @ new, np.eye(model.k), atol=1e-12)
+        assert np.array_equal(new, basis(5))
+        assert not np.allclose(new, basis(6))
+
+    @pytest.mark.parametrize("c", [0, 1, 3])
+    def test_completion_keeps_its_input_columns(self, c):
+        rng = np.random.default_rng(10)
+        basis, _ = np.linalg.qr(rng.standard_normal((12, c)))
+        out = _completion_columns(basis, 5, seed=3, tag=2)
+        assert out.shape == (12, 5)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out[:, :c], basis)
+        np.testing.assert_allclose(out.T @ out, np.eye(5), atol=1e-12)
+
 
 class TestKeptRecords:
     def test_each_record_keeps_its_iteration_aggregate(self):
@@ -380,14 +441,17 @@ class TestSolveEndToEnd:
         assert state.status == "budget"
         assert state.iterations == 3
 
-    def test_inexact_eigensolve_flagged_in_iteration_record(self):
+    def test_inexact_eigensolve_flagged_in_iteration_record(self, monkeypatch):
         # with no restarts the leading pair misses its tolerance, and each
         # iteration record says so for the eigensolve that gave lam_cand
-        prob = build_maxcut(random_graph(60, 0.2, 12))
-        cfg = SolverConfig(
-            k_c=4, k_p=1, max_iters=5, seed=0,
-            lanczos=LanczosSettings(inner_iters=6, max_restarts=0),
+        from specbundle import bundle
+
+        monkeypatch.setattr(
+            bundle, "lanczos_top",
+            functools.partial(bundle.lanczos_top, inner_iters=6, max_restarts=0),
         )
+        prob = build_maxcut(random_graph(60, 0.2, 12))
+        cfg = SolverConfig(k_c=4, k_p=1, max_iters=5, seed=0)
         infos = []
         solve(prob, cfg, callback=infos.append)
         assert len(infos) == 5
@@ -676,6 +740,29 @@ class TestWarmStartPad:
             replace(prev, rho=rho), build_maxcut(g), Mapping(keep, keep), sketch_seed=0
         )
         assert padded.rho == rho
+
+    def test_dense_store_refused_above_limit_before_factorize(self, monkeypatch):
+        from specbundle import bundle
+
+        monkeypatch.setattr(bundle, "MAX_EXPLICIT_N", 12)
+        g_small = random_graph(10, 0.5, 61)
+        prev = cold_start(build_maxcut(g_small), SolverConfig(k_c=3, k_p=1, sketch_rank=0))
+        edges = list(
+            zip(g_small.edges_u.tolist(), g_small.edges_v.tolist(), g_small.edges_w.tolist())
+        )
+
+        def no_factorize(self):
+            raise AssertionError("factorize before the size check")
+
+        mapping = Mapping(np.arange(10), np.arange(10))
+        big = build_maxcut(graph_from_edges(14, edges + [(0, 13, 1.0)]))
+        with monkeypatch.context() as m:
+            m.setattr(bundle.ExplicitStore, "factorize", no_factorize)
+            with pytest.raises(ValueError, match="sketch_rank"):
+                warm_start_pad(prev, big, mapping)
+        at_limit = build_maxcut(graph_from_edges(12, edges + [(0, 11, 1.0)]))
+        padded = warm_start_pad(prev, at_limit, mapping)
+        assert padded.model.store.xbar.shape == (12, 12)
 
     def test_out_of_range_mapping(self, k3):
         prob = build_maxcut(k3)

@@ -163,6 +163,16 @@ class TestSolveCommand:
         rows = read_rows(out)
         assert float(rows[-1][4]) <= 1e-3
 
+    @pytest.mark.parametrize("flag, value", [("--eps", "inf"), ("--rho", "inf"), ("--rho", "1e-320")])
+    def test_setting_that_breaks_the_solve_exits_1(self, tmp_path, k3_file, capsys, flag, value):
+        out = tmp_path / "m.csv"
+        code = main(
+            ["solve", "--problem", "maxcut", "--input", str(k3_file), flag, value, "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"SolverConfig.{flag[2:]} must be" in err and "Traceback" not in err
+
     def test_unknown_config_key(self, tmp_path, k3_file):
         cfgf = tmp_path / "cfg"
         cfgf.write_text("nonsense = 1\n")

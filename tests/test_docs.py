@@ -1,5 +1,6 @@
 """README's "Library use" block runs as written and prints what its
-comments say, and its state-file section matches the header layout."""
+comments say, its state-file section matches the header layout, and its
+CLI defaults match the CLI's."""
 import contextlib
 import io
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from specbundle import bundle
+from specbundle import bundle, cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -32,3 +33,27 @@ def test_state_header_field_count_matches_the_layout():
     header = bundle._HEADER
     assert int(version) == bundle._VERSION
     assert int(count) == len(header.unpack(bytes(header.size)))
+
+
+def test_documented_cli_defaults_match_the_cli():
+    text = " ".join(README.read_text().split())
+    sentence = re.search(
+        r"per-problem defaults \(MaxCut: `([^`]*)`; QAP: `([^`]*)`; both: `([^`]*)`\)", text
+    )
+
+    def pairs(listed):
+        return {
+            key.replace("-", "_"): value
+            for key, value in (pair.split("=") for pair in listed.split(", "))
+        }
+
+    maxcut, qap, both = (pairs(group) for group in sentence.groups())
+    for kind, own in (("maxcut", maxcut), ("qap", qap)):
+        settings = {**cli._COMMON, **cli._DEFAULTS[kind]}
+        documented = {**both, **own}
+        assert cli._DEFAULTS[kind].keys() <= documented.keys() <= settings.keys()
+        for key, value in documented.items():
+            if settings[key] is None:  # the QAP sketch rank follows the instance
+                assert value == "n", key
+            else:
+                assert float(value) == settings[key], key

@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import solve_spd_frozen, svec_frozen, svec_inv_frozen, symm_kron_frozen
+from _oracles import (
+    orthonormalize_frozen,
+    solve_spd_frozen,
+    svec_frozen,
+    svec_inv_frozen,
+    symm_kron_frozen,
+)
+from specbundle.bundle import _orthonormalize
 from specbundle.symlin import (
     ConditioningError,
-    EmptyBasisError,
     mat_dim,
-    orthonormalize,
     small_eigh,
     solve_spd,
     svec,
@@ -121,32 +126,61 @@ class TestSymmKron:
 
 
 class TestOrthonormalize:
+    """The bundle basis kernel: one column-pivoted QR with a relative drop
+    rule (``bundle._orthonormalize``)."""
+
     def test_already_orthonormal(self):
         e1 = np.array([1.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0])
-        q = orthonormalize([e1, e2])
+        q = _orthonormalize(np.column_stack([e1, e2]))
         assert q.shape == (3, 2)
+        assert q.flags.c_contiguous
         np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-14)
 
     def test_duplicate_dropped(self):
         v = np.array([1.0, 1.0]) / SQRT2
-        q = orthonormalize([v, v])
+        q = _orthonormalize(np.column_stack([v, v]))
         assert q.shape == (2, 1)
 
     def test_random_block(self):
         rng = np.random.default_rng(6)
-        q = orthonormalize(rng.standard_normal((100, 8)))
+        q = _orthonormalize(rng.standard_normal((100, 8)))
         assert np.abs(q.T @ q - np.eye(8)).max() <= 1e-12
 
-    def test_all_zero_raises(self):
-        with pytest.raises(EmptyBasisError):
-            orthonormalize(np.zeros((4, 2)))
+    @pytest.mark.parametrize("cols", [np.zeros((4, 2)), np.zeros((4, 1))])
+    def test_all_zero_keeps_no_column(self, cols):
+        assert _orthonormalize(cols).shape == (4, 0)
+
+    @pytest.mark.parametrize(
+        "case, rank",
+        [("random", 4), ("dependent", 3), ("below drop", 3), ("above drop", 4), ("zero", 0)],
+    )
+    def test_same_rank_and_span_as_gram_schmidt(self, case, rank):
+        # the drop rule is relative to the largest column norm in both; the
+        # last column sits 1e-14 or 1e-9 of that norm off the span of the rest
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((50, 4))
+        if case == "dependent":
+            a[:, 3] = a[:, 0] - 2.0 * a[:, 1]
+        elif case in ("below drop", "above drop"):
+            off = np.linalg.qr(a[:, :3])[0]
+            v = a[:, 3] - off @ (off.T @ a[:, 3])
+            scale = (1e-14 if case == "below drop" else 1e-9) * np.linalg.norm(a, axis=0).max()
+            a[:, 3] = a[:, 0] + scale * v / np.linalg.norm(v)
+        elif case == "zero":
+            a[:] = 0.0
+        q, ref = _orthonormalize(a), orthonormalize_frozen(a)
+        assert q.shape == ref.shape == (50, rank)
+        # a direction recovered from a 1e-9 residual carries about eps / 1e-9
+        # of rounding in either method
+        atol = 1e-6 if case == "above drop" else 1e-12
+        np.testing.assert_allclose(q @ q.T, ref @ ref.T, atol=atol)
 
     def test_span_preserved(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((20, 3))
         cols = np.column_stack([a[:, 0], a[:, 1], a[:, 0] + a[:, 1], a[:, 2]])
-        q = orthonormalize(cols)
+        q = _orthonormalize(cols)
         assert q.shape[1] == 3
         # every input column reproduces from the basis
         np.testing.assert_allclose(q @ (q.T @ cols), cols, atol=1e-10)
