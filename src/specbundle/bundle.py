@@ -797,7 +797,8 @@ def warm_start_pad(
     normalizations so the padded matrix represents the same unscaled
     object; statistics are recomputed against the new problem data.  A
     dense store is refused, with the ValueError of :func:`cold_start`, when
-    the new problem is larger than ``MAX_EXPLICIT_N``.
+    the new problem is larger than ``MAX_EXPLICIT_N``.  Both maps must be
+    injective and in range; a ValueError names the map that is not.
     """
     vmap = np.asarray(mapping.vertex_map, dtype=np.int64)
     cmap = np.asarray(mapping.constraint_map, dtype=np.int64)
@@ -807,6 +808,11 @@ def warm_start_pad(
         raise ValueError("constraint mapping out of range")
     if vmap.size != prev.model.basis.shape[0] or cmap.size != prev.y.shape[0]:
         raise ValueError("mapping does not match the previous state dimensions")
+    for name, arr in (("vertex", vmap), ("constraint", cmap)):
+        uniq, counts = np.unique(arr, return_counts=True)
+        if uniq.size != arr.size:
+            dup = int(uniq[np.argmax(counts > 1)])
+            raise ValueError(f"{name} mapping is not injective: index {dup} appears more than once")
 
     model = prev.model
     if isinstance(model.store, ExplicitStore):

@@ -58,10 +58,11 @@ def _seeded_unit(n: int, seed: int, counter: int) -> np.ndarray:
 
 
 def _fresh_direction(q: np.ndarray, used: int, seed: int, counter: int) -> np.ndarray | None:
-    n = q.shape[0]
+    """A unit vector orthogonal to the first ``used`` rows of ``q``."""
+    n = q.shape[1]
     for attempt in range(8):
         v = _seeded_unit(n, seed, counter + attempt + 1)
-        v -= q[:, :used] @ (q[:, :used].T @ v)
+        v -= (q[:used] @ v) @ q[:used]
         nv = np.linalg.norm(v)
         if nv > 1e-8:
             return v / nv
@@ -114,16 +115,15 @@ def lanczos_top(
     reported unconverged.  A result whose leading pair misses the tolerance
     is logged as a warning.
 
-    The operator is applied to a contiguous copy of the newest basis vector,
-    not to a strided column of the basis, which a sparse operator would copy
-    on every matvec.  The values are the same and the basis layout and the
-    operands of every projection are unchanged, so the iterates are bit for
-    bit those of applying the operator to the basis column.  The array the
-    operator returns is never written to: it may be the input vector or a
-    buffer the operator reuses.  A non-finite matvec raises ``NumericError``,
-    with no numpy floating-point warning before it: the non-finite values
-    reach ``beta`` through both projections, and the warnings those would
-    emit are silenced in this function.
+    The basis is stored one vector per row, so the operator gets the newest
+    vector as a contiguous row and each projection reads only the live
+    rows.  That row is the basis itself, so the operator must not write to
+    its argument.  The array the operator returns is never written to: it
+    may be the input vector or a buffer the operator reuses.  A non-finite
+    matvec raises ``NumericError``, with no numpy floating-point warning
+    before it: the non-finite values reach ``beta`` through both
+    projections, and the warnings those would emit are silenced in this
+    function.
     """
     n = op.dim
     if k_c < 1:
@@ -137,11 +137,9 @@ def lanczos_top(
     m = max(int(inner_iters), k_c + 1, 2)
     if m >= n:
         return _dense_fallback(op, k_c)
-    q = np.zeros((n, m + 1))
+    q = np.zeros((m + 1, n))  # one basis vector per row
     h = np.zeros((m + 1, m + 1))
-    # contiguous copy of the newest basis vector, the one the operator sees
-    v = _seeded_unit(n, seed, 0)
-    q[:, 0] = v
+    q[0] = _seeded_unit(n, seed, 0)
     ell = 0
     reseed_counter = 0
     converged = False
@@ -155,13 +153,13 @@ def lanczos_top(
     for cycle in range(max_restarts + 1):
         matvecs += m - ell
         for j in range(ell, m):
-            w = np.asarray(op.matvec(v), dtype=float)
-            basis = q[:, : j + 1]
-            coeffs = basis.T @ w
+            w = np.asarray(op.matvec(q[j]), dtype=float)
+            basis = q[: j + 1]
+            coeffs = basis @ w
             # the first projection allocates, so w is owned from here on
-            w = w - basis @ coeffs
-            extra = basis.T @ w
-            w -= basis @ extra
+            w = w - coeffs @ basis
+            extra = basis @ w
+            w -= extra @ basis
             coeffs += extra
             h[: j + 1, j] = coeffs
             h[j, : j + 1] = coeffs
@@ -174,15 +172,13 @@ def lanczos_top(
                 # invariant subspace found; continue on a fresh direction
                 reseed_counter += 16
                 fresh = _fresh_direction(q, j + 1, seed, reseed_counter)
-                v = np.zeros(n) if fresh is None else fresh
+                q[j + 1] = 0.0 if fresh is None else fresh
                 h[j + 1, j] = 0.0
                 h[j, j + 1] = 0.0
             else:
-                w /= beta
-                v = w
+                np.divide(w, beta, out=q[j + 1])
                 h[j + 1, j] = beta
                 h[j, j + 1] = beta
-            q[:, j + 1] = v
         theta, y = small_eigh(h[:m, :m])
         beta_last = h[m, m - 1]
         res = np.abs(beta_last * y[m - 1, :])
@@ -201,9 +197,8 @@ def lanczos_top(
                     break
         # thick restart: lock leading Ritz vectors, continue from the residual
         ell = max(1, min(k_c + 3, m - 2))
-        kept = q[:, :m] @ y[:, :ell]
-        q[:, :ell] = kept
-        q[:, ell] = v
+        q[:ell] = y[:, :ell].T @ q[:m]
+        q[ell] = q[m]
         h[:, :] = 0.0
         h[:ell, :ell] = np.diag(theta[:ell])
         restarts_done += 1
@@ -217,7 +212,7 @@ def lanczos_top(
             tol_eff,
         )
     vals = theta[:k_c].copy()
-    vecs = q[:, :m] @ y[:, :k_c]
+    vecs = q[:m].T @ y[:, :k_c]
     return EigResult(
         eigenvalues=vals,
         eigenvectors=vecs,

@@ -189,11 +189,16 @@ class DiagonalConstraints:
 
     def compressed_rows(self, v: np.ndarray) -> np.ndarray:
         # svec(V^T A_i V) for A_i = e_i e_i^T is svec of the outer product of
-        # row i of V with itself
+        # row i of V with itself.  Filled one column at a time, so no second
+        # n x d temporary is made.  F order, the layout of the gather
+        # v[:, i]: compressed.T @ compressed rounds differently on a
+        # C-ordered block, and that moves the solver's iterates.
         i, j, w = tri_indices(v.shape[1])
-        out = v[:, i]
-        out *= v[:, j]
-        out *= w
+        out = np.empty((w.size, v.shape[0])).T
+        for c in range(w.size):
+            col = out[:, c]
+            np.multiply(v[:, i[c]], v[:, j[c]], out=col)
+            col *= w[c]
         return out
 
     def frob_norms(self) -> np.ndarray:

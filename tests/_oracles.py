@@ -144,7 +144,8 @@ def lanczos_top_frozen(matvec, n: int, k_c: int, inner_iters: int = 32,
     """Frozen copy of the thick-restart Lanczos iteration as it stood before
     the solver began streaming a contiguous vector to the operator: the
     operator is applied to the strided basis column and every projection
-    allocates.  The solver's ``lanczos_top`` must reproduce it bit for bit.
+    allocates.  The solver's ``lanczos_top`` stores the basis one vector per
+    row, so it must agree with this copy up to that layout's rounding.
 
     Returns (eigenvalues, eigenvectors, residuals, converged, restarts).
     The leading Ritz value of each cycle is checked here to be

@@ -660,20 +660,26 @@ class TestWarmStartPad:
     def test_arrival_certifies_sooner_than_zero_padding(self):
         # one percent of the vertices arrive, as in the benchmark's arrivals;
         # with a tenth arriving, the zero primal rows of the new vertices set
-        # the pace and both paddings take about as many iterations
-        g = random_graph(505, 8.0 / 505, 17)
+        # the pace and both paddings take about as many iterations.  On one
+        # graph the margin is within rounding noise, so five graphs are run
         cfg = SolverConfig(k_c=10, k_p=1, eps=1e-3, max_iters=1000, seed=0, sketch_rank=10)
-        prev, _ = solve(build_maxcut(g.subgraph(500)), cfg)
-        prob = build_maxcut(g)
         mapping = Mapping(np.arange(500), np.arange(500))
-        padded = warm_start_pad(prev, prob, mapping, sketch_seed=0)
-        zeroed = warm_start_pad(prev, prob, mapping, sketch_seed=0)
-        zeroed.y[500:] = 0.0
-        assert np.all(padded.y[500:] > 0)
-        warm, _ = solve(prob, cfg, init=padded)
-        zero, _ = solve(prob, cfg, init=zeroed)
-        assert warm.status == zero.status == "converged"
-        assert warm.iterations < zero.iterations
+        warm_iters, zero_iters = [], []
+        for graph_seed in (17, 1, 2, 3, 4):
+            g = random_graph(505, 8.0 / 505, graph_seed)
+            prev, _ = solve(build_maxcut(g.subgraph(500)), cfg)
+            prob = build_maxcut(g)
+            padded = warm_start_pad(prev, prob, mapping, sketch_seed=0)
+            zeroed = warm_start_pad(prev, prob, mapping, sketch_seed=0)
+            zeroed.y[500:] = 0.0
+            assert np.all(padded.y[500:] > 0)
+            warm, _ = solve(prob, cfg, init=padded)
+            zero, _ = solve(prob, cfg, init=zeroed)
+            assert warm.status == zero.status == "converged"
+            warm_iters.append(warm.iterations)
+            zero_iters.append(zero.iterations)
+        assert sum(warm_iters) < sum(zero_iters)
+        assert sum(w < z for w, z in zip(warm_iters, zero_iters)) >= 4, (warm_iters, zero_iters)
 
     def test_qap_submatrix_arrival_pads_zeros(self):
         # every kept row with a nonzero ratio is an inequality; with those
@@ -770,6 +776,17 @@ class TestWarmStartPad:
         state, _ = solve(prob, cfg)
         with pytest.raises(ValueError):
             warm_start_pad(state, prob, Mapping(np.array([0, 1, 7]), np.arange(3)))
+
+    @pytest.mark.parametrize("name", ["vertex", "constraint"])
+    def test_map_that_is_not_injective(self, name):
+        # two old vertices (or rows) onto one new one would give a basis that
+        # is not orthonormal (or drop a dual) without a word
+        prob = build_maxcut(random_graph(6, 0.6, 62))
+        state, _ = solve(prob, SolverConfig(k_c=3, k_p=1, max_iters=3, seed=0, sketch_rank=0))
+        maps = {"vertex": np.arange(6), "constraint": np.arange(6)}
+        maps[name] = np.array([0, 1, 2, 3, 4, 4])
+        with pytest.raises(ValueError, match=f"{name} mapping is not injective: index 4"):
+            warm_start_pad(state, prob, Mapping(maps["vertex"], maps["constraint"]))
 
 
 class TestConvergenceGates:

@@ -340,6 +340,24 @@ class TestPerturbCommand:
         )
         assert rc in (0, 2)
 
+    def test_mapping_that_is_not_injective_exits_1(self, tmp_path, capsys):
+        g = random_graph(8, 0.5, 7)
+        src, sub = tmp_path / "g.mtx", tmp_path / "sub.mtx"
+        write_graph_mm(g, src)
+        write_graph_mm(g.subgraph(7), sub)
+        state_path = tmp_path / "s.bin"
+        main(["solve", "--problem", "maxcut", "--input", str(sub), "--max-iters", "2",
+              "--save-state", str(state_path), "--out", str(tmp_path / "s.csv")])
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps({"vertex_map": [0, 1, 2, 3, 4, 5, 5],
+                                        "constraint_map": list(range(7))}))
+        capsys.readouterr()
+        rc = main(["solve", "--problem", "maxcut", "--input", str(src), "--max-iters", "2",
+                   "--warm-start", str(state_path), "--mapping", str(map_path),
+                   "--out", str(tmp_path / "w.csv")])
+        assert rc == 1
+        assert "vertex mapping is not injective" in capsys.readouterr().err
+
     def test_bad_fraction(self, tmp_path):
         g = random_graph(10, 0.5, 6)
         src = tmp_path / "g.mtx"

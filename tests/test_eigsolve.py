@@ -114,21 +114,35 @@ def test_defaults_match_documented_values():
 
 
 def _assert_matches_frozen(op, k_c, frozen_restarts=None, **kw):
-    """``lanczos_top`` equals the frozen copy bit for bit; ``frozen_restarts``
-    runs the frozen copy with that restart budget instead of the same one."""
+    """``lanczos_top`` agrees with the frozen copy, which stores the basis one
+    vector per column, up to the rounding of the layout: the same flags and
+    restarts, every pair converged on both sides within the tolerance, and
+    the same leading vector when the leading value is simple.  ``frozen_restarts`` runs the frozen copy with
+    that restart budget instead of the same one.  ``lanczos_top`` itself
+    repeats bit for bit."""
     from _oracles import lanczos_top_frozen
 
     res = lanczos_top(op, k_c, **kw)
+    again = lanczos_top(op, k_c, **kw)
+    for field in ("eigenvalues", "eigenvectors", "residuals"):
+        assert np.array_equal(getattr(res, field), getattr(again, field))
+    assert (res.converged, res.restarts) == (again.converged, again.restarts)
+    assert res.eigenvectors.flags.c_contiguous
     if frozen_restarts is not None:
         kw = dict(kw, max_restarts=frozen_restarts)
     vals, vecs, resid, converged, restarts = lanczos_top_frozen(
         op.matvec, op.dim, k_c, **kw
     )
-    assert np.array_equal(res.eigenvalues, vals)
-    assert np.array_equal(res.eigenvectors, vecs)
-    assert np.array_equal(res.residuals, resid)
     assert res.converged == converged
     assert res.restarts == restarts
+    tol_eff = kw.get("tol", 1e-9) * (1.0 + abs(vals[0]))
+    both = (res.residuals <= tol_eff) & (resid <= tol_eff)
+    assert both[0]
+    np.testing.assert_allclose(res.eigenvalues[both], vals[both], rtol=0, atol=tol_eff)
+    # a leading value repeated within the tolerance (the identity operator)
+    # has no single leading vector
+    if k_c == 1 or vals[0] - vals[1] > tol_eff:
+        assert 1.0 - abs(res.eigenvectors[:, 0] @ vecs[:, 0]) <= 1e-10
     return res
 
 

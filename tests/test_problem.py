@@ -528,6 +528,31 @@ class TestDiagonalCompressedRows:
         out = DiagonalConstraints(50).compressed_rows(v)
         assert np.array_equal(out, v[:, i] * v[:, j] * w[None, :])
 
+    @pytest.mark.parametrize("n", [5, 1000])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_equal_to_fancy_index_form_in_f_order(self, n, k):
+        # F order is the layout of v[:, i], which fixes how
+        # compressed.T @ compressed rounds
+        from specbundle.symlin import tri_indices
+
+        v = np.random.default_rng(100 * n + k).standard_normal((n, k))
+        i, j, w = tri_indices(k)
+        out = DiagonalConstraints(n).compressed_rows(v)
+        assert np.array_equal(out, v[:, i] * v[:, j] * w[None, :])
+        assert out.flags.f_contiguous
+
+    def test_no_second_n_by_d_temporary(self):
+        import tracemalloc
+
+        v = np.random.default_rng(10).standard_normal((20000, 11))
+        tracemalloc.start()
+        try:
+            out = DiagonalConstraints(20000).compressed_rows(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes
+
 
 class TestSparseImagesBitIdentity:
     """The np.take row gathers and the masked projection must equal the
