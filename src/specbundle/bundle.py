@@ -223,9 +223,11 @@ class IterationInfo:
     eig_converged: bool
     eig_leading_residual: float
     eig_leading_converged: bool
-    # passes of the (X, nu) alternation; alt_exact is False when it stopped at
-    # its pass cap with nu still moving, or an interior-point solve was inexact
+    # passes of the (X, nu) alternation and the interior-point Newton steps
+    # summed over them; alt_exact is False when it stopped at its pass cap
+    # with nu still moving, or an interior-point solve was inexact
     alt_passes: int
+    alt_newton: int
     alt_exact: bool
 
 
@@ -556,6 +558,7 @@ def solve(
                     eig_leading_residual=float(eig_cand.residuals[0]),
                     eig_leading_converged=eig_cand.leading_converged,
                     alt_passes=alt.passes,
+                    alt_newton=alt.newton,
                     alt_exact=alt.exact,
                 )
             )

@@ -138,13 +138,22 @@ def _read_config_file(path) -> dict:
     return out
 
 
-def _coerce(value, like):
-    if isinstance(like, bool):
-        return value.lower() in ("1", "true", "yes", "on")
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float) or like is None:
-        return float(value)
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _coerce(key, value, like):
+    try:
+        if isinstance(like, bool):
+            return _BOOLEANS[value.lower()]
+        if isinstance(like, int):
+            return int(value)
+        if isinstance(like, float) or like is None:
+            return float(value)
+    except (KeyError, ValueError):
+        kind = ("a boolean (1/true/yes/on or 0/false/no/off)" if isinstance(like, bool)
+                else "an integer" if isinstance(like, int) else "a number")
+        raise UsageError(f"config key {key!r} must be {kind}, not {value!r}") from None
     return value
 
 
@@ -158,7 +167,7 @@ def _resolve_config(args, kind: str, instance) -> SolverConfig:
         for key, val in file_vals.items():
             if key not in settings:
                 raise UsageError(f"unknown config key {key!r}")
-            settings[key] = _coerce(val, settings[key])
+            settings[key] = _coerce(key, val, settings[key])
     for key in settings:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -199,13 +208,26 @@ def _round_value(kind: str, instance, factor, optimum, tracker: Optional[GapTrac
     return res.objective
 
 
+def _is_index(entry) -> bool:
+    # a JSON integer, or a float with an integral value such as 3.0; a bool
+    # is not an index
+    if isinstance(entry, float) and entry.is_integer():
+        entry = int(entry)
+    return type(entry) is int and 0 <= entry < 2**63
+
+
 def _load_mapping(path) -> Mapping:
     with open(path) as fh:
         data = json.load(fh)
-    return Mapping(
-        vertex_map=np.asarray(data["vertex_map"], dtype=np.int64),
-        constraint_map=np.asarray(data["constraint_map"], dtype=np.int64),
-    )
+    if not isinstance(data, dict):
+        raise ValueError("mapping file must be a JSON object of 'vertex_map' and 'constraint_map'")
+    maps = {}
+    for key in ("vertex_map", "constraint_map"):
+        entries = data.get(key)
+        if not isinstance(entries, list) or not all(map(_is_index, entries)):
+            raise ValueError(f"mapping {key!r} must be a list of non-negative integer indices")
+        maps[key] = np.array([int(e) for e in entries], dtype=np.int64)
+    return Mapping(**maps)
 
 
 def cmd_solve(args) -> int:

@@ -115,6 +115,14 @@ def lanczos_top(
     reported unconverged.  A result whose leading pair misses the tolerance
     is logged as a warning.
 
+    Each step projects the product once on the rows it reaches in exact
+    arithmetic: the vector itself and the one before it, or on the first
+    step of a cycle every locked Ritz row as well (the arrow of a thick
+    restart; Wu & Simon 2000).  One classical Gram-Schmidt pass against the
+    whole basis then removes what rounding left, which keeps the basis
+    orthogonal to working precision ("twice is enough": Daniel, Gragg,
+    Kaufman & Stewart 1976) at one full-basis pass per step.
+
     The basis is stored one vector per row, so the operator gets the newest
     vector as a contiguous row and each projection reads only the live
     rows.  That row is the basis itself, so the operator must not write to
@@ -154,13 +162,17 @@ def lanczos_top(
         matvecs += m - ell
         for j in range(ell, m):
             w = np.asarray(op.matvec(q[j]), dtype=float)
+            # the product reaches only the three-term neighbours, or every
+            # locked Ritz row on the first step of a cycle (the arrow)
+            lo = 0 if j == ell else j - 1
+            local = q[lo : j + 1]
+            near = local @ w
+            # the local projection allocates, so w is owned from here on
+            w = w - near @ local
             basis = q[: j + 1]
             coeffs = basis @ w
-            # the first projection allocates, so w is owned from here on
-            w = w - coeffs @ basis
-            extra = basis @ w
-            w -= extra @ basis
-            coeffs += extra
+            w -= coeffs @ basis
+            coeffs[lo:] += near
             h[: j + 1, j] = coeffs
             h[j, : j + 1] = coeffs
             # a NaN or inf in the matvec survives both projections into beta

@@ -507,6 +507,7 @@ class AltMaxResult:
     c_x: float  # cost inner product of the new iterate
     tr_x: float
     passes: int
+    newton: int  # interior-point Newton steps, summed over the passes
     exact: bool
 
 
@@ -533,12 +534,14 @@ def alternating_max(
     warm: IpmState | None = None
     base: QuadCoeffs | None = None
     exact = True
+    newton = 0
     b_norm = float(np.linalg.norm(prob.b))
     for passes in range(1, ALT_MAX_PASSES + 1):
         coeffs = assemble_quad_coeffs(prob, model, y, nu, rho, base=base)
         base = coeffs
         res = ipm_quad(coeffs, warm=warm)
         warm = res.state
+        newton += res.newton_iters
         exact = exact and res.exact
         s_act = alpha * res.s_opt
         eta_act = (alpha * res.eta_opt / tr) if has_eta else 0.0
@@ -563,5 +566,6 @@ def alternating_max(
         c_x=c_x,
         tr_x=tr_x,
         passes=passes,
+        newton=newton,
         exact=exact and done,
     )

@@ -184,6 +184,33 @@ class TestSolveCommand:
         ) == 64
 
 
+    @pytest.mark.parametrize(
+        "line", ["linf_check = treu", "max_iters = 1e3", "kc = abc", "eps = small"]
+    )
+    def test_unreadable_config_value(self, tmp_path, k3_file, capsys, line):
+        cfgf = tmp_path / "cfg"
+        cfgf.write_text(line + "\n")
+        code = main(
+            [
+                "solve", "--problem", "maxcut", "--input", str(k3_file),
+                "--config", str(cfgf), "--out", str(tmp_path / "m.csv"),
+            ]
+        )
+        assert code == 64
+        key, value = (part.strip() for part in line.split("="))
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err and repr(value) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(v, True) for v in ("1", "true", "YES", "On")]
+        + [(v, False) for v in ("0", "False", "no", "OFF")],
+    )
+    def test_config_booleans(self, value, expected):
+        from specbundle.cli import _coerce
+
+        assert _coerce("linf_check", value, False) is expected
+
 class TestRoundCommand:
     def test_round_saved_k3(self, tmp_path, k3_file, capsys):
         state = tmp_path / "s.bin"
@@ -357,6 +384,37 @@ class TestPerturbCommand:
                    "--out", str(tmp_path / "w.csv")])
         assert rc == 1
         assert "vertex mapping is not injective" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"vertex_map": [0, 1, 2, 3]}', "constraint_map"),
+            ("[[0, 1, 2, 3], [0, 1, 2, 3]]", "vertex_map"),
+            ('{"vertex_map": [0, 1, 2, 3], "constraint_map": [[0, 1], [2, 3]]}', "constraint_map"),
+            ('{"vertex_map": [0, 1, 2, 1e30], "constraint_map": [0, 1, 2, 3]}', "vertex_map"),
+            ('{"vertex_map": [0, 0.5, 2, 3], "constraint_map": [0, 1, 2, 3]}', "vertex_map"),
+            ('{"vertex_map": [0, 1, 2, 3], "constraint_map": [0, true, 2, 3]}', "constraint_map"),
+        ],
+        ids=["missing-key", "top-level-list", "two-dimensional", "huge-index", "fraction", "bool"],
+    )
+    def test_malformed_mapping_exits_1(self, tmp_path, capsys, text, key):
+        # a 4-vertex state warm started onto a 5-vertex graph
+        g = random_graph(5, 0.8, 3)
+        src, sub = tmp_path / "g.mtx", tmp_path / "sub.mtx"
+        write_graph_mm(g, src)
+        write_graph_mm(g.subgraph(4), sub)
+        state_path = tmp_path / "s.bin"
+        main(["solve", "--problem", "maxcut", "--input", str(sub), "--max-iters", "2",
+              "--save-state", str(state_path), "--out", str(tmp_path / "s.csv")])
+        map_path = tmp_path / "map.json"
+        map_path.write_text(text)
+        capsys.readouterr()
+        code = main(["solve", "--problem", "maxcut", "--input", str(src), "--max-iters", "2",
+                     "--warm-start", str(state_path), "--mapping", str(map_path),
+                     "--out", str(tmp_path / "w.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert repr(key) in err and "Traceback" not in err
 
     def test_bad_fraction(self, tmp_path):
         g = random_graph(10, 0.5, 6)

@@ -300,3 +300,44 @@ def test_converging_operators_log_nothing(caplog):
 def test_negative_restart_budget_rejected():
     with pytest.raises(ValueError, match="max_restarts"):
         lanczos_top(LinOp(dim=50, matvec=lambda v: 2.0 * v), 1, max_restarts=-1)
+
+
+def _arrow_op(n=300, m=24, seed=0):
+    # m - 1 close eigenvalues at the top and two far below, m + 1 distinct in
+    # all: a restart discards only the two bottom Ritz vectors, which have
+    # converged, so the product of a cycle's first vector is almost all
+    # coupling to the locked Ritz rows (the arrow), and its new direction is
+    # small
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    big = 1e5
+    centres = np.concatenate([big / 2 - 1 + np.linspace(0, 1, m - 1), [-big / 2, -big / 6]])
+    return dense_op((q * centres[np.arange(n) % (m + 1)]) @ q.T)
+
+
+def _gaussian_op():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((300, 300))
+    return dense_op(0.5 * (a + a.T))
+
+
+@pytest.mark.parametrize(
+    "make_op, k_c, kw",
+    [
+        (_maxcut_slack_op, 10, {}),
+        (_gaussian_op, 5, {"seed": 1}),
+        (_arrow_op, 20, {"inner_iters": 24}),
+    ],
+)
+def test_restarted_basis_stays_orthonormal(make_op, k_c, kw):
+    # each step projects once on the rows its product reaches and once on
+    # the whole basis; orthogonality lost in either shows in the returned
+    # vectors and in residuals that the Ritz values no longer explain
+    op = make_op()
+    res = lanczos_top(op, k_c, **kw)
+    assert res.restarts >= 3
+    v = res.eigenvectors
+    assert np.abs(v.T @ v - np.eye(k_c)).max() <= 1e-12
+    explicit = np.linalg.norm(op.matmat(v) - v * res.eigenvalues, axis=0)
+    slack = 1e-12 * (1.0 + abs(res.eigenvalues[0]))
+    assert np.all(explicit <= res.residuals + slack)

@@ -12,7 +12,7 @@ from _oracles import (
     psi_value,
     random_quad_coeffs,
 )
-from conftest import random_qap
+from conftest import random_graph, random_qap
 from _ipm_steps import barrier_update, line_search_feasible, newton_direction
 from specbundle import bundle, subqp
 from specbundle.bundle import SolverConfig, cold_start
@@ -503,6 +503,41 @@ class TestAlternatingMax:
         infos = []
         bundle.solve(prob, SolverConfig(max_iters=1), callback=infos.append)
         assert infos[0].alt_passes == 1 and infos[0].alt_exact is True
+
+    @pytest.mark.parametrize(
+        "make_prob, cfg",
+        [
+            (lambda: build_maxcut(random_graph(30, 0.3, 4)), SolverConfig(max_iters=8)),
+            (
+                lambda: build_qap(random_qap(5, 1)),
+                SolverConfig(rho=0.005, k_c=2, k_p=0, sketch_rank=5, max_iters=6),
+            ),
+        ],
+        ids=["maxcut", "qap"],
+    )
+    def test_newton_steps_recorded(self, monkeypatch, make_prob, cfg):
+        """``alt_newton`` is the sum of the Newton steps of the interior-point
+        solves the alternation ran in that iteration, one solve per pass."""
+        steps = []
+        real = subqp.ipm_quad
+
+        def counted(*args, **kwargs):
+            res = real(*args, **kwargs)
+            steps.append(res.newton_iters)
+            return res
+
+        monkeypatch.setattr(subqp, "ipm_quad", counted)
+        records = []
+
+        def callback(info):
+            records.append((info.alt_newton, info.alt_passes, sum(steps), len(steps)))
+            steps.clear()
+
+        bundle.solve(make_prob(), cfg, callback=callback)
+        assert len(records) == cfg.max_iters
+        for newton, passes, wrapped, calls in records:
+            assert newton == wrapped and passes == calls
+            assert newton >= passes
 
     def test_trace_budget_respected(self):
         prob = build_maxcut(make_k3())
