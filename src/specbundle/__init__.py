@@ -23,7 +23,6 @@ from .problem import (
     GraphInstance,
     QapInstance,
     SdpProblem,
-    build_from_families,
     build_maxcut,
     build_qap,
     parse_graph_mm,

@@ -179,7 +179,7 @@ class Residuals:
 @dataclass
 class SolverState:
     y: np.ndarray
-    nu: np.ndarray
+    nu: np.ndarray  # the last proximal step's slack: saved, but seeds no solve
     f_y: Optional[float]
     lam_y: Optional[float]
     model: BundleModel
@@ -223,9 +223,9 @@ class IterationInfo:
     eig_converged: bool
     eig_leading_residual: float
     eig_leading_converged: bool
-    # passes of the (X, nu) alternation and the interior-point Newton steps
-    # summed over them; alt_exact is False when it stopped at its pass cap
-    # with nu still moving, or an interior-point solve was inexact
+    # the proximal step: the pieces of its objective that the one
+    # interior-point solve visited (1 without inequality rows), its Newton
+    # steps, and alt_exact False when that solve stopped inexact
     alt_passes: int
     alt_newton: int
     alt_exact: bool
@@ -505,7 +505,7 @@ def solve(
             break
 
         rho = state.rho
-        alt = alternating_max(prob, state.model, state.y, rho, nu0=state.nu)
+        alt = alternating_max(prob, state.model, state.y, rho)
         state.nu = alt.nu
         y_cand = candidate_iterate(state.y, alt.nu, alt.a_x, prob.b, rho, prob.ineq_idx)
         f_cand, eig_cand = penalized_obj(prob, y_cand, cfg, k_c=state.model.k_c)

@@ -249,11 +249,18 @@ def cmd_solve(args) -> int:
 
     tracker = GapTracker() if (args.problem == "qap" and args.optimum is not None) else None
     out_path = args.out or "metrics.csv"
+    # summed over the iterations: eigensolve matvecs, leading-pair misses,
+    # Newton steps, inexact proximal steps
+    totals = [0, 0, 0, 0]
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
 
         def callback(info):
+            totals[0] += info.eig_matvecs
+            totals[1] += not info.eig_leading_converged
+            totals[2] += info.alt_newton
+            totals[3] += not info.alt_exact
             rounded = ""
             if args.round:
                 output = primal_output(info.model)
@@ -297,6 +304,10 @@ def cmd_solve(args) -> int:
         print(f"rounded value: {val:.10g}")
         if tracker is not None and tracker.best is not None:
             print(f"best relative gap: {tracker.best:.6g}")
+    print(
+        "summary: eigensolve matvecs {}, leading-pair misses {}, Newton steps {}, "
+        "inexact subproblem solves {}".format(*totals)
+    )
     return EXIT_OK if state.status == "converged" else EXIT_BUDGET
 
 

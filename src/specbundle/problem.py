@@ -32,7 +32,6 @@ __all__ = [
     "SdpProblem",
     "build_maxcut",
     "build_qap",
-    "build_from_families",
     "proj_K",
     "proj_N",
     "dual_slack_operator",
@@ -605,37 +604,6 @@ def build_qap(q: QapInstance, alpha: float = 2.0) -> SdpProblem:
         scale_c=scale_c,
         scale_x=scale_x,
         sense=-1,
-    )
-
-
-def build_from_families(
-    n: int,
-    cost_raw,
-    triples,
-    b_raw,
-    ineq_mask,
-    alpha: float = 2.0,
-    scale_x: float = 1.0,
-) -> SdpProblem:
-    """Generic problem from (constraint, row, col, value) entries.  Applies
-    the unit-cost-norm scaling and divides b by ``scale_x``; no per-row or
-    operator-norm normalization.  Raises ValueError when the cost's norm
-    would overflow."""
-    cost, scale_c = _normalized_cost(sp.csr_matrix(cost_raw))
-    idx, rows, cols, vals = (np.asarray(a) for a in triples)
-    m = len(b_raw)
-    ops = SparseConstraintFamilies(n, m, idx, rows, cols, vals)
-    return SdpProblem(
-        n=n,
-        m=m,
-        cost=cost,
-        constraints=ops,
-        b=np.asarray(b_raw, dtype=float) / scale_x,
-        ineq_mask=np.asarray(ineq_mask, dtype=bool),
-        alpha=alpha,
-        scale_c=scale_c,
-        scale_x=scale_x,
-        sense=1,
     )
 
 

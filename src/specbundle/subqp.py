@@ -11,6 +11,13 @@ eigenvalue.  The quadratic proximal subproblem, whose solution drives the
 candidate iterate, is solved by a primal-dual path-following method whose
 Newton system is reduced analytically to a single symmetric positive
 definite solve on the S-block.
+
+On inequality rows the proximal subproblem also carries a slack nu, whose
+optimum for a given X is the projection proj_N(A(X) + rho*y - b).  With nu
+eliminated the objective is a convex C^1 piecewise quadratic: each piece
+keeps the equality rows and the inequality rows with a positive residual.
+The interior-point method re-selects the piece at every Newton step, so one
+solve reaches the joint optimum over (X, nu).
 """
 from __future__ import annotations
 
@@ -111,13 +118,6 @@ class IpmState:
     def pairs(self) -> int:
         return self.k + (2 if self.has_eta else 1)
 
-    def strictly_feasible(self) -> bool:
-        if self.omega <= 0 or self.trace_slack() <= 0:
-            return False
-        if self.has_eta and (self.eta <= 0 or self.zeta <= 0):
-            return False
-        return is_positive_definite(self.s_mat) and is_positive_definite(self.t_mat)
-
 
 # interior-point settings.  The final duality gap tracks mu times the number
 # of complementarity pairs (empirically about 1e2 x mu), so the barrier exit
@@ -129,11 +129,6 @@ STEP_FRAC = 0.99
 BACKTRACK = 0.8
 MIN_STEP = 1e-12
 MAX_STEP_FAILURES = 6
-WARM_BLEND = 0.2  # pull warm starts this far toward the cold center
-
-# the alternation is exact once nu moves by at most ALT_TOL * (1 + ||b||)
-ALT_MAX_PASSES = 50
-ALT_TOL = 1e-8
 
 
 @dataclass
@@ -327,39 +322,28 @@ def ipm_eval(coeffs: EvalCoeffs) -> IpmResult:
     )
 
 
-def ipm_quad(coeffs: QuadCoeffs, warm: IpmState | None = None) -> IpmResult:
-    """Minimize the quadratic proximal objective over the budget set,
-    optionally warm-started from a previous strictly feasible state."""
-    q = coeffs
-    st = None
-    if warm is not None and warm.k == q.k and warm.has_eta == q.has_eta:
-        if warm.strictly_feasible():
-            # blend toward the cold center: a converged previous state sits
-            # on the boundary, where Newton steps for the new coefficients
-            # would be truncated to nothing
-            lam = WARM_BLEND
-            cold = _cold_state(q.k, q.has_eta)
-            st = IpmState(
-                s_mat=(1 - lam) * warm.s_mat + lam * cold.s_mat,
-                eta=(1 - lam) * warm.eta + lam * cold.eta,
-                t_mat=(1 - lam) * warm.t_mat + lam * cold.t_mat,
-                zeta=(1 - lam) * warm.zeta + lam * cold.zeta,
-                omega=(1 - lam) * warm.omega + lam * cold.omega,
-                mu=0.0,
-                has_eta=q.has_eta,
-            )
-            st.mu = st.complementarity() / (2.0 * st.pairs())
-    if st is None:
-        st = _cold_state(q.k, q.has_eta)
-    mu = st.mu
-
-    coeff_scale = 1.0 + max(
+def _coeff_scale(q: QuadCoeffs) -> float:
+    return 1.0 + max(
         float(np.max(np.abs(q.lin_s))) if q.lin_s.size else 0.0,
         abs(q.lin_eta),
         float(np.max(np.abs(q.quad_ss))) if q.quad_ss.size else 0.0,
         float(np.max(np.abs(q.quad_s_eta))) if q.quad_s_eta.size else 0.0,
         abs(q.quad_eta),
     )
+
+
+def ipm_quad(coeffs: QuadCoeffs, pieces: _Pieces | None = None) -> IpmResult:
+    """Minimize the quadratic proximal objective over the budget set, from
+    the cold center.
+
+    ``pieces`` makes the objective piecewise quadratic: the piece active at
+    the iterate is selected at the top of every Newton step, and the
+    coefficients are replaced when it changes.  The gradient is continuous
+    across pieces, so the exit test certifies the piecewise objective."""
+    q = coeffs
+    st = _cold_state(q.k, q.has_eta)
+    mu = st.mu
+    coeff_scale = _coeff_scale(q)
 
     exact = False
     failures = 0
@@ -371,6 +355,10 @@ def ipm_quad(coeffs: QuadCoeffs, warm: IpmState | None = None) -> IpmResult:
     # the estimate behind each barrier update serves the next step's gate.
     achieved = st.complementarity() / (2.0 * st.pairs())
     for iters in range(1, MAX_NEWTON + 1):
+        if pieces is not None:
+            piece = pieces.select(st.s_mat, st.eta)
+            if piece is not None:
+                q, coeff_scale = piece, _coeff_scale(piece)
         t_vec = svec(st.t_mat)
         f1, f2 = _stationarity(q, st, svec(st.s_mat), t_vec)
         stat_res = max(float(np.abs(f1).max()), abs(f2))
@@ -436,51 +424,47 @@ def assemble_eval_coeffs(prob: SdpProblem, model, y: np.ndarray) -> EvalCoeffs:
 
 
 def assemble_quad_coeffs(
+    prob: SdpProblem, model, y: np.ndarray, rho: float
+) -> QuadCoeffs:
+    """Proximal-subproblem coefficients over every constraint row: the
+    objective of a problem without inequality rows."""
+    v = model.basis
+    return _coeffs_on_rows(
+        prob, model, rho, prob.constraints.compressed_rows(v), y - prob.b / rho,
+        prob.cost_quad(v),
+    )
+
+
+def _coeffs_on_rows(
     prob: SdpProblem,
     model,
-    y: np.ndarray,
-    nu: np.ndarray,
     rho: float,
-    base: QuadCoeffs | None = None,
+    compressed: np.ndarray,
+    w_vec: np.ndarray,
+    cost_quad: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> QuadCoeffs:
-    """Proximal-subproblem coefficients.  The quadratic part depends only on
-    the model and rho and may be reused across slack updates via ``base``."""
-    v = model.basis
+    """Coefficients of (1/(2 rho)) * sum over ``rows`` of r_i^2 - <C, X>,
+    with r = A(X) + rho*y - b and w_vec = y - b/rho; None keeps every row.
+    The returned ``compressed`` keeps every row."""
     alpha = prob.alpha
     tr = model.stats.trace
     has_eta = tr > 0.0
-
-    if base is None:
-        compressed = prob.constraints.compressed_rows(v)
-        quad_ss = (alpha**2 / rho) * (compressed.T @ compressed)
-        d = svec_dim(v.shape[1])
-        if has_eta:
-            a_img = model.stats.constr_image
-            # rows of the compressed matrix are svec(V^T A_i V), so the
-            # adjoint compression of any m-vector is a single product
-            quad_s_eta = (alpha**2 / (rho * tr)) * (compressed.T @ a_img)
-            quad_eta = (alpha**2 / (rho * tr**2)) * float(a_img @ a_img)
-        else:
-            quad_s_eta = np.zeros(d)
-            quad_eta = 0.0
-        cost_quad = prob.cost_quad(v)
-    else:
-        compressed = base.compressed
-        quad_ss = base.quad_ss
-        quad_s_eta = base.quad_s_eta
-        quad_eta = base.quad_eta
-        cost_quad = base.cost_quad
-
-    # slack enters the coupling with a plus sign: it lives in the
-    # nonpositive orthant on inequality rows
-    w_vec = y - (prob.b + nu) / rho
-    lin_s = alpha * (compressed.T @ w_vec - svec(cost_quad))
+    a_img = model.stats.constr_image
+    c_rows = compressed
+    if rows is not None:
+        c_rows, a_img, w_vec = compressed[rows], a_img[rows], w_vec[rows]
+    quad_ss = (alpha**2 / rho) * (c_rows.T @ c_rows)
+    # rows of the compressed matrix are svec(V^T A_i V), so the adjoint
+    # compression of any m-vector is a single product
+    lin_s = alpha * (c_rows.T @ w_vec - svec(cost_quad))
     if has_eta:
-        lin_eta = alpha / tr * float(
-            model.stats.constr_image @ w_vec - model.stats.cost_ip
-        )
+        quad_s_eta = (alpha**2 / (rho * tr)) * (c_rows.T @ a_img)
+        quad_eta = (alpha**2 / (rho * tr**2)) * float(a_img @ a_img)
+        lin_eta = alpha / tr * float(a_img @ w_vec - model.stats.cost_ip)
     else:
-        lin_eta = 0.0
+        quad_s_eta = np.zeros(svec_dim(model.basis.shape[1]))
+        quad_eta = lin_eta = 0.0
     return QuadCoeffs(
         quad_ss=quad_ss,
         quad_s_eta=quad_s_eta,
@@ -488,84 +472,93 @@ def assemble_quad_coeffs(
         lin_s=lin_s,
         lin_eta=lin_eta,
         has_eta=has_eta,
-        k=v.shape[1],
+        k=model.basis.shape[1],
         cost_quad=cost_quad,
         compressed=compressed,
     )
 
 
+class _Pieces:
+    """The pieces of the proximal objective with the slack eliminated.
+
+    A piece keeps the equality rows and the inequality rows whose residual
+    r = A(X) + rho*y - b is positive; the optimal slack absorbs the others.
+    ``visited`` counts the pieces :meth:`select` has returned.
+    """
+
+    def __init__(self, prob: SdpProblem, model, y: np.ndarray, rho: float, full: QuadCoeffs):
+        self.prob, self.model, self.rho, self.full = prob, model, rho, full
+        self.w_vec = y - prob.b / rho
+        self.r0 = rho * y - prob.b
+        self.keep = ~prob.ineq_mask
+        self.visited = 0
+
+    def select(self, s_mat: np.ndarray, eta: float) -> QuadCoeffs | None:
+        """Coefficients of the piece active at (S, eta), or None when it is
+        the piece returned last."""
+        alpha, stats = self.prob.alpha, self.model.stats
+        # A(X) of the iterate X = (alpha/tr) eta Xbar + alpha V S V^T
+        r = self.full.compressed @ (alpha * svec(s_mat)) + self.r0
+        if stats.trace > 0.0:
+            r += (alpha * eta / stats.trace) * stats.constr_image
+        idx = self.prob.ineq_idx
+        pos = r[idx] > 0.0
+        if self.visited and np.array_equal(pos, self.keep[idx]):
+            return None
+        self.keep[idx] = pos
+        self.visited += 1
+        return _coeffs_on_rows(
+            self.prob, self.model, self.rho, self.full.compressed, self.w_vec,
+            self.full.cost_quad, rows=np.flatnonzero(self.keep),
+        )
+
+
 # ---------------------------------------------------------------------------
-# alternating maximization
+# the proximal step
 
 
 @dataclass
 class AltMaxResult:
     eta: float  # weight on the aggregate matrix, original units
     s_mat: np.ndarray  # k x k block, original units
-    nu: np.ndarray
+    nu: np.ndarray  # the optimal slack, proj_N(a_x + rho*y - b)
     a_x: np.ndarray  # constraint image of the new iterate
     c_x: float  # cost inner product of the new iterate
     tr_x: float
-    passes: int
-    newton: int  # interior-point Newton steps, summed over the passes
+    passes: int  # pieces the solve visited; 1 without inequality rows
+    newton: int  # Newton steps of the one interior-point solve
     exact: bool
 
 
-def alternating_max(
-    prob: SdpProblem,
-    model,
-    y: np.ndarray,
-    rho: float,
-    nu0: np.ndarray | None = None,
-) -> AltMaxResult:
-    """Blockwise maximization of the proximal coupling over (X, nu).
+def alternating_max(prob: SdpProblem, model, y: np.ndarray, rho: float) -> AltMaxResult:
+    """Maximize the proximal coupling over (X, nu) with one interior-point
+    solve.
 
-    The X block is solved by the quadratic interior-point method (warm
-    started between passes); the slack block is a closed-form projection.
-    Without inequality rows a single X step is exact.  ``nu0`` seeds the
-    slack block (the caller's previous slack), so inner progress compounds
-    across outer iterations when the pass budget truncates convergence; a
-    result cut off by the pass cap is not exact.
+    It no longer alternates: the slack is eliminated in closed form, and the
+    solve re-selects the piece of the resulting piecewise-quadratic
+    objective as it goes (see the module docstring).  The optimal slack is
+    then the projection of the final residual.
     """
     alpha = prob.alpha
     tr = model.stats.trace
-    has_eta = tr > 0.0
-    nu = proj_N(nu0, prob) if nu0 is not None else np.zeros(prob.m)
-    warm: IpmState | None = None
-    base: QuadCoeffs | None = None
-    exact = True
-    newton = 0
-    b_norm = float(np.linalg.norm(prob.b))
-    for passes in range(1, ALT_MAX_PASSES + 1):
-        coeffs = assemble_quad_coeffs(prob, model, y, nu, rho, base=base)
-        base = coeffs
-        res = ipm_quad(coeffs, warm=warm)
-        warm = res.state
-        newton += res.newton_iters
-        exact = exact and res.exact
-        s_act = alpha * res.s_opt
-        eta_act = (alpha * res.eta_opt / tr) if has_eta else 0.0
-        a_x = eta_act * model.stats.constr_image + prob.constraints.primal_image_lowrank(
-            model.basis, s_act
-        )
-        nu_next = proj_N(a_x + rho * y - prob.b, prob)
-        done = (not prob.has_ineq) or bool(
-            np.linalg.norm(nu_next - nu) <= ALT_TOL * (1.0 + b_norm)
-        )
-        nu = nu_next
-        if done:
-            break
-
-    c_x = eta_act * model.stats.cost_ip + float((base.cost_quad * s_act).sum())
+    coeffs = assemble_quad_coeffs(prob, model, y, rho)
+    pieces = _Pieces(prob, model, y, rho, coeffs) if prob.has_ineq else None
+    res = ipm_quad(coeffs, pieces)
+    s_act = alpha * res.s_opt
+    eta_act = (alpha * res.eta_opt / tr) if tr > 0.0 else 0.0
+    a_x = eta_act * model.stats.constr_image + prob.constraints.primal_image_lowrank(
+        model.basis, s_act
+    )
+    c_x = eta_act * model.stats.cost_ip + float((coeffs.cost_quad * s_act).sum())
     tr_x = eta_act * tr + float(s_act.trace())
     return AltMaxResult(
         eta=eta_act,
         s_mat=s_act,
-        nu=nu,
+        nu=proj_N(a_x + rho * y - prob.b, prob),
         a_x=a_x,
         c_x=c_x,
         tr_x=tr_x,
-        passes=passes,
-        newton=newton,
-        exact=exact and done,
+        passes=pieces.visited if pieces is not None else 1,
+        newton=res.newton_iters,
+        exact=res.exact,
     )

@@ -7,7 +7,7 @@ Each function computes, from the state alone, the arguments that
 from __future__ import annotations
 
 from specbundle import subqp
-from specbundle.symlin import svec
+from specbundle.symlin import is_positive_definite, svec
 
 
 def newton_direction(q: subqp.QuadCoeffs, st: subqp.IpmState, mu: float) -> subqp.Direction:
@@ -25,3 +25,12 @@ def line_search_feasible(st: subqp.IpmState, d: subqp.Direction) -> float:
 def barrier_update(st: subqp.IpmState, delta: float) -> float:
     """Non-increasing barrier estimate after a step of fraction ``delta``."""
     return subqp._barrier_target(st, delta, st.complementarity() / (2.0 * st.pairs()))
+
+
+def strictly_feasible(st: subqp.IpmState) -> bool:
+    """Whether every product block of ``st`` is strictly positive."""
+    if st.omega <= 0 or st.trace_slack() <= 0:
+        return False
+    if st.has_eta and (st.eta <= 0 or st.zeta <= 0):
+        return False
+    return is_positive_definite(st.s_mat) and is_positive_definite(st.t_mat)

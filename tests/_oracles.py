@@ -477,9 +477,10 @@ def line_search_frozen(st, d) -> float:
     raise _FrozenStepFailure("no strictly feasible step above minimum")
 
 
-def ipm_solve_frozen(q, warm):
+def ipm_solve_frozen(q, warm, pieces=None):
     """The interior-point Newton loop.  Returns (s_opt, eta_opt, value,
-    state, newton_iters, exact)."""
+    state, newton_iters, exact).  ``pieces`` re-selects the coefficients at
+    the top of every Newton step, as ``ipm_quad`` does."""
     from specbundle.symlin import ConditioningError
 
     st = None
@@ -504,18 +505,24 @@ def ipm_solve_frozen(q, warm):
         st = _frozen_cold_state(q.k, q.has_eta)
     mu = st.mu
 
-    coeff_scale = 1.0 + max(
-        float(np.max(np.abs(q.lin_s))) if q.lin_s.size else 0.0,
-        abs(q.lin_eta),
-        float(np.max(np.abs(q.quad_ss))) if q.quad_ss.size else 0.0,
-        float(np.max(np.abs(q.quad_s_eta))) if q.quad_s_eta.size else 0.0,
-        abs(q.quad_eta),
-    )
+    def scale(q):
+        return 1.0 + max(
+            float(np.max(np.abs(q.lin_s))) if q.lin_s.size else 0.0,
+            abs(q.lin_eta),
+            float(np.max(np.abs(q.quad_ss))) if q.quad_ss.size else 0.0,
+            float(np.max(np.abs(q.quad_s_eta))) if q.quad_s_eta.size else 0.0,
+            abs(q.quad_eta),
+        )
 
+    coeff_scale = scale(q)
     exact = False
     failures = 0
     iters = 0
     for iters in range(1, _MAX_NEWTON + 1):
+        if pieces is not None:
+            piece = pieces.select(st.s_mat, st.eta)
+            if piece is not None:
+                q, coeff_scale = piece, scale(piece)
         f1, f2 = stationarity_frozen(q, st)
         stat_res = max(float(np.max(np.abs(f1))), abs(f2))
         achieved = st.complementarity() / (2.0 * st.pairs())
@@ -590,6 +597,52 @@ def psi_value(prob, y: np.ndarray, rho: float, c_x: float, a_x: np.ndarray, nu: 
     """Proximal coupling objective of an (X, nu) pair at anchor y."""
     w = prob.b + nu - a_x
     return float(c_x + w @ y - (w @ w) / (2.0 * rho))
+
+
+def alternation_reference(
+    prob, model, y: np.ndarray, rho: float, tol: float = 1e-14, max_passes: int = 20000,
+    values=None,
+) -> dict:
+    """The blockwise (X, nu) maximization of the proximal coupling that the
+    solver ran before it eliminated the slack.
+
+    Warm-started X steps of the frozen Newton loop alternate with the slack
+    projection nu = proj_N(A(X) + rho*y - b), from nu = 0, until nu moves by at most
+    tol * (1 + ||b||) or ``max_passes`` run out.  ``values`` collects the
+    coupling after each half step.  Returns a_x, c_x, nu, passes and exact.
+    """
+    from dataclasses import replace
+
+    from specbundle.subqp import assemble_quad_coeffs
+
+    alpha, tr = prob.alpha, model.stats.trace
+    a_img = model.stats.constr_image
+    base = assemble_quad_coeffs(prob, model, y, rho)
+    nu = np.zeros(prob.m)
+    b_norm = float(np.linalg.norm(prob.b))
+    warm, exact, done = None, True, False
+    for passes in range(1, max_passes + 1):
+        w = y - (prob.b + nu) / rho
+        coeffs = replace(
+            base,
+            lin_s=alpha * (base.compressed.T @ w - svec(base.cost_quad)),
+            lin_eta=alpha / tr * float(a_img @ w - model.stats.cost_ip) if tr > 0.0 else 0.0,
+        )
+        s_opt, eta_opt, _, warm, _, ok = ipm_solve_frozen(coeffs, warm)
+        exact = exact and ok
+        s_act = alpha * s_opt
+        eta_act = alpha * eta_opt / tr if tr > 0.0 else 0.0
+        a_x = eta_act * a_img + prob.constraints.primal_image_lowrank(model.basis, s_act)
+        c_x = eta_act * model.stats.cost_ip + float(np.sum(base.cost_quad * s_act))
+        nu_next = proj_N_frozen(a_x + rho * y - prob.b, prob)
+        if values is not None:
+            values.append(psi_value(prob, y, rho, c_x, a_x, nu))
+            values.append(psi_value(prob, y, rho, c_x, a_x, nu_next))
+        done = bool(np.linalg.norm(nu_next - nu) <= tol * (1.0 + b_norm))
+        nu = nu_next
+        if done:
+            break
+    return {"a_x": a_x, "c_x": c_x, "nu": nu, "passes": passes, "exact": exact and done}
 
 
 def partial_trace1(y: np.ndarray, n: int) -> np.ndarray:

@@ -3,11 +3,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from _oracles import graph_from_edges
-from specbundle.problem import GraphInstance, QapInstance, build_from_families
+from specbundle.problem import (
+    GraphInstance,
+    QapInstance,
+    SdpProblem,
+    SparseConstraintFamilies,
+    _normalized_cost,
+)
 
 
 def pytest_addoption(parser):
@@ -54,6 +61,37 @@ def record_store_updates(monkeypatch, store_cls) -> list:
 
     monkeypatch.setattr(store_cls, "update", update)
     return updates
+
+
+def build_from_families(
+    n: int,
+    cost_raw,
+    triples,
+    b_raw,
+    ineq_mask,
+    alpha: float = 2.0,
+    scale_x: float = 1.0,
+) -> SdpProblem:
+    """Generic problem from (constraint, row, col, value) entries.  Applies
+    the unit-cost-norm scaling and divides b by ``scale_x``; no per-row or
+    operator-norm normalization.  Raises ValueError when the cost's norm
+    would overflow."""
+    cost, scale_c = _normalized_cost(sp.csr_matrix(cost_raw))
+    idx, rows, cols, vals = (np.asarray(a) for a in triples)
+    m = len(b_raw)
+    ops = SparseConstraintFamilies(n, m, idx, rows, cols, vals)
+    return SdpProblem(
+        n=n,
+        m=m,
+        cost=cost,
+        constraints=ops,
+        b=np.asarray(b_raw, dtype=float) / scale_x,
+        ineq_mask=np.asarray(ineq_mask, dtype=bool),
+        alpha=alpha,
+        scale_c=scale_c,
+        scale_x=scale_x,
+        sense=1,
+    )
 
 
 def mixed_inequality_problem(n: int, seed: int, n_ineq: int = 6):

@@ -75,7 +75,7 @@ class TestSolverConfig:
 class TestPenalizedObj:
     def test_zero_cost_zero_dual(self):
         from conftest import mixed_inequality_problem
-        from specbundle.problem import build_from_families
+        from conftest import build_from_families
 
         n = 5
         idx = np.arange(n)
@@ -89,7 +89,7 @@ class TestPenalizedObj:
     def test_negative_slack_branch(self):
         # all-ones dual on diagonal constraints with zero cost: the slack
         # matrix is -I, the bracket clips to zero, f equals <b, y>
-        from specbundle.problem import build_from_families
+        from conftest import build_from_families
 
         n = 4
         idx = np.arange(n)

@@ -7,6 +7,7 @@ import pytest
 
 from _oracles import qap_constraint_entries_frozen
 from conftest import graph_from_edges, random_graph, random_qap
+from specbundle import cli as cli_mod
 from specbundle.cli import main
 from specbundle.problem import (
     QapInstance,
@@ -80,6 +81,33 @@ class TestSolveCommand:
         assert float(final[4]) <= 1e-3
         assert final[7] in ("descent", "null")
         assert float(final[8]) == 2.0
+
+    def test_summary_line_sums_the_callback_values(self, tmp_path, k3_file, capsys, monkeypatch):
+        infos = []
+        real = cli_mod.solve
+
+        def recorded(*args, callback, **kwargs):
+            def both(info):
+                infos.append(info)
+                callback(info)
+
+            return real(*args, callback=both, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "solve", recorded)
+        rc = main(
+            [
+                "solve", "--problem", "maxcut", "--input", str(k3_file),
+                "--eps", "1e-3", "--out", str(tmp_path / "m.csv"),
+            ]
+        )
+        assert rc == 0 and infos
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == (
+            f"summary: eigensolve matvecs {sum(i.eig_matvecs for i in infos)}, "
+            f"leading-pair misses {sum(not i.eig_leading_converged for i in infos)}, "
+            f"Newton steps {sum(i.alt_newton for i in infos)}, "
+            f"inexact subproblem solves {sum(not i.alt_exact for i in infos)}"
+        )
 
     def test_byte_order_mark_input(self, tmp_path):
         path = tmp_path / "k3-bom.mtx"

@@ -194,7 +194,7 @@ class TestProjections:
         vals = [1.0] * 8
         b = rng.standard_normal(8)
         ineq = [False] * 4 + [True] * 4
-        from specbundle.problem import build_from_families
+        from conftest import build_from_families
 
         return build_from_families(n, np.eye(n), (idx, rows, cols, vals), b, ineq)
 
@@ -702,7 +702,7 @@ class TestCostOverflow:
             build_qap(QapInstance(w, q.distances))
 
     def test_generic_cost(self):
-        from specbundle.problem import build_from_families
+        from conftest import build_from_families
 
         cost = np.array([[1e155, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="Frobenius norm is .*overflow"):
