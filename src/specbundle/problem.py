@@ -4,8 +4,8 @@ A problem is the tuple (cost C, constraint operator bundle, right-hand side
 b, inequality index set, trace bound alpha).  Constraint matrices are never
 materialized as dense n x n lists: the solver only needs a handful of
 operator actions, which the two bundle implementations below provide either
-through the diagonal structure (MaxCut) or through flat sparse entry
-families (QAP and generic problems).
+through the diagonal structure (MaxCut) or through one sparse matrix over
+the distinct positions of flat entry families (QAP and generic problems).
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .eigsolve import LinOp
-from .symlin import svec_dim, tri_indices
+from .symlin import tri_indices
 
 __all__ = [
     "ParseError",
@@ -206,7 +206,13 @@ class DiagonalConstraints:
 
 class SparseConstraintFamilies:
     """Flat entry lists: constraint ``idx[e]`` has A[rows[e], cols[e]] =
-    A[cols[e], rows[e]] = vals[e] with rows <= cols."""
+    A[cols[e], rows[e]] = vals[e] with rows <= cols; repeated entries add.
+
+    The entries are summed once into ``_mat``, an m x p CSR matrix over the
+    p distinct positions (``_pos_rows``, ``_pos_cols``) they touch.  Every
+    operator action is then a gather at those positions and one sparse
+    product; ``_weight`` counts each position's cells in the symmetric
+    matrix (2 off the diagonal)."""
 
     def __init__(self, n: int, m: int, idx, rows, cols, vals):
         self.n = int(n)
@@ -215,81 +221,62 @@ class SparseConstraintFamilies:
         self.rows = np.asarray(rows, dtype=np.int64)
         self.cols = np.asarray(cols, dtype=np.int64)
         self.vals = np.asarray(vals, dtype=float)
+        for name, arr, stop in (
+            ("idx", self.idx, self.m), ("rows", self.rows, self.n), ("cols", self.cols, self.n)
+        ):
+            if arr.size and (arr.min() < 0 or arr.max() >= stop):
+                raise ValueError(f"{name} entries must lie in [0, {stop})")
         if np.any(self.rows > self.cols):
             raise ValueError("entries must have rows <= cols")
-        self._diag = self.rows == self.cols
-        self._eff = np.where(self._diag, 1.0, 2.0) * self.vals
+        keys, pos = np.unique(self.rows * self.n + self.cols, return_inverse=True)
+        self._pos_rows, self._pos_cols = np.divmod(keys, self.n)
+        self._weight = np.where(self._pos_rows == self._pos_cols, 1.0, 2.0)
+        self._mat = sp.csr_matrix((self.vals, (self.idx, pos)), shape=(self.m, keys.size))
 
     def scaled(self, factors: np.ndarray) -> "SparseConstraintFamilies":
-        out = SparseConstraintFamilies(
+        return SparseConstraintFamilies(
             self.n, self.m, self.idx, self.rows, self.cols, self.vals * factors[self.idx]
         )
-        if "_adjoint_pattern" in self.__dict__:  # the same entries: share the pattern
-            out._adjoint_pattern = self._adjoint_pattern
-        return out
 
-    # row gathers go through np.take: the same copy as v[self.rows], without
-    # the fancy-indexing overhead, which dominates at QAP sizes
+    def _image(self, at_positions: np.ndarray) -> np.ndarray:
+        """<A_i, X> for every row, from X at the distinct positions."""
+        return self._mat @ (self._weight * at_positions)
+
+    # row gathers go through np.take: the same copy as v[rows], without the
+    # fancy-indexing overhead, which dominates at QAP sizes
 
     def primal_image_lowrank(self, v: np.ndarray, s: np.ndarray) -> np.ndarray:
-        mid = np.take(v, self.rows, axis=0) @ s
-        vals = np.einsum("ej,ej->e", mid, np.take(v, self.cols, axis=0))
-        return np.bincount(self.idx, weights=vals * self._eff, minlength=self.m)
+        mid = np.take(v, self._pos_rows, axis=0) @ s
+        return self._image(np.einsum("ej,ej->e", mid, np.take(v, self._pos_cols, axis=0)))
 
     def primal_image_factor(self, u: np.ndarray, lams: np.ndarray) -> np.ndarray:
-        mid = np.take(u, self.rows, axis=0) * lams[None, :]
-        vals = np.einsum("ej,ej->e", mid, np.take(u, self.cols, axis=0))
-        return np.bincount(self.idx, weights=vals * self._eff, minlength=self.m)
+        mid = np.take(u, self._pos_rows, axis=0) * lams[None, :]
+        return self._image(np.einsum("ej,ej->e", mid, np.take(u, self._pos_cols, axis=0)))
 
     def primal_image_matrix(self, x) -> np.ndarray:
         """The image of an ndarray or a scipy CSR matrix."""
-        if not self.idx.size:  # scipy returns a sparse matrix for an empty gather
+        if not self._pos_rows.size:  # scipy returns a sparse matrix for an empty gather
             return np.zeros(self.m)
-        vals = np.asarray(x[self.rows, self.cols]).ravel()
-        return np.bincount(self.idx, weights=vals * self._eff, minlength=self.m)
+        return self._image(np.asarray(x[self._pos_rows, self._pos_cols]).ravel())
 
     @functools.cached_property
-    def _adjoint_pattern(self):
-        """The CSR pattern of the adjoint, and the entries that fill each
-        stored value: ``(indptr, indices, first, steps)``.  The value at slot
-        s starts as entry ``first[s]``; each ``(slots, entries)`` in ``steps``
-        then adds one more duplicate to those slots.  This is the layout and
-        summation order of ``coo_matrix.tocsr()`` on the entries and their
-        mirrors: a stable scatter by row, scipy's own column sort (run here
-        on position tags), then duplicates summed in sorted order."""
-        off = ~self._diag
-        r = np.concatenate([self.rows, self.cols[off]])
-        c = np.concatenate([self.cols, self.rows[off]])
-        entry = np.concatenate([np.arange(self.rows.size), np.flatnonzero(off)])
-        by_row = np.argsort(r, kind="stable")
+    def _adjoint_layout(self):
+        """``(indptr, indices, source)``: the CSR layout of the positions and
+        their mirrors, and the position whose value fills each stored slot."""
+        off = np.flatnonzero(self._pos_rows != self._pos_cols)
+        r = np.concatenate([self._pos_rows, self._pos_cols[off]])
+        c = np.concatenate([self._pos_cols, self._pos_rows[off]])
+        order = np.lexsort((c, r))
         itype = np.int32 if max(r.size, self.n) <= np.iinfo(np.int32).max else np.int64
         indptr = np.zeros(self.n + 1, dtype=itype)
         np.cumsum(np.bincount(r, minlength=self.n), out=indptr[1:])
-        # scipy's own column sort, on entry numbers in place of values
-        tags = sp.csr_matrix(
-            (entry[by_row].astype(float), c[by_row].astype(itype), indptr), shape=(self.n, self.n)
-        )
-        tags.sort_indices()
-        order = tags.data.astype(np.int64)
-        cols, rows = tags.indices, np.repeat(np.arange(self.n), np.diff(indptr))
-        opens = np.ones(cols.size, dtype=bool)  # first of a run of equal (row, col)
-        opens[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(opens)
-        sizes = np.diff(np.r_[starts, cols.size])
-        steps = []
-        for k in range(1, int(sizes.max(initial=1))):
-            slots = np.flatnonzero(sizes > k)
-            steps.append((slots, order[starts[slots] + k]))
-        indptr = np.searchsorted(starts, indptr).astype(itype)
-        return indptr, cols[starts], order[starts], steps
+        source = np.concatenate([np.arange(self._pos_rows.size), off])[order]
+        return indptr, c[order].astype(itype), source
 
     def adjoint_matrix(self, y: np.ndarray):
-        data = np.take(y, self.idx) * self.vals
-        indptr, indices, first, steps = self._adjoint_pattern
-        out = np.take(data, first)
-        for slots, entries in steps:
-            out[slots] += np.take(data, entries)
-        mat = sp.csr_matrix((out, indices.copy(), indptr.copy()), shape=(self.n, self.n))
+        indptr, indices, source = self._adjoint_layout
+        data = np.take(self._mat.T @ y, source)
+        mat = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(self.n, self.n))
         mat.has_canonical_format = True
         return mat
 
@@ -298,20 +285,18 @@ class SparseConstraintFamilies:
         return 0.5 * (m + m.T)
 
     def compressed_rows(self, v: np.ndarray) -> np.ndarray:
-        k = v.shape[1]
-        i, j, w = tri_indices(k)
-        g = np.take(v, self.rows, axis=0)[:, :, None] * np.take(v, self.cols, axis=0)[:, None, :]
-        g = g + g.transpose(0, 2, 1)
-        g[self._diag] *= 0.5
-        g *= self.vals[:, None, None]
-        contrib = np.take(g.reshape(g.shape[0], k * k), i * k + j, axis=1) * w[None, :]
-        out = np.zeros((self.m, svec_dim(k)))
-        np.add.at(out, self.idx, contrib)
-        return out
+        # row q of g is svec(V^T E_q V) for the position's symmetric unit
+        # E_q = e_r e_c^T + e_c e_r^T (e_r e_r^T on the diagonal)
+        i, j, w = tri_indices(v.shape[1])
+        vr = np.take(v, self._pos_rows, axis=0)
+        vc = np.take(v, self._pos_cols, axis=0)
+        g = vr[:, i] * vc[:, j] + vc[:, i] * vr[:, j]
+        g *= w
+        g *= 0.5 * self._weight[:, None]
+        return self._mat @ g
 
     def frob_norms(self) -> np.ndarray:
-        sq = self.vals**2 * np.where(self._diag, 1.0, 2.0)
-        return np.sqrt(np.bincount(self.idx, weights=sq, minlength=self.m))
+        return np.sqrt(self._mat.multiply(self._mat) @ self._weight)
 
 
 # ---------------------------------------------------------------------------
@@ -542,24 +527,19 @@ def qap_submatrix_constraint_map(full: QapInstance, n_sub: int) -> np.ndarray:
 
 
 def estimate_operator_norm(ops, n: int, tol: float = 1e-6, max_iters: int = 500, seed: int = 0) -> float:
-    """Power iteration on the composition adjoint(image(.)) over symmetric
-    matrices; returns an estimate of the operator 2-norm of the image map."""
-    rng = np.random.RandomState(seed)
-    x = rng.standard_normal((n, n))
-    x = 0.5 * (x + x.T)
-    x /= np.linalg.norm(x)
-    lam_prev = 0.0
-    lam = 0.0
-    for _ in range(max_iters):
-        z = ops.primal_image_matrix(x)
-        y = np.asarray(ops.adjoint_matrix(z).todense(), dtype=float)
-        lam = float(np.linalg.norm(y))
+    """Power iteration on z -> A(A*(z)) over the m constraint rows of a
+    ``SparseConstraintFamilies`` of order n; returns an estimate of the
+    operator 2-norm of the image map A.  Each step is two sparse products
+    through the position matrix, with no n x n array."""
+    z = np.random.RandomState(seed).standard_normal(ops.m)
+    lam = float(np.linalg.norm(z))
+    for it in range(max_iters):
         if lam == 0.0:
             return 0.0
-        x = y / lam
-        if abs(lam - lam_prev) <= tol * lam:
+        z = ops._image(ops._mat.T @ (z / lam))
+        lam_prev, lam = lam, float(np.linalg.norm(z))
+        if it and abs(lam - lam_prev) <= tol * lam:
             break
-        lam_prev = lam
     return float(np.sqrt(lam))
 
 

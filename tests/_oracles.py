@@ -657,18 +657,23 @@ def partial_trace2(y: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("ikjk->ij", y4)
 
 
+def _entry_weights(fam) -> np.ndarray:
+    """Each entry's value counted over its cells: twice off the diagonal."""
+    return np.where(fam.rows == fam.cols, 1.0, 2.0) * fam.vals
+
+
 def primal_image_lowrank_frozen(fam, v: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``SparseConstraintFamilies.primal_image_lowrank`` with fancy-index
-    row gathers."""
+    """``SparseConstraintFamilies.primal_image_lowrank`` as one sum over the
+    entries, with fancy-index row gathers."""
     mid = v[fam.rows] @ s
     vals = np.einsum("ej,ej->e", mid, v[fam.cols])
-    return np.bincount(fam.idx, weights=vals * fam._eff, minlength=fam.m)
+    return np.bincount(fam.idx, weights=vals * _entry_weights(fam), minlength=fam.m)
 
 
 def primal_image_factor_frozen(fam, u: np.ndarray, lams: np.ndarray) -> np.ndarray:
     mid = u[fam.rows] * lams[None, :]
     vals = np.einsum("ej,ej->e", mid, u[fam.cols])
-    return np.bincount(fam.idx, weights=vals * fam._eff, minlength=fam.m)
+    return np.bincount(fam.idx, weights=vals * _entry_weights(fam), minlength=fam.m)
 
 
 def compressed_rows_frozen(fam, v: np.ndarray) -> np.ndarray:
@@ -678,7 +683,7 @@ def compressed_rows_frozen(fam, v: np.ndarray) -> np.ndarray:
     i, j, w = tri_indices(k)
     g = v[fam.rows][:, :, None] * v[fam.cols][:, None, :]
     g = g + g.transpose(0, 2, 1)
-    g[fam._diag] *= 0.5
+    g[fam.rows == fam.cols] *= 0.5
     g *= fam.vals[:, None, None]
     contrib = g[:, i, j] * w[None, :]
     out = np.zeros((fam.m, svec_dim(k)))
@@ -692,7 +697,7 @@ def adjoint_matrix_frozen(fam, y: np.ndarray):
     import scipy.sparse as sp
 
     data = y[fam.idx] * fam.vals
-    off = ~fam._diag
+    off = fam.rows != fam.cols
     r = np.concatenate([fam.rows, fam.cols[off]])
     c = np.concatenate([fam.cols, fam.rows[off]])
     d = np.concatenate([data, data[off]])

@@ -321,6 +321,71 @@ class TestOperatorBundles:
             np.testing.assert_allclose(rows[i], svec(v.T @ a_dense @ v), atol=1e-12)
 
 
+class TestSparseFamilyEntries:
+    """The entry lists stay the operator's definition: repeated entries add,
+    out-of-range entries are refused, and every action equals a dense
+    rebuild from ``idx/rows/cols/vals`` (the one the benchmark's checks
+    use)."""
+
+    def test_frob_norm_squares_the_summed_entry(self):
+        # two halves of A_0[0, 1] = A_0[1, 0] = 2: ||A_0||_F = sqrt(8)
+        fam = SparseConstraintFamilies(3, 1, [0, 0], [0, 0], [1, 1], [1.0, 1.0])
+        np.testing.assert_allclose(fam.frob_norms(), [np.sqrt(8.0)], rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "field,entry",
+        [
+            ("idx", ([1], [0], [1], [1.0])),
+            ("idx", ([-1], [0], [1], [1.0])),
+            ("rows", ([0], [-1], [1], [1.0])),
+            ("cols", ([0], [0], [3], [1.0])),
+        ],
+    )
+    def test_out_of_range_entry_rejected(self, field, entry):
+        with pytest.raises(ValueError, match=field):
+            SparseConstraintFamilies(3, 1, *entry)
+
+    @staticmethod
+    def dense_rows(ops) -> np.ndarray:
+        """A_i as an m x n x n array, summed from the entry lists."""
+        dense = np.zeros((ops.m, ops.n, ops.n))
+        np.add.at(dense, (ops.idx, ops.rows, ops.cols), ops.vals)
+        off = ops.rows != ops.cols
+        np.add.at(dense, (ops.idx[off], ops.cols[off], ops.rows[off]), ops.vals[off])
+        return dense
+
+    def test_operator_norm_matches_dense(self):
+        from specbundle.problem import estimate_operator_norm, qap_constraint_entries
+        from specbundle.symlin import svec
+
+        q = random_qap(3, 7)
+        idx, rows, cols, vals, b, _, _ = qap_constraint_entries(q)
+        ops = SparseConstraintFamilies(q.size**2 + 1, len(b), idx, rows, cols, vals)
+        svec_rows = np.array([svec(a) for a in self.dense_rows(ops)])
+        want = np.linalg.norm(svec_rows, 2)
+        assert estimate_operator_norm(ops, ops.n) == pytest.approx(want, rel=1e-5)
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_actions_match_the_entry_lists(self, size):
+        from specbundle.symlin import svec
+
+        prob = build_qap(random_qap(size, 3))
+        ops = prob.constraints
+        dense = self.dense_rows(ops)
+        rng = np.random.default_rng(size)
+        y = rng.standard_normal(prob.m)
+        v = np.linalg.qr(rng.standard_normal((prob.n, 3)))[0]
+        x = rng.standard_normal((prob.n, prob.n))
+        x = x + x.T
+        pairs = [
+            (ops.adjoint_matrix(y).toarray(), np.einsum("i,ijk->jk", y, dense)),
+            (ops.compressed_rows(v), np.array([svec(v.T @ a @ v) for a in dense])),
+            (ops.primal_image_matrix(x), np.einsum("ijk,jk->i", dense, x)),
+        ]
+        for got, want in pairs:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
 class TestParsers:
     def test_k3_pattern_file(self, tmp_path):
         path = tmp_path / "k3.mtx"
@@ -555,12 +620,24 @@ class TestDiagonalCompressedRows:
 
 
 class TestSparseImagesBitIdentity:
-    """The np.take row gathers and the masked projection must equal the
-    frozen fancy-index versions bit for bit."""
+    """The position-matrix images agree with the frozen per-entry sums to
+    within a floating-point summation bound: 1e-13 times the same action on
+    |vals| and |v| (or |y|), so cancellation cannot trip it.  The adjoint
+    keeps the COO conversion's CSR layout byte for byte, and the masked
+    projection equals the frozen one bit for bit."""
 
     @pytest.fixture(scope="class")
     def qap5(self):
         return build_qap(random_qap(5, seed=11))
+
+    @staticmethod
+    def _abs(fam):
+        return SparseConstraintFamilies(fam.n, fam.m, fam.idx, fam.rows, fam.cols, np.abs(fam.vals))
+
+    @staticmethod
+    def _close(got, want, bound):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * bound)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 6])
     def test_images(self, qap5, k):
@@ -570,39 +647,49 @@ class TestSparseImagesBitIdentity:
         a = rng.standard_normal((k, k))
         s = a @ a.T
         lams = rng.random(k)
+        mag, abs_v = self._abs(fam), np.abs(v)
         # column-major and strided bases gather the same rows
         for basis in (v, np.asfortranarray(v), np.repeat(v, 2, axis=1)[:, ::2]):
-            assert np.array_equal(
-                fam.primal_image_lowrank(basis, s), primal_image_lowrank_frozen(fam, v, s)
+            self._close(
+                fam.primal_image_lowrank(basis, s),
+                primal_image_lowrank_frozen(fam, v, s),
+                primal_image_lowrank_frozen(mag, abs_v, np.abs(s)),
             )
-            assert np.array_equal(
-                fam.primal_image_factor(basis, lams), primal_image_factor_frozen(fam, v, lams)
+            self._close(
+                fam.primal_image_factor(basis, lams),
+                primal_image_factor_frozen(fam, v, lams),
+                primal_image_factor_frozen(mag, abs_v, lams),
             )
-            assert np.array_equal(fam.compressed_rows(basis), compressed_rows_frozen(fam, v))
-
-    @staticmethod
-    def _same_csr(a, b):
-        assert type(a) is type(b) and a.shape == b.shape
-        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            self._close(
+                fam.compressed_rows(basis),
+                compressed_rows_frozen(fam, v),
+                compressed_rows_frozen(mag, abs_v),
+            )
 
     def test_adjoint_matrix(self, qap5):
-        """The cached CSR pattern sums duplicates in scipy's own order: the
-        same matrix as the COO conversion, bit for bit."""
+        """The same CSR layout as the COO conversion, byte for byte, and the
+        same values within the summation bound."""
         rng = np.random.default_rng(13)
+
+        def check(fam, y):
+            got, want = fam.adjoint_matrix(y), adjoint_matrix_frozen(fam, y)
+            assert type(got) is type(want) and got.shape == want.shape
+            for x, z in ((got.indptr, want.indptr), (got.indices, want.indices)):
+                assert x.dtype == z.dtype and x.tobytes() == z.tobytes()
+            bound = adjoint_matrix_frozen(self._abs(fam), np.abs(y))
+            self._close(got.data, want.data, bound.data)
+
         fam = qap5.constraints
         for _ in range(5):
-            y = rng.standard_normal(fam.m) * 10.0 ** rng.integers(-8, 9, fam.m)
-            self._same_csr(fam.adjoint_matrix(y), adjoint_matrix_frozen(fam, y))
-        # many duplicates per cell, beyond the sizes scipy sorts by insertion
+            check(fam, rng.standard_normal(fam.m) * 10.0 ** rng.integers(-8, 9, fam.m))
+        # many duplicates per cell, summed once per position
         for n, e in ((1, 40), (3, 200), (20, 300), (40, 0)):
             a, b = rng.integers(0, n, (2, e))
             fam = SparseConstraintFamilies(
                 n, 7, rng.integers(0, 7, e), np.minimum(a, b), np.maximum(a, b),
                 rng.standard_normal(e),
             )
-            y = rng.standard_normal(7) * 10.0 ** rng.integers(-8, 9, 7)
-            self._same_csr(fam.adjoint_matrix(y), adjoint_matrix_frozen(fam, y))
+            check(fam, rng.standard_normal(7) * 10.0 ** rng.integers(-8, 9, 7))
 
     def test_proj_n(self, qap5):
         rng = np.random.default_rng(12)
