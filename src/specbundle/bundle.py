@@ -509,7 +509,7 @@ def solve(
         state.nu = alt.nu
         y_cand = candidate_iterate(state.y, alt.nu, alt.a_x, prob.b, rho, prob.ineq_idx)
         f_cand, eig_cand = penalized_obj(prob, y_cand, cfg, k_c=state.model.k_c)
-        ev = ipm_eval(assemble_eval_coeffs(prob, state.model, y_cand))
+        ev = ipm_eval(assemble_eval_coeffs(prob, state.model, y_cand, alt.cost_quad))
         model_val = float(prob.b @ y_cand) - ev.value
 
         accept = descent_test(state.f_y, f_cand, model_val, cfg.beta)

@@ -9,6 +9,7 @@ the distinct positions of flat entry families (QAP and generic problems).
 """
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -234,9 +235,22 @@ class SparseConstraintFamilies:
         self._mat = sp.csr_matrix((self.vals, (self.idx, pos)), shape=(self.m, keys.size))
 
     def scaled(self, factors: np.ndarray) -> "SparseConstraintFamilies":
-        return SparseConstraintFamilies(
-            self.n, self.m, self.idx, self.rows, self.cols, self.vals * factors[self.idx]
-        )
+        """The family with row i's values times ``factors[i]``, equal bit for
+        bit to the family rebuilt from the scaled values.  When no row
+        repeats a position, each stored value of ``_mat`` is one entry, so
+        scaling it by its row's factor is the rebuild's product: the family
+        shares this one's entries and positions, and nothing is sorted or
+        checked again.  Repeated entries are summed again from the scaled
+        values."""
+        vals = self.vals * factors[self.idx]
+        if self._mat.nnz != vals.size:
+            return SparseConstraintFamilies(self.n, self.m, self.idx, self.rows, self.cols, vals)
+        out = copy.copy(self)
+        out.vals = vals
+        mat = self._mat
+        data = mat.data * np.repeat(factors, np.diff(mat.indptr))
+        out._mat = sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
+        return out
 
     def _image(self, at_positions: np.ndarray) -> np.ndarray:
         """<A_i, X> for every row, from X at the distinct positions."""
@@ -290,9 +304,16 @@ class SparseConstraintFamilies:
         i, j, w = tri_indices(v.shape[1])
         vr = np.take(v, self._pos_rows, axis=0)
         vc = np.take(v, self._pos_cols, axis=0)
-        g = vr[:, i] * vc[:, j] + vc[:, i] * vr[:, j]
-        g *= w
-        g *= 0.5 * self._weight[:, None]
+        # filled one column at a time: block-wide products would be the
+        # largest temporaries of a QAP outer iteration
+        g = np.empty((vr.shape[0], w.size))
+        half_weight = 0.5 * self._weight
+        for c in range(w.size):
+            col = vr[:, i[c]] * vc[:, j[c]]
+            col += vc[:, i[c]] * vr[:, j[c]]
+            col *= w[c]
+            col *= half_weight
+            g[:, c] = col
         return self._mat @ g
 
     def frob_norms(self) -> np.ndarray:
@@ -526,9 +547,9 @@ def qap_submatrix_constraint_map(full: QapInstance, n_sub: int) -> np.ndarray:
     return np.concatenate([offsets[f].start + np.asarray(within[f]) for f in QAP_FAMILIES])
 
 
-def estimate_operator_norm(ops, n: int, tol: float = 1e-6, max_iters: int = 500, seed: int = 0) -> float:
+def estimate_operator_norm(ops, tol: float = 1e-6, max_iters: int = 500, seed: int = 0) -> float:
     """Power iteration on z -> A(A*(z)) over the m constraint rows of a
-    ``SparseConstraintFamilies`` of order n; returns an estimate of the
+    ``SparseConstraintFamilies``; returns an estimate of the
     operator 2-norm of the image map A.  Each step is two sparse products
     through the position matrix, with no n x n array."""
     z = np.random.RandomState(seed).standard_normal(ops.m)
@@ -568,7 +589,7 @@ def build_qap(q: QapInstance, alpha: float = 2.0) -> SdpProblem:
         raise ValueError("degenerate constraint with zero norm")
     ops = ops.scaled(1.0 / norms)
     b = b / norms
-    op_norm = estimate_operator_norm(ops, big_n)
+    op_norm = estimate_operator_norm(ops)
     if op_norm > 0:
         ops = ops.scaled(np.full(m, 1.0 / op_norm))
         b = b / op_norm

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 from .problem import SdpProblem, proj_N
 from .symlin import (
@@ -407,11 +408,15 @@ def ipm_quad(coeffs: QuadCoeffs, pieces: _Pieces | None = None) -> IpmResult:
 # coefficient assembly
 
 
-def assemble_eval_coeffs(prob: SdpProblem, model, y: np.ndarray) -> EvalCoeffs:
-    """Model-evaluation coefficients at y, from tracked aggregate statistics."""
+def assemble_eval_coeffs(
+    prob: SdpProblem, model, y: np.ndarray, cost_quad: np.ndarray
+) -> EvalCoeffs:
+    """Model-evaluation coefficients at y, from tracked aggregate statistics
+    and ``cost_quad`` = V^T C V for the model's basis V (the proximal step
+    computes it for the same basis)."""
     v = model.basis
     alpha = prob.alpha
-    slack_quad = prob.constraints.adjoint_inner_lowrank(y, v) - prob.cost_quad(v)
+    slack_quad = prob.constraints.adjoint_inner_lowrank(y, v) - cost_quad
     lin_s = alpha * svec(slack_quad)
     tr = model.stats.trace
     if tr > 0.0:
@@ -429,39 +434,45 @@ def assemble_quad_coeffs(
     """Proximal-subproblem coefficients over every constraint row: the
     objective of a problem without inequality rows."""
     v = model.basis
-    return _coeffs_on_rows(
-        prob, model, rho, prob.constraints.compressed_rows(v), y - prob.b / rho,
-        prob.cost_quad(v),
-    )
+    c = prob.constraints.compressed_rows(v)
+    a_img = model.stats.constr_image if model.stats.trace > 0.0 else None
+    sums = _row_sums(c, y - prob.b / rho, a_img)
+    return _coeffs_from_sums(prob, model, rho, sums, prob.cost_quad(v), c)
 
 
-def _coeffs_on_rows(
+def _row_sums(c: np.ndarray, w_vec: np.ndarray, a_img: np.ndarray | None) -> list:
+    """The sums over a set of constraint rows that fix the proximal
+    coefficients on them, given the rows of the compressed block ``c``, of
+    w = y - b/rho and of the aggregate's image (None without an aggregate):
+    ``[c^T c, c^T w, c^T a, a . a, a . w]``, the a-sums zero without one.
+    Rows of the compressed block are svec(V^T A_i V), so the adjoint
+    compression of any row vector is a single product."""
+    if a_img is None:
+        return [c.T @ c, c.T @ w_vec, np.zeros(c.shape[1]), 0.0, 0.0]
+    return [c.T @ c, c.T @ w_vec, c.T @ a_img, float(a_img @ a_img), float(a_img @ w_vec)]
+
+
+def _coeffs_from_sums(
     prob: SdpProblem,
     model,
     rho: float,
-    compressed: np.ndarray,
-    w_vec: np.ndarray,
+    sums: list,
     cost_quad: np.ndarray,
-    rows: np.ndarray | None = None,
+    compressed: np.ndarray,
 ) -> QuadCoeffs:
-    """Coefficients of (1/(2 rho)) * sum over ``rows`` of r_i^2 - <C, X>,
-    with r = A(X) + rho*y - b and w_vec = y - b/rho; None keeps every row.
-    The returned ``compressed`` keeps every row."""
+    """Coefficients of (1/(2 rho)) * sum over a row set D of r_i^2 - <C, X>,
+    with r = A(X) + rho*y - b, from the sums over D of :func:`_row_sums`.
+    ``compressed`` (every row) is passed through."""
+    gram, c_w, c_a, a_a, a_w = sums
     alpha = prob.alpha
     tr = model.stats.trace
     has_eta = tr > 0.0
-    a_img = model.stats.constr_image
-    c_rows = compressed
-    if rows is not None:
-        c_rows, a_img, w_vec = compressed[rows], a_img[rows], w_vec[rows]
-    quad_ss = (alpha**2 / rho) * (c_rows.T @ c_rows)
-    # rows of the compressed matrix are svec(V^T A_i V), so the adjoint
-    # compression of any m-vector is a single product
-    lin_s = alpha * (c_rows.T @ w_vec - svec(cost_quad))
+    quad_ss = (alpha**2 / rho) * gram
+    lin_s = alpha * (c_w - svec(cost_quad))
     if has_eta:
-        quad_s_eta = (alpha**2 / (rho * tr)) * (c_rows.T @ a_img)
-        quad_eta = (alpha**2 / (rho * tr**2)) * float(a_img @ a_img)
-        lin_eta = alpha / tr * float(a_img @ w_vec - model.stats.cost_ip)
+        quad_s_eta = (alpha**2 / (rho * tr)) * c_a
+        quad_eta = (alpha**2 / (rho * tr**2)) * a_a
+        lin_eta = alpha / tr * (a_w - model.stats.cost_ip)
     else:
         quad_s_eta = np.zeros(svec_dim(model.basis.shape[1]))
         quad_eta = lin_eta = 0.0
@@ -483,33 +494,55 @@ class _Pieces:
 
     A piece keeps the equality rows and the inequality rows whose residual
     r = A(X) + rho*y - b is positive; the optimal slack absorbs the others.
-    ``visited`` counts the pieces :meth:`select` has returned.
+    Its coefficients are fixed by sums over the rows it keeps
+    (:func:`_row_sums`).  Those are seeded from the equality rows, and each
+    :meth:`select` adds the sums of the rows that enter the piece and
+    subtracts those of the rows that leave it.  ``visited`` counts the
+    pieces :meth:`select` has returned.
     """
 
     def __init__(self, prob: SdpProblem, model, y: np.ndarray, rho: float, full: QuadCoeffs):
         self.prob, self.model, self.rho, self.full = prob, model, rho, full
         self.w_vec = y - prob.b / rho
         self.r0 = rho * y - prob.b
-        self.keep = ~prob.ineq_mask
+        self.equality = ~prob.ineq_mask
+        self.keep = self.equality.copy()
+        self.sums = self._sums(np.flatnonzero(self.keep))
         self.visited = 0
+
+    def _sums(self, rows: np.ndarray) -> list:
+        """The :func:`_row_sums` of ``rows``."""
+        stats = self.model.stats
+        return _row_sums(
+            np.take(self.full.compressed, rows, axis=0),
+            np.take(self.w_vec, rows),
+            np.take(stats.constr_image, rows) if stats.trace > 0.0 else None,
+        )
+
+    def _residual(self, s_mat: np.ndarray, eta: float) -> np.ndarray:
+        """r = A(X) + rho*y - b at the iterate X = (alpha/tr) eta Xbar + alpha V S V^T."""
+        alpha, stats = self.prob.alpha, self.model.stats
+        r = self.full.compressed @ (alpha * svec(s_mat))
+        r += self.r0
+        if stats.trace > 0.0:
+            daxpy(stats.constr_image, r, a=alpha * eta / stats.trace)  # in place, no temporary
+        return r
 
     def select(self, s_mat: np.ndarray, eta: float) -> QuadCoeffs | None:
         """Coefficients of the piece active at (S, eta), or None when it is
         the piece returned last."""
-        alpha, stats = self.prob.alpha, self.model.stats
-        # A(X) of the iterate X = (alpha/tr) eta Xbar + alpha V S V^T
-        r = self.full.compressed @ (alpha * svec(s_mat)) + self.r0
-        if stats.trace > 0.0:
-            r += (alpha * eta / stats.trace) * stats.constr_image
-        idx = self.prob.ineq_idx
-        pos = r[idx] > 0.0
-        if self.visited and np.array_equal(pos, self.keep[idx]):
+        pos = self._residual(s_mat, eta) > 0.0
+        pos |= self.equality
+        flips = np.flatnonzero(pos != self.keep)
+        if self.visited and not flips.size:
             return None
-        self.keep[idx] = pos
+        entering = pos[flips]
+        added, removed = self._sums(flips[entering]), self._sums(flips[~entering])
+        self.sums = [s + a - r for s, a, r in zip(self.sums, added, removed)]
+        self.keep = pos
         self.visited += 1
-        return _coeffs_on_rows(
-            self.prob, self.model, self.rho, self.full.compressed, self.w_vec,
-            self.full.cost_quad, rows=np.flatnonzero(self.keep),
+        return _coeffs_from_sums(
+            self.prob, self.model, self.rho, self.sums, self.full.cost_quad, self.full.compressed
         )
 
 
@@ -528,6 +561,7 @@ class AltMaxResult:
     passes: int  # pieces the solve visited; 1 without inequality rows
     newton: int  # Newton steps of the one interior-point solve
     exact: bool
+    cost_quad: np.ndarray  # V^T C V for the model's basis
 
 
 def alternating_max(prob: SdpProblem, model, y: np.ndarray, rho: float) -> AltMaxResult:
@@ -561,4 +595,5 @@ def alternating_max(prob: SdpProblem, model, y: np.ndarray, rho: float) -> AltMa
         passes=pieces.visited if pieces is not None else 1,
         newton=res.newton_iters,
         exact=res.exact,
+        cost_quad=coeffs.cost_quad,
     )

@@ -645,6 +645,46 @@ def alternation_reference(
     return {"a_x": a_x, "c_x": c_x, "nu": nu, "passes": passes, "exact": exact and done}
 
 
+def quad_coeffs_reference(prob, model, y: np.ndarray, rho: float, keep=None) -> dict:
+    """The proximal coefficients of the piece that keeps the rows of the
+    boolean mask ``keep`` (None: every row, ungathered), from scratch: the
+    kept rows of the compressed block, of w = y - b/rho and of the
+    aggregate's image are gathered, and each coefficient is formed from
+    them directly.  With ``keep=None`` it is the all-row formula, on the
+    block as ``compressed_rows`` returns it."""
+    alpha, tr = prob.alpha, model.stats.trace
+    v = model.basis
+    c = prob.constraints.compressed_rows(v)
+    w = y - prob.b / rho
+    a = model.stats.constr_image
+    if keep is not None:
+        rows = np.flatnonzero(keep)
+        c, w, a = c[rows], w[rows], a[rows]
+    out = {
+        "quad_ss": (alpha**2 / rho) * (c.T @ c),
+        "lin_s": alpha * (c.T @ w - svec(prob.cost_quad(v))),
+        "quad_s_eta": np.zeros(c.shape[1]),
+        "quad_eta": 0.0,
+        "lin_eta": 0.0,
+    }
+    if tr > 0.0:
+        out["quad_s_eta"] = (alpha**2 / (rho * tr)) * (c.T @ a)
+        out["quad_eta"] = (alpha**2 / (rho * tr**2)) * float(a @ a)
+        out["lin_eta"] = alpha / tr * float(a @ w - model.stats.cost_ip)
+    return out
+
+
+def eval_coeffs_reference(prob, model, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """(lin_s, lin_eta) of the model value at y, with V^T C V computed here
+    for the model's basis V."""
+    v, alpha, tr = model.basis, prob.alpha, model.stats.trace
+    lin_s = alpha * svec(prob.constraints.adjoint_inner_lowrank(y, v) - prob.cost_quad(v))
+    lin_eta = 0.0
+    if tr > 0.0:
+        lin_eta = alpha / tr * float(y @ model.stats.constr_image - model.stats.cost_ip)
+    return lin_s, lin_eta
+
+
 def partial_trace1(y: np.ndarray, n: int) -> np.ndarray:
     """Trace out the first factor of an (n*n) x (n*n) matrix."""
     y4 = y.reshape(n, n, n, n)
@@ -794,10 +834,13 @@ def build_qap_frozen(q):
     b = b_raw / float(n + 1)
     ops = SparseConstraintFamilies(big_n, m, idx, rows, cols, vals)
     norms = ops.frob_norms()
-    ops = ops.scaled(1.0 / norms)
+    # each scaling rebuilds the family from its scaled values
+    ops = SparseConstraintFamilies(big_n, m, idx, rows, cols, vals * (1.0 / norms)[idx])
     b = b / norms
-    op_norm = estimate_operator_norm(ops, big_n)
-    ops = ops.scaled(np.full(m, 1.0 / op_norm))
+    op_norm = estimate_operator_norm(ops)
+    ops = SparseConstraintFamilies(
+        big_n, m, idx, rows, cols, ops.vals * np.full(m, 1.0 / op_norm)[idx]
+    )
     b = b / op_norm
     return cost, scale_c, b, ops.idx, ops.rows, ops.cols, ops.vals
 

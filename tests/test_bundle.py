@@ -378,7 +378,11 @@ class TestSolveEndToEnd:
             # model minorant at the candidate
             checks.append(info.model_val <= info.f_cand + 1e-8 * (1 + abs(info.f_cand)))
             # the refreshed model supports the candidate from below
-            ev = ipm_eval(assemble_eval_coeffs(prob, info.model, info.y_cand))
+            ev = ipm_eval(
+                assemble_eval_coeffs(
+                    prob, info.model, info.y_cand, prob.cost_quad(info.model.basis)
+                )
+            )
             new_model_val = float(prob.b @ info.y_cand) - ev.value
             checks.append(
                 new_model_val >= info.f_cand - 1e-8 * (1 + abs(info.f_cand))

@@ -157,7 +157,7 @@ class TestBuildQap:
         # after normalization the operator norm estimate is one
         from specbundle.problem import estimate_operator_norm
 
-        post = estimate_operator_norm(prob.constraints, prob.n)
+        post = estimate_operator_norm(prob.constraints)
         assert post == pytest.approx(1.0, rel=1e-4)
         assert prob.sense == -1
         assert prob.scale_x == q.size + 1
@@ -363,7 +363,7 @@ class TestSparseFamilyEntries:
         ops = SparseConstraintFamilies(q.size**2 + 1, len(b), idx, rows, cols, vals)
         svec_rows = np.array([svec(a) for a in self.dense_rows(ops)])
         want = np.linalg.norm(svec_rows, 2)
-        assert estimate_operator_norm(ops, ops.n) == pytest.approx(want, rel=1e-5)
+        assert estimate_operator_norm(ops) == pytest.approx(want, rel=1e-5)
 
     @pytest.mark.parametrize("size", [3, 5])
     def test_actions_match_the_entry_lists(self, size):
@@ -762,6 +762,54 @@ class TestQapEntriesFrozen:
             (prob.constraints.vals, vals),
         ):
             _assert_same_array(g, w)
+
+    @staticmethod
+    def repeated_entries():
+        """Row 0 holds A[0, 1] twice and row 1 holds A[2, 2] three times:
+        their rebuild sums the scaled values again."""
+        return 3, 2, [0, 0, 1, 1, 1, 0], [0, 0, 2, 2, 2, 1], [1, 1, 2, 2, 2, 2], [
+            0.1, 0.7, 1.3, -0.3, 0.9, 2.0,
+        ]
+
+    @pytest.mark.parametrize("name", ["sparse-5", "dense-12", "repeated"])
+    def test_scaled_equals_rebuild(self, monkeypatch, name):
+        """A scaled family equals the family rebuilt from its scaled values,
+        position matrix included; without repeated entries it does not
+        sort the entries again."""
+        from specbundle.problem import qap_constraint_entries
+
+        if name == "repeated":
+            n, m, idx, rows, cols, vals = self.repeated_entries()
+            idx, vals = np.asarray(idx), np.asarray(vals)
+        else:
+            q = dict(QAP_CASES)[name]
+            idx, rows, cols, vals, b, _, _ = qap_constraint_entries(q)
+            n, m = q.size**2 + 1, len(b)
+        fam = SparseConstraintFamilies(n, m, idx, rows, cols, vals)
+        factors = np.random.default_rng(5).uniform(0.1, 3.0, m)
+        want = SparseConstraintFamilies(n, m, idx, rows, cols, vals * factors[idx])
+        before = fam._mat.copy()
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("scaled sorted the entries again")
+
+        if name != "repeated":
+            monkeypatch.setattr(np, "unique", no_sort)
+        got = fam.scaled(factors)
+        monkeypatch.undo()
+        for g, w in (
+            (got.vals, want.vals),
+            (got._mat.data, want._mat.data),
+            (got._mat.indices, want._mat.indices),
+            (got._mat.indptr, want._mat.indptr),
+            (got._pos_rows, want._pos_rows),
+            (got._pos_cols, want._pos_cols),
+            (got._weight, want._weight),
+            (fam._mat.data, before.data),  # the parent is left as it was
+            (fam.vals, vals),
+        ):
+            _assert_same_array(g, w)
+        assert got._mat.shape == want._mat.shape
 
 
 class TestCostOverflow:

@@ -7,12 +7,14 @@ from dataclasses import replace
 from conftest import make_k3, mixed_inequality_problem
 from _oracles import (
     alternation_reference,
+    eval_coeffs_reference,
     full_newton_residual,
     ipm_solve_frozen,
     line_search_frozen,
     newton_direction_frozen,
     pg_quad_oracle,
     psi_value,
+    quad_coeffs_reference,
     random_quad_coeffs,
 )
 from conftest import random_graph, random_qap
@@ -103,7 +105,7 @@ class TestAssembleEval:
         prob = zero_cost_diag_problem(4)
         cfg = SolverConfig(k_c=2, k_p=0)
         model = cold_start(prob, cfg).model
-        coeffs = assemble_eval_coeffs(prob, model, np.zeros(4))
+        coeffs = assemble_eval_coeffs(prob, model, np.zeros(4), prob.cost_quad(model.basis))
         np.testing.assert_array_equal(coeffs.lin_s, np.zeros(3))
         assert coeffs.lin_eta == 0.0
         assert not coeffs.has_eta  # empty aggregate disables the eta block
@@ -114,7 +116,7 @@ class TestAssembleEval:
         state = cold_start(prob, cfg)
         state.model.basis = np.eye(3)[:, :1]
         y = np.array([1.0, 0.0, 0.0])
-        coeffs = assemble_eval_coeffs(prob, state.model, y)
+        coeffs = assemble_eval_coeffs(prob, state.model, y, prob.cost_quad(state.model.basis))
         np.testing.assert_allclose(coeffs.lin_s, prob.alpha * svec(np.eye(1)))
 
     def test_matches_dense_materialization(self):
@@ -123,7 +125,7 @@ class TestAssembleEval:
         model = cold_start(prob, cfg).model
         rng = np.random.default_rng(0)
         y = rng.standard_normal(3)
-        coeffs = assemble_eval_coeffs(prob, model, y)
+        coeffs = assemble_eval_coeffs(prob, model, y, prob.cost_quad(model.basis))
         v = model.basis
         dense = v.T @ (np.diag(y) - prob.cost.toarray()) @ v
         np.testing.assert_allclose(coeffs.lin_s, prob.alpha * svec(dense), atol=1e-10)
@@ -229,7 +231,7 @@ class TestAssembleQuad:
         rng = np.random.default_rng(1)
         y = np.abs(rng.standard_normal(3))
         quad = assemble_quad_coeffs(prob, model, y, rho=1e12)
-        ev = assemble_eval_coeffs(prob, model, y)
+        ev = assemble_eval_coeffs(prob, model, y, quad.cost_quad)
         scale = np.abs(ev.lin_s).max() + 1.0
         assert np.abs(quad.lin_s - ev.lin_s).max() <= 1e-4 * scale
         assert np.abs(quad.quad_ss).max() <= 1e-4
@@ -607,6 +609,110 @@ class TestOneSolveMatchesAlternation:
         monkeypatch.setattr(_oracles, "_KKT_TOL", 1e-12)
         for _, prob, model, y, rho in states:
             assert_matches_alternation(prob, model, y, rho)
+
+
+class TestPieceSums:
+    """The proximal step updates its piece's sums by the rows that change
+    side.  Every piece it selects must match the coefficients computed from
+    scratch on the same rows, and the all-row path (every MaxCut step) must
+    stay the old formula bit for bit."""
+
+    QUAD_FIELDS = ("quad_ss", "lin_s", "quad_s_eta", "quad_eta", "lin_eta")
+
+    @staticmethod
+    def watch_pieces(monkeypatch):
+        """Wrap the proximal step and the piece selection: each piece
+        returned is compared with ``quad_coeffs_reference`` on the rows it
+        keeps, within 1e-12 of each coefficient's largest entry.  Returns the
+        tally: pieces compared, and rows that left a piece and came back
+        within one proximal step."""
+        tally = {"pieces": 0, "returned": 0}
+        current = {}
+        real_alt, real_select = bundle.alternating_max, subqp._Pieces.select
+
+        def alt(prob, model, y, rho):
+            current.update(prob=prob, model=model, y=y, rho=rho, left=None)
+            return real_alt(prob, model, y, rho)
+
+        def select(self, s_mat, eta):
+            before = self.keep.copy()
+            piece = real_select(self, s_mat, eta)
+            left = before & ~self.keep
+            current["left"] = left if current["left"] is None else current["left"] | left
+            tally["returned"] += int(np.count_nonzero(current["left"] & self.keep))
+            if piece is not None:
+                want = quad_coeffs_reference(
+                    current["prob"], current["model"], current["y"], current["rho"], self.keep
+                )
+                for name in TestPieceSums.QUAD_FIELDS:
+                    got, ref = np.asarray(getattr(piece, name)), np.asarray(want[name])
+                    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+                tally["pieces"] += 1
+            return piece
+
+        monkeypatch.setattr(bundle, "alternating_max", alt)
+        monkeypatch.setattr(subqp._Pieces, "select", select)
+        return tally, alt
+
+    def test_qap_solve_pieces_match_reference(self, monkeypatch):
+        tally, _ = self.watch_pieces(monkeypatch)
+        prob = build_qap(random_qap(5, 1))
+        cfg = SolverConfig(rho=0.005, beta=0.25, k_c=2, k_p=0, sketch_rank=5, max_iters=6)
+        state, _ = bundle.solve(prob, cfg)
+        assert state.iterations == 6
+        assert tally["pieces"] > 6 and tally["returned"] > 0
+
+    def test_mixed_states_pieces_match_reference(self, monkeypatch):
+        states = mixed_states()  # built before the wrap: the updated model runs a step
+        tally, alt = self.watch_pieces(monkeypatch)
+        for _, prob, model, y, rho in states:
+            assert alt(prob, model, y, rho).exact
+        assert tally["pieces"] > len(states) and tally["returned"] > 0
+
+    @staticmethod
+    def maxcut_states():
+        """A cold MaxCut model (no aggregate) and the model after five
+        iterations, with the y and rho the next step uses."""
+        prob = build_maxcut(random_graph(30, 0.3, 4))
+        cfg = SolverConfig(k_c=4, k_p=1, max_iters=5, eps=1e-12)
+        cold = cold_start(prob, cfg)
+        state, _ = bundle.solve(prob, cfg)
+        assert cold.model.stats.trace == 0.0 and state.model.stats.trace > 0.0
+        return prob, [(cold.model, cold.y, cfg.rho), (state.model, state.y, state.rho)]
+
+    def test_maxcut_all_rows_bit_for_bit(self):
+        prob, states = self.maxcut_states()
+        for model, y, rho in states:
+            got = assemble_quad_coeffs(prob, model, y, rho)
+            want = quad_coeffs_reference(prob, model, y, rho)
+            for name in self.QUAD_FIELDS:
+                assert np.array_equal(getattr(got, name), want[name]), name
+
+    def test_maxcut_eval_coeffs_bit_for_bit(self, monkeypatch):
+        """The model value takes V^T C V from the proximal step: the same
+        coefficients, with one ``cost_quad`` per iteration."""
+        prob, _ = self.maxcut_states()
+        calls = {"cost_quad": 0, "eval": 0}
+        real_eval, real_cost_quad = bundle.assemble_eval_coeffs, type(prob).cost_quad
+
+        def checked_eval(prob, model, y, cost_quad):
+            got = real_eval(prob, model, y, cost_quad)
+            lin_s, lin_eta = eval_coeffs_reference(prob, model, y)
+            assert np.array_equal(got.lin_s, lin_s) and got.lin_eta == lin_eta
+            calls["eval"] += 1
+            return got
+
+        def counted_cost_quad(self, v):
+            calls["cost_quad"] += 1
+            return real_cost_quad(self, v)
+
+        monkeypatch.setattr(bundle, "assemble_eval_coeffs", checked_eval)
+        bundle.solve(prob, SolverConfig(k_c=4, k_p=1, max_iters=8, eps=1e-12))
+        assert calls["eval"] == 8
+        monkeypatch.setattr(bundle, "assemble_eval_coeffs", real_eval)
+        monkeypatch.setattr(type(prob), "cost_quad", counted_cost_quad)
+        bundle.solve(prob, SolverConfig(k_c=4, k_p=1, max_iters=8, eps=1e-12))
+        assert calls["cost_quad"] == 8
 
 
 class TestDegenerateAggregate:
