@@ -235,18 +235,14 @@ class SparseConstraintFamilies:
         self._mat = sp.csr_matrix((self.vals, (self.idx, pos)), shape=(self.m, keys.size))
 
     def scaled(self, factors: np.ndarray) -> "SparseConstraintFamilies":
-        """The family with row i's values times ``factors[i]``, equal bit for
-        bit to the family rebuilt from the scaled values.  When no row
-        repeats a position, each stored value of ``_mat`` is one entry, so
-        scaling it by its row's factor is the rebuild's product: the family
-        shares this one's entries and positions, and nothing is sorted or
-        checked again.  Repeated entries are summed again from the scaled
-        values."""
-        vals = self.vals * factors[self.idx]
-        if self._mat.nnz != vals.size:
-            return SparseConstraintFamilies(self.n, self.m, self.idx, self.rows, self.cols, vals)
+        """The family with row i's values times ``factors[i]``.  It shares
+        this one's entries and positions, so nothing is sorted or checked
+        again, and each stored value of ``_mat`` is scaled by its row's
+        factor.  When no row repeats a position (every QAP family), a stored
+        value is one entry and this equals the rebuild from the scaled
+        values bit for bit; a summed value differs from it by rounding."""
         out = copy.copy(self)
-        out.vals = vals
+        out.vals = self.vals * factors[self.idx]
         mat = self._mat
         data = mat.data * np.repeat(factors, np.diff(mat.indptr))
         out._mat = sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.blas import daxpy
 
 from .problem import SdpProblem, proj_N
 from .symlin import (
@@ -519,19 +518,16 @@ class _Pieces:
             np.take(stats.constr_image, rows) if stats.trace > 0.0 else None,
         )
 
-    def _residual(self, s_mat: np.ndarray, eta: float) -> np.ndarray:
-        """r = A(X) + rho*y - b at the iterate X = (alpha/tr) eta Xbar + alpha V S V^T."""
+    def select(self, s_mat: np.ndarray, eta: float) -> QuadCoeffs | None:
+        """Coefficients of the piece active at (S, eta), or None when it is
+        the piece returned last."""
+        # r = A(X) + rho*y - b at the iterate X = (alpha/tr) eta Xbar + alpha V S V^T
         alpha, stats = self.prob.alpha, self.model.stats
         r = self.full.compressed @ (alpha * svec(s_mat))
         r += self.r0
         if stats.trace > 0.0:
-            daxpy(stats.constr_image, r, a=alpha * eta / stats.trace)  # in place, no temporary
-        return r
-
-    def select(self, s_mat: np.ndarray, eta: float) -> QuadCoeffs | None:
-        """Coefficients of the piece active at (S, eta), or None when it is
-        the piece returned last."""
-        pos = self._residual(s_mat, eta) > 0.0
+            r += (alpha * eta / stats.trace) * stats.constr_image
+        pos = r > 0.0
         pos |= self.equality
         flips = np.flatnonzero(pos != self.keep)
         if self.visited and not flips.size:
