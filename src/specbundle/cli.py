@@ -394,7 +394,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        # a path argument that names no readable (or writable) file
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:

@@ -88,8 +88,6 @@ class QuadCoeffs:
     lin_eta: float
     has_eta: bool
     k: int
-    cost_quad: Optional[np.ndarray] = None  # V^T C V, cached for reuse
-    compressed: Optional[np.ndarray] = None  # stacked svec(V^T A_i V) rows
 
 
 @dataclass
@@ -332,18 +330,21 @@ def _coeff_scale(q: QuadCoeffs) -> float:
     )
 
 
-def ipm_quad(coeffs: QuadCoeffs, pieces: _Pieces | None = None) -> IpmResult:
+def ipm_quad(coeffs: QuadCoeffs | None, pieces: _Pieces | None = None) -> IpmResult:
     """Minimize the quadratic proximal objective over the budget set, from
     the cold center.
 
-    ``pieces`` makes the objective piecewise quadratic: the piece active at
-    the iterate is selected at the top of every Newton step, and the
-    coefficients are replaced when it changes.  The gradient is continuous
-    across pieces, so the exit test certifies the piecewise objective."""
+    ``pieces`` (with ``coeffs`` None) makes the objective piecewise
+    quadratic: the piece active at the iterate is selected at the top of
+    every Newton step, the first included, and the coefficients are replaced
+    when it changes.  The gradient is continuous across pieces, so the exit
+    test certifies the piecewise objective."""
     q = coeffs
-    st = _cold_state(q.k, q.has_eta)
+    if pieces is None:
+        st, coeff_scale = _cold_state(q.k, q.has_eta), _coeff_scale(q)
+    else:  # the first select supplies q and its scale
+        st, coeff_scale = _cold_state(pieces.k, pieces.has_eta), None
     mu = st.mu
-    coeff_scale = _coeff_scale(q)
 
     exact = False
     failures = 0
@@ -427,18 +428,6 @@ def assemble_eval_coeffs(
     return EvalCoeffs(lin_s=lin_s, lin_eta=lin_eta, has_eta=has_eta, k=v.shape[1])
 
 
-def assemble_quad_coeffs(
-    prob: SdpProblem, model, y: np.ndarray, rho: float
-) -> QuadCoeffs:
-    """Proximal-subproblem coefficients over every constraint row: the
-    objective of a problem without inequality rows."""
-    v = model.basis
-    c = prob.constraints.compressed_rows(v)
-    a_img = model.stats.constr_image if model.stats.trace > 0.0 else None
-    sums = _row_sums(c, y - prob.b / rho, a_img)
-    return _coeffs_from_sums(prob, model, rho, sums, prob.cost_quad(v), c)
-
-
 def _row_sums(c: np.ndarray, w_vec: np.ndarray, a_img: np.ndarray | None) -> list:
     """The sums over a set of constraint rows that fix the proximal
     coefficients on them, given the rows of the compressed block ``c``, of
@@ -451,17 +440,13 @@ def _row_sums(c: np.ndarray, w_vec: np.ndarray, a_img: np.ndarray | None) -> lis
     return [c.T @ c, c.T @ w_vec, c.T @ a_img, float(a_img @ a_img), float(a_img @ w_vec)]
 
 
-def _coeffs_from_sums(
-    prob: SdpProblem,
-    model,
-    rho: float,
-    sums: list,
-    cost_quad: np.ndarray,
-    compressed: np.ndarray,
+def assemble_quad_coeffs(
+    prob: SdpProblem, model, rho: float, sums: list, cost_quad: np.ndarray
 ) -> QuadCoeffs:
     """Coefficients of (1/(2 rho)) * sum over a row set D of r_i^2 - <C, X>,
-    with r = A(X) + rho*y - b, from the sums over D of :func:`_row_sums`.
-    ``compressed`` (every row) is passed through."""
+    with r = A(X) + rho*y - b, from the sums over D of :func:`_row_sums`
+    and ``cost_quad`` = V^T C V for the model's basis V.  With D every row
+    it is the objective of a problem without inequality rows."""
     gram, c_w, c_a, a_a, a_w = sums
     alpha = prob.alpha
     tr = model.stats.trace
@@ -483,8 +468,6 @@ def _coeffs_from_sums(
         lin_eta=lin_eta,
         has_eta=has_eta,
         k=model.basis.shape[1],
-        cost_quad=cost_quad,
-        compressed=compressed,
     )
 
 
@@ -496,12 +479,23 @@ class _Pieces:
     Its coefficients are fixed by sums over the rows it keeps
     (:func:`_row_sums`).  Those are seeded from the equality rows, and each
     :meth:`select` adds the sums of the rows that enter the piece and
-    subtracts those of the rows that leave it.  ``visited`` counts the
-    pieces :meth:`select` has returned.
+    subtracts those of the rows that leave it.  ``compressed`` is the
+    compressed block of every row and ``cost_quad`` = V^T C V.  ``visited``
+    counts the pieces :meth:`select` has returned.
     """
 
-    def __init__(self, prob: SdpProblem, model, y: np.ndarray, rho: float, full: QuadCoeffs):
-        self.prob, self.model, self.rho, self.full = prob, model, rho, full
+    def __init__(
+        self,
+        prob: SdpProblem,
+        model,
+        y: np.ndarray,
+        rho: float,
+        compressed: np.ndarray,
+        cost_quad: np.ndarray,
+    ):
+        self.prob, self.model, self.rho = prob, model, rho
+        self.compressed, self.cost_quad = compressed, cost_quad
+        self.k, self.has_eta = model.basis.shape[1], model.stats.trace > 0.0
         self.w_vec = y - prob.b / rho
         self.r0 = rho * y - prob.b
         self.equality = ~prob.ineq_mask
@@ -513,9 +507,9 @@ class _Pieces:
         """The :func:`_row_sums` of ``rows``."""
         stats = self.model.stats
         return _row_sums(
-            np.take(self.full.compressed, rows, axis=0),
+            np.take(self.compressed, rows, axis=0),
             np.take(self.w_vec, rows),
-            np.take(stats.constr_image, rows) if stats.trace > 0.0 else None,
+            np.take(stats.constr_image, rows) if self.has_eta else None,
         )
 
     def select(self, s_mat: np.ndarray, eta: float) -> QuadCoeffs | None:
@@ -523,9 +517,9 @@ class _Pieces:
         the piece returned last."""
         # r = A(X) + rho*y - b at the iterate X = (alpha/tr) eta Xbar + alpha V S V^T
         alpha, stats = self.prob.alpha, self.model.stats
-        r = self.full.compressed @ (alpha * svec(s_mat))
+        r = self.compressed @ (alpha * svec(s_mat))
         r += self.r0
-        if stats.trace > 0.0:
+        if self.has_eta:
             r += (alpha * eta / stats.trace) * stats.constr_image
         pos = r > 0.0
         pos |= self.equality
@@ -537,9 +531,7 @@ class _Pieces:
         self.sums = [s + a - r for s, a, r in zip(self.sums, added, removed)]
         self.keep = pos
         self.visited += 1
-        return _coeffs_from_sums(
-            self.prob, self.model, self.rho, self.sums, self.full.cost_quad, self.full.compressed
-        )
+        return assemble_quad_coeffs(self.prob, self.model, self.rho, self.sums, self.cost_quad)
 
 
 # ---------------------------------------------------------------------------
@@ -571,15 +563,21 @@ def alternating_max(prob: SdpProblem, model, y: np.ndarray, rho: float) -> AltMa
     """
     alpha = prob.alpha
     tr = model.stats.trace
-    coeffs = assemble_quad_coeffs(prob, model, y, rho)
-    pieces = _Pieces(prob, model, y, rho, coeffs) if prob.has_ineq else None
-    res = ipm_quad(coeffs, pieces)
+    v = model.basis
+    compressed = prob.constraints.compressed_rows(v)
+    cost_quad = prob.cost_quad(v)
+    if prob.has_ineq:
+        pieces = _Pieces(prob, model, y, rho, compressed, cost_quad)
+        res = ipm_quad(None, pieces)
+    else:
+        pieces = None
+        a_img = model.stats.constr_image if tr > 0.0 else None
+        sums = _row_sums(compressed, y - prob.b / rho, a_img)
+        res = ipm_quad(assemble_quad_coeffs(prob, model, rho, sums, cost_quad))
     s_act = alpha * res.s_opt
     eta_act = (alpha * res.eta_opt / tr) if tr > 0.0 else 0.0
-    a_x = eta_act * model.stats.constr_image + prob.constraints.primal_image_lowrank(
-        model.basis, s_act
-    )
-    c_x = eta_act * model.stats.cost_ip + float((coeffs.cost_quad * s_act).sum())
+    a_x = eta_act * model.stats.constr_image + prob.constraints.primal_image_lowrank(v, s_act)
+    c_x = eta_act * model.stats.cost_ip + float((cost_quad * s_act).sum())
     tr_x = eta_act * tr + float(s_act.trace())
     return AltMaxResult(
         eta=eta_act,
@@ -591,5 +589,5 @@ def alternating_max(prob: SdpProblem, model, y: np.ndarray, rho: float) -> AltMa
         passes=pieces.visited if pieces is not None else 1,
         newton=res.newton_iters,
         exact=res.exact,
-        cost_quad=coeffs.cost_quad,
+        cost_quad=cost_quad,
     )

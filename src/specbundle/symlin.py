@@ -7,6 +7,7 @@ forms.  All operations here are pure functions on small dense arrays.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -34,9 +35,6 @@ class ConditioningError(RuntimeError):
     """A factorization found the matrix not numerically positive definite."""
 
 
-_IDX_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
 def svec_dim(n: int) -> int:
     return n * (n + 1) // 2
 
@@ -49,23 +47,43 @@ def mat_dim(d: int) -> int:
     return n
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: the per-size tables below are cached and
+    shared by every caller."""
+    a.setflags(write=False)
+    return a
+
+
+@functools.cache
 def tri_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i, j, w) arrays for the vectorization order: pairs i >= j listed
     column by column, with w = sqrt(2) on off-diagonal positions."""
-    cached = _IDX_CACHE.get(n)
-    if cached is None:
-        r, c = np.triu_indices(n)
-        # upper triangle in row-major order transposes to lower triangle in
-        # column-major order, preserving sequence position
-        i, j = c.copy(), r.copy()
-        w = np.where(i == j, 1.0, _SQRT2)
-        cached = (i, j, w)
-        _IDX_CACHE[n] = cached
-    return cached
+    r, c = np.triu_indices(n)
+    # upper triangle in row-major order transposes to lower triangle in
+    # column-major order, preserving sequence position
+    i, j = c.copy(), r.copy()
+    return _read_only(i), _read_only(j), _read_only(np.where(i == j, 1.0, _SQRT2))
 
 
-_SVEC_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_SVEC_INV_CACHE: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+@functools.cache
+def _svec_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, w): the flat indices i * n + j of the svec positions of an
+    n x n matrix, and their weights."""
+    i, j, w = tri_indices(n)
+    return _read_only(i * n + j), w
+
+
+@functools.cache
+def _svec_inv_gather(d: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, pos, w): the side of a matrix with svec length d, for each of its
+    entries in row-major order the svec position of its pair, and the
+    weights."""
+    n = mat_dim(d)
+    i, j, w = tri_indices(n)
+    pos = np.empty((n, n), dtype=np.int64)
+    pos[i, j] = np.arange(d)
+    pos[j, i] = np.arange(d)
+    return n, _read_only(pos.ravel()), w
 
 
 def svec(a: np.ndarray) -> np.ndarray:
@@ -76,14 +94,7 @@ def svec(a: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("svec expects a square matrix")
-    cached = _SVEC_CACHE.get(n)
-    if cached is None:
-        i, j, w = tri_indices(n)
-        flat = i * n + j
-        flat.setflags(write=False)
-        cached = (flat, w)
-        _SVEC_CACHE[n] = cached
-    flat, w = cached
+    flat, w = _svec_gather(n)
     return a.take(flat) * w
 
 
@@ -93,61 +104,37 @@ def svec_inv(v: np.ndarray) -> np.ndarray:
     Entries (i, j) and (j, i) both receive v[p] / w[p] for the position p
     of the pair, gathered in one pass."""
     v = np.asarray(v, dtype=float)
-    d = v.shape[0]
-    cached = _SVEC_INV_CACHE.get(d)
-    if cached is None:
-        n = mat_dim(d)
-        i, j, w = tri_indices(n)
-        pos = np.empty((n, n), dtype=np.int64)
-        pos[i, j] = np.arange(d)
-        pos[j, i] = np.arange(d)
-        pos.setflags(write=False)
-        cached = (n, pos.ravel(), w)
-        _SVEC_INV_CACHE[d] = cached
-    n, pos, w = cached
+    n, pos, w = _svec_inv_gather(v.shape[0])
     return (v / w).take(pos).reshape(n, n)
 
 
-_IDENT_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def svec_identity(k: int) -> np.ndarray:
-    out = _IDENT_CACHE.get(k)
-    if out is None:
-        out = svec(np.eye(k))
-        out.setflags(write=False)
-        _IDENT_CACHE[k] = out
-    return out
+    return _read_only(svec(np.eye(k)))
 
 
-_U_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def u_matrix(n: int) -> np.ndarray:
     """Matrix mapping vec(A) (column-stacked) to svec(A) for symmetric A.
 
     Rows follow the svec order; columns follow column-major vec order.  The
-    rows are orthonormal and U.T @ svec(A) == vec(A) for symmetric A.
+    rows are orthonormal and U.T @ svec(A) == vec(A) for symmetric A.  Row p
+    holds 1 / w[p] at the vec positions of (i, j) and (j, i), the same
+    position when i == j.
     """
-    cached = _U_CACHE.get(n)
-    if cached is not None:
-        return cached
-    i, j, _ = tri_indices(n)
-    d = svec_dim(n)
-    u = np.zeros((d, n * n))
-    for p in range(d):
-        ip, jp = int(i[p]), int(j[p])
-        if ip == jp:
-            u[p, jp * n + ip] = 1.0
-        else:
-            u[p, jp * n + ip] = 1.0 / _SQRT2
-            u[p, ip * n + jp] = 1.0 / _SQRT2
-    u.setflags(write=False)
-    _U_CACHE[n] = u
-    return u
+    i, j, w = tri_indices(n)
+    rows = np.arange(svec_dim(n))
+    u = np.zeros((rows.size, n * n))
+    u[rows, j * n + i] = 1.0 / w
+    u[rows, i * n + j] = 1.0 / w
+    return _read_only(u)
 
 
-_KRON_SIDES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@functools.cache
+def _kron_sides(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(0.5 * U, U.T) for :func:`symm_kron` at size n."""
+    u = u_matrix(n)
+    return _read_only(0.5 * u), u.T
 
 
 def symm_kron(g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -166,14 +153,7 @@ def symm_kron(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     n = g.shape[0]
     if g.shape != h.shape or g.shape != (n, n):
         raise ValueError("symm_kron expects two square matrices of equal size")
-    sides = _KRON_SIDES.get(n)
-    if sides is None:
-        u = u_matrix(n)
-        half_u = 0.5 * u
-        half_u.setflags(write=False)
-        sides = (half_u, u.T)
-        _KRON_SIDES[n] = sides
-    half_u, u_t = sides
+    half_u, u_t = _kron_sides(n)
     # p[i, k, j, l] = g[i, j] * h[k, l] = kron(g, h)[i*n + k, j*n + l];
     # kron(h, g) holds the same products with both index pairs swapped
     p = g[:, None, :, None] * h[None, :, None, :]

@@ -7,6 +7,7 @@ linear algebra only.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -274,12 +275,28 @@ def svec_inv_frozen(v: np.ndarray) -> np.ndarray:
     return a
 
 
+def u_matrix_frozen(n: int) -> np.ndarray:
+    """The row-compression matrix U, mapping vec(A) (column-stacked) to
+    svec(A), filled one svec position at a time."""
+    from specbundle.symlin import svec_dim, tri_indices
+
+    i, j, _ = tri_indices(n)
+    d = svec_dim(n)
+    u = np.zeros((d, n * n))
+    for p in range(d):
+        ip, jp = int(i[p]), int(j[p])
+        if ip == jp:
+            u[p, jp * n + ip] = 1.0
+        else:
+            u[p, jp * n + ip] = 1.0 / math.sqrt(2.0)
+            u[p, ip * n + jp] = 1.0 / math.sqrt(2.0)
+    return u
+
+
 def symm_kron_frozen(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Symmetric Kronecker product through two ``np.kron`` calls and the
     row-compression matrix."""
-    from specbundle.symlin import u_matrix
-
-    u = u_matrix(g.shape[0])
+    u = u_matrix_frozen(g.shape[0])
     return 0.5 * u @ (np.kron(g, h) + np.kron(h, g)) @ u.T
 
 
@@ -480,17 +497,19 @@ def line_search_frozen(st, d) -> float:
 def ipm_solve_frozen(q, warm, pieces=None):
     """The interior-point Newton loop.  Returns (s_opt, eta_opt, value,
     state, newton_iters, exact).  ``pieces`` re-selects the coefficients at
-    the top of every Newton step, as ``ipm_quad`` does."""
+    the top of every Newton step, as ``ipm_quad`` does; ``q`` may then be
+    None, and the first selection supplies it."""
     from specbundle.symlin import ConditioningError
 
+    k, has_eta = (q.k, q.has_eta) if q is not None else (pieces.k, pieces.has_eta)
     st = None
-    if warm is not None and warm.k == q.k and warm.has_eta == q.has_eta:
+    if warm is not None and warm.k == k and warm.has_eta == has_eta:
         warm_f = FrozenIpmState(
             warm.s_mat, warm.eta, warm.t_mat, warm.zeta, warm.omega, warm.mu, warm.has_eta
         )
         if warm_f.strictly_feasible():
             lam = _WARM_BLEND
-            cold = _frozen_cold_state(q.k, q.has_eta)
+            cold = _frozen_cold_state(k, has_eta)
             st = FrozenIpmState(
                 s_mat=(1 - lam) * warm.s_mat + lam * cold.s_mat,
                 eta=(1 - lam) * warm.eta + lam * cold.eta,
@@ -498,11 +517,11 @@ def ipm_solve_frozen(q, warm, pieces=None):
                 zeta=(1 - lam) * warm.zeta + lam * cold.zeta,
                 omega=(1 - lam) * warm.omega + lam * cold.omega,
                 mu=0.0,
-                has_eta=q.has_eta,
+                has_eta=has_eta,
             )
             st.mu = st.complementarity() / (2.0 * st.pairs())
     if st is None:
-        st = _frozen_cold_state(q.k, q.has_eta)
+        st = _frozen_cold_state(k, has_eta)
     mu = st.mu
 
     def scale(q):
@@ -514,7 +533,7 @@ def ipm_solve_frozen(q, warm, pieces=None):
             abs(q.quad_eta),
         )
 
-    coeff_scale = scale(q)
+    coeff_scale = scale(q) if q is not None else None
     exact = False
     failures = 0
     iters = 0
@@ -613,11 +632,11 @@ def alternation_reference(
     """
     from dataclasses import replace
 
-    from specbundle.subqp import assemble_quad_coeffs
-
     alpha, tr = prob.alpha, model.stats.trace
     a_img = model.stats.constr_image
-    base = assemble_quad_coeffs(prob, model, y, rho)
+    compressed = prob.constraints.compressed_rows(model.basis)
+    cost_quad = prob.cost_quad(model.basis)
+    base = all_row_quad_coeffs(prob, model, y, rho)
     nu = np.zeros(prob.m)
     b_norm = float(np.linalg.norm(prob.b))
     warm, exact, done = None, True, False
@@ -625,7 +644,7 @@ def alternation_reference(
         w = y - (prob.b + nu) / rho
         coeffs = replace(
             base,
-            lin_s=alpha * (base.compressed.T @ w - svec(base.cost_quad)),
+            lin_s=alpha * (compressed.T @ w - svec(cost_quad)),
             lin_eta=alpha / tr * float(a_img @ w - model.stats.cost_ip) if tr > 0.0 else 0.0,
         )
         s_opt, eta_opt, _, warm, _, ok = ipm_solve_frozen(coeffs, warm)
@@ -633,7 +652,7 @@ def alternation_reference(
         s_act = alpha * s_opt
         eta_act = alpha * eta_opt / tr if tr > 0.0 else 0.0
         a_x = eta_act * a_img + prob.constraints.primal_image_lowrank(model.basis, s_act)
-        c_x = eta_act * model.stats.cost_ip + float(np.sum(base.cost_quad * s_act))
+        c_x = eta_act * model.stats.cost_ip + float(np.sum(cost_quad * s_act))
         nu_next = proj_N_frozen(a_x + rho * y - prob.b, prob)
         if values is not None:
             values.append(psi_value(prob, y, rho, c_x, a_x, nu))
@@ -643,6 +662,17 @@ def alternation_reference(
         if done:
             break
     return {"a_x": a_x, "c_x": c_x, "nu": nu, "passes": passes, "exact": exact and done}
+
+
+def all_row_quad_coeffs(prob, model, y: np.ndarray, rho: float):
+    """The library's proximal coefficients over every constraint row, formed
+    as the proximal step forms them on a problem without inequality rows."""
+    from specbundle.subqp import _row_sums, assemble_quad_coeffs
+
+    v = model.basis
+    a_img = model.stats.constr_image if model.stats.trace > 0.0 else None
+    sums = _row_sums(prob.constraints.compressed_rows(v), y - prob.b / rho, a_img)
+    return assemble_quad_coeffs(prob, model, rho, sums, prob.cost_quad(v))
 
 
 def quad_coeffs_reference(prob, model, y: np.ndarray, rho: float, keep=None) -> dict:

@@ -172,6 +172,22 @@ class TestSolveCommand:
         assert main([]) == 64
         assert main(["solve", "--problem", "maxcut", "--input", str(tmp_path / "missing.mtx")]) == 64
 
+    @pytest.mark.parametrize("flag", ["--input", "--config", "--out", "--state"])
+    def test_directory_path_is_usage_error(self, tmp_path, k3_file, capsys, flag):
+        """A path flag naming a directory exits 64 with a one-line message."""
+        solve = ["solve", "--problem", "maxcut"]
+        k3, out, folder = str(k3_file), str(tmp_path / "m.csv"), str(tmp_path)
+        argv = {
+            "--input": solve + ["--input", folder, "--out", out],
+            "--config": solve + ["--input", k3, "--config", folder, "--out", out],
+            "--out": solve + ["--input", k3, "--out", folder],
+            "--state": ["round", "--problem", "maxcut", "--input", k3, "--state", folder],
+        }[flag]
+        assert main(argv) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_parse_error_is_runtime_error(self, tmp_path):
         bad = tmp_path / "bad.mtx"
         bad.write_text("junk\n")

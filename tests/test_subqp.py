@@ -6,6 +6,7 @@ from dataclasses import replace
 
 from conftest import make_k3, mixed_inequality_problem
 from _oracles import (
+    all_row_quad_coeffs,
     alternation_reference,
     eval_coeffs_reference,
     full_newton_residual,
@@ -31,7 +32,6 @@ from specbundle.subqp import (
     StepFailureError,
     alternating_max,
     assemble_eval_coeffs,
-    assemble_quad_coeffs,
     ipm_eval,
     ipm_quad,
 )
@@ -230,8 +230,8 @@ class TestAssembleQuad:
         model = cold_start(prob, cfg).model
         rng = np.random.default_rng(1)
         y = np.abs(rng.standard_normal(3))
-        quad = assemble_quad_coeffs(prob, model, y, rho=1e12)
-        ev = assemble_eval_coeffs(prob, model, y, quad.cost_quad)
+        quad = all_row_quad_coeffs(prob, model, y, rho=1e12)
+        ev = assemble_eval_coeffs(prob, model, y, prob.cost_quad(model.basis))
         scale = np.abs(ev.lin_s).max() + 1.0
         assert np.abs(quad.lin_s - ev.lin_s).max() <= 1e-4 * scale
         assert np.abs(quad.quad_ss).max() <= 1e-4
@@ -242,7 +242,7 @@ class TestAssembleQuad:
         state = cold_start(prob, cfg)
         state.model.basis = np.eye(3)
         rho = 0.5
-        quad = assemble_quad_coeffs(prob, state.model, np.zeros(3), rho)
+        quad = all_row_quad_coeffs(prob, state.model, np.zeros(3), rho)
         expected = np.zeros((6, 6))
         for i in range(3):
             row = svec(np.outer(np.eye(3)[i], np.eye(3)[i]))
@@ -258,7 +258,7 @@ class TestAssembleQuad:
         prob, _ = mixed_inequality_problem(10, 2)
         cfg = SolverConfig(k_c=4, k_p=1)
         model = cold_start(prob, cfg).model
-        quad = assemble_quad_coeffs(prob, model, np.zeros(prob.m), rho=0.1)
+        quad = all_row_quad_coeffs(prob, model, np.zeros(prob.m), rho=0.1)
         rng = np.random.default_rng(3)
         for _ in range(20):
             z = rng.standard_normal(quad.quad_ss.shape[0])
@@ -669,6 +669,26 @@ class TestPieceSums:
             assert alt(prob, model, y, rho).exact
         assert tally["pieces"] > len(states) and tally["returned"] > 0
 
+    def test_inequality_step_never_sums_every_row(self, monkeypatch):
+        """With inequality rows the step seeds its sums from the equality
+        rows and updates them by the rows that change side, so no
+        :func:`subqp._row_sums` call gets all m rows."""
+        states = [qap_states()[1], mixed_states()[1]]  # built before the wrap
+        rows = []
+        real = subqp._row_sums
+
+        def counted(c, w_vec, a_img):
+            rows.append(c.shape[0])
+            return real(c, w_vec, a_img)
+
+        monkeypatch.setattr(subqp, "_row_sums", counted)
+        for _, prob, model, y, rho in states:
+            rows.clear()
+            res = alternating_max(prob, model, y, rho)
+            assert res.exact and res.passes > 1
+            assert len(rows) == 1 + 2 * res.passes
+            assert max(rows) < prob.m
+
     @staticmethod
     def maxcut_states():
         """A cold MaxCut model (no aggregate) and the model after five
@@ -683,7 +703,7 @@ class TestPieceSums:
     def test_maxcut_all_rows_bit_for_bit(self):
         prob, states = self.maxcut_states()
         for model, y, rho in states:
-            got = assemble_quad_coeffs(prob, model, y, rho)
+            got = all_row_quad_coeffs(prob, model, y, rho)
             want = quad_coeffs_reference(prob, model, y, rho)
             for name in self.QUAD_FIELDS:
                 assert np.array_equal(getattr(got, name), want[name]), name
@@ -721,7 +741,7 @@ class TestDegenerateAggregate:
         cfg = SolverConfig(k_c=2, k_p=0)
         model = cold_start(prob, cfg).model
         assert model.stats.trace == 0.0
-        coeffs = assemble_quad_coeffs(prob, model, np.zeros(3), rho=0.1)
+        coeffs = all_row_quad_coeffs(prob, model, np.zeros(3), rho=0.1)
         assert not coeffs.has_eta
         res = ipm_quad(coeffs)
         assert res.eta_opt == 0.0

@@ -9,7 +9,9 @@ from _oracles import (
     svec_frozen,
     svec_inv_frozen,
     symm_kron_frozen,
+    u_matrix_frozen,
 )
+from specbundle import symlin
 from specbundle.bundle import _orthonormalize
 from specbundle.symlin import (
     ConditioningError,
@@ -21,6 +23,7 @@ from specbundle.symlin import (
     svec_inv,
     svec_identity,
     symm_kron,
+    tri_indices,
     u_matrix,
 )
 
@@ -94,6 +97,45 @@ class TestUMatrix:
     def test_orthonormal_rows(self):
         u = u_matrix(4)
         np.testing.assert_allclose(u @ u.T, np.eye(svec_dim(4)), atol=1e-14)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_loop_reference(self, n):
+        assert np.array_equal(u_matrix(n), u_matrix_frozen(n))
+
+
+class TestCachedTables:
+    """The per-size tables are built once and shared by every caller, so
+    each must refuse writes: one stray in-place update would corrupt every
+    later call."""
+
+    @staticmethod
+    def tables(n):
+        d = svec_dim(n)
+        return {
+            "tri_indices": tri_indices(n),
+            "svec gather": symlin._svec_gather(n),
+            "svec_inv gather": symlin._svec_inv_gather(d)[1:],
+            "svec_identity": (svec_identity(n),),
+            "u_matrix": (u_matrix(n),),
+            "symm_kron sides": symlin._kron_sides(n),
+        }
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 11])
+    def test_every_array_refuses_writes(self, n):
+        a = random_sym(np.random.default_rng(n), n)
+        before = svec(a)
+        for name, arrays in self.tables(n).items():
+            for arr in arrays:
+                assert not arr.flags.writeable, name
+                with pytest.raises(ValueError):
+                    arr *= 2
+        assert np.array_equal(svec(a), before)
+
+    def test_built_once_per_size(self):
+        for n in (2, 7):
+            first = self.tables(n)
+            for name, arrays in self.tables(n).items():
+                assert all(x is y for x, y in zip(arrays, first[name])), name
 
 
 class TestSymmKron:
