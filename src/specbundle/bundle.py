@@ -11,6 +11,7 @@ never on the iteration count.
 """
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import math
@@ -606,7 +607,8 @@ class StateRecord:
 
 
 def save_state(path, state: SolverState, prob: SdpProblem) -> None:
-    """Versioned little-endian binary container for warm starts."""
+    """Versioned little-endian binary container for warm starts, written to
+    a file name or to a binary file object opened for writing."""
     model = state.model
     store = model.store
     if isinstance(store, ExplicitStore):
@@ -632,7 +634,7 @@ def save_state(path, state: SolverState, prob: SdpProblem) -> None:
         model.stats.cost_ip,
         state.rho if state.rho is not None else np.nan,
     )
-    with open(path, "wb") as fh:
+    with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "wb") as fh:
         fh.write(header)
         for arr in (state.y, state.nu, model.stats.constr_image, model.basis, store_mat):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())

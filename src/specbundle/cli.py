@@ -7,9 +7,11 @@ exhausted, 64 usage error, 65 state/instance fingerprint mismatch.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -230,7 +232,44 @@ def _load_mapping(path) -> Mapping:
     return Mapping(**maps)
 
 
+@contextlib.contextmanager
+def _early_output(path, mode: str = ""):
+    """``path`` opened for writing before the work whose result goes there,
+    so that a path that cannot be written fails fast, or None for no path.
+    An existing file is opened for appending and kept as it is: it may be
+    an input of the same run, so the writer empties it (``_emptied``) only
+    when the result is ready.  A file created here is removed again if the
+    work fails."""
+    if not path:
+        yield None
+        return
+    try:
+        fh, created = open(path, "x" + mode), True
+    except FileExistsError:
+        fh, created = open(path, "a" + mode), False
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+
+
+def _emptied(fh):
+    """A file from ``_early_output``, cut to length 0 if it has a length (a
+    device such as /dev/null cannot be cut)."""
+    if fh.tell():
+        fh.truncate(0)
+    return fh
+
+
 def cmd_solve(args) -> int:
+    with _early_output(args.save_state, "b") as state_fh:
+        return _solve(args, state_fh)
+
+
+def _solve(args, state_fh) -> int:
     instance = _load_instance(args.problem, args.input)
     prob = _build_problem(args.problem, instance)
     cfg = _resolve_config(args, args.problem, instance)
@@ -282,8 +321,8 @@ def cmd_solve(args) -> int:
 
         state, output = solve(prob, cfg, init=init, callback=callback)
 
-    if args.save_state:
-        save_state(args.save_state, state, prob)
+    if state_fh is not None:
+        save_state(_emptied(state_fh), state, prob)
 
     obj = prob.unscale_objective(state.last_primal.cost_ip)
     print(f"status: {state.status}")
@@ -356,20 +395,21 @@ def cmd_perturb(args) -> int:
         keep = g.n - math.ceil(args.fraction * g.n)
         if keep < 1:
             raise UsageError("perturbation drops every vertex")
-        sub = g.subgraph(keep)
-        write_graph_mm(sub, args.out_instance)
-        mapping = _maxcut_mapping(keep)
-        print(f"kept {keep} of {g.n} vertices")
     else:
         q = parse_qaplib(args.input)
         if q.size < 2:
             raise UsageError("instance too small to shrink")
-        sub = q.shrink()
-        write_qaplib(sub, args.out_instance)
-        mapping = _qap_mapping(sub, q)
-        print(f"kept {sub.size} of {q.size} assignment slots")
-    with open(args.out_mapping, "w") as fh:
-        json.dump(mapping, fh)
+    with _early_output(args.out_mapping) as fh:
+        if args.problem == "maxcut":
+            write_graph_mm(g.subgraph(keep), args.out_instance)
+            mapping = _maxcut_mapping(keep)
+            print(f"kept {keep} of {g.n} vertices")
+        else:
+            sub = q.shrink()
+            write_qaplib(sub, args.out_instance)
+            mapping = _qap_mapping(sub, q)
+            print(f"kept {sub.size} of {q.size} assignment slots")
+        json.dump(mapping, _emptied(fh))
     print(f"instance: {args.out_instance}")
     print(f"mapping: {args.out_mapping}")
     return EXIT_OK

@@ -188,6 +188,65 @@ class TestSolveCommand:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("case", ["directory", "missing parent", "unwritable"])
+    def test_save_state_path_checked_before_the_solve(self, tmp_path, k3_file, capsys, monkeypatch, case):
+        """A --save-state path that cannot be written exits 64 before the
+        solve starts or the metrics file is opened."""
+        dest = {
+            "directory": tmp_path,
+            "missing parent": tmp_path / "nope" / "s.bin",
+            "unwritable": tmp_path / "s.bin",
+        }[case]
+        if case == "unwritable":
+            # refused as the OS refuses a read-only file (root ignores modes)
+            def refusing_open(path, *args, **kwargs):
+                if str(path) == str(dest):
+                    raise PermissionError(13, "Permission denied", str(path))
+                return open(path, *args, **kwargs)
+
+            monkeypatch.setattr(cli_mod, "open", refusing_open, raising=False)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solve ran")
+
+        monkeypatch.setattr(cli_mod, "solve", no_solve)
+        out = tmp_path / "m.csv"
+        argv = ["solve", "--problem", "maxcut", "--input", str(k3_file), "--out", str(out)]
+        assert main(argv + ["--save-state", str(dest)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out.exists()
+        assert case == "directory" or not dest.exists()
+
+    def test_save_state_keeps_an_existing_file_until_the_solve_ends(self, tmp_path, k3_file, monkeypatch):
+        """Saving to the --warm-start file reads it intact; a failed solve
+        leaves an existing file as it was and creates no new one."""
+        state = tmp_path / "s.bin"
+        argv = ["solve", "--problem", "maxcut", "--input", str(k3_file), "--out", str(tmp_path / "m.csv")]
+        assert main(argv + ["--save-state", str(state), "--max-iters", "1"]) == 2
+        before = state.read_bytes()
+        real_solve = cli_mod.solve
+        seen = []
+
+        def solve(*args, **kwargs):
+            seen.append(state.read_bytes())
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "solve", solve)
+        assert main(argv + ["--warm-start", str(state), "--save-state", str(state)]) == 0
+        assert seen == [before]
+        after = state.read_bytes()
+        assert after != before and len(after) == len(before)  # rewritten, not appended
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("solve failed")
+
+        monkeypatch.setattr(cli_mod, "solve", failing)
+        new = tmp_path / "new.bin"
+        for dest in (state, new):
+            assert main(argv + ["--warm-start", str(state), "--save-state", str(dest)]) == 1
+        assert state.read_bytes() == after and not new.exists()
+
     def test_parse_error_is_runtime_error(self, tmp_path):
         bad = tmp_path / "bad.mtx"
         bad.write_text("junk\n")
@@ -459,6 +518,26 @@ class TestPerturbCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert repr(key) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("problem", ["maxcut", "qap"])
+    @pytest.mark.parametrize("case", ["directory", "missing parent"])
+    def test_out_mapping_checked_before_the_instance_is_written(self, tmp_path, capsys, problem, case):
+        src = tmp_path / "in.txt"
+        if problem == "maxcut":
+            write_graph_mm(random_graph(20, 0.3, 1), src)
+        else:
+            write_qaplib(random_qap(3, 1), src)
+        sub = tmp_path / "sub.txt"
+        mapping = tmp_path if case == "directory" else tmp_path / "nope" / "map.json"
+        rc = main(
+            [
+                "perturb", "--problem", problem, "--input", str(src), "--fraction", "0.1",
+                "--out-instance", str(sub), "--out-mapping", str(mapping),
+            ]
+        )
+        assert rc == 64
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not sub.exists()
 
     def test_bad_fraction(self, tmp_path):
         g = random_graph(10, 0.5, 6)

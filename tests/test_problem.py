@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import graph_from_edges, make_k3, random_graph, random_qap
 from _oracles import (
     adjoint_matrix_frozen,
     compressed_rows_frozen,
+    diagonal_compressed_rows_frozen,
     partial_trace1,
     partial_trace2,
     primal_image_factor_frozen,
@@ -365,25 +367,89 @@ class TestSparseFamilyEntries:
         want = np.linalg.norm(svec_rows, 2)
         assert estimate_operator_norm(ops) == pytest.approx(want, rel=1e-5)
 
-    @pytest.mark.parametrize("size", [3, 5])
-    def test_actions_match_the_entry_lists(self, size):
+    @pytest.mark.parametrize("case", [3, 5, "mixed", "hand-built"])
+    def test_actions_match_the_entry_lists(self, case):
+        """On both sides of the density rule: the QAP families fill the
+        matrix and take the dense path, the others keep the sparse one."""
+        from conftest import mixed_inequality_problem
+        from specbundle.problem import dual_slack_operator
         from specbundle.symlin import svec
 
-        prob = build_qap(random_qap(size, 3))
+        qap = isinstance(case, int)  # the QAP size
+        rng = np.random.default_rng(case if qap else len(case))
+        if qap:
+            prob = build_qap(random_qap(case, 3))
+        elif case == "mixed":
+            prob, _ = mixed_inequality_problem(12, 1)
+        else:  # repeated entries, an empty row, diagonal and mirrored cells
+            from conftest import build_from_families
+
+            triples = (
+                [0, 0, 1, 1, 1, 3, 4], [0, 0, 2, 2, 5, 8, 1], [4, 4, 2, 7, 5, 8, 3],
+                [0.5, 1.5, -1.0, 2.0, 0.25, 3.0, -0.75],
+            )
+            cost = random_graph(9, 0.4, 2).laplacian()
+            prob = build_from_families(9, cost, triples, np.ones(5), np.zeros(5, bool))
         ops = prob.constraints
+        assert ops._dense == qap
         dense = self.dense_rows(ops)
-        rng = np.random.default_rng(size)
         y = rng.standard_normal(prob.m)
         v = np.linalg.qr(rng.standard_normal((prob.n, 3)))[0]
+        g = rng.standard_normal((3, 3))
+        s, lams = g @ g.T, rng.random(3)
         x = rng.standard_normal((prob.n, prob.n))
         x = x + x.T
+        adj = np.einsum("i,ijk->jk", y, dense)
+        slack = prob.cost.toarray() - adj
+        op = dual_slack_operator(prob, y)
         pairs = [
-            (ops.adjoint_matrix(y).toarray(), np.einsum("i,ijk->jk", y, dense)),
+            (ops.adjoint_matrix(y).toarray(), adj),
             (ops.compressed_rows(v), np.array([svec(v.T @ a @ v) for a in dense])),
             (ops.primal_image_matrix(x), np.einsum("ijk,jk->i", dense, x)),
+            (op.matvec(v[:, 0]), slack @ v[:, 0]),
+            (op.matmat(v), slack @ v),
+            (ops.adjoint_inner_lowrank(y, v), v.T @ adj @ v),
+            (ops.primal_image_lowrank(v, s), np.einsum("ijk,jk->i", dense, v @ s @ v.T)),
+            (ops.primal_image_factor(v, lams), np.einsum("ijk,jk->i", dense, (v * lams) @ v.T)),
         ]
         for got, want in pairs:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    def test_sparse_family_at_scale_forms_no_n_by_n_array(self):
+        """A few hundred entries at n = 200,000 keep the sparse path: the
+        slack operator and every image allocate O(n k), not O(n^2)."""
+        import tracemalloc
+
+        from specbundle.problem import SdpProblem, dual_slack_operator
+
+        n, m, e = 200_000, 40, 300
+        rng = np.random.default_rng(21)
+        a, b = rng.integers(0, n, (2, e))
+        fam = SparseConstraintFamilies(
+            n, m, rng.integers(0, m, e), np.minimum(a, b), np.maximum(a, b), rng.standard_normal(e)
+        )
+        assert not fam._dense
+        cost = sp.diags(rng.standard_normal(n), format="csr")
+        prob = SdpProblem(
+            n=n, m=m, cost=cost, constraints=fam, b=np.zeros(m), ineq_mask=np.zeros(m, bool),
+            alpha=1.0, scale_c=1.0, scale_x=1.0,
+        )
+        y = rng.standard_normal(m)
+        v = rng.standard_normal((n, 3))
+        s = np.eye(3)
+        tracemalloc.start()
+        try:
+            op = dual_slack_operator(prob, y)
+            op.matvec(v[:, 0])
+            op.matmat(v)
+            fam.adjoint_inner_lowrank(y, v)
+            fam.primal_image_lowrank(v, s)
+            fam.primal_image_factor(v, np.ones(3))
+            fam.compressed_rows(v[:, :2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * v.nbytes + 4 * cost.data.nbytes
 
 
 class TestParsers:
@@ -605,6 +671,17 @@ class TestDiagonalCompressedRows:
         out = DiagonalConstraints(n).compressed_rows(v)
         assert np.array_equal(out, v[:, i] * v[:, j] * w[None, :])
         assert out.flags.f_contiguous
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 9000])
+    @pytest.mark.parametrize("k", [1, 2, 11])
+    def test_equal_to_frozen_loop(self, n, k):
+        """Bit for bit the loop over V's own columns, for C-ordered,
+        F-ordered and strided bases, on both sides of a row block."""
+        v = np.random.default_rng(n + k).standard_normal((n, k))
+        want = diagonal_compressed_rows_frozen(v)
+        for basis in (v, np.asfortranarray(v), np.repeat(v, 2, axis=1)[:, ::2]):
+            out = DiagonalConstraints(n).compressed_rows(basis)
+            assert np.array_equal(out, want) and out.flags.f_contiguous
 
     def test_no_second_n_by_d_temporary(self):
         import tracemalloc
