@@ -239,7 +239,7 @@ def _early_output(path, mode: str = ""):
     An existing file is opened for appending and kept as it is: it may be
     an input of the same run, so the writer empties it (``_emptied``) only
     when the result is ready.  A file created here is removed again if the
-    work fails."""
+    work fails or writes nothing to it."""
     if not path:
         yield None
         return
@@ -247,13 +247,14 @@ def _early_output(path, mode: str = ""):
         fh, created = open(path, "x" + mode), True
     except FileExistsError:
         fh, created = open(path, "a" + mode), False
+    written = False
     try:
         with fh:
             yield fh
-    except BaseException:
-        if created:
+            written = fh.tell() > 0
+    finally:
+        if created and not written:
             os.remove(path)
-        raise
 
 
 def _emptied(fh):

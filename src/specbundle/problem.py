@@ -6,9 +6,10 @@ materialized as dense n x n lists: the solver only needs a handful of
 operator actions, which the two bundle implementations below provide either
 through the diagonal structure (MaxCut) or through one sparse matrix over
 the distinct positions of flat entry families (QAP and generic problems).
-A family whose positions fill at least half of the n x n cells (every QAP
-relaxation) runs its per-iteration actions on one dense n x n array, which
-costs no more than its positions already do.
+The flat entry families run their per-iteration actions on one dense
+n x n array: the only families built here are QAP relaxations, whose
+positions fill 98% of the cells, so the array costs no more than the
+positions already do.
 """
 from __future__ import annotations
 
@@ -167,10 +168,6 @@ class QapInstance:
 # constraint operator bundles
 
 
-# rows of V per F-ordered copy in DiagonalConstraints.compressed_rows
-_ROW_BLOCK = 4096
-
-
 class DiagonalConstraints:
     """Constraint family A_i = e_i e_i^T: the map X -> diag(X)."""
 
@@ -194,27 +191,22 @@ class DiagonalConstraints:
     def adjoint_inner_lowrank(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         return v.T @ (v * y[:, None])
 
+    def dual_slack(self, cost: sp.csr_matrix, y: np.ndarray) -> sp.csr_matrix:
+        """cost - A*(y) as a CSR matrix."""
+        return (cost - self.adjoint_matrix(y)).tocsr()
+
     def compressed_rows(self, v: np.ndarray) -> np.ndarray:
         # svec(V^T A_i V) for A_i = e_i e_i^T is svec of the outer product of
         # row i of V with itself.  Filled one column at a time, so no second
         # n x d temporary is made.  F order, the layout of the gather
         # v[:, i]: compressed.T @ compressed rounds differently on a
-        # C-ordered block, and that moves the solver's iterates.  The
-        # columns are read from an F-ordered copy of each block of rows,
-        # contiguous where V's own columns are strided; a block, not all of
-        # V, so the copy stays small beside the n x d result.
+        # C-ordered block, and that moves the solver's iterates.
         i, j, w = tri_indices(v.shape[1])
-        n = v.shape[0]
-        out = np.empty((w.size, n)).T
-        buf = np.empty((min(n, _ROW_BLOCK), v.shape[1]), order="F")
-        for start in range(0, n, _ROW_BLOCK):
-            block = buf[: min(_ROW_BLOCK, n - start)]
-            block[...] = v[start : start + _ROW_BLOCK]
-            dest = out[start : start + block.shape[0]]
-            for c in range(w.size):
-                col = dest[:, c]
-                np.multiply(block[:, i[c]], block[:, j[c]], out=col)
-                col *= w[c]
+        out = np.empty((w.size, v.shape[0])).T
+        for c in range(w.size):
+            col = out[:, c]
+            np.multiply(v[:, i[c]], v[:, j[c]], out=col)
+            col *= w[c]
         return out
 
     def frob_norms(self) -> np.ndarray:
@@ -231,21 +223,17 @@ class SparseConstraintFamilies:
     product; ``_weight`` counts each position's cells in the symmetric
     matrix (2 off the diagonal).
 
-    The family is dense (``_dense``) when its positions and their mirrors
-    fill at least half of the n x n cells: 98% of them in every QAP
-    relaxation (20,761 of 21,025 at n = 12), whose slack is a full matrix
-    kept in sparse form.  A dense family forms the dual slack, A*(y) in
-    ``adjoint_inner_lowrank`` and X in the two low-rank images as one
-    n x n array (``_flat_layout``, laid out once): A*(y) is one gather of
-    every cell from the values at the positions, each Lanczos matvec is a
-    GEMV, and each image one GEMM and a gather at the positions in place
-    of two row gathers.  At that fill the positions already cost O(n^2):
-    the cell map and each array take 8 n^2 bytes, at most 4/3 of the 12
-    bytes (value and column index) per stored cell of the CSR slack an
-    array replaces.  A sparser family, whose n may be far too large for an
-    n x n array, keeps the sparse products.  Both paths give every slack
-    entry the same value; the images and the matvecs sum in another
-    order, so they agree to rounding.  ``adjoint_matrix`` is always CSR."""
+    The dual slack, A*(y) in ``adjoint_inner_lowrank`` and X in the two
+    low-rank images are formed as one n x n array (``_flat_layout``, laid
+    out once): A*(y) is one gather of every cell from the values at the
+    positions, each Lanczos matvec is a GEMV, and each image one GEMM and
+    a gather at the positions.  That suits the QAP relaxations, the only
+    families the package builds: their positions and mirrors fill 98% of
+    the cells (20,761 of 21,025 at n = 12), so the positions already cost
+    O(n^2), and the cell map and each array (8 n^2 bytes) take at most
+    4/3 of the 12 bytes per stored cell of the CSR slack an array
+    replaces.  A family too large for an n x n array is not supported.
+    ``adjoint_matrix`` gives A*(y) in CSR form with the same values."""
 
     def __init__(self, n: int, m: int, idx, rows, cols, vals):
         self.n = int(n)
@@ -265,7 +253,6 @@ class SparseConstraintFamilies:
         self._pos_rows, self._pos_cols = np.divmod(keys, self.n)
         self._weight = np.where(self._pos_rows == self._pos_cols, 1.0, 2.0)
         self._mat = sp.csr_matrix((self.vals, (self.idx, pos)), shape=(self.m, keys.size))
-        self._dense = bool(2 * self._weight.sum() >= self.n * self.n)
 
     def scaled(self, factors: np.ndarray) -> "SparseConstraintFamilies":
         """The family with row i's values times ``factors[i]``.  It shares
@@ -285,20 +272,14 @@ class SparseConstraintFamilies:
         """<A_i, X> for every row, from X at the distinct positions."""
         return self._mat @ (self._weight * at_positions)
 
-    # row gathers go through np.take: the same copy as v[rows], without the
+    # gathers go through np.take: the same copy as x[rows], without the
     # fancy-indexing overhead, which dominates at QAP sizes
 
     def primal_image_lowrank(self, v: np.ndarray, s: np.ndarray) -> np.ndarray:
-        if self._dense:
-            return self._image(np.take((v @ s) @ v.T, self._flat_layout[0]))
-        mid = np.take(v, self._pos_rows, axis=0) @ s
-        return self._image(np.einsum("ej,ej->e", mid, np.take(v, self._pos_cols, axis=0)))
+        return self._image(np.take((v @ s) @ v.T, self._flat_layout[0]))
 
     def primal_image_factor(self, u: np.ndarray, lams: np.ndarray) -> np.ndarray:
-        if self._dense:
-            return self._image(np.take((u * lams) @ u.T, self._flat_layout[0]))
-        mid = np.take(u, self._pos_rows, axis=0) * lams[None, :]
-        return self._image(np.einsum("ej,ej->e", mid, np.take(u, self._pos_cols, axis=0)))
+        return self._image(np.take((u * lams) @ u.T, self._flat_layout[0]))
 
     def primal_image_matrix(self, x) -> np.ndarray:
         """The image of an ndarray or a scipy CSR matrix."""
@@ -322,10 +303,9 @@ class SparseConstraintFamilies:
 
     @functools.cached_property
     def _flat_layout(self):
-        """``(positions, source)`` of a dense family: the flat n x n slot of
-        each position, and for each of the n^2 cells the position that fills
-        it (its own or its mirror's), or p for a cell that no position
-        touches."""
+        """``(positions, source)``: the flat n x n slot of each position,
+        and for each of the n^2 cells the position that fills it (its own
+        or its mirror's), or p for a cell that no position touches."""
         n, p = self.n, self._pos_rows.size
         positions = self._pos_rows * n + self._pos_cols
         source = np.full(n * n, p)
@@ -334,8 +314,8 @@ class SparseConstraintFamilies:
         return positions, source
 
     def _adjoint_dense(self, y: np.ndarray) -> np.ndarray:
-        """A*(y) of a dense family as an n x n array: one gather of every
-        cell, 0 where no position lies."""
+        """A*(y) as an n x n array: one gather of every cell, 0 where no
+        position lies."""
         at_positions = np.append(self._mat.T @ y, 0.0)
         return np.take(at_positions, self._flat_layout[1]).reshape(self.n, self.n)
 
@@ -347,9 +327,15 @@ class SparseConstraintFamilies:
         return mat
 
     def adjoint_inner_lowrank(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        adj = self._adjoint_dense(y) if self._dense else self.adjoint_matrix(y)
-        m = v.T @ (adj @ v)
+        m = v.T @ (self._adjoint_dense(y) @ v)
         return 0.5 * (m + m.T)
+
+    def dual_slack(self, cost: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
+        """cost - A*(y) as an n x n array.  Each entry is the one the CSR
+        difference holds: cost - 0.0 is cost where no position lies."""
+        z = cost.toarray()
+        z -= self._adjoint_dense(y)
+        return z
 
     def compressed_rows(self, v: np.ndarray) -> np.ndarray:
         # row q of g is svec(V^T E_q V) for the position's symmetric unit
@@ -433,14 +419,10 @@ def proj_N(z: np.ndarray, prob: SdpProblem) -> np.ndarray:
 
 
 def dual_slack_operator(prob: SdpProblem, y: np.ndarray) -> LinOp:
-    """cost - adjoint(y) as a symmetric operator, built once per evaluation:
-    a dense array for a dense constraint family, else a CSR matrix."""
-    ops = prob.constraints
-    if isinstance(ops, SparseConstraintFamilies) and ops._dense:
-        z = prob.cost.toarray()
-        z -= ops._adjoint_dense(y)  # cost - 0.0 is cost exactly off the positions
-    else:
-        z = (prob.cost - ops.adjoint_matrix(y)).tocsr()
+    """cost - adjoint(y) as a symmetric operator, built once per evaluation
+    in the constraint family's form: a CSR matrix for the diagonal family,
+    an n x n array for the flat entry families."""
+    z = prob.constraints.dual_slack(prob.cost, y)
     return LinOp(dim=prob.n, matvec=lambda v: z @ v, matmat=lambda b: z @ b)
 
 

@@ -746,20 +746,6 @@ def primal_image_factor_frozen(fam, u: np.ndarray, lams: np.ndarray) -> np.ndarr
     return np.bincount(fam.idx, weights=vals * _entry_weights(fam), minlength=fam.m)
 
 
-def diagonal_compressed_rows_frozen(v: np.ndarray) -> np.ndarray:
-    """``DiagonalConstraints.compressed_rows`` as one loop over the columns,
-    reading strided columns of V itself."""
-    from specbundle.symlin import tri_indices
-
-    i, j, w = tri_indices(v.shape[1])
-    out = np.empty((w.size, v.shape[0])).T
-    for c in range(w.size):
-        col = out[:, c]
-        np.multiply(v[:, i[c]], v[:, j[c]], out=col)
-        col *= w[c]
-    return out
-
-
 def compressed_rows_frozen(fam, v: np.ndarray) -> np.ndarray:
     from specbundle.symlin import svec_dim, tri_indices
 

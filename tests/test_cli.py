@@ -247,6 +247,18 @@ class TestSolveCommand:
             assert main(argv + ["--warm-start", str(state), "--save-state", str(dest)]) == 1
         assert state.read_bytes() == after and not new.exists()
 
+    def test_mismatched_warm_start_creates_no_state_file(self, tmp_path, k3_file):
+        """A warm start refused with exit 65 writes no state, so a new
+        --save-state path is left absent, not empty."""
+        state = tmp_path / "s.bin"
+        argv = ["solve", "--problem", "maxcut", "--out", str(tmp_path / "m.csv")]
+        assert main(argv + ["--input", str(k3_file), "--save-state", str(state)]) == 0
+        other = tmp_path / "other.mtx"
+        write_graph_mm(random_graph(5, 0.8, 1), other)
+        new = tmp_path / "new.bin"
+        rc = main(argv + ["--input", str(other), "--warm-start", str(state), "--save-state", str(new)])
+        assert rc == 65 and not new.exists()
+
     def test_parse_error_is_runtime_error(self, tmp_path):
         bad = tmp_path / "bad.mtx"
         bad.write_text("junk\n")
