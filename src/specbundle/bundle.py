@@ -592,9 +592,23 @@ _HEADER = struct.Struct("<4sI QQQQ II B II dd dd QQ dd d")
 _HEADER_V1 = struct.Struct(_HEADER.format[:-2])
 
 
+_FINGERPRINT_FIELDS = ("n", "m", "inequality rows", "hash of b")
+
+
 def fingerprint_of(prob: SdpProblem) -> tuple[int, int, int, int]:
     h = hashlib.sha256(np.ascontiguousarray(prob.b, dtype="<f8").tobytes()).digest()
     return (prob.n, prob.m, int(prob.ineq_idx.size), int.from_bytes(h[:8], "little"))
+
+
+def _fingerprint_difference(saved: tuple, here: tuple) -> str:
+    """Each fingerprint field that differs, with both values."""
+    parts = []
+    for name, a, b in zip(_FINGERPRINT_FIELDS, saved, here):
+        if a != b:
+            if name == "hash of b":
+                a, b = f"{a:016x}", f"{b:016x}"
+            parts.append(f"{name} {a} in the state, {b} in the problem")
+    return "; ".join(parts)
 
 
 @dataclass
@@ -738,8 +752,12 @@ def record_to_state(rec: StateRecord) -> SolverState:
 
 def state_from_record(rec: StateRecord, prob: SdpProblem) -> SolverState:
     """Rebuild a state for the exact problem it was saved from."""
-    if rec.fingerprint != fingerprint_of(prob):
-        raise FingerprintMismatch("state fingerprint does not match this problem")
+    here = fingerprint_of(prob)
+    if rec.fingerprint != here:
+        raise FingerprintMismatch(
+            "state fingerprint does not match the problem: "
+            + _fingerprint_difference(rec.fingerprint, here)
+        )
     state = record_to_state(rec)
     state.scale_x = prob.scale_x
     state.scale_c = prob.scale_c

@@ -280,9 +280,9 @@ def _solve(args, state_fh) -> int:
         record = load_state(args.warm_start)
         try:
             init = state_from_record(record, prob)
-        except FingerprintMismatch:
+        except FingerprintMismatch as exc:
             if not args.mapping:
-                print("state fingerprint does not match the instance", file=sys.stderr)
+                print(exc, file=sys.stderr)
                 return EXIT_FINGERPRINT
             prev = bundle.record_to_state(record)
             init = warm_start_pad(prev, prob, _load_mapping(args.mapping), sketch_seed=cfg.seed)
@@ -357,8 +357,8 @@ def cmd_round(args) -> int:
     record = load_state(args.state)
     try:
         state = state_from_record(record, prob)
-    except FingerprintMismatch:
-        print("state fingerprint does not match the instance", file=sys.stderr)
+    except FingerprintMismatch as exc:
+        print(exc, file=sys.stderr)
         return EXIT_FINGERPRINT
     output = primal_output(state.model)
     if args.problem == "maxcut":

@@ -185,15 +185,12 @@ class DiagonalConstraints:
         """diag(X) of an ndarray or a scipy sparse matrix."""
         return np.array(x.diagonal())
 
-    def adjoint_matrix(self, y: np.ndarray):
-        return sp.diags(y)
-
     def adjoint_inner_lowrank(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         return v.T @ (v * y[:, None])
 
     def dual_slack(self, cost: sp.csr_matrix, y: np.ndarray) -> sp.csr_matrix:
         """cost - A*(y) as a CSR matrix."""
-        return (cost - self.adjoint_matrix(y)).tocsr()
+        return (cost - sp.diags(y)).tocsr()
 
     def compressed_rows(self, v: np.ndarray) -> np.ndarray:
         # svec(V^T A_i V) for A_i = e_i e_i^T is svec of the outer product of
@@ -218,10 +215,11 @@ class SparseConstraintFamilies:
     A[cols[e], rows[e]] = vals[e] with rows <= cols; repeated entries add.
 
     The entries are summed once into ``_mat``, an m x p CSR matrix over the
-    p distinct positions (``_pos_rows``, ``_pos_cols``) they touch.  Every
-    operator action is then a gather at those positions and one sparse
-    product; ``_weight`` counts each position's cells in the symmetric
-    matrix (2 off the diagonal).
+    p distinct positions (``_pos_rows``, ``_pos_cols``) they touch, and
+    ``_mat_t`` holds its transpose in CSR form, built with it, for the
+    products with a dual vector.  Every operator action is then a gather
+    at those positions and one sparse product; ``_weight`` counts each
+    position's cells in the symmetric matrix (2 off the diagonal).
 
     The dual slack, A*(y) in ``adjoint_inner_lowrank`` and X in the two
     low-rank images are formed as one n x n array (``_flat_layout``, laid
@@ -232,8 +230,7 @@ class SparseConstraintFamilies:
     the cells (20,761 of 21,025 at n = 12), so the positions already cost
     O(n^2), and the cell map and each array (8 n^2 bytes) take at most
     4/3 of the 12 bytes per stored cell of the CSR slack an array
-    replaces.  A family too large for an n x n array is not supported.
-    ``adjoint_matrix`` gives A*(y) in CSR form with the same values."""
+    replaces.  A family too large for an n x n array is not supported."""
 
     def __init__(self, n: int, m: int, idx, rows, cols, vals):
         self.n = int(n)
@@ -253,6 +250,7 @@ class SparseConstraintFamilies:
         self._pos_rows, self._pos_cols = np.divmod(keys, self.n)
         self._weight = np.where(self._pos_rows == self._pos_cols, 1.0, 2.0)
         self._mat = sp.csr_matrix((self.vals, (self.idx, pos)), shape=(self.m, keys.size))
+        self._mat_t = self._mat.T.tocsr()
 
     def scaled(self, factors: np.ndarray) -> "SparseConstraintFamilies":
         """The family with row i's values times ``factors[i]``.  It shares
@@ -266,6 +264,7 @@ class SparseConstraintFamilies:
         mat = self._mat
         data = mat.data * np.repeat(factors, np.diff(mat.indptr))
         out._mat = sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
+        out._mat_t = out._mat.T.tocsr()
         return out
 
     def _image(self, at_positions: np.ndarray) -> np.ndarray:
@@ -288,20 +287,6 @@ class SparseConstraintFamilies:
         return self._image(np.asarray(x[self._pos_rows, self._pos_cols]).ravel())
 
     @functools.cached_property
-    def _adjoint_layout(self):
-        """``(indptr, indices, source)``: the CSR layout of the positions and
-        their mirrors, and the position whose value fills each stored slot."""
-        off = np.flatnonzero(self._pos_rows != self._pos_cols)
-        r = np.concatenate([self._pos_rows, self._pos_cols[off]])
-        c = np.concatenate([self._pos_cols, self._pos_rows[off]])
-        order = np.lexsort((c, r))
-        itype = np.int32 if max(r.size, self.n) <= np.iinfo(np.int32).max else np.int64
-        indptr = np.zeros(self.n + 1, dtype=itype)
-        np.cumsum(np.bincount(r, minlength=self.n), out=indptr[1:])
-        source = np.concatenate([np.arange(self._pos_rows.size), off])[order]
-        return indptr, c[order].astype(itype), source
-
-    @functools.cached_property
     def _flat_layout(self):
         """``(positions, source)``: the flat n x n slot of each position,
         and for each of the n^2 cells the position that fills it (its own
@@ -316,15 +301,8 @@ class SparseConstraintFamilies:
     def _adjoint_dense(self, y: np.ndarray) -> np.ndarray:
         """A*(y) as an n x n array: one gather of every cell, 0 where no
         position lies."""
-        at_positions = np.append(self._mat.T @ y, 0.0)
+        at_positions = np.append(self._mat_t @ y, 0.0)
         return np.take(at_positions, self._flat_layout[1]).reshape(self.n, self.n)
-
-    def adjoint_matrix(self, y: np.ndarray):
-        indptr, indices, source = self._adjoint_layout
-        data = np.take(self._mat.T @ y, source)
-        mat = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(self.n, self.n))
-        mat.has_canonical_format = True
-        return mat
 
     def adjoint_inner_lowrank(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         m = v.T @ (self._adjoint_dense(y) @ v)
@@ -507,10 +485,19 @@ QAP_FAMILIES = ("tr1", "tr2", "G", "diagY", "rowsum", "colsum", "B", "corner", "
 
 def qap_family_offsets(n: int, n_g: int) -> dict[str, slice]:
     """Rows of each ``QAP_FAMILIES`` family of the size-n lifted assignment
-    relaxation whose objective has n_g nonzero entries."""
+    relaxation with n_g G rows, one per unordered pair {a, b} of the
+    objective's support (``_qap_g_support``)."""
     t = n * (n + 1) // 2
     stops = np.cumsum([t, t, n_g, n * n, n, n, n * n, 1, 1]).tolist()
     return {f: slice(start, stop) for f, start, stop in zip(QAP_FAMILIES, [0, *stops], stops)}
+
+
+def _qap_g_support(kron: np.ndarray) -> np.ndarray:
+    """The pairs a <= b that carry a G row: the upper triangle of the
+    objective's support.  Y is symmetric, so Y[a, b] >= 0 and Y[b, a] >= 0
+    are one constraint; a pair is kept when either entry is nonzero."""
+    nonzero = kron != 0
+    return np.triu(nonzero | nonzero.T)
 
 
 def qap_constraint_entries(q: QapInstance):
@@ -521,10 +508,12 @@ def qap_constraint_entries(q: QapInstance):
     and k the second (weight) factor; the lifted matrix holds a at 1 + a and
     the affine corner in row and column 0.  Rows come family by family in
     ``QAP_FAMILIES`` order: the two partial traces (tr1 over k <= l, tr2 over
-    i <= j), Y[a,b] >= 0 on the objective's nonzeros (G, row-major),
+    i <= j), Y[a,b] >= 0 on the objective's support (G, row-major),
     Y[a,a] = x_a (diagY), the assignment's row and column sums, x_a >= 0
     (B), the corner and tr Y = n.  Each row lists its entries by its running
-    index, with row <= col.
+    index, with row <= col.  G has one row per unordered pair {a, b} of the
+    objective's support, a <= b; ``build_qap`` weights the rows with a < b,
+    which stand for both ordered pairs.
     """
     n = q.size
     kron = _qap_kron(q)
@@ -534,14 +523,14 @@ def qap_constraint_entries(q: QapInstance):
     k, l = np.triu_indices(n)
     half = np.where(k == l, 1.0, 0.5)[:, None]
     delta = (k == l).astype(float)
-    ga, gb = np.nonzero(kron)
+    ga, gb = np.nonzero(_qap_g_support(kron))
     g_vals = np.where(ga == gb, -1.0, -0.5)[:, None]
     # rows, cols and vals broadcast to (family rows, entries per row), then
     # the right-hand side and the inequality flag
     families = [
         (lifted.T[k], lifted.T[l], half, delta, False),
         (lifted[k], lifted[l], half, delta, False),
-        (1 + np.minimum(ga, gb)[:, None], 1 + np.maximum(ga, gb)[:, None], g_vals, 0.0, True),
+        (1 + ga[:, None], 1 + gb[:, None], g_vals, 0.0, True),
         (np.hstack([x_col, row0]), x_col, np.array([1.0, -0.5]), 0.0, False),
         (0, lifted.T, 0.5, 1.0, False),
         (0, lifted, 0.5, 1.0, False),
@@ -569,13 +558,13 @@ def qap_submatrix_constraint_map(full: QapInstance, n_sub: int) -> np.ndarray:
 
     A row keeps its position within its family.  The diagY, B and G rows
     move a = i*n_sub + k to a' = i*n + k, and the G row (a, b) becomes the
-    rank of (a', b') among the full objective's nonzeros: the sub objective
-    is the full one at the kept indices, the same products.
+    rank of (a', b') among the full G pairs: the sub objective is the full
+    one at the kept indices, the same products, and a < b gives a' < b'.
     """
     n = full.size
     if not 1 <= n_sub <= n:
         raise ValueError(f"sub-instance size {n_sub} must lie in [1, {n}]")
-    support = _qap_kron(full) != 0
+    support = _qap_g_support(_qap_kron(full))
     a = np.arange(n_sub * n_sub)
     kept = (a // n_sub) * n + a % n_sub
     k, l = np.triu_indices(n_sub)
@@ -598,7 +587,7 @@ def estimate_operator_norm(ops, tol: float = 1e-6, max_iters: int = 500, seed: i
     for it in range(max_iters):
         if lam == 0.0:
             return 0.0
-        z = ops._image(ops._mat.T @ (z / lam))
+        z = ops._image(ops._mat_t @ (z / lam))
         lam_prev, lam = lam, float(np.linalg.norm(z))
         if it and abs(lam - lam_prev) <= tol * lam:
             break
@@ -607,10 +596,17 @@ def estimate_operator_norm(ops, tol: float = 1e-6, max_iters: int = 500, seed: i
 
 def build_qap(q: QapInstance, alpha: float = 2.0) -> SdpProblem:
     """Lifted assignment relaxation with the full normalization: unit cost
-    norm, unit solution trace, unit operator norm, and equal row norms.  The
-    native minimization is encoded by negating the cost; reports restore the
-    sign through ``sense``.  Raises ValueError when the cost's norm would
-    overflow."""
+    norm, unit solution trace, unit operator norm, and unit row norms, times
+    sqrt(2) on a G row that stands for two ordered pairs.  The native
+    minimization is encoded by negating the cost; reports restore the sign
+    through ``sense``.  Raises ValueError when the cost's norm would
+    overflow.
+
+    The weight makes the one row exact for the two unit rows of (a, b) and
+    (b, a) it replaces: those hold the same data, so their duals are equal,
+    and the row sqrt(2) r with dual sqrt(2) y adds the same r (y + y) to
+    A*(y) and the same 2 (r . X - b)^2 to the squared residual.  A^T A,
+    the operator norm and the proximal step are those of the two rows."""
     n = q.size
     big_n = n * n + 1
     idx, rows, cols, vals, b_raw, ineq, kron = qap_constraint_entries(q)
@@ -628,8 +624,12 @@ def build_qap(q: QapInstance, alpha: float = 2.0) -> SdpProblem:
     norms = ops.frob_norms()
     if np.any(norms == 0):
         raise ValueError("degenerate constraint with zero norm")
-    ops = ops.scaled(1.0 / norms)
-    b = b / norms
+    # the G rows off the diagonal: inequalities off the corner row and
+    # the diagonal, one entry each
+    weight = np.ones(m)
+    weight[idx[ineq[idx] & (rows > 0) & (rows != cols)]] = math.sqrt(2.0)
+    ops = ops.scaled(weight / norms)
+    b = b * weight / norms
     op_norm = estimate_operator_norm(ops)
     if op_norm > 0:
         ops = ops.scaled(np.full(m, 1.0 / op_norm))

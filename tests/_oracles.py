@@ -761,9 +761,35 @@ def compressed_rows_frozen(fam, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _adjoint_layout(fam):
+    """``(indptr, indices, source)``: the CSR layout of a family's positions
+    and their mirrors, and the position whose value fills each stored slot."""
+    off = np.flatnonzero(fam._pos_rows != fam._pos_cols)
+    r = np.concatenate([fam._pos_rows, fam._pos_cols[off]])
+    c = np.concatenate([fam._pos_cols, fam._pos_rows[off]])
+    order = np.lexsort((c, r))
+    itype = np.int32 if max(r.size, fam.n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(fam.n + 1, dtype=itype)
+    np.cumsum(np.bincount(r, minlength=fam.n), out=indptr[1:])
+    source = np.concatenate([np.arange(fam._pos_rows.size), off])[order]
+    return indptr, c[order].astype(itype), source
+
+
+def adjoint_matrix(fam, y: np.ndarray):
+    """A*(y) of a ``SparseConstraintFamilies`` as a CSR matrix, filled from
+    the values A*(y) takes at the family's positions."""
+    import scipy.sparse as sp
+
+    indptr, indices, source = _adjoint_layout(fam)
+    data = np.take(fam._mat_t @ y, source)
+    mat = sp.csr_matrix((data, indices, indptr), shape=(fam.n, fam.n))
+    mat.has_canonical_format = True
+    return mat
+
+
 def adjoint_matrix_frozen(fam, y: np.ndarray):
-    """``SparseConstraintFamilies.adjoint_matrix`` as a COO matrix of the
-    entries and their mirrors, converted to CSR on every call."""
+    """``adjoint_matrix`` as a COO matrix of the entries and their mirrors,
+    converted to CSR on every call."""
     import scipy.sparse as sp
 
     data = y[fam.idx] * fam.vals
@@ -783,11 +809,14 @@ def proj_N_frozen(z: np.ndarray, prob) -> np.ndarray:
     return out
 
 
-def qap_constraint_entries_frozen(q):
+def qap_constraint_entries_frozen(q, ordered_pairs: bool = False):
     """Frozen copy of the per-constraint loop that built the lifted
-    assignment rows before they were built from index arrays.  Returns
-    (idx, rows, cols, vals, b, ineq, labels, kron), where labels[i] names
-    row i's family and indices, e.g. ("G", a, b) or ("corner",)."""
+    assignment rows before they were built from index arrays, with one G
+    row per unordered pair of the objective's support.  Returns (idx, rows,
+    cols, vals, b, ineq, labels, kron), where labels[i] names row i's
+    family and indices, e.g. ("G", a, b) with a <= b, or ("corner",).
+    With ``ordered_pairs`` the G family is the earlier layout instead: one
+    row per objective nonzero (a, b), so (a, b) and (b, a) both have one."""
     n = q.size
     kron = np.kron(q.distances, q.weights)
     idx, rows, cols, vals, b, ineq, labels = [], [], [], [], [], [], []
@@ -815,10 +844,11 @@ def qap_constraint_entries_frozen(q):
             v = 1.0 if i == j else 0.5
             entries = [(1 + i * n + k, 1 + j * n + k, v) for k in range(n)]
             add_constraint(entries, 1.0 if i == j else 0.0, False, ("tr2", i, j))
-    ka, kb = np.nonzero(kron)
-    for a, bb in zip(ka.tolist(), kb.tolist()):
-        v = -1.0 if a == bb else -0.5
-        add_constraint([(1 + a, 1 + bb, v)], 0.0, True, ("G", a, bb))
+    for a in range(n * n):
+        for bb in range(0 if ordered_pairs else a, n * n):
+            if kron[a, bb] != 0 or (not ordered_pairs and kron[bb, a] != 0):
+                v = -1.0 if a == bb else -0.5
+                add_constraint([(1 + a, 1 + bb, v)], 0.0, True, ("G", a, bb))
     for a in range(n * n):
         add_constraint([(1 + a, 1 + a, 1.0), (0, 1 + a, -0.5)], 0.0, False, ("diagY", a))
     for k in range(n):
@@ -844,19 +874,23 @@ def qap_constraint_entries_frozen(q):
     )
 
 
-def build_qap_frozen(q):
+def build_qap_frozen(q, ordered_pairs: bool = False):
     """The scaled QAP data as the loop-based builder produced it, from
     ``qap_constraint_entries_frozen``: returns (cost, scale_c, b, idx, rows,
     cols, vals) with the unit-norm cost, the trace, row-norm and
-    operator-norm scalings applied."""
+    operator-norm scalings applied, and the G rows off the diagonal
+    weighted by sqrt(2) before the operator norm.  With ``ordered_pairs``,
+    the earlier layout: two unit G rows per pair, no weight."""
     import scipy.sparse as sp
 
     from specbundle.problem import SparseConstraintFamilies, estimate_operator_norm
 
     n = q.size
     big_n = n * n + 1
-    idx, rows, cols, vals, b_raw, ineq, _, kron = qap_constraint_entries_frozen(q)
+    idx, rows, cols, vals, b_raw, ineq, labels, kron = qap_constraint_entries_frozen(q, ordered_pairs)
     m = len(b_raw)
+    pair = [lab[0] == "G" and lab[1] != lab[2] and not ordered_pairs for lab in labels]
+    weight = np.where(pair, math.sqrt(2.0), 1.0)
     ka, kb = np.nonzero(kron)
     c_raw = sp.coo_matrix((-kron[ka, kb], (1 + ka, 1 + kb)), shape=(big_n, big_n)).tocsr()
     scale_c = float(np.sqrt((c_raw.multiply(c_raw)).sum())) or 1.0
@@ -865,14 +899,29 @@ def build_qap_frozen(q):
     ops = SparseConstraintFamilies(big_n, m, idx, rows, cols, vals)
     norms = ops.frob_norms()
     # each scaling rebuilds the family from its scaled values
-    ops = SparseConstraintFamilies(big_n, m, idx, rows, cols, vals * (1.0 / norms)[idx])
-    b = b / norms
+    ops = SparseConstraintFamilies(big_n, m, idx, rows, cols, vals * (weight / norms)[idx])
+    b = b * weight / norms
     op_norm = estimate_operator_norm(ops)
     ops = SparseConstraintFamilies(
         big_n, m, idx, rows, cols, ops.vals * np.full(m, 1.0 / op_norm)[idx]
     )
     b = b / op_norm
     return cost, scale_c, b, ops.idx, ops.rows, ops.cols, ops.vals
+
+
+def build_qap_ordered_pairs(q):
+    """The QAP problem in the earlier layout, two unit G rows (a, b) and
+    (b, a) per pair, as an ``SdpProblem``, and its row labels."""
+    from specbundle.problem import SdpProblem, SparseConstraintFamilies
+
+    n = q.size**2 + 1
+    cost, scale_c, b, idx, rows, cols, vals = build_qap_frozen(q, ordered_pairs=True)
+    *_, ineq, labels, _ = qap_constraint_entries_frozen(q, ordered_pairs=True)
+    prob = SdpProblem(
+        n=n, m=b.size, cost=cost, constraints=SparseConstraintFamilies(n, b.size, idx, rows, cols, vals),
+        b=b, ineq_mask=ineq, alpha=2.0, scale_c=scale_c, scale_x=float(q.size + 1), sense=-1,
+    )
+    return prob, labels
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import save_state_v1_frozen
+from _oracles import adjoint_matrix, save_state_v1_frozen
 from conftest import (
     graph_from_edges,
     make_k3,
@@ -512,6 +512,27 @@ class TestStateFile:
         with pytest.raises(FingerprintMismatch):
             state_from_record(load_state(path), other)
 
+    def test_fingerprint_mismatch_names_each_differing_field(self, tmp_path, k3):
+        prob = build_maxcut(k3)
+        state = cold_start(prob, SolverConfig(k_c=2, k_p=0, sketch_rank=2))
+        path = tmp_path / "s.bin"
+        save_state(path, state, prob)
+        rec = load_state(path)
+        n, m, n_ineq, b_hash = rec.fingerprint
+        rec.fingerprint = (n, m + 4, n_ineq, b_hash)
+        with pytest.raises(FingerprintMismatch) as info:
+            state_from_record(rec, prob)
+        assert str(info.value) == (
+            "state fingerprint does not match the problem: m 7 in the state, 3 in the problem"
+        )
+        rec.fingerprint = (n, m, n_ineq + 1, b_hash ^ 0xF)
+        with pytest.raises(FingerprintMismatch) as info:
+            state_from_record(rec, prob)
+        assert str(info.value).endswith(
+            f"inequality rows 1 in the state, 0 in the problem; "
+            f"hash of b {b_hash ^ 0xF:016x} in the state, {b_hash:016x} in the problem"
+        )
+
     def test_resumed_sketch_draws_its_test_matrix_once(self, tmp_path, monkeypatch):
         prob = build_maxcut(random_graph(30, 0.3, 2))
         cfg = SolverConfig(k_c=4, k_p=1, eps=1e-9, max_iters=3, seed=0, sketch_rank=5)
@@ -649,7 +670,7 @@ class TestWarmStartPad:
         # <A_i, C> and ||A_i||^2 from each dense A_i, apart from the
         # constraint-family method the padding uses
         cost = big.cost.toarray()
-        mats = [big.constraints.adjoint_matrix(e).toarray() for e in np.eye(big.m)]
+        mats = [adjoint_matrix(big.constraints, e).toarray() for e in np.eye(big.m)]
         ratio = np.array([np.sum(a * cost) / np.sum(a * a) for a in mats])
         kept = ratio[:18] != 0
         r = np.median(state.y[kept] / ratio[:18][kept])

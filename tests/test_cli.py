@@ -371,6 +371,31 @@ class TestRoundCommand:
         assert rc == 65
 
 
+    def test_state_of_the_two_row_qap_layout_is_refused(self, tmp_path, capsys):
+        """A QAP state saved with two G rows per pair has another m, so both
+        commands refuse it with exit 65 and name the fields that differ."""
+        from _oracles import build_qap_ordered_pairs
+        from specbundle.bundle import SolverConfig, cold_start, save_state
+
+        q = random_qap(3, 4)
+        inst = tmp_path / "q.dat"
+        write_qaplib(q, inst)
+        old, _ = build_qap_ordered_pairs(q)
+        state = tmp_path / "old.bin"
+        save_state(state, cold_start(old, SolverConfig(k_c=2, k_p=0, sketch_rank=3)), old)
+        m_new = old.m - int(np.count_nonzero(np.kron(q.distances, q.weights))) // 2
+        for argv in (
+            ["round", "--problem", "qap", "--input", str(inst), "--state", str(state)],
+            ["solve", "--problem", "qap", "--input", str(inst), "--warm-start", str(state),
+             "--out", str(tmp_path / "m.csv")],
+        ):
+            assert main(argv) == 65
+            err = capsys.readouterr().err
+            assert f"m {old.m} in the state, {m_new} in the problem" in err
+            assert "; inequality rows " in err and "; hash of b " in err
+            assert ": n " not in err and "; n " not in err
+
+
 class TestPerturbCommand:
     def test_graph_fraction(self, tmp_path):
         g = random_graph(50, 0.2, 2)

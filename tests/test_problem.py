@@ -3,6 +3,7 @@ import pytest
 
 from conftest import graph_from_edges, make_k3, random_graph, random_qap
 from _oracles import (
+    adjoint_matrix,
     adjoint_matrix_frozen,
     compressed_rows_frozen,
     partial_trace1,
@@ -99,7 +100,8 @@ class TestBuildQap:
     def test_constraint_families_n2(self):
         q = random_qap(2, 0, lo=1, hi=9)  # dense, no zero entries off-diagonal
         prob = build_qap(q)
-        n_g = int(np.count_nonzero(np.kron(q.distances, q.weights)))
+        # one G row per unordered pair of the symmetric objective's support
+        n_g = int(np.count_nonzero(np.triu(np.kron(q.distances, q.weights))))
         off = qap_family_offsets(2, n_g)
         sizes = {name: s.stop - s.start for name, s in off.items()}
         assert sizes == {
@@ -134,10 +136,12 @@ class TestBuildQap:
         np.fill_diagonal(d, 0)
         q = QapInstance(w, d)
         prob = build_qap(q)
-        # the G rows are the inequalities off the corner row
+        # the G rows are the inequalities off the corner row; both diagonals
+        # are zero, so each objective nonzero (a, b) has a mirror (b, a) and
+        # the pair shares one row
         shapes = qap_family_rows(prob)
         n_g = sum(len(v) for (ineq, _, corner, _), v in shapes.items() if ineq and not corner)
-        assert n_g == np.count_nonzero(w) * np.count_nonzero(d)
+        assert 2 * n_g == np.count_nonzero(w) * np.count_nonzero(d)
         assert prob.m == qap_family_offsets(3, n_g)["trY"].stop
 
     def test_partial_trace_identities(self):
@@ -152,8 +156,12 @@ class TestBuildQap:
         q = random_qap(3, 7)
         prob = build_qap(q)
         assert frob(prob.cost) == pytest.approx(1.0, abs=1e-10)
-        norms = prob.constraints.frob_norms()
-        assert norms.max() - norms.min() <= 1e-12 * norms.max()
+        # a G row off the diagonal stands for two ordered pairs and carries
+        # weight 2 in A^T A; norm / sqrt(weight) is the same on every row
+        weight = np.ones(prob.m)
+        weight[qap_family_rows(prob)[(True, 1, False, True)]] = 2.0
+        unit = prob.constraints.frob_norms() / np.sqrt(weight)
+        assert unit.max() - unit.min() <= 1e-12 * unit.max()
         # after normalization the operator norm estimate is one
         from specbundle.problem import estimate_operator_norm
 
@@ -267,13 +275,14 @@ class TestOperatorBundles:
         )
         rng = np.random.default_rng(6)
         y = rng.standard_normal(n)
+        cost = random_graph(n, 0.5, 6).laplacian()
         v, _ = np.linalg.qr(rng.standard_normal((n, 4)))
         s = rng.standard_normal((4, 4))
         s = s + s.T
         x = rng.standard_normal((n, n))
         x = x + x.T
         np.testing.assert_allclose(
-            diag.adjoint_matrix(y) @ v[:, 0], generic.adjoint_matrix(y) @ v[:, 0], atol=1e-13
+            diag.dual_slack(cost, y) @ v[:, 0], generic.dual_slack(cost, y) @ v[:, 0], atol=1e-13
         )
         np.testing.assert_allclose(
             diag.adjoint_inner_lowrank(y, v), generic.adjoint_inner_lowrank(y, v), atol=1e-13
@@ -400,7 +409,7 @@ class TestSparseFamilyEntries:
         slack = prob.cost.toarray() - adj
         op = dual_slack_operator(prob, y)
         pairs = [
-            (ops.adjoint_matrix(y).toarray(), adj),
+            (adjoint_matrix(ops, y).toarray(), adj),
             (ops.compressed_rows(v), np.array([svec(v.T @ a @ v) for a in dense])),
             (ops.primal_image_matrix(x), np.einsum("ijk,jk->i", dense, x)),
             (op.matvec(v[:, 0]), slack @ v[:, 0]),
@@ -699,7 +708,7 @@ class TestSparseImagesBitIdentity:
         rng = np.random.default_rng(13)
 
         def check(fam, y):
-            got, want = fam.adjoint_matrix(y), adjoint_matrix_frozen(fam, y)
+            got, want = adjoint_matrix(fam, y), adjoint_matrix_frozen(fam, y)
             assert type(got) is type(want) and got.shape == want.shape
             for x, z in ((got.indptr, want.indptr), (got.indices, want.indices)):
                 assert x.dtype == z.dtype and x.tobytes() == z.tobytes()
@@ -739,6 +748,11 @@ def _qap_cases():
         d = rng.uniform(1, 2, (n, n))
         cases.append((f"dense-{n}", QapInstance(w + w.T, d + d.T)))
     cases.append(("zero-weights-3", QapInstance(np.zeros((3, 3)), random_qap(3, 2).distances)))
+    # symmetric within the reader's tolerance, but W[0, 1] != 0 = W[1, 0]:
+    # a pair whose only nonzero lies below the diagonal keeps its G row
+    w = random_qap(3, 6).weights
+    w[0, 1], w[1, 0] = 1e-13, 0.0
+    cases.append(("one-sided-3", QapInstance(w, random_qap(3, 7).distances)))
     return cases
 
 
@@ -765,8 +779,10 @@ class TestQapEntriesFrozen:
         for g, w in zip(got, want):
             _assert_same_array(g, w)
         _assert_same_array(kron, kron_want)
-        # every family sits where the offsets put it
-        off = qap_family_offsets(q.size, int(np.count_nonzero(kron)))
+        # every family sits where the offsets put it, with one G row per
+        # unordered pair {a, b} on which kron[a, b] or kron[b, a] is nonzero
+        support = (kron != 0) | (kron.T != 0)
+        off = qap_family_offsets(q.size, int(np.count_nonzero(np.triu(support))))
         assert [label[0] for label in labels] == [
             name for name, s in off.items() for _ in range(s.start, s.stop)
         ]
@@ -824,14 +840,18 @@ class TestQapEntriesFrozen:
         monkeypatch.setattr(np, "unique", no_sort)
         got = fam.scaled(factors)
         monkeypatch.undo()
-        if name == "repeated":
-            np.testing.assert_allclose(got._mat.data, want._mat.data, rtol=1e-14, atol=0.0)
-        else:
-            _assert_same_array(got._mat.data, want._mat.data)
+        # the transpose is rebuilt from the scaled matrix, not carried over
+        for g, w in ((got._mat, want._mat), (got._mat_t, want._mat_t)):
+            if name == "repeated":
+                np.testing.assert_allclose(g.data, w.data, rtol=1e-14, atol=0.0)
+            else:
+                _assert_same_array(g.data, w.data)
         for g, w in (
             (got.vals, want.vals),
             (got._mat.indices, want._mat.indices),
             (got._mat.indptr, want._mat.indptr),
+            (got._mat_t.indices, want._mat_t.indices),
+            (got._mat_t.indptr, want._mat_t.indptr),
             (got._pos_rows, want._pos_rows),
             (got._pos_cols, want._pos_cols),
             (got._weight, want._weight),
@@ -839,7 +859,82 @@ class TestQapEntriesFrozen:
             (fam.vals, vals),
         ):
             _assert_same_array(g, w)
-        assert got._mat.shape == want._mat.shape
+        assert got._mat.shape == want._mat.shape == want._mat_t.shape[::-1]
+
+
+class TestQapPairRows:
+    """One sqrt(2)-weighted G row per unordered pair is the earlier layout,
+    two unit rows (a, b) and (b, a), in exact arithmetic: the same A^T A,
+    the same A*(y) at y_new = sqrt(2) y_old on the pair rows, and the same
+    solve.  The two layouts differ by rounding and by their operator-norm
+    estimates, whose power iterations start from vectors of different
+    lengths."""
+
+    @pytest.fixture(scope="class")
+    def layouts(self):
+        """(old problem, its row labels, new problem, its row labels)."""
+        from _oracles import build_qap_ordered_pairs, qap_constraint_entries_frozen
+
+        q = random_qap(5, 21)
+        old, old_labels = build_qap_ordered_pairs(q)
+        return old, old_labels, build_qap(q), qap_constraint_entries_frozen(q)[6]
+
+    @staticmethod
+    def inverse_norm(prob) -> float:
+        """The corner row's one entry: 1 over the operator-norm estimate."""
+        ops = prob.constraints
+        (value,) = ops.vals[(ops.rows == 0) & (ops.cols == 0)]
+        return float(value)
+
+    def test_same_normal_operator(self, layouts):
+        old, _, new, new_labels = layouts
+        assert old.m - new.m == sum(lab[0] == "G" and lab[1] != lab[2] for lab in new_labels)
+        # row i of compressed_rows(I) is svec(A_i)
+        eye = np.eye(new.n)
+        rows_old, rows_new = old.constraints.compressed_rows(eye), new.constraints.compressed_rows(eye)
+        ratio = self.inverse_norm(old) / self.inverse_norm(new)
+        want = rows_old.T @ rows_old
+        got = (rows_new.T @ rows_new) * ratio**2
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        # the estimates differ, by far less than a part in 1e5
+        assert ratio != 1.0 and ratio == pytest.approx(1.0, rel=1e-5)
+
+    def test_same_adjoint(self, layouts):
+        old, old_labels, new, new_labels = layouts
+        new_row = {lab: i for i, lab in enumerate(new_labels)}
+        # the new row of each old one: a G row (a, b) goes to the row of
+        # the pair, every other row to the row with the same label
+        to_new = [
+            new_row[("G", min(lab[1:]), max(lab[1:]))] if lab[0] == "G" else new_row[lab]
+            for lab in old_labels
+        ]
+        pair = np.array([lab[0] == "G" and lab[1] != lab[2] for lab in old_labels])
+        y_new = np.random.default_rng(22).standard_normal(new.m)
+        y_old = y_new[to_new] / np.where(pair, np.sqrt(2.0), 1.0)
+        want = adjoint_matrix(old.constraints, y_old).toarray()
+        got = adjoint_matrix(new.constraints, y_new).toarray() * (
+            self.inverse_norm(old) / self.inverse_norm(new)
+        )
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    def test_same_solve(self, layouts):
+        """With the old rows rescaled to the new operator-norm estimate, the
+        solves agree to rounding.  Left apart, the estimates' difference of
+        a few parts in 1e7 grows along the path: f_y moves by 2e-6 relative
+        in these 9 iterations, and by 1e-3 at eps 5e-2."""
+        from dataclasses import replace
+
+        from specbundle.bundle import SolverConfig, solve
+
+        old, _, new, _ = layouts
+        ratio = self.inverse_norm(new) / self.inverse_norm(old)
+        old = replace(old, constraints=old.constraints.scaled(np.full(old.m, ratio)), b=old.b * ratio)
+        cfg = SolverConfig(rho=0.005, k_c=2, k_p=0, eps=2e-1, max_iters=400, seed=0, sketch_rank=5)
+        s_old, _ = solve(old, cfg)
+        s_new, _ = solve(new, cfg)
+        assert s_old.status == s_new.status == "converged"
+        assert s_old.iterations == s_new.iterations == 9
+        assert s_new.f_y == pytest.approx(s_old.f_y, rel=1e-10)
 
 
 class TestCostOverflow:
