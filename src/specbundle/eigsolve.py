@@ -138,8 +138,6 @@ def lanczos_top(
         raise ValueError("k_c must be at least 1")
     if max_restarts < 0:
         raise ValueError("max_restarts must be non-negative")
-    if k_c >= n or inner_iters >= n:
-        return _dense_fallback(op, k_c)
     # the basis must strictly exceed the wanted count for a restart to make
     # progress, so undersized budgets are bumped rather than truncated
     m = max(int(inner_iters), k_c + 1, 2)

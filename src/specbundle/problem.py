@@ -4,17 +4,15 @@ A problem is the tuple (cost C, constraint operator bundle, right-hand side
 b, inequality index set, trace bound alpha).  Constraint matrices are never
 materialized as dense n x n lists: the solver only needs a handful of
 operator actions, which the two bundle implementations below provide either
-through the diagonal structure (MaxCut) or through one sparse matrix over
-the distinct positions of flat entry families (QAP and generic problems).
-The flat entry families run their per-iteration actions on one dense
-n x n array: the only families built here are QAP relaxations, whose
-positions fill 98% of the cells, so the array costs no more than the
-positions already do.
+through the diagonal structure (MaxCut) or through two sparse matrices over
+the n^2 cells of vec(X) (QAP and generic problems).  The flat entry families
+run their per-iteration actions on one dense n x n array: the only families
+built here are QAP relaxations, whose entries fill 98% of the cells, so the
+array costs no more than the entries already do.
 """
 from __future__ import annotations
 
 import copy
-import functools
 import itertools
 import math
 import re
@@ -214,23 +212,16 @@ class SparseConstraintFamilies:
     """Flat entry lists: constraint ``idx[e]`` has A[rows[e], cols[e]] =
     A[cols[e], rows[e]] = vals[e] with rows <= cols; repeated entries add.
 
-    The entries are summed once into ``_mat``, an m x p CSR matrix over the
-    p distinct positions (``_pos_rows``, ``_pos_cols``) they touch, and
-    ``_mat_t`` holds its transpose in CSR form, built with it, for the
-    products with a dual vector.  Every operator action is then a gather
-    at those positions and one sparse product; ``_weight`` counts each
-    position's cells in the symmetric matrix (2 off the diagonal).
+    The entries are summed once into two sparse matrices over the n^2 cells
+    of vec(X), the row-major ravel of an n x n X: ``_upper`` (m x n^2)
+    holds each entry at its upper cell r*n + c, doubled off the diagonal,
+    so A(X) = ``_upper @ vec(X)``, and ``_cells_t`` (n^2 x m, CSC) holds
+    each entry at both its cells, so vec(A*(y)) = ``_cells_t @ y``.
 
-    The dual slack, A*(y) in ``adjoint_inner_lowrank`` and X in the two
-    low-rank images are formed as one n x n array (``_flat_layout``, laid
-    out once): A*(y) is one gather of every cell from the values at the
-    positions, each Lanczos matvec is a GEMV, and each image one GEMM and
-    a gather at the positions.  That suits the QAP relaxations, the only
-    families the package builds: their positions and mirrors fill 98% of
-    the cells (20,761 of 21,025 at n = 12), so the positions already cost
-    O(n^2), and the cell map and each array (8 n^2 bytes) take at most
-    4/3 of the 12 bytes per stored cell of the CSR slack an array
-    replaces.  A family too large for an n x n array is not supported."""
+    The dual slack and the X of each image are n x n arrays.  That suits
+    the QAP relaxations, the only families the package builds: their
+    entries and mirrors fill 98% of the cells (20,761 of 21,025 at
+    n = 12).  A family too large for an n x n array is not supported."""
 
     def __init__(self, n: int, m: int, idx, rows, cols, vals):
         self.n = int(n)
@@ -246,63 +237,57 @@ class SparseConstraintFamilies:
                 raise ValueError(f"{name} entries must lie in [0, {stop})")
         if np.any(self.rows > self.cols):
             raise ValueError("entries must have rows <= cols")
-        keys, pos = np.unique(self.rows * self.n + self.cols, return_inverse=True)
-        self._pos_rows, self._pos_cols = np.divmod(keys, self.n)
-        self._weight = np.where(self._pos_rows == self._pos_cols, 1.0, 2.0)
-        self._mat = sp.csr_matrix((self.vals, (self.idx, pos)), shape=(self.m, keys.size))
-        self._mat_t = self._mat.T.tocsr()
+        cells = self.n * self.n
+        # the index type scipy stores; keys made in it are not copied again
+        itype = np.int32 if max(cells, self.m) <= np.iinfo(np.int32).max else np.int64
+        off = self.rows != self.cols
+        upper = (self.rows * self.n + self.cols).astype(itype)
+        idx = self.idx.astype(itype)
+        self._upper = sp.csr_matrix(
+            (np.where(off, 2.0, 1.0) * self.vals, (idx, upper)), shape=(self.m, cells)
+        )
+        both = (
+            np.concatenate([idx, idx[off]]),
+            np.concatenate([upper, (self.cols[off] * self.n + self.rows[off]).astype(itype)]),
+        )
+        # CSC, the transpose of a CSR matrix: each row's values lie together
+        self._cells_t = sp.csr_matrix(
+            (np.concatenate([self.vals, self.vals[off]]), both), shape=(self.m, cells)
+        ).T
 
     def scaled(self, factors: np.ndarray) -> "SparseConstraintFamilies":
         """The family with row i's values times ``factors[i]``.  It shares
-        this one's entries and positions, so nothing is sorted or checked
-        again, and each stored value of ``_mat`` is scaled by its row's
-        factor.  When no row repeats a position (every QAP family), a stored
+        this one's entries and cells, so nothing is sorted or checked again,
+        and each stored value of both matrices is scaled by its row's
+        factor.  When no row repeats a cell (every QAP family), a stored
         value is one entry and this equals the rebuild from the scaled
         values bit for bit; a summed value differs from it by rounding."""
         out = copy.copy(self)
         out.vals = self.vals * factors[self.idx]
-        mat = self._mat
-        data = mat.data * np.repeat(factors, np.diff(mat.indptr))
-        out._mat = sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
-        out._mat_t = out._mat.T.tocsr()
+
+        def rows_scaled(a):  # a holds each constraint row's values together
+            data = a.data * np.repeat(factors, np.diff(a.indptr))
+            return type(a)((data, a.indices, a.indptr), shape=a.shape)
+
+        out._upper, out._cells_t = rows_scaled(self._upper), rows_scaled(self._cells_t)
         return out
 
-    def _image(self, at_positions: np.ndarray) -> np.ndarray:
-        """<A_i, X> for every row, from X at the distinct positions."""
-        return self._mat @ (self._weight * at_positions)
-
-    # gathers go through np.take: the same copy as x[rows], without the
-    # fancy-indexing overhead, which dominates at QAP sizes
-
     def primal_image_lowrank(self, v: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return self._image(np.take((v @ s) @ v.T, self._flat_layout[0]))
+        return self._upper @ ((v @ s) @ v.T).ravel()
 
     def primal_image_factor(self, u: np.ndarray, lams: np.ndarray) -> np.ndarray:
-        return self._image(np.take((u * lams) @ u.T, self._flat_layout[0]))
+        return self._upper @ ((u * lams) @ u.T).ravel()
 
     def primal_image_matrix(self, x) -> np.ndarray:
-        """The image of an ndarray or a scipy CSR matrix."""
-        if not self._pos_rows.size:  # scipy returns a sparse matrix for an empty gather
-            return np.zeros(self.m)
-        return self._image(np.asarray(x[self._pos_rows, self._pos_cols]).ravel())
-
-    @functools.cached_property
-    def _flat_layout(self):
-        """``(positions, source)``: the flat n x n slot of each position,
-        and for each of the n^2 cells the position that fills it (its own
-        or its mirror's), or p for a cell that no position touches."""
-        n, p = self.n, self._pos_rows.size
-        positions = self._pos_rows * n + self._pos_cols
-        source = np.full(n * n, p)
-        source[positions] = np.arange(p)
-        source[self._pos_cols * n + self._pos_rows] = np.arange(p)
-        return positions, source
+        """The image of an ndarray or a scipy sparse matrix, read at the
+        upper cells."""
+        if sp.issparse(x):
+            x = x.toarray()
+        return self._upper @ np.ravel(x)
 
     def _adjoint_dense(self, y: np.ndarray) -> np.ndarray:
-        """A*(y) as an n x n array: one gather of every cell, 0 where no
-        position lies."""
-        at_positions = np.append(self._mat_t @ y, 0.0)
-        return np.take(at_positions, self._flat_layout[1]).reshape(self.n, self.n)
+        """A*(y) as an n x n array, 0 where no entry lies."""
+        return (self._cells_t @ y).reshape(self.n, self.n)
 
     def adjoint_inner_lowrank(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         m = v.T @ (self._adjoint_dense(y) @ v)
@@ -310,31 +295,38 @@ class SparseConstraintFamilies:
 
     def dual_slack(self, cost: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
         """cost - A*(y) as an n x n array.  Each entry is the one the CSR
-        difference holds: cost - 0.0 is cost where no position lies."""
+        difference holds: cost - 0.0 is cost where no entry lies."""
         z = cost.toarray()
         z -= self._adjoint_dense(y)
         return z
 
     def compressed_rows(self, v: np.ndarray) -> np.ndarray:
-        # row q of g is svec(V^T E_q V) for the position's symmetric unit
-        # E_q = e_r e_c^T + e_c e_r^T (e_r e_r^T on the diagonal)
+        # column c is the image of (w_c / 2)(v_i v_j^T + v_j v_i^T), built in
+        # two n x n buffers reused across the columns (an n^2 x d block would
+        # be a QAP iteration's largest array; a transposed read is slower than
+        # the second buffer).  Halving v_i is exact, and on the diagonal
+        # (w_c = 1) the column is the image of v_i v_i^T exactly
         i, j, w = tri_indices(v.shape[1])
-        vr = np.take(v, self._pos_rows, axis=0)
-        vc = np.take(v, self._pos_cols, axis=0)
-        # filled one column at a time: block-wide products would be the
-        # largest temporaries of a QAP outer iteration
-        g = np.empty((vr.shape[0], w.size))
-        half_weight = 0.5 * self._weight
+        out = np.empty((self.m, w.size))
+        outer, sym = np.empty((2, self.n, self.n))
         for c in range(w.size):
-            col = vr[:, i[c]] * vc[:, j[c]]
-            col += vc[:, i[c]] * vr[:, j[c]]
-            col *= w[c]
-            col *= half_weight
-            g[:, c] = col
-        return self._mat @ g
+            v_i, v_j = v[:, i[c]], v[:, j[c]]
+            if i[c] == j[c]:
+                np.multiply.outer(v_i, v_i, out=sym)
+            else:
+                np.multiply.outer(0.5 * v_i, v_j, out=sym)
+                np.multiply.outer(v_j, 0.5 * v_i, out=outer)
+                sym += outer
+                sym *= w[c]
+            out[:, c] = self._upper @ sym.ravel()
+        return out
 
     def frob_norms(self) -> np.ndarray:
-        return np.sqrt(self._mat.multiply(self._mat) @ self._weight)
+        # a cell off the diagonal holds (2a)^2 and weighs 1/2: 2 a^2, the
+        # square of the entry at both its cells
+        halves = np.full(self.n * self.n, 0.5)
+        halves[:: self.n + 1] = 1.0
+        return np.sqrt(self._upper.multiply(self._upper) @ halves)
 
 
 # ---------------------------------------------------------------------------
@@ -579,15 +571,20 @@ def qap_submatrix_constraint_map(full: QapInstance, n_sub: int) -> np.ndarray:
 
 def estimate_operator_norm(ops, tol: float = 1e-6, max_iters: int = 500, seed: int = 0) -> float:
     """Power iteration on z -> A(A*(z)) over the m constraint rows of a
-    ``SparseConstraintFamilies``; returns an estimate of the
-    operator 2-norm of the image map A.  Each step is two sparse products
-    through the position matrix, with no n x n array."""
+    ``SparseConstraintFamilies``; returns an estimate of the operator
+    2-norm of the image map A.  Each step applies ``_upper``'s transpose
+    to z / 2, which gives A*(z) at the upper cells off the diagonal
+    exactly (their values are doubled) and half of it on the diagonal,
+    doubles the n diagonal cells back, and applies ``_upper``."""
+    upper, upper_t, diagonal = ops._upper, ops._upper.T, slice(None, None, ops.n + 1)
     z = np.random.RandomState(seed).standard_normal(ops.m)
     lam = float(np.linalg.norm(z))
     for it in range(max_iters):
         if lam == 0.0:
             return 0.0
-        z = ops._image(ops._mat_t @ (z / lam))
+        cells = upper_t @ (z / (2.0 * lam))
+        cells[diagonal] *= 2.0
+        z = upper @ cells
         lam_prev, lam = lam, float(np.linalg.norm(z))
         if it and abs(lam - lam_prev) <= tol * lam:
             break

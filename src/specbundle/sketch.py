@@ -71,6 +71,13 @@ def sketch_update(s: NystromSketch, eta: float, v: np.ndarray, lams: np.ndarray)
     )
 
 
+def _zero_factor(s: NystromSketch) -> tuple[np.ndarray, np.ndarray]:
+    """The factor of a zero matrix: the first r unit vectors, eigenvalues 0."""
+    u = np.zeros((s.n, s.r))
+    u[: s.r, : s.r] = np.eye(s.r)
+    return u, np.zeros(s.r)
+
+
 def reconstruct(s: NystromSketch) -> tuple[np.ndarray, np.ndarray]:
     """Rank-r positive semidefinite approximation (U, lams) of the tracked
     matrix, as U diag(lams) U^T with orthonormal U.
@@ -83,9 +90,7 @@ def reconstruct(s: NystromSketch) -> tuple[np.ndarray, np.ndarray]:
     p = s.sketch_mat
     norm_p = float(np.linalg.norm(p))
     if norm_p == 0.0:
-        u = np.zeros((s.n, s.r))
-        u[: s.r, : s.r] = np.eye(s.r)
-        return u, np.zeros(s.r)
+        return _zero_factor(s)
     psi = s.psi()
     shift = np.sqrt(s.n) * np.finfo(float).eps * norm_p
     p_shift = p + shift * psi
@@ -99,9 +104,7 @@ def reconstruct(s: NystromSketch) -> tuple[np.ndarray, np.ndarray]:
         w, qmat = np.linalg.eigh(core)
         keep = w > max(w.max(initial=0.0), 0.0) * 1e-14
         if not np.any(keep):
-            u = np.zeros((s.n, s.r))
-            u[: s.r, : s.r] = np.eye(s.r)
-            return u, np.zeros(s.r)
+            return _zero_factor(s)
         half = p_shift @ (qmat[:, keep] / np.sqrt(w[keep])[None, :])
     u, sing, _ = np.linalg.svd(half, full_matrices=False)
     lams = np.maximum(sing**2 - shift, 0.0)

@@ -307,7 +307,7 @@ class TestOperatorBundles:
                 ops.primal_image_matrix(prob.cost), ops.primal_image_matrix(prob.cost.toarray())
             )
         empty = SparseConstraintFamilies(4, 2, [], [], [], [])
-        cost = build_maxcut(make_k3()).cost
+        cost = build_maxcut(random_graph(4, 0.5, 3)).cost
         np.testing.assert_array_equal(empty.primal_image_matrix(cost), 0.0)
         np.testing.assert_array_equal(empty.primal_image_matrix(cost.toarray()), 0.0)
 
@@ -817,9 +817,9 @@ class TestQapEntriesFrozen:
     @pytest.mark.parametrize("name", ["sparse-5", "dense-12", "repeated"])
     def test_scaled_equals_rebuild(self, monkeypatch, name):
         """A scaled family equals the family rebuilt from its scaled values,
-        position matrix included (bit for bit on the QAP families, within
-        rounding where a row repeats a position), and does not sort the
-        entries again."""
+        both cell matrices included (bit for bit on the QAP families, within
+        rounding where a row repeats a cell), and does not sort the entries
+        again."""
         from specbundle.problem import qap_constraint_entries
 
         if name == "repeated":
@@ -832,7 +832,7 @@ class TestQapEntriesFrozen:
         fam = SparseConstraintFamilies(n, m, idx, rows, cols, vals)
         factors = np.random.default_rng(5).uniform(0.1, 3.0, m)
         want = SparseConstraintFamilies(n, m, idx, rows, cols, vals * factors[idx])
-        before = fam._mat.copy()
+        before = fam._upper.copy(), fam._cells_t.copy()
 
         def no_sort(*args, **kwargs):
             raise AssertionError("scaled sorted the entries again")
@@ -840,26 +840,88 @@ class TestQapEntriesFrozen:
         monkeypatch.setattr(np, "unique", no_sort)
         got = fam.scaled(factors)
         monkeypatch.undo()
-        # the transpose is rebuilt from the scaled matrix, not carried over
-        for g, w in ((got._mat, want._mat), (got._mat_t, want._mat_t)):
+        # both matrices are scaled, neither is carried over
+        for g, w in ((got._upper, want._upper), (got._cells_t, want._cells_t)):
             if name == "repeated":
                 np.testing.assert_allclose(g.data, w.data, rtol=1e-14, atol=0.0)
             else:
                 _assert_same_array(g.data, w.data)
         for g, w in (
             (got.vals, want.vals),
-            (got._mat.indices, want._mat.indices),
-            (got._mat.indptr, want._mat.indptr),
-            (got._mat_t.indices, want._mat_t.indices),
-            (got._mat_t.indptr, want._mat_t.indptr),
-            (got._pos_rows, want._pos_rows),
-            (got._pos_cols, want._pos_cols),
-            (got._weight, want._weight),
-            (fam._mat.data, before.data),  # the parent is left as it was
+            (got._upper.indices, want._upper.indices),
+            (got._upper.indptr, want._upper.indptr),
+            (got._cells_t.indices, want._cells_t.indices),
+            (got._cells_t.indptr, want._cells_t.indptr),
+            # the parent is left as it was
+            (fam._upper.data, before[0].data),
+            (fam._cells_t.data, before[1].data),
             (fam.vals, vals),
         ):
             _assert_same_array(g, w)
-        assert got._mat.shape == want._mat.shape == want._mat_t.shape[::-1]
+        assert got._upper.shape == want._upper.shape == want._cells_t.shape[::-1]
+
+
+class TestCellMatricesMatchPositionLayout:
+    """The two matrices over vec(X) give every action, norm and scaling of
+    the earlier layout over the distinct positions bit for bit: doubling or
+    halving a value is exact, the positions came sorted by r*n + c, the
+    cell order, so each row sums its terms in the same order, and each cell
+    of the adjoint sums the same rows in the same order."""
+
+    CASES = [*QAP_CASES, ("repeated", None)]
+
+    @staticmethod
+    def families(name, q):
+        """(cost, new family, frozen family) on the same entries: the
+        scaled rows of ``build_qap``, or rows that repeat a cell."""
+        import scipy.sparse as sp
+        from _oracles import SparseConstraintFamiliesFrozen
+
+        if q is None:
+            n, m, *entries = TestQapEntriesFrozen.repeated_entries()
+            cost = sp.csr_matrix(np.array([[0.0, 1.0, -2.0], [1.0, 0.5, 0.0], [-2.0, 0.0, 0.0]]))
+        else:
+            prob = build_qap(q)
+            ops = prob.constraints
+            n, m, entries, cost = prob.n, prob.m, (ops.idx, ops.rows, ops.cols, ops.vals), prob.cost
+        return cost, SparseConstraintFamilies(n, m, *entries), SparseConstraintFamiliesFrozen(n, m, *entries)
+
+    @staticmethod
+    def actions(fam, cost, rng):
+        """The seven actions and the row norms, at inputs drawn from rng."""
+        k = 3
+        v = rng.standard_normal((fam.n, k))
+        g = rng.standard_normal((k, k))
+        x = rng.standard_normal((fam.n, fam.n))
+        y = rng.standard_normal(fam.m)
+        return [
+            fam.primal_image_lowrank(v, g @ g.T),
+            fam.primal_image_factor(v, rng.random(k)),
+            fam.primal_image_matrix(x + x.T),
+            fam.primal_image_matrix(cost),
+            fam.adjoint_inner_lowrank(y, v),
+            fam.dual_slack(cost, y),
+            fam.compressed_rows(v),
+            fam.frob_norms(),
+        ]
+
+    @pytest.mark.parametrize("name,q", CASES, ids=[c[0] for c in CASES])
+    def test_same_as_position_layout(self, name, q):
+        from _oracles import estimate_operator_norm_frozen
+        from specbundle.problem import estimate_operator_norm
+
+        cost, new, old = self.families(name, q)
+        factors = np.random.default_rng(3).uniform(0.1, 3.0, new.m)
+        for got, want in ((new, old), (new.scaled(factors), old.scaled(factors))):
+            _assert_same_array(got.vals, want.vals)
+            pairs = zip(
+                self.actions(got, cost, np.random.default_rng(7)),
+                self.actions(want, cost, np.random.default_rng(7)),
+            )
+            for g, w in pairs:
+                _assert_same_array(g, w)
+                assert g.flags.c_contiguous == w.flags.c_contiguous
+            assert estimate_operator_norm(got) == estimate_operator_norm_frozen(want)
 
 
 class TestQapPairRows:
