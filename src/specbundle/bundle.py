@@ -191,7 +191,6 @@ class SolverState:
     residuals: Optional[Residuals] = None
     status: Optional[str] = None
     scale_x: float = 1.0
-    scale_c: float = 1.0
     # the proximal weight of the next iteration; None starts a solve at cfg.rho
     rho: Optional[float] = None
 
@@ -412,9 +411,8 @@ def _clamped_dims(prob: SdpProblem, cfg: SolverConfig) -> tuple[int, int]:
     return k_c, k_p
 
 
-def _derived_seeds(seed: int) -> tuple[int, int]:
-    state = np.random.SeedSequence(int(seed)).generate_state(2)
-    return int(state[0]), int(state[1])
+def _derived_seed(seed: int) -> int:
+    return int(np.random.SeedSequence(int(seed)).generate_state(1)[0])
 
 
 def _check_explicit_size(n: int) -> None:
@@ -439,7 +437,7 @@ def cold_start(prob: SdpProblem, cfg: SolverConfig) -> SolverState:
         _check_explicit_size(prob.n)
     k_c, k_p = _clamped_dims(prob, cfg)
     k = k_c + k_p
-    sketch_seed, _ = _derived_seeds(cfg.seed)
+    sketch_seed = _derived_seed(cfg.seed)
     y = np.zeros(prob.m)
     f_y, eig = penalized_obj(prob, y, cfg, k_c=k_c)
     basis = _completion_columns(eig.eigenvectors, k, cfg.seed, tag=0)
@@ -459,7 +457,6 @@ def cold_start(prob: SdpProblem, cfg: SolverConfig) -> SolverState:
         lam_y=float(eig.eigenvalues[0]),
         model=model,
         scale_x=prob.scale_x,
-        scale_c=prob.scale_c,
         rho=cfg.rho,
     )
 
@@ -639,7 +636,7 @@ def save_state(path, state: SolverState, prob: SdpProblem) -> None:
         rank,
         seed & 0xFFFFFFFF,
         state.scale_x,
-        state.scale_c,
+        prob.scale_c,
         state.f_y if state.f_y is not None else np.nan,
         state.lam_y if state.lam_y is not None else np.nan,
         state.descent_steps,
@@ -737,7 +734,6 @@ def load_state(path) -> StateRecord:
         descent_steps=descent,
         null_steps=null,
         scale_x=scale_x,
-        scale_c=scale_c,
         rho=None if np.isnan(rho) else float(rho),
     )
     return StateRecord(fingerprint=(n, m, n_ineq, b_hash), state=state)
@@ -760,7 +756,6 @@ def state_from_record(rec: StateRecord, prob: SdpProblem) -> SolverState:
         )
     state = record_to_state(rec)
     state.scale_x = prob.scale_x
-    state.scale_c = prob.scale_c
     return state
 
 
@@ -876,6 +871,5 @@ def warm_start_pad(
         lam_y=None,
         model=new_model,
         scale_x=new_prob.scale_x,
-        scale_c=new_prob.scale_c,
         rho=prev.rho,
     )

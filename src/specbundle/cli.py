@@ -174,14 +174,13 @@ def _resolve_config(args, kind: str, instance) -> SolverConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
-    n = instance.n if kind == "maxcut" else instance.size**2 + 1
     return SolverConfig(
         rho=settings["rho"],
         beta=settings["beta"],
         k_c=settings["kc"],
         k_p=settings["kp"],
         eps=settings["eps"],
-        sketch_rank=min(int(settings["sketch_rank"]), n),
+        sketch_rank=int(settings["sketch_rank"]),
         max_iters=settings["max_iters"],
         max_time=settings["max_time"],
         seed=int(settings["seed"]),

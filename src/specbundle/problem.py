@@ -18,7 +18,6 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -134,7 +133,6 @@ class QapInstance:
 
     weights: np.ndarray
     distances: np.ndarray
-    known_optimum: Optional[float] = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)

@@ -106,6 +106,41 @@ def brute_force_assignment(cost: np.ndarray):
     return best_val, best_perm
 
 
+def maxcut_round_frozen(u: np.ndarray, g):
+    """``rounding.maxcut_round`` as it scored each sign cut through the
+    graph Laplacian, 0.25 x^T L x, keeping the first strictly larger cut."""
+    from specbundle.rounding import CutResult
+
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    if u.ndim != 2 or u.shape[0] != g.n or u.shape[1] == 0:
+        raise ValueError("factor must be a nonempty n x r matrix")
+    lap = g.laplacian()
+    best_x: np.ndarray | None = None
+    best_val = -np.inf
+    for j in range(u.shape[1]):
+        x = np.where(u[:, j] >= 0.0, 1.0, -1.0)
+        val = 0.25 * float(x @ (lap @ x))
+        if val > best_val:
+            best_val = val
+            best_x = x
+    return CutResult(assignment=best_x.astype(int), value=best_val)
+
+
+def hungarian_frozen(cost: np.ndarray) -> np.ndarray:
+    """``rounding.hungarian`` as it scattered the column indices by row."""
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError("cost matrix must be square")
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("cost matrix must be finite")
+    rows, cols = linear_sum_assignment(cost)
+    perm = np.empty(cost.shape[0], dtype=np.int64)
+    perm[rows] = cols
+    return perm
+
+
 def random_quad_coeffs(seed: int, k: int = 3):
     """Deterministic generator shared by the frozen-oracle tests."""
     from specbundle.subqp import QuadCoeffs
@@ -1238,7 +1273,7 @@ def save_state_v1_frozen(path, state, prob) -> None:
         rank,
         seed & 0xFFFFFFFF,
         state.scale_x,
-        state.scale_c,
+        prob.scale_c,
         state.f_y if state.f_y is not None else np.nan,
         state.lam_y if state.lam_y is not None else np.nan,
         state.descent_steps,

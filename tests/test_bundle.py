@@ -20,6 +20,7 @@ from specbundle.bundle import (
     Mapping,
     Residuals,
     SolverConfig,
+    _HEADER,
     _completion_columns,
     balance_rho,
     candidate_iterate,
@@ -501,6 +502,7 @@ class TestStateFile:
         np.testing.assert_array_equal(
             state2.model.store.sk.sketch_mat, state.model.store.sk.sketch_mat
         )
+        assert _HEADER.unpack_from(path.read_bytes())[11:13] == (prob.scale_x, prob.scale_c)
 
     def test_fingerprint_rejects_other_problem(self, tmp_path, k3):
         prob = build_maxcut(k3)
@@ -892,6 +894,19 @@ class TestColdStartEigensolve:
         state, _ = solve(prob, cfg)
         assert state.iterations == 3
         assert len(calls) == 4
+
+    def test_sketch_seed_is_the_first_of_two_derived_words(self):
+        # one drawn word equals the first of two, so a seed keeps the sketch
+        # test matrix that state files saved with two-word draws hold
+        from specbundle.bundle import _derived_seed
+
+        seeds = list(range(300)) + [12345, 2**31 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**64 + 5, 10**30]
+        for s in seeds:
+            two = np.random.SeedSequence(s).generate_state(2)
+            assert _derived_seed(s) == int(two[0])
+        prob = build_maxcut(random_graph(12, 0.4, 4))
+        state = cold_start(prob, SolverConfig(k_c=2, k_p=0, sketch_rank=3, seed=7))
+        assert state.model.store.sk.psi_seed == int(np.random.SeedSequence(7).generate_state(2)[0])
 
 
 def path_graph(n: int) -> GraphInstance:

@@ -1,9 +1,53 @@
 import numpy as np
 import pytest
 
-from conftest import random_graph, random_qap
-from _oracles import brute_force_assignment, brute_force_maxcut, brute_force_qap
+from conftest import make_k3, random_graph, random_qap
+from _oracles import (
+    brute_force_assignment,
+    brute_force_maxcut,
+    brute_force_qap,
+    hungarian_frozen,
+    maxcut_round_frozen,
+)
+from specbundle.problem import GraphInstance
 from specbundle.rounding import GapTracker, hungarian, maxcut_round, qap_round
+
+
+def _weighted_graph(n: int, p: float, seed: int) -> GraphInstance:
+    rng = np.random.default_rng(seed)
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(u.size) < p
+    return GraphInstance.from_arrays(n, u[keep], v[keep], rng.uniform(0.1, 10.0, keep.sum()))
+
+
+def _unit_weight_cases():
+    k3 = make_k3()
+    rng = np.random.default_rng(31)
+    cases = [
+        pytest.param(k3, np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -2.0]]), id="k3-zero-row"),
+        # x and -x give one partition; so does a positive rescaling
+        pytest.param(k3, np.column_stack([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [2.0, -0.5, 3.0]]),
+                     id="k3-tied-columns"),
+        pytest.param(k3, np.ones((3, 1)), id="k3-all-ones"),
+        pytest.param(k3, np.column_stack([np.ones(3), [1.0, -1.0, -1.0]]), id="k3-all-ones-first"),
+        pytest.param(GraphInstance.from_arrays(4, [], [], []), rng.standard_normal((4, 3)), id="edgeless-4"),
+    ]
+    for n, p, seed, r in [(14, 0.4, 7, 6), (40, 0.2, 32, 10), (300, 0.03, 33, 10), (1000, 0.008, 34, 12)]:
+        cases.append(pytest.param(random_graph(n, p, seed), rng.standard_normal((n, r)), id=f"random-{n}"))
+    # columns that repeat one sign pattern tie exactly
+    col = rng.standard_normal(30)
+    cases.append(pytest.param(random_graph(30, 0.3, 35),
+                              np.column_stack([-col, col, 2 * col, rng.standard_normal(30)]),
+                              id="random-30-repeated"))
+    return cases
+
+
+def _weighted_cases():
+    rng = np.random.default_rng(36)
+    return [
+        pytest.param(_weighted_graph(n, p, seed), rng.standard_normal((n, r)), id=f"weighted-{n}")
+        for n, p, seed, r in [(3, 1.0, 37, 4), (12, 0.5, 38, 6), (60, 0.2, 39, 10), (500, 0.02, 40, 10)]
+    ]
 
 
 class TestMaxcutRound:
@@ -75,6 +119,20 @@ class TestMaxcutRound:
         with pytest.raises(ValueError):
             maxcut_round(np.zeros((3, 0)), k3)
 
+    @pytest.mark.parametrize("g,u", _unit_weight_cases())
+    def test_unit_weights_match_laplacian_form(self, g, u):
+        res, ref = maxcut_round(u, g), maxcut_round_frozen(u, g)
+        np.testing.assert_array_equal(res.assignment, ref.assignment)
+        assert res.assignment.dtype == ref.assignment.dtype
+        assert res.value == ref.value
+
+    @pytest.mark.parametrize("g,u", _weighted_cases())
+    def test_weighted_match_laplacian_form(self, g, u):
+        res, ref = maxcut_round(u, g), maxcut_round_frozen(u, g)
+        np.testing.assert_array_equal(res.assignment, ref.assignment)
+        assert res.assignment.dtype == ref.assignment.dtype
+        assert res.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+
 
 class TestHungarian:
     def test_zero_diagonal_identity(self):
@@ -86,6 +144,8 @@ class TestHungarian:
         for _ in range(10):
             cost = rng.standard_normal((5, 5))
             perm = hungarian(cost)
+            np.testing.assert_array_equal(perm, hungarian_frozen(cost))
+            assert perm.dtype == hungarian_frozen(cost).dtype
             val = sum(cost[i, perm[i]] for i in range(5))
             best, _ = brute_force_assignment(cost)
             assert val == pytest.approx(best)
@@ -109,10 +169,18 @@ class TestHungarian:
             hungarian(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
     def test_deterministic_under_ties(self):
-        cost = np.zeros((4, 4))
-        p1 = hungarian(cost)
-        p2 = hungarian(cost)
-        np.testing.assert_array_equal(p1, p2)
+        tied = [
+            np.zeros((4, 4)),
+            np.ones((1, 1)),
+            np.random.default_rng(41).integers(0, 3, (8, 8)).astype(float),
+            np.kron(np.ones((3, 3)), np.eye(2)),
+        ]
+        for cost in tied:
+            p1 = hungarian(cost)
+            p2 = hungarian(cost)
+            np.testing.assert_array_equal(p1, p2)
+            np.testing.assert_array_equal(p1, hungarian_frozen(cost))
+            assert p1.dtype == hungarian_frozen(cost).dtype
 
 
 class TestQapRound:
