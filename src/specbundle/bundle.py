@@ -15,6 +15,8 @@ import contextlib
 import copy
 import hashlib
 import math
+import os
+import stat
 import struct
 import time
 from dataclasses import dataclass, replace
@@ -648,7 +650,8 @@ def save_state(path, state: SolverState, prob: SdpProblem) -> None:
     with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "wb") as fh:
         fh.write(header)
         for arr in (state.y, state.nu, model.stats.constr_image, model.basis, store_mat):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            # the array's own buffer when it is C-contiguous little-endian
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_state(path) -> StateRecord:
@@ -658,60 +661,72 @@ def load_state(path) -> StateRecord:
     magic or version, an unknown store kind, ``k_c < 1``, ``k_c + k_p > n``,
     a sketch rank outside [1, n] (the rules :func:`cold_start` keeps), a rho
     that is not positive, a payload shorter or longer than the header
-    declares, and non-finite arrays or statistics."""
+    declares, non-finite arrays or statistics, and a path that is not a
+    regular file."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER_V1.size:
-        raise ValueError("truncated state file")
-    magic, version = struct.unpack_from("<4sI", raw)
-    if magic != _MAGIC:
-        raise ValueError("not a solver state file")
-    if version not in (1, _VERSION):
-        raise ValueError(f"unsupported state file version {version}")
-    header = _HEADER if version == _VERSION else _HEADER_V1
-    if len(raw) < header.size:
-        raise ValueError("truncated state file")
-    fields = header.unpack_from(raw)
-    (
-        _,
-        _,
-        n,
-        m,
-        n_ineq,
-        b_hash,
-        k_c,
-        k_p,
-        kind,
-        rank,
-        psi_seed,
-        scale_x,
-        scale_c,
-        f_y,
-        lam_y,
-        descent,
-        null,
-        trace,
-        cost_ip,
-        rho,
-    ) = fields if version == _VERSION else fields + (np.nan,)
-    if kind not in (1, 2):
-        raise ValueError(f"unknown store kind {kind} in state file (1 explicit, 2 sketch)")
-    if k_c < 1:
-        raise ValueError(f"state file has k_c = {k_c}; it must be at least 1")
-    k = k_c + k_p
-    if k > n:
-        raise ValueError(f"state file has k_c + k_p = {k}; it must be at most n = {n}")
-    if kind == 2 and not 1 <= rank <= n:
-        raise ValueError(f"state file has sketch rank {rank}; it must lie in [1, n = {n}]")
-    if not (np.isnan(rho) or (np.isfinite(rho) and rho > 0)):
-        raise ValueError(f"state file has rho = {rho}; it must be positive and finite")
-    store_size = n * n if kind == 1 else n * rank
-    expected = header.size + 8 * (3 * m + n * k + store_size)
-    if len(raw) < expected:
-        raise ValueError(f"truncated state file: {len(raw)} bytes, the header declares {expected}")
-    if len(raw) > expected:
-        raise ValueError(f"state file has {len(raw) - expected} trailing bytes after its payload")
-    payload = np.frombuffer(raw, dtype="<f8", offset=header.size).astype(float)
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            # a pipe has no size to check the header against
+            raise ValueError(f"state file {path} is not a regular file")
+        size = info.st_size
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER_V1.size:
+            raise ValueError("truncated state file")
+        magic, version = struct.unpack_from("<4sI", head)
+        if magic != _MAGIC:
+            raise ValueError("not a solver state file")
+        if version not in (1, _VERSION):
+            raise ValueError(f"unsupported state file version {version}")
+        header = _HEADER if version == _VERSION else _HEADER_V1
+        if len(head) < header.size:
+            raise ValueError("truncated state file")
+        fields = header.unpack_from(head)
+        (
+            _,
+            _,
+            n,
+            m,
+            n_ineq,
+            b_hash,
+            k_c,
+            k_p,
+            kind,
+            rank,
+            psi_seed,
+            scale_x,
+            scale_c,
+            f_y,
+            lam_y,
+            descent,
+            null,
+            trace,
+            cost_ip,
+            rho,
+        ) = fields if version == _VERSION else fields + (np.nan,)
+        if kind not in (1, 2):
+            raise ValueError(f"unknown store kind {kind} in state file (1 explicit, 2 sketch)")
+        if k_c < 1:
+            raise ValueError(f"state file has k_c = {k_c}; it must be at least 1")
+        k = k_c + k_p
+        if k > n:
+            raise ValueError(f"state file has k_c + k_p = {k}; it must be at most n = {n}")
+        if kind == 2 and not 1 <= rank <= n:
+            raise ValueError(f"state file has sketch rank {rank}; it must lie in [1, n = {n}]")
+        if not (np.isnan(rho) or (np.isfinite(rho) and rho > 0)):
+            raise ValueError(f"state file has rho = {rho}; it must be positive and finite")
+        store_size = n * n if kind == 1 else n * rank
+        count = 3 * m + n * k + store_size
+        expected = header.size + 8 * count
+        if size < expected:
+            raise ValueError(f"truncated state file: {size} bytes, the header declares {expected}")
+        if size > expected:
+            raise ValueError(f"state file has {size - expected} trailing bytes after its payload")
+        payload = np.empty(count, dtype="<f8")
+        fh.seek(header.size)
+        if fh.readinto(payload) != 8 * count:
+            raise ValueError("truncated state file")
+    # a copy only on a big-endian host
+    payload = payload.astype(float, copy=False)
     if not (np.all(np.isfinite(payload)) and np.isfinite([scale_x, scale_c, trace, cost_ip]).all()):
         raise ValueError("state file holds non-finite arrays, scales, trace or cost")
     y, nu, a_xbar, basis, store_mat = np.split(payload, np.cumsum([m, m, m, n * k]))

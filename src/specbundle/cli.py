@@ -444,6 +444,10 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as exc:
+        # an instance whose size line declares more than memory holds
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def console_main() -> None:

@@ -1,4 +1,6 @@
 import functools
+import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -592,6 +594,60 @@ class TestStateFile:
         assert resumed.rho == again.rho
         # the payloads agree; only the header grew by one float64
         assert v1.read_bytes()[121:] == v2.read_bytes()[129:]
+
+    def test_enormous_declared_payload_is_refused_before_allocating(self, tmp_path):
+        """A header whose n declares terabytes of payload is refused as
+        truncated, and nothing near that size is allocated first."""
+        prob = build_maxcut(make_k3())
+        path = tmp_path / "s.bin"
+        save_state(path, cold_start(prob, SolverConfig(k_c=2, k_p=0, sketch_rank=2)), prob)
+        raw = path.read_bytes()
+        fields = list(_HEADER.unpack_from(raw))
+        fields[2] = 2**40  # n
+        path.write_bytes(_HEADER.pack(*fields) + raw[_HEADER.size :])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^truncated state file: \d+ bytes, the header declares"):
+                load_state(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_a_pipe_is_refused(self, tmp_path):
+        prob = build_maxcut(make_k3())
+        path = tmp_path / "s.bin"
+        save_state(path, cold_start(prob, SolverConfig(k_c=2, k_p=0, sketch_rank=2)), prob)
+        r, w = os.pipe()
+        try:
+            os.write(w, path.read_bytes())
+            os.close(w)
+            with pytest.raises(ValueError, match="is not a regular file"):
+                load_state(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+
+    def test_payload_is_held_once(self, tmp_path):
+        """Saving writes the arrays' own buffers and loading reads the
+        payload into one array: neither holds a second copy of it."""
+        prob = build_maxcut(random_graph(600, 0.01, 1))
+        state = cold_start(prob, SolverConfig(k_c=3, k_p=1, sketch_rank=0))
+        path = tmp_path / "s.bin"
+        payload = 8 * (3 * prob.m + prob.n * 4 + prob.n**2)
+        tracemalloc.start()
+        try:
+            save_state(path, state, prob)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            rec = load_state(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == _HEADER.size + payload
+        assert save_peak < payload / 4
+        assert payload <= load_peak < 1.5 * payload
+        np.testing.assert_array_equal(rec.state.model.store.xbar, state.model.store.xbar)
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, np.inf])
     def test_rejects_a_rho_that_is_not_positive(self, tmp_path, rho):

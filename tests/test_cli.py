@@ -259,6 +259,26 @@ class TestSolveCommand:
         rc = main(argv + ["--input", str(other), "--warm-start", str(state), "--save-state", str(new)])
         assert rc == 65 and not new.exists()
 
+    def test_out_of_memory_exits_1_without_a_traceback(self, tmp_path, capsys, monkeypatch):
+        """An instance too large for memory (here a size line of 3e9
+        vertices) exits 1 with one message line, and a --save-state file
+        the run created is removed.  `build_maxcut` raises as numpy's
+        allocator would instead of allocating for real."""
+        big = tmp_path / "big.mtx"
+        big.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n3000000000 3000000000 1\n2 1\n")
+
+        def refusing_build(graph):
+            raise MemoryError(f"Unable to allocate 22.4 GiB for an array with shape ({graph.n},)")
+
+        monkeypatch.setattr(cli_mod, "build_maxcut", refusing_build)
+        state = tmp_path / "s.bin"
+        argv = ["solve", "--problem", "maxcut", "--input", str(big), "--save-state", str(state)]
+        assert main(argv + ["--out", str(tmp_path / "m.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not state.exists()
+
     def test_parse_error_is_runtime_error(self, tmp_path):
         bad = tmp_path / "bad.mtx"
         bad.write_text("junk\n")

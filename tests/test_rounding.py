@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +15,9 @@ from _oracles import (
     hungarian_frozen,
     maxcut_round_frozen,
 )
-from specbundle.problem import GraphInstance
+import specbundle
+from specbundle.bundle import SolverConfig, solve
+from specbundle.problem import GraphInstance, build_maxcut
 from specbundle.rounding import GapTracker, hungarian, maxcut_round, qap_round
 
 
@@ -221,6 +229,48 @@ class TestQapRound:
         q = random_qap(3, 26)
         with pytest.raises(ValueError):
             qap_round(np.zeros((9, 2)), q)
+
+
+_FOOTPRINT = """
+import json, sys
+import numpy as np
+import specbundle.cli
+from specbundle.bundle import SolverConfig, solve
+from specbundle.problem import GraphInstance, QapInstance, build_maxcut
+from specbundle.rounding import maxcut_round, qap_round
+
+case = json.load(sys.stdin)
+g = GraphInstance.from_arrays(case["n"], case["u"], case["v"], np.ones(len(case["u"])))
+_, output = solve(build_maxcut(g), SolverConfig(**case["cfg"]))
+cut = maxcut_round(output.factor, g).value
+after_maxcut = "scipy.optimize" in sys.modules
+q = QapInstance(np.array(case["w"]), np.array(case["d"]))
+perm = qap_round(np.array(case["lift"]), q).perm.tolist()
+print(json.dumps(dict(after_maxcut=after_maxcut, cut=cut, perm=perm, after_qap="scipy.optimize" in sys.modules)))
+"""
+
+
+def test_only_assignment_rounding_loads_scipy_optimize():
+    """A fresh process imports the CLI, solves and rounds a MaxCut without
+    loading scipy.optimize; assignment rounding loads it on first use."""
+    g = random_graph(20, 0.3, 3)
+    cfg = dict(max_iters=3, sketch_rank=2, seed=0)
+    q, perm = random_qap(3, 20), np.array([1, 2, 0])
+    case = dict(
+        n=g.n, u=g.edges_u.tolist(), v=g.edges_v.tolist(), cfg=cfg,
+        w=q.weights.tolist(), d=q.distances.tolist(), lift=TestQapRound().lift(perm, 3).tolist(),
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(specbundle.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT], input=json.dumps(case), capture_output=True, text=True,
+        env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout)
+    assert not seen["after_maxcut"]
+    _, output = solve(build_maxcut(g), SolverConfig(**cfg))
+    assert seen["cut"] == maxcut_round(output.factor, g).value
+    assert seen["perm"] == perm.tolist() and seen["after_qap"]
 
 
 class TestGapTracker:
