@@ -231,6 +231,16 @@ class IterationInfo:
     alt_passes: int
     alt_newton: int
     alt_exact: bool
+    # perf_counter seconds of this iteration's phases (the proximal step with
+    # its candidate point, the eigensolve at the candidate, the model value,
+    # the model update, the residuals with the next proximal weight) and of
+    # the whole iteration up to the callback, which holds them all
+    secs_prox: float
+    secs_eig: float
+    secs_model_val: float
+    secs_model_update: float
+    secs_residuals: float
+    secs_iter: float
 
 
 @dataclass
@@ -258,7 +268,9 @@ def penalized_obj(
     if k_c is None:
         k_c = min(cfg.k_c, prob.n)
     op = dual_slack_operator(prob, y)
-    eig = lanczos_top(op, k_c, seed=cfg.seed)
+    # the array goes as an argument: a wrapper around lanczos_top may hand
+    # it a rebuilt operator that does not carry it
+    eig = lanczos_top(op, k_c, seed=cfg.seed, matrix=op.matrix)
     lam = float(eig.eigenvalues[0])
     f = prob.alpha * max(lam, 0.0) + float(prob.b @ y)
     return f, eig
@@ -504,13 +516,17 @@ def solve(
             state.status = "budget"
             break
 
+        t0 = time.perf_counter()
         rho = state.rho
         alt = alternating_max(prob, state.model, state.y, rho)
         state.nu = alt.nu
         y_cand = candidate_iterate(state.y, alt.nu, alt.a_x, prob.b, rho, prob.ineq_idx)
+        t1 = time.perf_counter()
         f_cand, eig_cand = penalized_obj(prob, y_cand, cfg, k_c=state.model.k_c)
+        t2 = time.perf_counter()
         ev = ipm_eval(assemble_eval_coeffs(prob, state.model, y_cand, alt.cost_quad))
         model_val = float(prob.b @ y_cand) - ev.value
+        t3 = time.perf_counter()
 
         accept = descent_test(state.f_y, f_cand, model_val, cfg.beta)
         if accept:
@@ -520,18 +536,21 @@ def solve(
             state.null_steps += 1
         step = "descent" if accept else "null"
 
+        t4 = time.perf_counter()
         # the completion tag numbers this iteration over the whole run, so a
         # resumed solve draws the columns the uninterrupted one would
         state.model = model_update(
             state.model, alt.eta, alt.s_mat, eig_cand.eigenvectors, prob,
             seed=cfg.seed, tag=state.descent_steps + state.null_steps,
         )
+        t5 = time.perf_counter()
         state.last_primal = AggregateStats(alt.tr_x, alt.c_x, alt.a_x)
         state.residuals = compute_residuals(
             prob, state.y, state.f_y, state.lam_y, state.last_primal
         )
         state.rho = balance_rho(rho, state.residuals, accept)
         state.iterations += 1
+        t6 = time.perf_counter()
 
         if callback is not None:
             callback(
@@ -560,6 +579,12 @@ def solve(
                     alt_passes=alt.passes,
                     alt_newton=alt.newton,
                     alt_exact=alt.exact,
+                    secs_prox=t1 - t0,
+                    secs_eig=t2 - t1,
+                    secs_model_val=t3 - t2,
+                    secs_model_update=t5 - t4,
+                    secs_residuals=t6 - t5,
+                    secs_iter=t6 - t0,
                 )
             )
         if state.residuals.converged(cfg.eps, cfg.linf_check):

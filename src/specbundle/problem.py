@@ -389,9 +389,11 @@ def proj_N(z: np.ndarray, prob: SdpProblem) -> np.ndarray:
 def dual_slack_operator(prob: SdpProblem, y: np.ndarray) -> LinOp:
     """cost - adjoint(y) as a symmetric operator, built once per evaluation
     in the constraint family's form: a CSR matrix for the diagonal family,
-    an n x n array for the flat entry families."""
+    an n x n array for the flat entry families, which the operator also
+    carries as its ``matrix``."""
     z = prob.constraints.dual_slack(prob.cost, y)
-    return LinOp(dim=prob.n, matvec=lambda v: z @ v, matmat=lambda b: z @ b)
+    dense = z if isinstance(z, np.ndarray) else None
+    return LinOp(dim=prob.n, matvec=lambda v: z @ v, matmat=lambda b: z @ b, matrix=dense)
 
 
 # ---------------------------------------------------------------------------

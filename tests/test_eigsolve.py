@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from specbundle.eigsolve import LinOp, NumericError, lanczos_top
+from specbundle.eigsolve import DENSE_EIG_MAX_N, LinOp, NumericError, lanczos_top
 
 
 def dense_op(a):
@@ -341,3 +343,66 @@ def test_restarted_basis_stays_orthonormal(make_op, k_c, kw):
     explicit = np.linalg.norm(op.matmat(v) - v * res.eigenvalues, axis=0)
     slack = 1e-12 * (1.0 + abs(res.eigenvalues[0]))
     assert np.all(explicit <= res.residuals + slack)
+
+
+# ---------------------------------------------------------------------------
+# the dense route: an operator handed over with its array
+
+
+def _qap_slack(n, seed):
+    from conftest import random_qap
+    from specbundle.problem import build_qap, dual_slack_operator
+
+    prob = build_qap(random_qap(n, seed=seed))
+    y = np.random.default_rng(seed).random(prob.m) * 0.1
+    return dual_slack_operator(prob, y)
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_dense_route_matches_eigvalsh_on_qap_slacks(n):
+    op = _qap_slack(n, seed=40 + n)
+    z = op.matrix
+    assert z.shape == (n * n + 1, n * n + 1) and z.shape[0] <= DENSE_EIG_MAX_N
+    ref = np.linalg.eigvalsh(z)[::-1]
+    for k_c in (1, 2, 3):
+        res = lanczos_top(op, k_c, seed=0, matrix=z)
+        assert res.matvecs == k_c and res.restarts == 0
+        assert res.converged and res.leading_converged
+        assert np.all(np.abs(res.eigenvalues - ref[:k_c]) <= 1e-12 * np.abs(ref).max())
+        assert np.all(np.diff(res.eigenvalues) <= 0.0)
+        v = res.eigenvectors
+        assert v.shape == (op.dim, k_c) and np.abs(v.T @ v - np.eye(k_c)).max() <= 1e-12
+        assert np.array_equal(res.residuals, np.linalg.norm(z @ v - v * res.eigenvalues, axis=0))
+
+
+def test_dense_route_nonfinite_array_raises_without_warning():
+    op = _qap_slack(4, seed=1)
+    z = op.matrix.copy()
+    z[3, 5] = z[5, 3] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            lanczos_top(dense_op(z), 2, seed=0, matrix=z)
+
+
+def test_dense_route_refuses_an_array_of_another_side():
+    op = _qap_slack(3, seed=2)
+    with pytest.raises(ValueError, match="shape"):
+        lanczos_top(op, 2, matrix=op.matrix[:-1, :-1])
+
+
+def test_csr_slack_and_large_array_run_lanczos():
+    op = _maxcut_slack_op()
+    assert op.matrix is None
+    assert lanczos_top(op, 10, seed=0, matrix=op.matrix).matvecs > 10
+    rng = np.random.default_rng(9)
+    for side, dense in ((DENSE_EIG_MAX_N, True), (DENSE_EIG_MAX_N + 1, False)):
+        a = rng.standard_normal((side, side))
+        a = 0.5 * (a + a.T)
+        res = lanczos_top(dense_op(a), 2, seed=0, matrix=a)
+        assert (res.matvecs == 2) == dense
+        if not dense:
+            plain = lanczos_top(dense_op(a), 2, seed=0)
+            assert res.matvecs > 2 and res.matvecs == plain.matvecs
+            assert np.array_equal(res.eigenvalues, plain.eigenvalues)
+            assert np.array_equal(res.eigenvectors, plain.eigenvectors)
