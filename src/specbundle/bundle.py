@@ -1,9 +1,10 @@
 """Outer proximal bundle loop over the penalized dual objective.
 
 Each iteration solves the proximal subproblem over the current spectral
-set, forms the candidate dual point, evaluates the true objective there (an
-extreme eigenvalue computation), accepts or rejects by the sufficient
-decrease test, and updates the model either way.  Aggregate primal
+set, forms the candidate dual point, evaluates the model and then the true
+objective there (an extreme eigenvalue computation, stopped early once the
+candidate certainly fails the sufficient decrease test), accepts or rejects
+by that test, and updates the model either way.  Aggregate primal
 statistics (trace, cost inner product, constraint image) are tracked in
 closed form so residuals never need the dense primal matrix.  The proximal
 weight is then rebalanced from those residuals, so it depends on outcomes,
@@ -47,6 +48,7 @@ __all__ = [
     "PrimalOutput",
     "FingerprintMismatch",
     "MAX_EXPLICIT_N",
+    "NULL_EXIT_RES",
     "Mapping",
     "penalized_obj",
     "candidate_iterate",
@@ -74,6 +76,12 @@ MAX_EXPLICIT_N = 20_000
 # the factor RHO_IMBALANCE
 RHO_IMBALANCE = 2.0
 RHO_STEP = 2.0
+
+# the candidate eigensolve stops, as a certain null step, once its leading
+# Ritz value puts f(y_cand) above the descent threshold and every wanted
+# residual is at most NULL_EXIT_RES * (f_y - model_val) / alpha; rough
+# vectors from an earlier exit slowed the warm arrival solves
+NULL_EXIT_RES = 0.1
 
 
 class FingerprintMismatch(RuntimeError):
@@ -225,6 +233,10 @@ class IterationInfo:
     eig_converged: bool
     eig_leading_residual: float
     eig_leading_converged: bool
+    # eig_decided: the eigensolve stopped at its decision exit, so the step
+    # is null by construction and f_cand and lam_cand are lower bounds on
+    # f(y_cand) and lambda_max there
+    eig_decided: bool
     # the proximal step: the pieces of its objective that the one
     # interior-point solve visited (1 without inequality rows), its Newton
     # steps, and alt_exact False when that solve stopped inexact
@@ -233,8 +245,9 @@ class IterationInfo:
     alt_exact: bool
     # perf_counter seconds of this iteration's phases (the proximal step with
     # its candidate point, the eigensolve at the candidate, the model value,
-    # the model update, the residuals with the next proximal weight) and of
-    # the whole iteration up to the callback, which holds them all
+    # which runs before the eigensolve, the model update, the residuals with
+    # the next proximal weight) and of the whole iteration up to the
+    # callback, which holds them all
     secs_prox: float
     secs_eig: float
     secs_model_val: float
@@ -255,12 +268,20 @@ class PrimalOutput:
 
 
 def penalized_obj(
-    prob: SdpProblem, y: np.ndarray, cfg: SolverConfig, k_c: Optional[int] = None
+    prob: SdpProblem,
+    y: np.ndarray,
+    cfg: SolverConfig,
+    k_c: Optional[int] = None,
+    f_stop: Optional[float] = None,
+    res_max: float = math.inf,
 ) -> tuple[float, Optional[EigResult]]:
     """Penalized dual objective and the extreme eigenpairs that realize it.
 
     Returns +inf with no eigenpairs when y violates the sign constraint on
-    inequality rows.
+    inequality rows.  With ``f_stop`` the eigensolve may stop at its
+    decision exit once the objective certainly exceeds ``f_stop``, every
+    wanted residual at most ``res_max``; the value returned is then a lower
+    bound on the objective (``eig.decided``).
     """
     idx = prob.ineq_idx
     if idx.size and np.min(y[idx]) < 0:
@@ -268,11 +289,17 @@ def penalized_obj(
     if k_c is None:
         k_c = min(cfg.k_c, prob.n)
     op = dual_slack_operator(prob, y)
+    b_y = float(prob.b @ y)
+    # f > f_stop once alpha * lambda_max > f_stop - <b, y>, and a Ritz value
+    # is at most lambda_max
+    theta_stop = None if f_stop is None else (f_stop - b_y) / prob.alpha
     # the array goes as an argument: a wrapper around lanczos_top may hand
     # it a rebuilt operator that does not carry it
-    eig = lanczos_top(op, k_c, seed=cfg.seed, matrix=op.matrix)
+    eig = lanczos_top(
+        op, k_c, seed=cfg.seed, matrix=op.matrix, theta_stop=theta_stop, res_max=res_max
+    )
     lam = float(eig.eigenvalues[0])
-    f = prob.alpha * max(lam, 0.0) + float(prob.b @ y)
+    f = prob.alpha * max(lam, 0.0) + b_y
     return f, eig
 
 
@@ -522,13 +549,23 @@ def solve(
         state.nu = alt.nu
         y_cand = candidate_iterate(state.y, alt.nu, alt.a_x, prob.b, rho, prob.ineq_idx)
         t1 = time.perf_counter()
-        f_cand, eig_cand = penalized_obj(prob, y_cand, cfg, k_c=state.model.k_c)
-        t2 = time.perf_counter()
         ev = ipm_eval(assemble_eval_coeffs(prob, state.model, y_cand, alt.cost_quad))
         model_val = float(prob.b @ y_cand) - ev.value
+        t2 = time.perf_counter()
+        # with a predicted decrease, the eigensolve may stop as soon as the
+        # candidate is certainly above the descent threshold f_stop
+        pred = state.f_y - model_val
+        f_stop, res_max = None, math.inf
+        if pred > 0:
+            f_stop, res_max = state.f_y - cfg.beta * pred, NULL_EXIT_RES * pred / prob.alpha
+        f_cand, eig_cand = penalized_obj(
+            prob, y_cand, cfg, k_c=state.model.k_c, f_stop=f_stop, res_max=res_max
+        )
         t3 = time.perf_counter()
 
-        accept = descent_test(state.f_y, f_cand, model_val, cfg.beta)
+        # a decision exit is a null step by construction; descent_test's
+        # rounding on its lower bound must not accept it
+        accept = not eig_cand.decided and descent_test(state.f_y, f_cand, model_val, cfg.beta)
         if accept:
             state.y, state.f_y, state.lam_y = y_cand, f_cand, float(eig_cand.eigenvalues[0])
             state.descent_steps += 1
@@ -576,12 +613,13 @@ def solve(
                     eig_converged=eig_cand.converged,
                     eig_leading_residual=float(eig_cand.residuals[0]),
                     eig_leading_converged=eig_cand.leading_converged,
+                    eig_decided=eig_cand.decided,
                     alt_passes=alt.passes,
                     alt_newton=alt.newton,
                     alt_exact=alt.exact,
                     secs_prox=t1 - t0,
-                    secs_eig=t2 - t1,
-                    secs_model_val=t3 - t2,
+                    secs_eig=t3 - t2,
+                    secs_model_val=t2 - t1,
                     secs_model_update=t5 - t4,
                     secs_residuals=t6 - t5,
                     secs_iter=t6 - t0,

@@ -60,6 +60,16 @@ CSV_HEADER = [
     "rounded",
 ]
 
+# the phases of IterationInfo's secs_* fields, with the labels the summary
+# prints their totals under
+_PHASES = {
+    "prox": "proximal step",
+    "eig": "eigensolve",
+    "model_val": "model value",
+    "model_update": "model update",
+    "residuals": "residuals",
+}
+
 # per-problem defaults: bundle parameters and sketch ranks used throughout
 # the experiments this tool reproduces
 _DEFAULTS = {
@@ -288,18 +298,25 @@ def _solve(args, state_fh) -> int:
 
     tracker = GapTracker() if (args.problem == "qap" and args.optimum is not None) else None
     out_path = args.out or "metrics.csv"
-    # summed over the iterations: eigensolve matvecs, leading-pair misses,
-    # Newton steps, inexact proximal steps
+    # summed over the iterations: eigensolve matvecs, leading-pair misses
+    # (decision exits left out), Newton steps, inexact proximal steps; then
+    # decision exits and the seconds of each phase
     totals = [0, 0, 0, 0]
+    exits = 0
+    phases = dict.fromkeys(_PHASES, 0.0)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
 
         def callback(info):
+            nonlocal exits
             totals[0] += info.eig_matvecs
-            totals[1] += not info.eig_leading_converged
+            totals[1] += not (info.eig_leading_converged or info.eig_decided)
             totals[2] += info.alt_newton
             totals[3] += not info.alt_exact
+            exits += info.eig_decided
+            for name in phases:
+                phases[name] += getattr(info, f"secs_{name}")
             rounded = ""
             if args.round:
                 output = primal_output(info.model)
@@ -346,6 +363,11 @@ def _solve(args, state_fh) -> int:
     print(
         "summary: eigensolve matvecs {}, leading-pair misses {}, Newton steps {}, "
         "inexact subproblem solves {}".format(*totals)
+    )
+    print(
+        "phases (s): "
+        + ", ".join(f"{_PHASES[name]} {secs:.3f}" for name, secs in phases.items())
+        + f"; decision exits {exits}"
     )
     return EXIT_OK if state.status == "converged" else EXIT_BUDGET
 

@@ -4,7 +4,9 @@ Thick-restart Lanczos with full reorthogonalization: the basis is small (a
 few dozen vectors) while the operator dimension may be huge, so keeping the
 basis fully orthogonal is cheap and avoids ghost eigenvalues.  Restarts keep
 the leading Ritz vectors, which makes the leading Ritz value non-decreasing
-from one cycle to the next.  An operator given as an explicit array of side
+from one cycle to the next, so a caller that only needs to know whether
+lambda_max exceeds a threshold can stop the iteration once a Ritz value
+does (the decision exit).  An operator given as an explicit array of side
 at most ``DENSE_EIG_MAX_N``, or smaller than the Krylov basis, gets its top
 pairs from one dense LAPACK solve instead.
 """
@@ -61,6 +63,9 @@ class EigResult:
     leading_converged: bool  # the leading pair, which gives lambda_max, met it
     restarts: int
     matvecs: int  # operator applications, the residual products of a dense solve included
+    # stopped at the decision exit: theta_0 > theta_stop with every wanted
+    # residual at most res_max, so the values are lower bounds, not converged
+    decided: bool = False
 
 
 def _seeded_unit(n: int, seed: int, counter: int) -> np.ndarray:
@@ -119,6 +124,8 @@ def lanczos_top(
     tol: float = 1e-9,
     seed: int = 0,
     matrix: Optional[np.ndarray] = None,
+    theta_stop: Optional[float] = None,
+    res_max: float = math.inf,
 ) -> EigResult:
     """Algebraically largest k_c Ritz pairs of a symmetric operator.
 
@@ -138,6 +145,15 @@ def lanczos_top(
     for bit the one ``max_restarts`` equal to its ``restarts`` gives, and is
     reported unconverged.  A result whose leading pair misses the tolerance
     is logged as a warning.
+
+    ``theta_stop`` arms a decision exit for a caller that needs only to
+    know whether ``lambda_max`` exceeds a threshold.  After any cycle that
+    has not converged, the iteration stops once the leading Ritz value
+    exceeds ``theta_stop`` and every wanted residual is at most
+    ``res_max``.  Every Ritz value is at most ``lambda_max``, so the
+    threshold is then certainly exceeded.  Such a result reports
+    ``decided=True`` and ``converged=False``, and logs no warning.
+    Without ``theta_stop`` the path is the one above, bit for bit.
 
     Each step projects the product once on the rows it reaches in exact
     arithmetic: the vector itself and the one before it, or on the first
@@ -164,7 +180,8 @@ def lanczos_top(
     identity).  A dense result has no restarts, its residuals come from one
     product of ``op`` with its eigenvectors, and ``matvecs`` counts those
     columns, plus ``n`` when the array was built from ``op``.  A non-finite
-    array raises ``NumericError``.
+    array raises ``NumericError``.  The dense routes ignore ``theta_stop``
+    and ``res_max``.
     """
     n = op.dim
     if k_c < 1:
@@ -186,6 +203,7 @@ def lanczos_top(
     ell = 0
     reseed_counter = 0
     converged = False
+    decided = False
     restarts_done = 0
     matvecs = 0
     trail: list[float] = []  # worst trailing residual of each cycle
@@ -233,6 +251,9 @@ def lanczos_top(
         if np.all(res[:k_c] <= tol_eff):
             converged = True
             break
+        if theta_stop is not None and theta[0] > theta_stop and np.all(res[:k_c] <= res_max):
+            decided = True
+            break
         if cycle == max_restarts:
             break
         if k_c > 1:
@@ -251,7 +272,7 @@ def lanczos_top(
         restarts_done += 1
 
     leading_converged = bool(res[0] <= tol_eff)
-    if not leading_converged:
+    if not (leading_converged or decided):
         log.warning(
             "leading Ritz pair unconverged after %d restarts: residual %.3e > tolerance %.3e",
             restarts_done,
@@ -268,4 +289,5 @@ def lanczos_top(
         leading_converged=leading_converged,
         restarts=restarts_done,
         matvecs=matvecs,
+        decided=decided,
     )

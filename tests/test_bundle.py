@@ -1101,3 +1101,88 @@ class TestAdaptiveRho:
         assert any(nxt > used for _, used, nxt in steps)
         if kind == "maxcut":
             assert any(nxt < used for _, used, nxt in steps)
+
+
+class TestDecisionExit:
+    """The candidate eigensolve stops at its decision exit once the step is
+    certainly null; a full eigensolve at the same candidate agrees."""
+
+    CFG = SolverConfig(rho=0.01, beta=0.25, k_c=10, k_p=1, sketch_rank=10, seed=0)
+
+    @staticmethod
+    def graph(n=2000, seed=1):
+        # a uniform random graph of average degree 8, the shape of the
+        # benchmark's MaxCut instances
+        rng = np.random.default_rng(seed)
+        u, v = rng.integers(0, n, (2, 4 * n))
+        keep = u != v
+        return build_maxcut(GraphInstance.from_arrays(n, u[keep], v[keep], np.ones(keep.sum())))
+
+    @staticmethod
+    def full_accuracy(real):
+        """``lanczos_top`` without the decision exit's arguments."""
+
+        def full(*args, theta_stop=None, res_max=None, **kwargs):
+            return real(*args, **kwargs)
+
+        return full
+
+    def test_every_decision_exit_is_a_null_step_of_the_full_eigensolve(self, monkeypatch):
+        from specbundle import bundle
+
+        prob = self.graph()
+        real = bundle.lanczos_top
+        full = self.full_accuracy(real)
+        replayed = []  # the full leading value at each candidate
+
+        def both(op, *args, **kwargs):
+            replayed.append(float(full(op, *args, **kwargs).eigenvalues[0]))
+            return real(op, *args, **kwargs)
+
+        monkeypatch.setattr(bundle, "lanczos_top", both)
+        records = []  # each record with the state's lam_y after its step
+        solve(
+            prob, replace(self.CFG, eps=1e-12, max_iters=30),
+            callback=lambda info: records.append((info, info.state.lam_y)),
+        )
+        assert len(replayed) == len(records) + 1  # cold_start's eigensolve first
+        lam_y = replayed[0]
+        decided = 0
+        for (info, lam_after), lam_full in zip(records, replayed[1:]):
+            if not info.eig_decided:
+                lam_y = lam_after
+                continue
+            decided += 1
+            f_full = prob.alpha * max(lam_full, 0.0) + float(prob.b @ info.y_cand)
+            assert info.step == "null"
+            assert not descent_test(info.f_y, f_full, info.model_val, self.CFG.beta)
+            # the exit's values are lower bounds, and lam_y stays as it was
+            assert info.lam_cand <= lam_full + 1e-12 * abs(lam_full)
+            assert info.f_cand <= f_full
+            assert lam_after == lam_y
+        assert decided >= 10, decided
+
+    def test_certifies_with_an_exact_lambda_in_fewer_matvecs(self, monkeypatch):
+        from scipy.sparse.linalg import LinearOperator, eigsh
+
+        from specbundle import bundle
+        from specbundle.problem import dual_slack_operator
+
+        prob = self.graph()
+        cfg = replace(self.CFG, eps=1e-3)
+        runs = []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(bundle, "lanczos_top", self.full_accuracy(bundle.lanczos_top))
+            infos = []
+            state, _ = solve(prob, cfg, callback=infos.append)
+            assert state.status == "converged"
+            runs.append((state, infos))
+        (state, infos), (_, full_infos) = runs
+        assert any(info.eig_decided for info in infos)
+        assert not any(info.eig_decided for info in full_infos)
+        assert sum(i.eig_matvecs for i in infos) < sum(i.eig_matvecs for i in full_infos)
+        op = dual_slack_operator(prob, state.y)
+        lin = LinearOperator((op.dim, op.dim), matvec=op.matvec, dtype=float)
+        ref = eigsh(lin, k=1, which="LA", tol=1e-12, return_eigenvectors=False)[0]
+        assert abs(state.lam_y - ref) <= 1e-8

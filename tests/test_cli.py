@@ -82,7 +82,9 @@ class TestSolveCommand:
         assert final[7] in ("descent", "null")
         assert float(final[8]) == 2.0
 
-    def test_summary_line_sums_the_callback_values(self, tmp_path, k3_file, capsys, monkeypatch):
+    @staticmethod
+    def record_iterations(monkeypatch) -> list:
+        """The iteration records of the CLI's solves, as its callback sees them."""
         infos = []
         real = cli_mod.solve
 
@@ -94,6 +96,10 @@ class TestSolveCommand:
             return real(*args, callback=both, **kwargs)
 
         monkeypatch.setattr(cli_mod, "solve", recorded)
+        return infos
+
+    def test_summary_line_sums_the_callback_values(self, tmp_path, k3_file, capsys, monkeypatch):
+        infos = self.record_iterations(monkeypatch)
         rc = main(
             [
                 "solve", "--problem", "maxcut", "--input", str(k3_file),
@@ -101,12 +107,45 @@ class TestSolveCommand:
             ]
         )
         assert rc == 0 and infos
-        last = capsys.readouterr().out.splitlines()[-1]
-        assert last == (
+        summary = capsys.readouterr().out.splitlines()[-2]
+        misses = sum(not (i.eig_leading_converged or i.eig_decided) for i in infos)
+        assert summary == (
             f"summary: eigensolve matvecs {sum(i.eig_matvecs for i in infos)}, "
-            f"leading-pair misses {sum(not i.eig_leading_converged for i in infos)}, "
+            f"leading-pair misses {misses}, "
             f"Newton steps {sum(i.alt_newton for i in infos)}, "
             f"inexact subproblem solves {sum(not i.alt_exact for i in infos)}"
+        )
+
+    def test_phases_line_sums_the_phase_seconds_and_counts_decision_exits(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a 300-vertex graph runs Lanczos, so some candidate eigensolves stop
+        # at their decision exit; none of those counts as a leading-pair miss
+        infos = self.record_iterations(monkeypatch)
+        path = tmp_path / "g.mtx"
+        write_graph_mm(random_graph(300, 0.03, 5), path)
+        rc = main(
+            [
+                "solve", "--problem", "maxcut", "--input", str(path),
+                "--max-iters", "30", "--out", str(tmp_path / "m.csv"),
+            ]
+        )
+        assert rc in (0, 2) and infos
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("summary: ")
+        exits = sum(i.eig_decided for i in infos)
+        assert exits > 0
+        assert all(i.step == "null" for i in infos if i.eig_decided)
+        misses = sum(not (i.eig_leading_converged or i.eig_decided) for i in infos)
+        assert f"leading-pair misses {misses}," in lines[-2]
+        sums = {
+            name: sum(getattr(i, f"secs_{name}") for i in infos)
+            for name in ("prox", "eig", "model_val", "model_update", "residuals")
+        }
+        assert lines[-1] == (
+            f"phases (s): proximal step {sums['prox']:.3f}, eigensolve {sums['eig']:.3f}, "
+            f"model value {sums['model_val']:.3f}, model update {sums['model_update']:.3f}, "
+            f"residuals {sums['residuals']:.3f}; decision exits {exits}"
         )
 
     def test_byte_order_mark_input(self, tmp_path):

@@ -406,3 +406,64 @@ def test_csr_slack_and_large_array_run_lanczos():
             assert res.matvecs > 2 and res.matvecs == plain.matvecs
             assert np.array_equal(res.eigenvalues, plain.eigenvalues)
             assert np.array_equal(res.eigenvectors, plain.eigenvectors)
+
+
+def _decision_exit(op, k_c=10):
+    """A threshold between the leading Ritz values of the first two cycles,
+    and a residual bound the second cycle meets: the full eigensolve and
+    the one that stops at the decision exit."""
+    full = lanczos_top(op, k_c, seed=0)
+    theta_stop = float(full.eigenvalues[0]) - 1e-5
+    res_max = 1e-3
+    return full, theta_stop, res_max, lanczos_top(
+        op, k_c, seed=0, theta_stop=theta_stop, res_max=res_max
+    )
+
+
+def test_decision_exit_stops_above_the_threshold_within_the_residual_bound():
+    op = _maxcut_slack_op()
+    full, theta_stop, res_max, res = _decision_exit(op)
+    assert res.decided and not res.converged
+    assert res.eigenvalues[0] > theta_stop
+    assert np.all(res.residuals <= res_max)
+    assert res.restarts >= 1 and res.matvecs < full.matvecs
+    # a threshold at lambda_max is never passed, so the call is the full one
+    top = lanczos_top(op, 10, seed=0, theta_stop=float(full.eigenvalues[0]), res_max=np.inf)
+    assert not top.decided
+    assert (top.converged, top.restarts, top.matvecs) == (full.converged, full.restarts, full.matvecs)
+    for field in ("eigenvalues", "eigenvectors", "residuals"):
+        assert np.array_equal(getattr(top, field), getattr(full, field))
+
+
+def test_decision_exit_leading_value_is_at_most_lambda_max():
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    op = _maxcut_slack_op()
+    _, _, _, res = _decision_exit(op)
+    lin = LinearOperator((op.dim, op.dim), matvec=op.matvec, dtype=float)
+    ref = eigsh(lin, k=1, which="LA", tol=1e-14, return_eigenvectors=False)[0]
+    assert res.decided
+    assert res.eigenvalues[0] <= ref + 1e-12 * abs(ref)
+
+
+def test_decision_exit_logs_no_warning(caplog):
+    op = _maxcut_slack_op()
+    with caplog.at_level("DEBUG", logger="specbundle.eigsolve"):
+        _, _, _, res = _decision_exit(op)
+    assert res.decided
+    # the leading pair is far from its tolerance, which without the
+    # decision exit would be logged as a warning
+    assert not res.leading_converged
+    assert caplog.records == []
+
+
+def test_dense_routes_ignore_the_decision_exit():
+    small = dense_op(np.diag(np.arange(6.0)))  # no larger than the basis
+    op = _qap_slack(5, seed=3)
+    for operator, matrix in ((small, None), (op, op.matrix)):
+        plain = lanczos_top(operator, 2, seed=0, matrix=matrix)
+        res = lanczos_top(operator, 2, seed=0, matrix=matrix, theta_stop=-np.inf, res_max=np.inf)
+        assert not res.decided and res.converged
+        assert res.matvecs == plain.matvecs
+        for field in ("eigenvalues", "eigenvectors", "residuals"):
+            assert np.array_equal(getattr(res, field), getattr(plain, field))
