@@ -11,6 +11,7 @@ from .bundle import (
     SolverState,
     cold_start,
     compute_residuals,
+    default_config,
     load_state,
     primal_output,
     save_state,

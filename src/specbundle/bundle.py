@@ -38,6 +38,7 @@ from .symlin import small_eigh
 
 __all__ = [
     "SolverConfig",
+    "default_config",
     "AggregateStats",
     "ExplicitStore",
     "SketchStore",
@@ -68,8 +69,8 @@ __all__ = [
 
 
 # largest problem side for which cold_start keeps the aggregate primal matrix
-# as a dense n x n array (sketch_rank = 0): 3.2 GB of float64 at this size
-MAX_EXPLICIT_N = 20_000
+# as a dense n x n array (sketch_rank = 0): 134 MB of float64 at this size
+MAX_EXPLICIT_N = 4_096
 
 # residual balancing of the proximal weight (see balance_rho): rho moves by
 # the factor RHO_STEP when one side of the certificate exceeds the other by
@@ -90,12 +91,16 @@ class FingerprintMismatch(RuntimeError):
 
 @dataclass
 class SolverConfig:
+    """Solver settings.  The defaults are the MaxCut setting, which sketches
+    the primal matrix at rank 10, so no default allocates an n x n array;
+    :func:`default_config` gives the setting of each problem kind."""
+
     rho: float = 0.01  # the initial proximal weight; solve adapts it
     beta: float = 0.25
     k_c: int = 10
     k_p: int = 1
     eps: float = 1e-3
-    sketch_rank: int = 0  # 0 keeps the aggregate matrix explicitly (n <= MAX_EXPLICIT_N)
+    sketch_rank: int = 10  # 0 keeps the aggregate matrix explicitly (n <= MAX_EXPLICIT_N)
     max_iters: int = 1000
     max_time: Optional[float] = None
     seed: int = 0
@@ -117,6 +122,18 @@ class SolverConfig:
         for name, (ok, rule) in rules.items():
             if not ok:
                 raise ValueError(f"SolverConfig.{name} must be {rule}, got {getattr(self, name)!r}")
+
+
+def default_config(kind: str, size: int, **overrides) -> SolverConfig:
+    """The settings for a ``"maxcut"`` or ``"qap"`` problem, with
+    ``overrides`` applied.  MaxCut takes SolverConfig's defaults.  QAP
+    takes a smaller proximal weight, two spectral columns and no past one,
+    and a sketch of rank ``size``, the assignment size."""
+    if kind == "qap":
+        overrides = {"rho": 0.005, "k_c": 2, "k_p": 0, "sketch_rank": size, **overrides}
+    elif kind != "maxcut":
+        raise ValueError(f"unknown problem kind {kind!r}")
+    return SolverConfig(**overrides)
 
 
 @dataclass

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields, replace
 from typing import Optional
 
 import numpy as np
@@ -70,19 +71,9 @@ _PHASES = {
     "residuals": "residuals",
 }
 
-# per-problem defaults: bundle parameters and sketch ranks used throughout
-# the experiments this tool reproduces
-_DEFAULTS = {
-    "maxcut": {"rho": 0.01, "beta": 0.25, "kc": 10, "kp": 1, "sketch_rank": 10},
-    "qap": {"rho": 0.005, "beta": 0.25, "kc": 2, "kp": 0, "sketch_rank": None},
-}
-_COMMON = {
-    "eps": 1e-3,
-    "max_iters": 1000,
-    "max_time": None,
-    "seed": 0,
-    "linf_check": False,
-}
+# config keys and flags are SolverConfig's field names, except these two
+_ALIASES = {"kc": "k_c", "kp": "k_p"}
+_KEYS = [f.name for f in fields(SolverConfig) if f.name not in _ALIASES.values()] + list(_ALIASES)
 
 
 class UsageError(Exception):
@@ -158,44 +149,29 @@ def _coerce(key, value, like):
     try:
         if isinstance(like, bool):
             return _BOOLEANS[value.lower()]
-        if isinstance(like, int):
-            return int(value)
-        if isinstance(like, float) or like is None:
-            return float(value)
+        return int(value) if isinstance(like, int) else float(value)
     except (KeyError, ValueError):
         kind = ("a boolean (1/true/yes/on or 0/false/no/off)" if isinstance(like, bool)
                 else "an integer" if isinstance(like, int) else "a number")
         raise UsageError(f"config key {key!r} must be {kind}, not {value!r}") from None
-    return value
 
 
 def _resolve_config(args, kind: str, instance) -> SolverConfig:
-    settings = dict(_COMMON)
-    settings.update(_DEFAULTS[kind])
-    if settings["sketch_rank"] is None:  # assignment problems sketch at the block size
-        settings["sketch_rank"] = instance.size
+    """The kind's default settings, overridden by the config file, then by
+    the flags.  A file's value is read as the type of the setting it
+    replaces (a number where that is None)."""
+    cfg = bundle.default_config(kind, instance.size if kind == "qap" else instance.n)
+    settings = {}
     if args.config:
-        file_vals = _read_config_file(args.config)
-        for key, val in file_vals.items():
-            if key not in settings:
+        for key, val in _read_config_file(args.config).items():
+            if key not in _KEYS:
                 raise UsageError(f"unknown config key {key!r}")
-            settings[key] = _coerce(key, val, settings[key])
-    for key in settings:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = flag
-    return SolverConfig(
-        rho=settings["rho"],
-        beta=settings["beta"],
-        k_c=settings["kc"],
-        k_p=settings["kp"],
-        eps=settings["eps"],
-        sketch_rank=int(settings["sketch_rank"]),
-        max_iters=settings["max_iters"],
-        max_time=settings["max_time"],
-        seed=int(settings["seed"]),
-        linf_check=bool(settings["linf_check"]),
-    )
+            name = _ALIASES.get(key, key)
+            settings[name] = _coerce(key, val, getattr(cfg, name))
+    for key in _KEYS:
+        if getattr(args, key) is not None:
+            settings[_ALIASES.get(key, key)] = getattr(args, key)
+    return replace(cfg, **settings)
 
 
 def _load_instance(kind: str, path):

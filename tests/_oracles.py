@@ -1316,3 +1316,31 @@ def orthonormalize_frozen(a: np.ndarray) -> np.ndarray:
             rest = work[:, alive]
             work[:, alive] = rest - np.outer(q, q @ rest)
     return np.column_stack(basis) if basis else np.zeros((a.shape[0], 0))
+
+
+# the CLI's settings tables as they stood while the CLI kept its own copy of
+# them: keyed by the CLI's names (kc, kp), with a QAP sketch rank of None
+# meaning the assignment size
+CLI_DEFAULTS_FROZEN = {
+    "maxcut": {"rho": 0.01, "beta": 0.25, "kc": 10, "kp": 1, "sketch_rank": 10},
+    "qap": {"rho": 0.005, "beta": 0.25, "kc": 2, "kp": 0, "sketch_rank": None},
+}
+CLI_COMMON_FROZEN = {
+    "eps": 1e-3,
+    "max_iters": 1000,
+    "max_time": None,
+    "seed": 0,
+    "linf_check": False,
+}
+
+
+def cli_settings_frozen(kind: str, size: int, **changes) -> dict:
+    """The SolverConfig fields, by field name, that the frozen tables give
+    for a problem kind and assignment size, with ``changes`` (keyed by the
+    CLI's names) applied on top."""
+    settings = {**CLI_COMMON_FROZEN, **CLI_DEFAULTS_FROZEN[kind], **changes}
+    if settings["sketch_rank"] is None:
+        settings["sketch_rank"] = size
+    settings["k_c"] = settings.pop("kc")
+    settings["k_p"] = settings.pop("kp")
+    return settings

@@ -1,3 +1,11 @@
+import os
+
+# one BLAS/OpenMP thread, as CI and the benchmark run, unless the caller set
+# a count: the thread count changes a solve's path and its iteration count.
+# BLAS reads these when numpy is first imported, which is below.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import sys
 from pathlib import Path
 

@@ -22,6 +22,7 @@ from specbundle.bundle import (
     Mapping,
     Residuals,
     SolverConfig,
+    SketchStore,
     _HEADER,
     _completion_columns,
     balance_rho,
@@ -1024,6 +1025,18 @@ class TestExplicitStoreLimit:
             cold_start(prob, SolverConfig(sketch_rank=0))
         with pytest.raises(ValueError, match="sketch_rank"):
             solve(prob, SolverConfig(sketch_rank=0))
+
+    def test_default_settings_store_no_dense_matrix(self):
+        """SolverConfig() sketches: at n = 20,000 a dense store would be
+        3.2 GB, and cold_start stays far below that."""
+        tracemalloc.start()
+        try:
+            state = cold_start(build_maxcut(path_graph(20_000)), SolverConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(state.model.store, SketchStore)
+        assert peak < 64 << 20
 
     def test_limit_is_inclusive_and_sketch_is_exempt(self, monkeypatch):
         from specbundle import bundle

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from _oracles import qap_constraint_entries_frozen
+from _oracles import cli_settings_frozen, qap_constraint_entries_frozen
 from conftest import graph_from_edges, random_graph, random_qap
 from specbundle import cli as cli_mod
 from specbundle.cli import main
@@ -384,6 +384,43 @@ class TestSolveCommand:
         from specbundle.cli import _coerce
 
         assert _coerce("linf_check", value, False) is expected
+
+
+class TestResolvedConfig:
+    """The CLI resolves to the library's settings, which equal, field by
+    field and type by type, the tables the CLI kept before the library's
+    defaults became their one source."""
+
+    CONFIG = (
+        "rho = 0.5\nbeta = 0.5\nkc = 3\nkp = 2\nsketch-rank = 7\n"
+        "max_time = 2\nseed = 5\nlinf_check = yes\n"
+    )
+    FROM_CONFIG = dict(
+        rho=0.5, beta=0.5, kc=3, kp=2, sketch_rank=7, max_time=2.0, seed=5, linf_check=True
+    )
+    FLAGS = ["--rho", "0.25", "--kc", "4", "--kp", "0", "--eps", "1e-4", "--max-iters", "7"]
+    FROM_FLAGS = dict(rho=0.25, kc=4, kp=0, eps=1e-4, max_iters=7)
+
+    @pytest.mark.parametrize("kind", ["maxcut", "qap"])
+    @pytest.mark.parametrize("case", ["defaults", "config", "flags over config"])
+    def test_settings_match_the_frozen_tables(self, tmp_path, kind, case):
+        instance = random_graph(5, 0.8, 1) if kind == "maxcut" else random_qap(4, 0)
+        argv = ["solve", "--problem", kind, "--input", "unread"]
+        changes = {}
+        if case != "defaults":
+            path = tmp_path / "cfg"
+            path.write_text(self.CONFIG)
+            argv += ["--config", str(path)]
+            changes.update(self.FROM_CONFIG)
+        if case == "flags over config":
+            argv += self.FLAGS
+            changes.update(self.FROM_FLAGS)
+        cfg = cli_mod._resolve_config(cli_mod._build_parser().parse_args(argv), kind, instance)
+        assert type(cfg) is cli_mod.SolverConfig
+        typed = {f: (type(v), v) for f, v in vars(cfg).items()}
+        expected = cli_settings_frozen(kind, 4, **changes)  # 4: the QAP assignment size
+        assert typed == {f: (type(v), v) for f, v in expected.items()}
+
 
 class TestRoundCommand:
     def test_round_saved_k3(self, tmp_path, k3_file, capsys):

@@ -1,6 +1,6 @@
 """README's "Library use" block runs as written and prints what its
 comments say, its state-file section matches the header layout, and its
-CLI defaults match the CLI's."""
+CLI defaults match the library's."""
 import contextlib
 import io
 import re
@@ -36,6 +36,8 @@ def test_state_header_field_count_matches_the_layout():
 
 
 def test_documented_cli_defaults_match_the_cli():
+    """The CLI starts from ``bundle.default_config``, so README's CLI
+    defaults are the library's."""
     text = " ".join(README.read_text().split())
     sentence = re.search(
         r"per-problem defaults \(MaxCut: `([^`]*)`; QAP: `([^`]*)`; both: `([^`]*)`\)", text
@@ -49,11 +51,14 @@ def test_documented_cli_defaults_match_the_cli():
 
     maxcut, qap, both = (pairs(group) for group in sentence.groups())
     for kind, own in (("maxcut", maxcut), ("qap", qap)):
-        settings = {**cli._COMMON, **cli._DEFAULTS[kind]}
-        documented = {**both, **own}
-        assert cli._DEFAULTS[kind].keys() <= documented.keys() <= settings.keys()
+        settings = vars(bundle.default_config(kind, 7))
+        # every numeric setting is documented; max_time (None, no limit)
+        # and linf_check (False) need not be
+        numbers = {key for key, value in settings.items() if type(value) in (int, float)}
+        documented = {cli._ALIASES.get(key, key): value for key, value in {**both, **own}.items()}
+        assert numbers <= documented.keys() <= settings.keys()
         for key, value in documented.items():
-            if settings[key] is None:  # the QAP sketch rank follows the instance
-                assert value == "n", key
+            if getattr(bundle.default_config(kind, 8), key) != settings[key]:
+                assert value == "n" and settings[key] == 7, key  # follows the instance
             else:
                 assert float(value) == settings[key], key
