@@ -1,6 +1,6 @@
 """Spectral bundle solver for semidefinite programs with mixed equality and
-inequality constraints, with optional randomized sketching of the primal
-matrix and end-to-end MaxCut / assignment-problem pipelines."""
+inequality constraints, which keeps the primal matrix as a randomized
+(Nystrom) sketch, with end-to-end MaxCut / assignment-problem pipelines."""
 
 from .bundle import (
     BundleModel,

@@ -40,7 +40,6 @@ __all__ = [
     "SolverConfig",
     "default_config",
     "AggregateStats",
-    "ExplicitStore",
     "SketchStore",
     "BundleModel",
     "SolverState",
@@ -48,7 +47,6 @@ __all__ = [
     "IterationInfo",
     "PrimalOutput",
     "FingerprintMismatch",
-    "MAX_EXPLICIT_N",
     "NULL_EXIT_RES",
     "Mapping",
     "penalized_obj",
@@ -67,10 +65,6 @@ __all__ = [
     "fingerprint_of",
 ]
 
-
-# largest problem side for which cold_start keeps the aggregate primal matrix
-# as a dense n x n array (sketch_rank = 0): 134 MB of float64 at this size
-MAX_EXPLICIT_N = 4_096
 
 # residual balancing of the proximal weight (see balance_rho): rho moves by
 # the factor RHO_STEP when one side of the certificate exceeds the other by
@@ -100,7 +94,7 @@ class SolverConfig:
     k_c: int = 10
     k_p: int = 1
     eps: float = 1e-3
-    sketch_rank: int = 10  # 0 keeps the aggregate matrix explicitly (n <= MAX_EXPLICIT_N)
+    sketch_rank: int = 10  # clamped to n; at n the reconstruction is exact
     max_iters: int = 1000
     max_time: Optional[float] = None
     seed: int = 0
@@ -115,7 +109,7 @@ class SolverConfig:
             "k_c": (self.k_c >= 1, "at least 1"),
             "k_p": (self.k_p >= 0, "at least 0"),
             "eps": (0 < self.eps < math.inf, "positive and finite"),
-            "sketch_rank": (self.sketch_rank >= 0, "at least 0"),
+            "sketch_rank": (self.sketch_rank >= 1, "at least 1"),
             "max_iters": (self.max_iters >= 0, "at least 0"),
             "max_time": (self.max_time is None or self.max_time >= 0, "None or at least 0"),
         }
@@ -147,30 +141,16 @@ class AggregateStats:
 
 
 @dataclass
-class ExplicitStore:
-    xbar: np.ndarray
-
-    def update(self, eta: float, factor: np.ndarray, lams: np.ndarray) -> "ExplicitStore":
-        """A new store of eta * Xbar + factor diag(lams) factor^T; this one
-        keeps its matrix, so each BundleModel owns its iteration's aggregate."""
-        return ExplicitStore(eta * self.xbar + (factor * lams[None, :]) @ factor.T)
-
-    def factorize(self) -> tuple[np.ndarray, np.ndarray]:
-        vals, vecs = small_eigh(self.xbar)
-        keep = vals > max(vals.max(initial=0.0), 0.0) * 1e-12
-        if not np.any(keep):
-            n = self.xbar.shape[0]
-            return np.eye(n, 1), np.zeros(1)
-        return vecs[:, keep], vals[keep]
-
-
-@dataclass
 class SketchStore:
+    """The primal store: a Nystrom sketch of the aggregate matrix Xbar.  At
+    rank n the test matrix is invertible and the reconstruction is Xbar."""
+
     sk: sketchmod.NystromSketch
 
     def update(self, eta: float, factor: np.ndarray, lams: np.ndarray) -> "SketchStore":
-        """A new store holding the sketch of the same transition as
-        :meth:`ExplicitStore.update`; this one keeps its sketch."""
+        """A new store holding the sketch of eta * Xbar + factor diag(lams)
+        factor^T; this one keeps its sketch, so each BundleModel owns its
+        iteration's aggregate."""
         return SketchStore(sketchmod.sketch_update(self.sk, eta, factor, lams))
 
     def factorize(self) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +163,7 @@ class BundleModel:
     stats: AggregateStats
     k_c: int
     k_p: int
-    store: object  # ExplicitStore | SketchStore
+    store: SketchStore
 
     @property
     def k(self) -> int:
@@ -277,7 +257,6 @@ class IterationInfo:
 class PrimalOutput:
     factor: np.ndarray  # n x r orthonormal columns
     lams: np.ndarray
-    dense: Optional[np.ndarray] = None
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +395,6 @@ def model_update(
 
 def compute_residuals(
     prob: SdpProblem,
-    y: np.ndarray,
     f_y: float,
     lam_y: float,
     primal: AggregateStats,
@@ -473,26 +451,15 @@ def _derived_seed(seed: int) -> int:
     return int(np.random.SeedSequence(int(seed)).generate_state(1)[0])
 
 
-def _check_explicit_size(n: int) -> None:
-    """Refuse a dense n x n primal store above MAX_EXPLICIT_N."""
-    if n > MAX_EXPLICIT_N:
-        raise ValueError(
-            f"sketch_rank=0 stores a dense {n} x {n} primal matrix; "
-            f"it is allowed up to n={MAX_EXPLICIT_N}, so set sketch_rank > 0"
-        )
-
-
 def cold_start(prob: SdpProblem, cfg: SolverConfig) -> SolverState:
     """Zero dual point, zero aggregate, basis from the cost's top eigenpairs
-    completed deterministically to k columns.  Raises ValueError for
-    ``sketch_rank = 0`` above ``MAX_EXPLICIT_N``, before any eigensolve.
+    completed deterministically to k columns, and a zero sketch of rank
+    ``min(sketch_rank, n)``.
 
     The eigensolve that yields the basis is the evaluation of the penalized
     objective at y = 0, so the state carries f(0) and lambda_max(C) and
     ``solve`` starts from it without a second eigensolve.
     """
-    if cfg.sketch_rank == 0:
-        _check_explicit_size(prob.n)
     k_c, k_p = _clamped_dims(prob, cfg)
     k = k_c + k_p
     sketch_seed = _derived_seed(cfg.seed)
@@ -500,13 +467,7 @@ def cold_start(prob: SdpProblem, cfg: SolverConfig) -> SolverState:
     f_y, eig = penalized_obj(prob, y, cfg, k_c=k_c)
     basis = _completion_columns(eig.eigenvectors, k, cfg.seed, tag=0)
     stats = AggregateStats(0.0, 0.0, np.zeros(prob.m))
-    if cfg.sketch_rank > 0:
-        r = min(cfg.sketch_rank, prob.n)
-        store: object = SketchStore(
-            sketchmod.sketch_init(prob.n, r, sketch_seed)
-        )
-    else:
-        store = ExplicitStore(np.zeros((prob.n, prob.n)))
+    store = SketchStore(sketchmod.sketch_init(prob.n, min(cfg.sketch_rank, prob.n), sketch_seed))
     model = BundleModel(basis=basis, stats=stats, k_c=k_c, k_p=k_p, store=store)
     return SolverState(
         y=y,
@@ -549,7 +510,7 @@ def solve(
         state.lam_y = float(eig.eigenvalues[0])
     if state.last_primal is None:  # the last iterate's primal is not saved
         state.last_primal = state.model.stats.copy()
-    state.residuals = compute_residuals(prob, state.y, state.f_y, state.lam_y, state.last_primal)
+    state.residuals = compute_residuals(prob, state.f_y, state.lam_y, state.last_primal)
     state.iterations = 0
     state.status = "converged" if state.residuals.converged(cfg.eps, cfg.linf_check) else None
 
@@ -599,9 +560,7 @@ def solve(
         )
         t5 = time.perf_counter()
         state.last_primal = AggregateStats(alt.tr_x, alt.c_x, alt.a_x)
-        state.residuals = compute_residuals(
-            prob, state.y, state.f_y, state.lam_y, state.last_primal
-        )
+        state.residuals = compute_residuals(prob, state.f_y, state.lam_y, state.last_primal)
         state.rho = balance_rho(rho, state.residuals, accept)
         state.iterations += 1
         t6 = time.perf_counter()
@@ -650,8 +609,7 @@ def solve(
 
 def primal_output(model: BundleModel) -> PrimalOutput:
     factor, lams = model.store.factorize()
-    dense = model.store.xbar if isinstance(model.store, ExplicitStore) else None
-    return PrimalOutput(factor=factor, lams=lams, dense=dense)
+    return PrimalOutput(factor=factor, lams=lams)
 
 
 # ---------------------------------------------------------------------------
@@ -659,14 +617,14 @@ def primal_output(model: BundleModel) -> PrimalOutput:
 
 _MAGIC = b"USBS"
 _VERSION = 2
+_SKETCH_KIND = 2  # the store kind of a sketch; kind 1 held a dense n x n store
 # the fixed-size head of a state file, in order: magic, version; the problem
-# fingerprint n, m, |I|, hash of b; k_c, k_p; store kind (1 explicit,
-# 2 sketch), sketch rank, psi seed; scale_x, scale_c; f_y, lam_y (NaN when
-# unknown); descent steps, null steps; aggregate trace, aggregate cost
-# inner product; the proximal weight rho (NaN when unknown).  The float64
-# payload follows: y, nu, the aggregate constraint image, the n x k basis,
-# then the n x n matrix or the n x r sketch.  Version 1 is the same file
-# without rho.
+# fingerprint n, m, |I|, hash of b; k_c, k_p; store kind (_SKETCH_KIND),
+# sketch rank, psi seed; scale_x, scale_c; f_y, lam_y (NaN when unknown);
+# descent steps, null steps; aggregate trace, aggregate cost inner product;
+# the proximal weight rho (NaN when unknown).  The float64 payload follows: y, nu, the
+# aggregate constraint image, the n x k basis, then the n x r sketch.
+# Version 1 is the same file without rho.
 _HEADER = struct.Struct("<4sI QQQQ II B II dd dd QQ dd d")
 _HEADER_V1 = struct.Struct(_HEADER.format[:-2])
 
@@ -703,20 +661,16 @@ def save_state(path, state: SolverState, prob: SdpProblem) -> None:
     """Versioned little-endian binary container for warm starts, written to
     a file name or to a binary file object opened for writing."""
     model = state.model
-    store = model.store
-    if isinstance(store, ExplicitStore):
-        kind, rank, seed, store_mat = 1, 0, 0, store.xbar
-    else:
-        kind, rank, seed, store_mat = 2, store.sk.r, store.sk.psi_seed, store.sk.sketch_mat
+    sk = model.store.sk
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
         *fingerprint_of(prob),
         model.k_c,
         model.k_p,
-        kind,
-        rank,
-        seed & 0xFFFFFFFF,
+        _SKETCH_KIND,
+        sk.r,
+        sk.psi_seed & 0xFFFFFFFF,
         state.scale_x,
         prob.scale_c,
         state.f_y if state.f_y is not None else np.nan,
@@ -729,7 +683,7 @@ def save_state(path, state: SolverState, prob: SdpProblem) -> None:
     )
     with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "wb") as fh:
         fh.write(header)
-        for arr in (state.y, state.nu, model.stats.constr_image, model.basis, store_mat):
+        for arr in (state.y, state.nu, model.stats.constr_image, model.basis, sk.sketch_mat):
             # the array's own buffer when it is C-contiguous little-endian
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
@@ -738,7 +692,8 @@ def load_state(path) -> StateRecord:
     """Read a state file written by :func:`save_state`, or by its version 1,
     which has no rho: such a state, like one saved with ``rho=None``, has
     ``rho=None`` and resumes at ``cfg.rho``.  Raises ValueError for a wrong
-    magic or version, an unknown store kind, ``k_c < 1``, ``k_c + k_p > n``,
+    magic or version, a store kind other than 2 (the sketch; kind 1, a
+    dense store, is no longer read), ``k_c < 1``, ``k_c + k_p > n``,
     a sketch rank outside [1, n] (the rules :func:`cold_start` keeps), a rho
     that is not positive, a payload shorter or longer than the header
     declares, non-finite arrays or statistics, and a path that is not a
@@ -783,19 +738,21 @@ def load_state(path) -> StateRecord:
             cost_ip,
             rho,
         ) = fields if version == _VERSION else fields + (np.nan,)
-        if kind not in (1, 2):
-            raise ValueError(f"unknown store kind {kind} in state file (1 explicit, 2 sketch)")
+        if kind != _SKETCH_KIND:
+            raise ValueError(
+                f"state file has store kind {kind}; only kind {_SKETCH_KIND}, a sketch, "
+                "is read (kind 1, a dense store, is no longer supported)"
+            )
         if k_c < 1:
             raise ValueError(f"state file has k_c = {k_c}; it must be at least 1")
         k = k_c + k_p
         if k > n:
             raise ValueError(f"state file has k_c + k_p = {k}; it must be at most n = {n}")
-        if kind == 2 and not 1 <= rank <= n:
+        if not 1 <= rank <= n:
             raise ValueError(f"state file has sketch rank {rank}; it must lie in [1, n = {n}]")
         if not (np.isnan(rho) or (np.isfinite(rho) and rho > 0)):
             raise ValueError(f"state file has rho = {rho}; it must be positive and finite")
-        store_size = n * n if kind == 1 else n * rank
-        count = 3 * m + n * k + store_size
+        count = 3 * m + n * k + n * rank
         expected = header.size + 8 * count
         if size < expected:
             raise ValueError(f"truncated state file: {size} bytes, the header declares {expected}")
@@ -809,17 +766,10 @@ def load_state(path) -> StateRecord:
     payload = payload.astype(float, copy=False)
     if not (np.all(np.isfinite(payload)) and np.isfinite([scale_x, scale_c, trace, cost_ip]).all()):
         raise ValueError("state file holds non-finite arrays, scales, trace or cost")
-    y, nu, a_xbar, basis, store_mat = np.split(payload, np.cumsum([m, m, m, n * k]))
-    if kind == 1:
-        store: object = ExplicitStore(store_mat.reshape(n, n))
-    else:
-        store = SketchStore(
-            sketchmod.NystromSketch(
-                n=n, r=rank, psi_seed=psi_seed, sketch_mat=store_mat.reshape(n, rank)
-            )
-        )
+    y, nu, a_xbar, basis, sketch_mat = np.split(payload, np.cumsum([m, m, m, n * k]))
+    sk = sketchmod.NystromSketch(n, rank, psi_seed, sketch_mat.reshape(n, rank))
     stats = AggregateStats(trace, cost_ip, a_xbar)
-    model = BundleModel(basis=basis.reshape(n, k), stats=stats, k_c=k_c, k_p=k_p, store=store)
+    model = BundleModel(basis.reshape(n, k), stats, k_c, k_p, store=SketchStore(sk))
     state = SolverState(
         y=y,
         nu=nu,
@@ -908,10 +858,10 @@ def warm_start_pad(
     weight rho is carried over as it is.  The primal factor is padded with
     zero rows on new vertices and rescaled by the ratio of trace
     normalizations so the padded matrix represents the same unscaled
-    object; statistics are recomputed against the new problem data.  A
-    dense store is refused, with the ValueError of :func:`cold_start`, when
-    the new problem is larger than ``MAX_EXPLICIT_N``.  Both maps must be
-    injective and in range; a ValueError names the map that is not.
+    object; statistics are recomputed against the new problem data, and
+    the padded matrix is sketched afresh at the old rank, clamped to the
+    new n.  Both maps must be injective and in range; a ValueError names
+    the map that is not.
     """
     vmap = np.asarray(mapping.vertex_map, dtype=np.int64)
     cmap = np.asarray(mapping.constraint_map, dtype=np.int64)
@@ -928,8 +878,6 @@ def warm_start_pad(
             raise ValueError(f"{name} mapping is not injective: index {dup} appears more than once")
 
     model = prev.model
-    if isinstance(model.store, ExplicitStore):
-        _check_explicit_size(new_prob.n)
     tau = prev.scale_x / new_prob.scale_x
     factor_old, lams_old = model.store.factorize()
     # old row of each new vertex; a new vertex points one past the last row
@@ -950,13 +898,9 @@ def warm_start_pad(
     image = new_prob.constraints.primal_image_factor(factor, lams)
     stats = AggregateStats(trace, cost_ip, image)
 
-    if isinstance(model.store, ExplicitStore):
-        store: object = ExplicitStore((factor * lams[None, :]) @ factor.T)
-    else:
-        seed = sketch_seed if sketch_seed is not None else model.store.sk.psi_seed
-        sk = sketchmod.sketch_init(new_prob.n, min(model.store.sk.r, new_prob.n), seed)
-        sk = sketchmod.sketch_update(sk, 0.0, factor, lams)
-        store = SketchStore(sk)
+    seed = sketch_seed if sketch_seed is not None else model.store.sk.psi_seed
+    sk = sketchmod.sketch_init(new_prob.n, min(model.store.sk.r, new_prob.n), seed)
+    store = SketchStore(sketchmod.sketch_update(sk, 0.0, factor, lams))
 
     new_model = BundleModel(basis=basis, stats=stats, k_c=model.k_c, k_p=model.k_p, store=store)
     return SolverState(

@@ -99,7 +99,10 @@ def _build_parser() -> _Parser:
     ps.add_argument("--beta", type=float, default=None)
     ps.add_argument("--kc", type=int, default=None)
     ps.add_argument("--kp", type=int, default=None)
-    ps.add_argument("--sketch-rank", type=int, default=None, help="0 stores the aggregate densely")
+    ps.add_argument(
+        "--sketch-rank", type=int, default=None,
+        help="at least 1; clamped to n, where the primal output is exact",
+    )
     ps.add_argument("--eps", type=float, default=None)
     ps.add_argument("--max-iters", type=int, default=None)
     ps.add_argument("--max-time", type=float, default=None)

@@ -12,7 +12,6 @@ pairs from one dense LAPACK solve instead.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -23,8 +22,6 @@ from scipy.linalg.lapack import dsyevr
 from .symlin import small_eigh
 
 __all__ = ["LinOp", "EigResult", "lanczos_top", "NumericError", "DENSE_EIG_MAX_N"]
-
-log = logging.getLogger(__name__)
 
 # largest side of an explicit array whose top pairs come from one dense
 # ``dsyevr`` call rather than Lanczos.  On QAP dual slacks (k_c = 2, the
@@ -143,8 +140,10 @@ def lanczos_top(
     last two cycles, or it would still exceed the tolerance after shrinking
     at that two-cycle rate in every remaining restart.  Such a result is bit
     for bit the one ``max_restarts`` equal to its ``restarts`` gives, and is
-    reported unconverged.  A result whose leading pair misses the tolerance
-    is logged as a warning.
+    reported unconverged.  A leading pair that misses the tolerance is
+    reported, not logged: ``leading_converged`` is False, and the bundle
+    loop carries that flag into each iteration record, whose misses the
+    CLI summary counts.
 
     ``theta_stop`` arms a decision exit for a caller that needs only to
     know whether ``lambda_max`` exceeds a threshold.  After any cycle that
@@ -152,7 +151,7 @@ def lanczos_top(
     exceeds ``theta_stop`` and every wanted residual is at most
     ``res_max``.  Every Ritz value is at most ``lambda_max``, so the
     threshold is then certainly exceeded.  Such a result reports
-    ``decided=True`` and ``converged=False``, and logs no warning.
+    ``decided=True`` and ``converged=False``.
     Without ``theta_stop`` the path is the one above, bit for bit.
 
     Each step projects the product once on the rows it reaches in exact
@@ -271,14 +270,6 @@ def lanczos_top(
         h[:ell, :ell] = np.diag(theta[:ell])
         restarts_done += 1
 
-    leading_converged = bool(res[0] <= tol_eff)
-    if not (leading_converged or decided):
-        log.warning(
-            "leading Ritz pair unconverged after %d restarts: residual %.3e > tolerance %.3e",
-            restarts_done,
-            res[0],
-            tol_eff,
-        )
     vals = theta[:k_c].copy()
     vecs = q[:m].T @ y[:, :k_c]
     return EigResult(
@@ -286,7 +277,7 @@ def lanczos_top(
         eigenvectors=vecs,
         residuals=res[:k_c].copy(),
         converged=converged,
-        leading_converged=leading_converged,
+        leading_converged=bool(res[0] <= tol_eff),
         restarts=restarts_done,
         matvecs=matvecs,
         decided=decided,

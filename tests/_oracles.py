@@ -1250,14 +1250,8 @@ def save_state_v1_frozen(path, state, prob) -> None:
     import hashlib
     import struct
 
-    from specbundle.bundle import ExplicitStore
-
     model = state.model
-    store = model.store
-    if isinstance(store, ExplicitStore):
-        kind, rank, seed, store_mat = 1, 0, 0, store.xbar
-    else:
-        kind, rank, seed, store_mat = 2, store.sk.r, store.sk.psi_seed, store.sk.sketch_mat
+    sk = model.store.sk
     b_hash = hashlib.sha256(np.ascontiguousarray(prob.b, dtype="<f8").tobytes()).digest()
     header = struct.pack(
         "<4sI QQQQ II B II dd dd QQ dd",
@@ -1269,9 +1263,9 @@ def save_state_v1_frozen(path, state, prob) -> None:
         int.from_bytes(b_hash[:8], "little"),
         model.k_c,
         model.k_p,
-        kind,
-        rank,
-        seed & 0xFFFFFFFF,
+        2,  # store kind: a sketch
+        sk.r,
+        sk.psi_seed & 0xFFFFFFFF,
         state.scale_x,
         prob.scale_c,
         state.f_y if state.f_y is not None else np.nan,
@@ -1283,7 +1277,7 @@ def save_state_v1_frozen(path, state, prob) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for arr in (state.y, state.nu, model.stats.constr_image, model.basis, store_mat):
+        for arr in (state.y, state.nu, model.stats.constr_image, model.basis, sk.sketch_mat):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 

@@ -1,5 +1,6 @@
 import functools
 import os
+import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -17,7 +18,6 @@ from conftest import (
 )
 from specbundle.bundle import (
     AggregateStats,
-    ExplicitStore,
     FingerprintMismatch,
     Mapping,
     Residuals,
@@ -45,6 +45,22 @@ from specbundle.problem import GraphInstance, build_maxcut, build_qap
 from specbundle.subqp import assemble_eval_coeffs, ipm_eval
 
 
+def dense_shadow(updates, n: int) -> np.ndarray:
+    """The aggregate matrix that the recorded store updates build from zero."""
+    x = np.zeros((n, n))
+    for eta, factor, lams in updates:
+        x = eta * x + (factor * lams[None, :]) @ factor.T
+    return x
+
+
+def reconstructed(out) -> np.ndarray:
+    return (out.factor * out.lams[None, :]) @ out.factor.T
+
+
+def assert_rel_close(a, ref, tol=1e-10):
+    assert np.linalg.norm(a - ref) <= tol * np.linalg.norm(ref)
+
+
 class TestSolverConfig:
     @pytest.mark.parametrize(
         "field, value",
@@ -60,6 +76,7 @@ class TestSolverConfig:
             ("beta", 1.0),
             ("k_c", 0),
             ("k_p", -1),
+            ("sketch_rank", 0),
             ("sketch_rank", -1),
             ("max_iters", -3),
             ("max_time", -1.0),
@@ -172,7 +189,7 @@ class TestModelUpdate:
     def setup_model(self, n=10, k_c=3, k_p=2, seed=0):
         g = random_graph(n, 0.4, seed)
         prob = build_maxcut(g)
-        cfg = SolverConfig(k_c=k_c, k_p=k_p, sketch_rank=0)
+        cfg = SolverConfig(k_c=k_c, k_p=k_p, sketch_rank=n)
         state = cold_start(prob, cfg)
         return prob, cfg, state.model
 
@@ -189,7 +206,7 @@ class TestModelUpdate:
     def test_identity_weight_zero_block(self):
         prob, cfg, model = self.setup_model()
         model.stats = AggregateStats(0.3, 0.1, np.full(prob.m, 0.01))
-        model.store.xbar = 0.3 / prob.n * np.eye(prob.n)
+        model.store = model.store.update(0.0, np.eye(prob.n), np.full(prob.n, 0.3 / prob.n))
         rng = np.random.default_rng(2)
         vecs, _ = np.linalg.qr(rng.standard_normal((prob.n, model.k_c)))
         before = model.stats.copy()
@@ -200,7 +217,8 @@ class TestModelUpdate:
 
     def test_stats_match_dense_shadow(self, monkeypatch):
         prob, cfg, model = self.setup_model(n=20, k_c=4, k_p=2, seed=3)
-        updates = record_store_updates(monkeypatch, ExplicitStore)
+        updates = record_store_updates(monkeypatch, SketchStore)
+        psi = model.store.sk.psi()
         rng = np.random.default_rng(4)
         shadow = np.zeros((prob.n, prob.n))
         cost = prob.cost.toarray()
@@ -218,7 +236,7 @@ class TestModelUpdate:
             np.testing.assert_allclose(
                 model.stats.constr_image, np.diag(shadow), atol=1e-9
             )
-            np.testing.assert_allclose(shadow, model.store.xbar, atol=1e-9)
+            assert_rel_close(model.store.sk.sketch_mat, shadow @ psi)
 
     def test_trace_update_identity(self):
         prob, cfg, model = self.setup_model(n=15, k_c=3, k_p=2, seed=5)
@@ -288,44 +306,47 @@ class TestModelUpdate:
 
 
 class TestKeptRecords:
-    def test_each_record_keeps_its_iteration_aggregate(self):
+    def test_each_record_keeps_its_iteration_aggregate(self, monkeypatch):
         """Each model owns its primal store: a record kept after the solve
         moves on gives the aggregate its callback saw, bit for bit."""
         prob = build_maxcut(random_graph(30, 0.3, 2))
-        cfg = SolverConfig(k_c=4, k_p=1, sketch_rank=0, eps=1e-12, max_iters=5, seed=0)
+        cfg = SolverConfig(k_c=4, k_p=1, sketch_rank=prob.n, eps=1e-12, max_iters=5, seed=0)
+        updates = record_store_updates(monkeypatch, SketchStore)
         records, seen = [], []
 
         def keep(info):
             records.append(info)
             out = primal_output(info.model)
-            seen.append((out.dense.copy(), out.factor.copy(), out.lams.copy()))
+            shadow = dense_shadow(updates, prob.n)
+            assert_rel_close(reconstructed(out), shadow)
+            seen.append((shadow, out.factor.copy(), out.lams.copy()))
 
         solve(prob, cfg, callback=keep)
         assert len(records) == 5
         assert len({id(r.model.store) for r in records}) == 5
-        for info, (dense, factor, lams) in zip(records, seen):
+        for info, (shadow, factor, lams) in zip(records, seen):
             out = primal_output(info.model)
-            np.testing.assert_array_equal(out.dense, dense)
             np.testing.assert_array_equal(out.factor, factor)
             np.testing.assert_array_equal(out.lams, lams)
-        assert not np.array_equal(seen[0][0], seen[-1][0])
+            assert_rel_close(reconstructed(out), shadow)
+        assert not np.allclose(seen[0][0], seen[-1][0])
 
     def test_update_leaves_the_old_store_as_it_was(self):
         prob = build_maxcut(random_graph(12, 0.4, 1))
-        for rank in (0, 4):
+        for rank in (prob.n, 4):
             store = cold_start(prob, SolverConfig(k_c=3, k_p=1, sketch_rank=rank)).model.store
-            before = store.xbar.copy() if rank == 0 else store.sk.sketch_mat.copy()
+            store = store.update(1.0, np.eye(prob.n, 1), np.array([0.2]))
+            before = store.sk.sketch_mat.copy()
             new = store.update(0.5, np.eye(prob.n, 2), np.array([0.3, 0.1]))
             assert type(new) is type(store) and new is not store
-            after = store.xbar if rank == 0 else store.sk.sketch_mat
-            np.testing.assert_array_equal(after, before)
+            np.testing.assert_array_equal(store.sk.sketch_mat, before)
 
 
 class TestResiduals:
     def test_feasible_point_zero_infeas(self):
         prob = build_maxcut(make_k3())
         stats = AggregateStats(1.0, 0.5, prob.b.copy())
-        r = compute_residuals(prob, np.zeros(3), 0.7, 0.0, stats)
+        r = compute_residuals(prob, 0.7, 0.0, stats)
         assert r.rel_infeas == 0.0 and r.linf_infeas == 0.0
 
     def test_upper_bound_property_after_solve(self):
@@ -431,7 +452,7 @@ class TestSolveEndToEnd:
         assert state2.status == "converged"
         assert state2.descent_steps == descent_before  # zero new descent steps
 
-    @pytest.mark.parametrize("rank", [0, 5])
+    @pytest.mark.parametrize("rank", [30, 5])
     def test_solve_leaves_init_untouched(self, rank):
         """``solve(prob, cfg, init=s)`` works on a copy: s keeps its point,
         model, weight and step counts, and two solves from s agree."""
@@ -440,7 +461,7 @@ class TestSolveEndToEnd:
 
         def snapshot(st):
             store = st.model.store
-            mat = store.xbar if rank == 0 else store.sk.sketch_mat
+            mat = store.sk.sketch_mat
             arrays = [a.copy() for a in (st.y, st.nu, st.model.basis, st.model.stats.constr_image, mat)]
             scalars = (st.f_y, st.lam_y, st.rho, st.descent_steps, st.null_steps, st.iterations,
                        st.model.stats.trace, st.model.stats.cost_ip, st.status)
@@ -487,23 +508,53 @@ class TestSolveEndToEnd:
             assert info.eig_leading_converged == (info.eig_leading_residual <= tol)
         assert any(not info.eig_leading_converged for info in infos)
 
-    def test_sketch_and_explicit_agree(self):
-        # the sketch changes only the primal store: the dual path is
+    def test_sketch_and_explicit_agree(self, monkeypatch):
+        # the sketch rank changes only the primal store: the dual path is
         # identical, and the reconstruction approximates the exact aggregate
-        # up to the tail beyond the sketch rank
+        # (the dense shadow of the store updates) up to the tail beyond the
+        # sketch rank; at rank n it is the aggregate
         g = random_graph(30, 0.3, 50)
         prob = build_maxcut(g)
-        cfg_e = SolverConfig(k_c=6, k_p=1, eps=1e-3, max_iters=500, seed=4, sketch_rank=0)
-        cfg_s = SolverConfig(k_c=6, k_p=1, eps=1e-3, max_iters=500, seed=4, sketch_rank=10)
+        cfg_e = SolverConfig(k_c=6, k_p=1, eps=1e-3, max_iters=500, seed=4, sketch_rank=prob.n)
+        cfg_s = replace(cfg_e, sketch_rank=10)
+        updates = record_store_updates(monkeypatch, SketchStore)
         se, oe = solve(prob, cfg_e)
+        xe = dense_shadow(updates, prob.n)
+        updates.clear()
         ss, os_ = solve(prob, cfg_s)
         assert se.iterations == ss.iterations
         np.testing.assert_allclose(se.y, ss.y, atol=1e-12)
         assert ss.last_primal.trace == pytest.approx(se.last_primal.trace, abs=1e-12)
         assert ss.last_primal.cost_ip == pytest.approx(se.last_primal.cost_ip, abs=1e-12)
-        xe = oe.dense
-        xs = (os_.factor * os_.lams[None, :]) @ os_.factor.T
-        assert np.linalg.norm(xe - xs) <= 0.1 * np.linalg.norm(xe)
+        np.testing.assert_array_equal(dense_shadow(updates, prob.n), xe)
+        assert_rel_close(reconstructed(oe), xe)
+        assert np.linalg.norm(xe - reconstructed(os_)) <= 0.1 * np.linalg.norm(xe)
+
+    @pytest.mark.parametrize("kind", ["maxcut", "qap"])
+    def test_rank_n_sketch_is_the_exact_aggregate(self, monkeypatch, kind):
+        """A sketch of rank n gives back the aggregate matrix: its
+        reconstruction equals the dense shadow of the store updates to 1e-10
+        relative after every iteration of a solve."""
+        if kind == "maxcut":
+            prob = build_maxcut(random_graph(30, 0.3, 8))
+            cfg = SolverConfig(k_c=4, k_p=1, eps=1e-3, max_iters=300, seed=0)
+        else:
+            prob = build_qap(random_qap(5, 2))
+            cfg = SolverConfig(rho=0.005, k_c=2, k_p=0, eps=1e-2, max_iters=300, seed=0)
+        cfg = replace(cfg, sketch_rank=prob.n)
+        updates = record_store_updates(monkeypatch, SketchStore)
+        seen = []
+
+        def check(info):
+            shadow = dense_shadow(updates, prob.n)
+            assert_rel_close(reconstructed(primal_output(info.model)), shadow)
+            assert np.trace(shadow) == pytest.approx(info.model.stats.trace, rel=1e-10)
+            seen.append(info.t)
+
+        state, out = solve(prob, cfg, callback=check)
+        assert state.status == "converged" and len(seen) == state.iterations > 1
+        assert out.factor.shape == (prob.n, prob.n)
+        assert_rel_close(reconstructed(out), dense_shadow(updates, prob.n))
 
 
 class TestStateFile:
@@ -592,7 +643,7 @@ class TestStateFile:
             assert state_from_record(load_state(path), prob).rho == rho
         assert path.read_bytes()[4:8] == (2).to_bytes(4, "little")
 
-    @pytest.mark.parametrize("rank", [0, 3])
+    @pytest.mark.parametrize("rank", [12, 3])
     def test_version_1_file_resumes_at_cfg_rho(self, tmp_path, rank):
         """A file of format version 1 has no rho: it loads with rho None and
         resumes exactly as the same state started at cfg.rho."""
@@ -650,7 +701,8 @@ class TestStateFile:
         """Saving writes the arrays' own buffers and loading reads the
         payload into one array: neither holds a second copy of it."""
         prob = build_maxcut(random_graph(600, 0.01, 1))
-        state = cold_start(prob, SolverConfig(k_c=3, k_p=1, sketch_rank=0))
+        state = cold_start(prob, SolverConfig(k_c=3, k_p=1, sketch_rank=prob.n))
+        state.model.store = state.model.store.update(0.0, np.eye(prob.n, 2), np.array([0.5, 0.5]))
         path = tmp_path / "s.bin"
         payload = 8 * (3 * prob.m + prob.n * 4 + prob.n**2)
         tracemalloc.start()
@@ -666,7 +718,26 @@ class TestStateFile:
         assert path.stat().st_size == _HEADER.size + payload
         assert save_peak < payload / 4
         assert payload <= load_peak < 1.5 * payload
-        np.testing.assert_array_equal(rec.state.model.store.xbar, state.model.store.xbar)
+        np.testing.assert_array_equal(
+            rec.state.model.store.sk.sketch_mat, state.model.store.sk.sketch_mat
+        )
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_a_dense_store_file_is_refused(self, tmp_path, version):
+        """A file whose store kind byte reads 1, the dense store of earlier
+        versions, is refused with a message that names the store kind."""
+        prob = build_maxcut(random_graph(12, 0.4, 3))
+        state = cold_start(prob, SolverConfig(k_c=3, k_p=1, sketch_rank=4))
+        path = tmp_path / "s.bin"
+        (save_state_v1_frozen if version == 1 else save_state)(path, state, prob)
+        load_state(path)
+        raw = bytearray(path.read_bytes())
+        kind_at = struct.calcsize("<4sI QQQQ II")  # magic, version, fingerprint, k_c, k_p
+        assert raw[kind_at] == 2
+        raw[kind_at] = 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="store kind 1"):
+            load_state(path)
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, np.inf])
     def test_rejects_a_rho_that_is_not_positive(self, tmp_path, rho):
@@ -681,7 +752,7 @@ class TestStateFile:
 class TestWarmStartPad:
     def test_identity_mapping_same_problem(self, k3):
         prob = build_maxcut(k3)
-        cfg = SolverConfig(eps=1e-3, max_iters=200, seed=0, sketch_rank=0)
+        cfg = SolverConfig(eps=1e-3, max_iters=200, seed=0, sketch_rank=3)
         state, _ = solve(prob, cfg)
         mapping = Mapping(np.arange(3), np.arange(3))
         padded = warm_start_pad(state, prob, mapping)
@@ -809,7 +880,7 @@ class TestWarmStartPad:
         np.testing.assert_array_equal(padded.y[mapping.constraint_map], prev.y)
         assert np.all(padded.y[arriving] == 0.0) and not np.any(np.signbit(padded.y[arriving]))
 
-    @pytest.mark.parametrize("sketch_rank", [0, 3])
+    @pytest.mark.parametrize("sketch_rank", [10, 3])
     def test_padding_gathers_match_zero_fill_scatter(self, sketch_rank):
         """The padded basis and primal factor equal a zero fill plus a row
         scatter bit for bit, on a vertex map that is not a prefix."""
@@ -849,29 +920,6 @@ class TestWarmStartPad:
         )
         assert padded.rho == rho
 
-    def test_dense_store_refused_above_limit_before_factorize(self, monkeypatch):
-        from specbundle import bundle
-
-        monkeypatch.setattr(bundle, "MAX_EXPLICIT_N", 12)
-        g_small = random_graph(10, 0.5, 61)
-        prev = cold_start(build_maxcut(g_small), SolverConfig(k_c=3, k_p=1, sketch_rank=0))
-        edges = list(
-            zip(g_small.edges_u.tolist(), g_small.edges_v.tolist(), g_small.edges_w.tolist())
-        )
-
-        def no_factorize(self):
-            raise AssertionError("factorize before the size check")
-
-        mapping = Mapping(np.arange(10), np.arange(10))
-        big = build_maxcut(graph_from_edges(14, edges + [(0, 13, 1.0)]))
-        with monkeypatch.context() as m:
-            m.setattr(bundle.ExplicitStore, "factorize", no_factorize)
-            with pytest.raises(ValueError, match="sketch_rank"):
-                warm_start_pad(prev, big, mapping)
-        at_limit = build_maxcut(graph_from_edges(12, edges + [(0, 11, 1.0)]))
-        padded = warm_start_pad(prev, at_limit, mapping)
-        assert padded.model.store.xbar.shape == (12, 12)
-
     def test_out_of_range_mapping(self, k3):
         prob = build_maxcut(k3)
         cfg = SolverConfig(eps=1e-3, max_iters=50, seed=0)
@@ -884,7 +932,7 @@ class TestWarmStartPad:
         # two old vertices (or rows) onto one new one would give a basis that
         # is not orthonormal (or drop a dual) without a word
         prob = build_maxcut(random_graph(6, 0.6, 62))
-        state, _ = solve(prob, SolverConfig(k_c=3, k_p=1, max_iters=3, seed=0, sketch_rank=0))
+        state, _ = solve(prob, SolverConfig(k_c=3, k_p=1, max_iters=3, seed=0, sketch_rank=6))
         maps = {"vertex": np.arange(6), "constraint": np.arange(6)}
         maps[name] = np.array([0, 1, 2, 3, 4, 4])
         with pytest.raises(ValueError, match=f"{name} mapping is not injective: index 4"):
@@ -1013,18 +1061,7 @@ def path_graph(n: int) -> GraphInstance:
 
 
 class TestExplicitStoreLimit:
-    def test_dense_store_rejected_above_limit_before_eigensolve(self, monkeypatch):
-        from specbundle import bundle
-
-        def no_eigensolve(*args, **kwargs):
-            raise AssertionError("eigensolve before the size check")
-
-        monkeypatch.setattr(bundle, "lanczos_top", no_eigensolve)
-        prob = build_maxcut(path_graph(bundle.MAX_EXPLICIT_N + 1))
-        with pytest.raises(ValueError, match="sketch_rank"):
-            cold_start(prob, SolverConfig(sketch_rank=0))
-        with pytest.raises(ValueError, match="sketch_rank"):
-            solve(prob, SolverConfig(sketch_rank=0))
+    """No setting keeps a dense n x n primal matrix: the store is a sketch."""
 
     def test_default_settings_store_no_dense_matrix(self):
         """SolverConfig() sketches: at n = 20,000 a dense store would be
@@ -1037,18 +1074,6 @@ class TestExplicitStoreLimit:
             tracemalloc.stop()
         assert isinstance(state.model.store, SketchStore)
         assert peak < 64 << 20
-
-    def test_limit_is_inclusive_and_sketch_is_exempt(self, monkeypatch):
-        from specbundle import bundle
-
-        monkeypatch.setattr(bundle, "MAX_EXPLICIT_N", 6)
-        at_limit = cold_start(build_maxcut(path_graph(6)), SolverConfig(k_c=2, sketch_rank=0))
-        assert isinstance(at_limit.model.store, bundle.ExplicitStore)
-        above = build_maxcut(path_graph(7))
-        with pytest.raises(ValueError, match="sketch_rank"):
-            cold_start(above, SolverConfig(k_c=2, sketch_rank=0))
-        sketched = cold_start(above, SolverConfig(k_c=2, sketch_rank=3))
-        assert isinstance(sketched.model.store, bundle.SketchStore)
 
 
 class TestCertificateGap:

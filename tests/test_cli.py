@@ -709,14 +709,10 @@ class TestQapCommands:
         assert "permutation:" in text
 
 
-def test_dense_store_at_scale_exits_with_message(tmp_path, capsys):
-    from specbundle.bundle import MAX_EXPLICIT_N
-    from specbundle.problem import GraphInstance
-
-    n = MAX_EXPLICIT_N + 1
-    u = list(range(n - 1))
-    path = tmp_path / "path.mtx"
-    write_graph_mm(GraphInstance.from_arrays(n, u, [i + 1 for i in u], [1.0] * (n - 1)), path)
+def test_sketch_rank_0_exits_with_message(tmp_path, capsys):
+    """The primal store is always a sketch, so rank 0 is refused."""
+    path = tmp_path / "g.mtx"
+    write_graph_mm(random_graph(40, 0.15, 0), path)
     code = main(
         [
             "solve", "--problem", "maxcut", "--input", str(path), "--sketch-rank", "0",
@@ -739,6 +735,8 @@ def _corrupt_state(raw: bytes, case: str) -> bytes:
     size = struct.calcsize(head)
     if case == "store kind 0":
         return raw[:kind_at] + bytes([0]) + raw[kind_at + 1:]
+    if case == "store kind 1":
+        return raw[:kind_at] + bytes([1]) + raw[kind_at + 1:]
     if case == "store kind 3":
         return raw[:kind_at] + bytes([3]) + raw[kind_at + 1:]
     if case == "truncated payload":
@@ -762,6 +760,7 @@ def _corrupt_state(raw: bytes, case: str) -> bytes:
     "case, message",
     [
         ("store kind 0", "store kind"),
+        ("store kind 1", "store kind"),
         ("store kind 3", "store kind"),
         ("truncated payload", "truncated"),
         ("trailing bytes", "trailing bytes"),

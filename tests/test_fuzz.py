@@ -177,10 +177,10 @@ _HEAD_FMT = "<4sI QQQQ II B II dd dd QQ dd d"  # format version 2
 
 @functools.cache
 def _state_bases():
-    """Converged K3 states with an explicit and with a sketched store."""
+    """Converged K3 states with a sketch of rank n and of rank 2."""
     prob = build_maxcut(make_k3())
     out = []
-    for rank in (0, 2):
+    for rank in (3, 2):
         state, _ = solve(prob, SolverConfig(k_c=2, k_p=0, sketch_rank=rank))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "s.bin"

@@ -33,14 +33,10 @@ def _case(kind):
         # slack kept apart from the state went stale
         cfg = SolverConfig(rho=0.005, beta=0.25, k_c=2, k_p=0, sketch_rank=6, eps=1e-12, seed=0)
         return build_qap(six_slot_qap()), replace(cfg, max_iters=20), (5, 11)
-    rank = 5 if kind == "maxcut-sketch" else 0
+    # "maxcut-dense" keeps a dense 30 x 30 store: the sketch of rank n
+    rank = 5 if kind == "maxcut-sketch" else 30
     cfg = SolverConfig(k_c=4, k_p=1, sketch_rank=rank, eps=1e-12, max_iters=12, seed=0)
     return build_maxcut(random_graph(30, 0.3, 2)), cfg, (3, 7)
-
-
-def _store_matrix(state):
-    store = state.model.store
-    return store.sk.sketch_mat if hasattr(store, "sk") else store.xbar
 
 
 @pytest.mark.parametrize("kind", ["maxcut-sketch", "maxcut-dense", "qap"])
@@ -61,7 +57,9 @@ def test_split_solve_equals_straight_solve(tmp_path, kind):
         np.testing.assert_array_equal(resumed.y, straight.y)
         np.testing.assert_array_equal(resumed.nu, straight.nu)
         np.testing.assert_array_equal(resumed.model.basis, straight.model.basis)
-        np.testing.assert_array_equal(_store_matrix(resumed), _store_matrix(straight))
+        np.testing.assert_array_equal(
+            resumed.model.store.sk.sketch_mat, straight.model.store.sk.sketch_mat
+        )
         assert resumed.f_y == straight.f_y and resumed.lam_y == straight.lam_y
         assert resumed.rho == straight.rho
         assert (resumed.descent_steps, resumed.null_steps) == (
