@@ -234,6 +234,9 @@ class IterationInfo:
     # is null by construction and f_cand and lam_cand are lower bounds on
     # f(y_cand) and lambda_max there
     eig_decided: bool
+    # full Gram-Schmidt passes of the eigensolve (EigResult.reorth_passes):
+    # one per matvec below eigsolve.PARTIAL_REORTH_MIN_N, fewer above it
+    eig_reorth_passes: int
     # the proximal step: the pieces of its objective that the one
     # interior-point solve visited (1 without inequality rows), its Newton
     # steps, and alt_exact False when that solve stopped inexact
@@ -590,6 +593,7 @@ def solve(
                     eig_leading_residual=float(eig_cand.residuals[0]),
                     eig_leading_converged=eig_cand.leading_converged,
                     eig_decided=eig_cand.decided,
+                    eig_reorth_passes=eig_cand.reorth_passes,
                     alt_passes=alt.passes,
                     alt_newton=alt.newton,
                     alt_exact=alt.exact,

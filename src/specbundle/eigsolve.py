@@ -1,12 +1,17 @@
 """Extreme eigenpairs of implicitly represented symmetric operators.
 
-Thick-restart Lanczos with full reorthogonalization: the basis is small (a
-few dozen vectors) while the operator dimension may be huge, so keeping the
-basis fully orthogonal is cheap and avoids ghost eigenvalues.  Restarts keep
-the leading Ritz vectors, which makes the leading Ritz value non-decreasing
-from one cycle to the next, so a caller that only needs to know whether
-lambda_max exceeds a threshold can stop the iteration once a Ritz value
-does (the decision exit).  An operator given as an explicit array of side
+Thick-restart Lanczos that keeps its basis orthogonal, which avoids ghost
+eigenvalues.  The basis is small (a few dozen vectors), so below
+``PARTIAL_REORTH_MIN_N`` every step makes one Gram-Schmidt pass against the
+whole basis (full reorthogonalization).  On larger operators that pass
+costs as much as the matvec, and a step makes it only when Simon's estimate
+of the loss of orthogonality calls for it (partial reorthogonalization),
+which keeps the basis semi-orthogonal.  Restarts keep the leading Ritz
+vectors (on the partial path, an orthonormal basis of their subspace up to
+rounding), which makes the leading Ritz value non-decreasing from one cycle
+to the next, so a caller that only needs to know whether lambda_max
+exceeds a threshold can stop the iteration once a Ritz value does (the
+decision exit).  An operator given as an explicit array of side
 at most ``DENSE_EIG_MAX_N``, or smaller than the Krylov basis, gets its top
 pairs from one dense LAPACK solve instead.
 """
@@ -17,11 +22,19 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import schur
 from scipy.linalg.lapack import dsyevr
 
 from .symlin import small_eigh
 
-__all__ = ["LinOp", "EigResult", "lanczos_top", "NumericError", "DENSE_EIG_MAX_N"]
+__all__ = [
+    "LinOp",
+    "EigResult",
+    "lanczos_top",
+    "NumericError",
+    "DENSE_EIG_MAX_N",
+    "PARTIAL_REORTH_MIN_N",
+]
 
 # largest side of an explicit array whose top pairs come from one dense
 # ``dsyevr`` call rather than Lanczos.  On QAP dual slacks (k_c = 2, the
@@ -29,6 +42,25 @@ __all__ = ["LinOp", "EigResult", "lanczos_top", "NumericError", "DENSE_EIG_MAX_N
 # dense call with its residual product took 0.9 / 2.2 / 2.9 / 4.7 ms at
 # sides 145 / 226 / 257 / 325, and Lanczos 2.2 / 2.6 / 2.9 / 3.5 ms
 DENSE_EIG_MAX_N = 240
+
+# smallest operator side at which a Lanczos step makes its full
+# Gram-Schmidt pass only when the estimated loss of orthogonality calls for
+# it.  One pass over 22 rows took 12 / 43 / 86 / 313 / 2,008 us at
+# n = 1e3 / 4e3 / 8e3 / 1.6e4 / 1e5 (one OpenBLAS thread on a Xeon vCPU
+# with 2 MiB of L2 per core): it jumps once the basis outgrows the cache,
+# while the estimate costs about 20 us a step.  Skipping passes moves the
+# rounding, and so the iterates of a solve: at n = 1e3 (the benchmark's
+# MaxCut arrivals) that took 63 / 92 iterations in place of 60 / 74; from
+# n = 3e4 on a solve to a 1e-3 certificate got 17-42% faster
+PARTIAL_REORTH_MIN_N = 1 << 14
+
+# estimated |q_i^T q_k| above which a step makes its full pass: well under
+# Simon's semi-orthogonality level sqrt(eps / m), at which the projected
+# matrix still gives the Ritz values of an orthonormal basis.  On five
+# n = 1e5 MaxCut slacks (673 matvecs in all) 1e-11 / 1e-10 / 1e-9 took
+# 188 / 120 / 86 passes and returned vectors orthonormal to 2e-14 / 3e-14 /
+# 3e-13
+REORTH_OMEGA = 1e-10
 
 
 class NumericError(RuntimeError):
@@ -63,6 +95,9 @@ class EigResult:
     # stopped at the decision exit: theta_0 > theta_stop with every wanted
     # residual at most res_max, so the values are lower bounds, not converged
     decided: bool = False
+    # full Gram-Schmidt passes against the whole basis: one per Lanczos step
+    # below PARTIAL_REORTH_MIN_N, those the loss estimate calls for above it
+    reorth_passes: int = 0
 
 
 def _seeded_unit(n: int, seed: int, counter: int) -> np.ndarray:
@@ -81,6 +116,128 @@ def _fresh_direction(q: np.ndarray, used: int, seed: int, counter: int) -> np.nd
         if nv > 1e-8:
             return v / nv
     return None
+
+
+class _LossEstimate:
+    """Simon's estimates of how far a Lanczos basis of ``m + 1`` rows of
+    length ``n`` has lost orthogonality (Math. Comp. 1984), carried through
+    thick restarts.
+
+    Every row ``k`` satisfies ``A q_k = sum_i (h + dropped)[i, k] q_i +
+    f_k`` with rounding ``f_k``.  Here ``h`` is the projected matrix
+    (tridiagonal, with the arrow of a thick restart), and ``dropped`` holds
+    what the relation has beyond it, in basis coordinates: the coefficients
+    a full pass removed, which stay out of ``h``, and what the projections
+    written into ``h`` replaced (a norm that divided a vector, the locked
+    rows' coupling to the continuing vector).  Then ``q_k^T A q_j =
+    q_j^T A q_k`` gives the new row ``q_{j+1}^T q_k`` from the earlier ones,
+    at a cost of a few small products a step.  There the terms of
+    ``dropped`` are products of two small quantities (a coefficient the
+    size of the loss, times an estimate) and are left out; the restart
+    needs them all.
+    """
+
+    def __init__(self, m: int, n: int):
+        self.omega = np.zeros((m + 1, m + 1))  # estimates of q_i^T q_k, zero diagonal
+        self.dropped = np.zeros((m + 1, m + 1))
+        self.eps = np.finfo(float).eps * math.sqrt(n)  # rounding of one length-n product
+        self.anorm = 0.0  # running bound on the norm of h
+        self.pass_next = False
+        # the locked rows' coupling to the continuing vector in the relation
+        # of a restart, which h replaces by the projection of its product
+        self.arrow = np.zeros(0)
+        # set once a restart could not keep the relation in the basis: every
+        # later step then makes the full pass
+        self.exhausted = False
+
+    def project(self, h: np.ndarray, j: int, near: np.ndarray, first: bool) -> None:
+        """Write step ``j``'s local coefficients ``near`` (its last rows)
+        into ``h``, keeping in ``dropped`` what they overwrite of the
+        relation: on the first step of a cycle the arrow, otherwise the norm
+        ``beta_{j-1}``, which the projection on ``q_{j-1}`` repeats up to
+        rounding."""
+        if first:
+            self.dropped[j, :j] = self.arrow - near[:j]
+        else:
+            self.dropped[j, j - 1] = h[j, j - 1] - near[0]
+        lo = j + 1 - near.size
+        h[lo : j + 1, j] = near
+        h[j, lo : j + 1] = near
+
+    def wants_pass(self, h: np.ndarray, j: int, beta: float, first: bool) -> bool:
+        """Whether step ``j``, whose new vector has norm ``beta`` after the
+        local projection, makes the full pass: on the first step of a cycle
+        (``first``), on the step after a pass the estimate called for, and
+        when the estimate of ``q_k^T q_{j+1}`` exceeds ``REORTH_OMEGA`` for
+        some ``k``.  The rounding is added with the sign of each estimate, as
+        Simon does, so the estimate errs large.  ``beta`` must be nonzero
+        unless ``first``."""
+        self.anorm = max(self.anorm, float(np.abs(h[: j + 1, j]).sum()) + beta)
+        if first or self.pass_next or self.exhausted:
+            self.pass_next = False
+            return True
+        om = self.omega
+        t = om[j, : j + 1] @ h[: j + 1, :j]
+        t -= h[: j + 1, j] @ om[: j + 1, :j]
+        noise = self.eps * self.anorm
+        row = om[j + 1, : j + 1]
+        row[:j] = (t + np.copysign(noise, t)) / beta
+        row[j] = noise / beta  # the local projection against q_j
+        om[: j + 1, j + 1] = row
+        self.pass_next = float(np.abs(row).max()) > REORTH_OMEGA
+        return self.pass_next
+
+    def passed(self, j: int, coeffs: Optional[np.ndarray]) -> None:
+        """Step ``j``'s new vector was orthogonalized against the whole
+        basis: by a full pass that removed ``coeffs``, or as a fresh
+        direction (``None``), after which the next step makes a pass too."""
+        self.omega[j + 1, : j + 1] = self.eps
+        self.omega[: j + 1, j + 1] = self.eps
+        if coeffs is None:
+            self.pass_next = True
+        else:
+            self.dropped[: j + 1, j] = coeffs
+
+    def restart(
+        self, h: np.ndarray, theta: np.ndarray, y: np.ndarray, ell: int, beta: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The rows to lock at a thick restart, as coordinates in the ``m``
+        rows (one column each), and the diagonal of their block of ``h``.
+
+        Ritz vectors of ``h`` would leave part of their relation on the
+        Ritz vectors the restart discards, where no estimate can follow it.
+        So the locked rows span the invariant subspace of the relation
+        matrix ``h + dropped`` for its eigenvalues above the midpoint of
+        the Ritz values ``theta[ell - 1]`` and ``theta[ell]``: its real Schur
+        vectors, whose relation stays in the basis.  The block of their
+        relation off its diagonal goes to ``dropped``.  The continuing
+        vector ``q_m`` entered the basis with norm ``beta``.  Should the
+        count above the midpoint leave no row to lock or no room for a
+        cycle, the Ritz vectors ``y`` are locked as below the gate, and
+        every later step makes the full pass."""
+        m = y.shape[0]
+        count = 0
+        if not self.exhausted:
+            cut = 0.5 * (theta[ell - 1] + theta[ell])
+            block, vecs, count = schur(
+                h[:m, :m] + self.dropped[:m, :m], output="real", sort=lambda re, im: re > cut
+            )
+        if 1 <= count < m:
+            keep, locked = vecs[:, :count], block[:count, :count]
+        else:
+            keep, locked = y[:, :ell], np.diag(theta[:ell])
+            self.exhausted = True
+        ell = keep.shape[1]
+        diag = np.diag(locked).copy()
+        self.arrow = beta * keep[m - 1]
+        carried = keep.T @ self.omega[:m, m]
+        self.omega[:, :] = 0.0
+        self.dropped[:, :] = 0.0
+        self.dropped[:ell, :ell] = locked - np.diag(diag)
+        # the estimates between two locked rows are never read
+        self.omega[ell, :ell] = carried
+        self.omega[:ell, ell] = carried
+        return keep, diag
 
 
 def _dense_top(op: LinOp, z: np.ndarray, k_c: int, tol: float, applied: int) -> EigResult:
@@ -126,8 +283,8 @@ def lanczos_top(
 ) -> EigResult:
     """Algebraically largest k_c Ritz pairs of a symmetric operator.
 
-    Runs cycles of ``inner_iters`` Lanczos steps with full
-    reorthogonalization, restarting from the leading Ritz vectors until the
+    Runs cycles of ``inner_iters`` Lanczos steps, restarting from the
+    leading Ritz vectors until the
     wanted residuals fall below ``tol * (1 + |leading Ritz value|)`` or
     ``max_restarts`` restarts have been spent.  Non-convergence is reported
     through the result, not raised: callers of this solver tolerate slightly
@@ -150,8 +307,10 @@ def lanczos_top(
     has not converged, the iteration stops once the leading Ritz value
     exceeds ``theta_stop`` and every wanted residual is at most
     ``res_max``.  Every Ritz value is at most ``lambda_max``, so the
-    threshold is then certainly exceeded.  Such a result reports
-    ``decided=True`` and ``converged=False``.
+    threshold is then certainly exceeded.  On the partial path below, the
+    leading value must exceed ``theta_stop`` by ``m * eps * sqrt(n)`` times
+    a bound on the projected matrix's norm, for a semi-orthogonal basis.
+    Such a result reports ``decided=True`` and ``converged=False``.
     Without ``theta_stop`` the path is the one above, bit for bit.
 
     Each step projects the product once on the rows it reaches in exact
@@ -160,7 +319,20 @@ def lanczos_top(
     restart; Wu & Simon 2000).  One classical Gram-Schmidt pass against the
     whole basis then removes what rounding left, which keeps the basis
     orthogonal to working precision ("twice is enough": Daniel, Gragg,
-    Kaufman & Stewart 1976) at one full-basis pass per step.
+    Kaufman & Stewart 1976).  Below ``PARTIAL_REORTH_MIN_N`` every step
+    makes that pass.  From that side on (partial reorthogonalization;
+    Simon, Math. Comp. 1984) a step makes it only on the first step of a
+    cycle, where the arrow meets the locked rows, or when Simon's
+    recurrence, run on the projected matrix, estimates some
+    ``|q_i^T q_{j+1}|`` above ``REORTH_OMEGA``, and then on the next step
+    too.  The pass's coefficients stay out of the projected matrix, which
+    keeps its tridiagonal and arrow form; they are kept aside in the exact
+    relation ``A Q = Q (h + dropped) + ...``.  A restart on the partial
+    path locks the real Schur vectors of that relation matrix for
+    its leading eigenvalues, which span the leading Ritz vectors' subspace
+    up to rounding but keep the locked rows' relation inside the basis, and
+    it re-derives the continuing vector's estimates against them.
+    ``reorth_passes`` counts the passes made.
 
     The basis is stored one vector per row, so the operator gets the newest
     vector as a contiguous row and each projection reads only the live
@@ -168,7 +340,7 @@ def lanczos_top(
     its argument.  The array the operator returns is never written to: it
     may be the input vector or a buffer the operator reuses.  A non-finite
     matvec raises ``NumericError``, with no numpy floating-point warning
-    before it: the non-finite values reach ``beta`` through both
+    before it: the non-finite values reach ``beta`` through the
     projections, and the warnings those would emit are silenced in this
     function.
 
@@ -210,6 +382,9 @@ def lanczos_top(
     y = np.eye(m)
     res = np.full(m, np.inf)
 
+    loss = _LossEstimate(m, n) if n >= PARTIAL_REORTH_MIN_N else None
+    passes = 0
+
     for cycle in range(max_restarts + 1):
         matvecs += m - ell
         for j in range(ell, m):
@@ -222,16 +397,32 @@ def lanczos_top(
             # the local projection allocates, so w is owned from here on
             w = w - near @ local
             basis = q[: j + 1]
-            coeffs = basis @ w
-            w -= coeffs @ basis
-            coeffs[lo:] += near
-            h[: j + 1, j] = coeffs
-            h[j, : j + 1] = coeffs
-            # a NaN or inf in the matvec survives both projections into beta
+            if loss is None:
+                coeffs = basis @ w
+                w -= coeffs @ basis
+                coeffs[lo:] += near
+                h[: j + 1, j] = coeffs
+                h[j, : j + 1] = coeffs
+                passes += 1
+            else:
+                coeffs = near
+                loss.project(h, j, near, j == ell)
+            # a NaN or inf in the matvec survives the projections into beta
             beta = math.sqrt(w @ w)
             if not math.isfinite(beta):
                 raise NumericError("matvec returned non-finite values")
             scale = max(1.0, float(np.abs(coeffs).max()))
+            if (
+                loss is not None
+                and (j == ell or beta > 1e-13 * scale)
+                and loss.wants_pass(h, j, beta, j == ell)
+            ):
+                # the coefficients stay out of h, which keeps its form
+                removed = basis @ w
+                w -= removed @ basis
+                beta = math.sqrt(w @ w)
+                loss.passed(j, removed)
+                passes += 1
             if beta <= 1e-13 * scale:
                 # invariant subspace found; continue on a fresh direction
                 reseed_counter += 16
@@ -239,6 +430,8 @@ def lanczos_top(
                 q[j + 1] = 0.0 if fresh is None else fresh
                 h[j + 1, j] = 0.0
                 h[j, j + 1] = 0.0
+                if loss is not None:
+                    loss.passed(j, None)
             else:
                 np.divide(w, beta, out=q[j + 1])
                 h[j + 1, j] = beta
@@ -250,7 +443,14 @@ def lanczos_top(
         if np.all(res[:k_c] <= tol_eff):
             converged = True
             break
-        if theta_stop is not None and theta[0] > theta_stop and np.all(res[:k_c] <= res_max):
+        # a semi-orthogonal basis leaves the Ritz values within a few
+        # rounding units of the norm of those of an orthonormal one
+        margin = 0.0 if loss is None else m * loss.eps * loss.anorm
+        if (
+            theta_stop is not None
+            and theta[0] > theta_stop + margin
+            and np.all(res[:k_c] <= res_max)
+        ):
             decided = True
             break
         if cycle == max_restarts:
@@ -264,10 +464,14 @@ def lanczos_top(
                     break
         # thick restart: lock leading Ritz vectors, continue from the residual
         ell = max(1, min(k_c + 3, m - 2))
-        q[:ell] = y[:, :ell].T @ q[:m]
+        keep, locked = y[:, :ell], theta[:ell]
+        if loss is not None:
+            keep, locked = loss.restart(h, theta, y, ell, beta_last)
+            ell = locked.size
+        q[:ell] = keep.T @ q[:m]
         q[ell] = q[m]
         h[:, :] = 0.0
-        h[:ell, :ell] = np.diag(theta[:ell])
+        h[:ell, :ell] = np.diag(locked)
         restarts_done += 1
 
     vals = theta[:k_c].copy()
@@ -281,4 +485,5 @@ def lanczos_top(
         restarts=restarts_done,
         matvecs=matvecs,
         decided=decided,
+        reorth_passes=passes,
     )

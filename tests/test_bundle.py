@@ -508,6 +508,30 @@ class TestSolveEndToEnd:
             assert info.eig_leading_converged == (info.eig_leading_residual <= tol)
         assert any(not info.eig_leading_converged for info in infos)
 
+    @pytest.mark.parametrize("gate", [None, 0])
+    def test_iteration_record_counts_the_full_passes(self, monkeypatch, gate):
+        # the record carries the candidate eigensolve's full Gram-Schmidt
+        # passes: one per matvec below the gate, fewer from it on
+        from specbundle import bundle, eigsolve
+
+        if gate is not None:
+            monkeypatch.setattr(eigsolve, "PARTIAL_REORTH_MIN_N", gate)
+        results = []
+        real = bundle.lanczos_top
+        monkeypatch.setattr(
+            bundle, "lanczos_top", lambda *a, **kw: results.append(real(*a, **kw)) or results[-1]
+        )
+        prob = build_maxcut(random_graph(60, 0.2, 12))
+        infos = []
+        solve(prob, SolverConfig(k_c=4, k_p=1, max_iters=5, seed=0), callback=infos.append)
+        assert len(infos) == 5 and len(results) == 6
+        assert [i.eig_reorth_passes for i in infos] == [r.reorth_passes for r in results[1:]]
+        for info in infos:
+            if gate is None:
+                assert info.eig_reorth_passes == info.eig_matvecs
+            else:
+                assert 0 < info.eig_reorth_passes < info.eig_matvecs
+
     def test_sketch_and_explicit_agree(self, monkeypatch):
         # the sketch rank changes only the primal store: the dual path is
         # identical, and the reconstruction approximates the exact aggregate
@@ -1060,7 +1084,7 @@ def path_graph(n: int) -> GraphInstance:
     return GraphInstance.from_arrays(n, u, u + 1, np.ones(n - 1))
 
 
-class TestExplicitStoreLimit:
+class TestNoDensePrimalStore:
     """No setting keeps a dense n x n primal matrix: the store is a sketch."""
 
     def test_default_settings_store_no_dense_matrix(self):
