@@ -207,14 +207,16 @@ class DiagonalConstraints:
 
 
 class SparseConstraintFamilies:
-    """Flat entry lists: constraint ``idx[e]`` has A[rows[e], cols[e]] =
-    A[cols[e], rows[e]] = vals[e] with rows <= cols; repeated entries add.
+    """Constraint rows given as flat entry lists: constraint ``idx[e]`` has
+    A[rows[e], cols[e]] = A[cols[e], rows[e]] = vals[e] with rows <= cols;
+    repeated entries add.
 
-    The entries are summed once into two sparse matrices over the n^2 cells
-    of vec(X), the row-major ravel of an n x n X: ``_upper`` (m x n^2)
-    holds each entry at its upper cell r*n + c, doubled off the diagonal,
-    so A(X) = ``_upper @ vec(X)``, and ``_cells_t`` (n^2 x m, CSC) holds
-    each entry at both its cells, so vec(A*(y)) = ``_cells_t @ y``.
+    The family keeps no entry list, only two sparse matrices over the n^2
+    cells of vec(X), the row-major ravel of an n x n X, into which the
+    entries are summed once: ``_upper`` (m x n^2) holds each entry at its
+    upper cell r*n + c, doubled off the diagonal, so A(X) =
+    ``_upper @ vec(X)``, and ``_cells_t`` (n^2 x m, CSC) holds each entry
+    at both its cells, so vec(A*(y)) = ``_cells_t @ y``.
 
     The dual slack and the X of each image are n x n arrays.  That suits
     the QAP relaxations, the only families the package builds: their
@@ -224,44 +226,54 @@ class SparseConstraintFamilies:
     def __init__(self, n: int, m: int, idx, rows, cols, vals):
         self.n = int(n)
         self.m = int(m)
-        self.idx = np.asarray(idx, dtype=np.int64)
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.cols = np.asarray(cols, dtype=np.int64)
-        self.vals = np.asarray(vals, dtype=float)
+        idx, rows, cols = (np.asarray(a, dtype=np.int64) for a in (idx, rows, cols))
+        vals = np.asarray(vals, dtype=float)
         for name, arr, stop in (
-            ("idx", self.idx, self.m), ("rows", self.rows, self.n), ("cols", self.cols, self.n)
+            ("idx", idx, self.m), ("rows", rows, self.n), ("cols", cols, self.n)
         ):
             if arr.size and (arr.min() < 0 or arr.max() >= stop):
                 raise ValueError(f"{name} entries must lie in [0, {stop})")
-        if np.any(self.rows > self.cols):
+        if np.any(rows > cols):
             raise ValueError("entries must have rows <= cols")
         cells = self.n * self.n
         # the index type scipy stores; keys made in it are not copied again
         itype = np.int32 if max(cells, self.m) <= np.iinfo(np.int32).max else np.int64
-        off = self.rows != self.cols
-        upper = (self.rows * self.n + self.cols).astype(itype)
-        idx = self.idx.astype(itype)
+        off = rows != cols
+        upper = (rows * self.n + cols).astype(itype)
+        idx = idx.astype(itype)
         self._upper = sp.csr_matrix(
-            (np.where(off, 2.0, 1.0) * self.vals, (idx, upper)), shape=(self.m, cells)
+            (np.where(off, 2.0, 1.0) * vals, (idx, upper)), shape=(self.m, cells)
         )
         both = (
             np.concatenate([idx, idx[off]]),
-            np.concatenate([upper, (self.cols[off] * self.n + self.rows[off]).astype(itype)]),
+            np.concatenate([upper, (cols[off] * self.n + rows[off]).astype(itype)]),
         )
         # CSC, the transpose of a CSR matrix: each row's values lie together
         self._cells_t = sp.csr_matrix(
-            (np.concatenate([self.vals, self.vals[off]]), both), shape=(self.m, cells)
+            (np.concatenate([vals, vals[off]]), both), shape=(self.m, cells)
         ).T
+
+    def _entries(self):
+        """``(idx, rows, cols, vals)`` read back from ``_upper``, repeated
+        entries summed.  Only the benchmark's QAP check reads the four
+        names below."""
+        coo = self._upper.tocoo()
+        rows, cols = np.divmod(coo.col.astype(np.int64), self.n)
+        return coo.row.astype(np.int64), rows, cols, np.where(rows == cols, 1.0, 0.5) * coo.data
+
+    idx = property(lambda self: self._entries()[0])
+    rows = property(lambda self: self._entries()[1])
+    cols = property(lambda self: self._entries()[2])
+    vals = property(lambda self: self._entries()[3])
 
     def scaled(self, factors: np.ndarray) -> "SparseConstraintFamilies":
         """The family with row i's values times ``factors[i]``.  It shares
-        this one's entries and cells, so nothing is sorted or checked again,
-        and each stored value of both matrices is scaled by its row's
-        factor.  When no row repeats a cell (every QAP family), a stored
-        value is one entry and this equals the rebuild from the scaled
-        values bit for bit; a summed value differs from it by rounding."""
+        this one's cells, so nothing is sorted or checked again, and each
+        stored value of both matrices is scaled by its row's factor.  When
+        no row repeats a cell (every QAP family), a stored value is one
+        entry and this equals the rebuild from the scaled values bit for
+        bit; a summed value differs from it by rounding."""
         out = copy.copy(self)
-        out.vals = self.vals * factors[self.idx]
 
         def rows_scaled(a):  # a holds each constraint row's values together
             data = a.data * np.repeat(factors, np.diff(a.indptr))
@@ -864,9 +876,13 @@ def parse_qaplib(path) -> QapInstance:
     """Plain-text reader: size line, then the weight block, then the
     distance block, whitespace separated with arbitrary line breaks.  The
     2 n^2 matrix tokens go through one array conversion; line numbers are
-    looked up only for an error."""
+    looked up only for an error.  The text is ASCII with no ``_``."""
     with open(path, "r") as fh:
         text = fh.read().removeprefix(_BOM)
+    if not text.isascii() or "_" in text:
+        at = re.search(r"[^\x00-\x7f]|_", text).start()
+        line = text.count("\n", 0, at) + 1
+        raise ParseError(f"bad character {text[at]!r}: tokens are ASCII, with no '_'", line)
     tokens = text.split()
     if not tokens:
         raise ParseError("empty file", 1)

@@ -21,7 +21,6 @@ solve reaches the joint optimum over (X, nu).
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -54,8 +53,6 @@ __all__ = [
     "alternating_max",
     "AltMaxResult",
 ]
-
-log = logging.getLogger(__name__)
 
 
 class StepFailureError(RuntimeError):
@@ -392,8 +389,6 @@ def ipm_quad(coeffs: QuadCoeffs | None, pieces: _Pieces | None = None) -> IpmRes
 
     s_vec = svec(st.s_mat)
     value = _objective(q, s_vec, st.eta)
-    if not exact:
-        log.debug("subproblem solve inexact after %d Newton iterations", iters)
     return IpmResult(
         s_opt=st.s_mat.copy(),
         eta_opt=st.eta if q.has_eta else 0.0,

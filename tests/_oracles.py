@@ -10,6 +10,7 @@ import copy
 import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -765,6 +766,29 @@ def partial_trace2(y: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("ikjk->ij", y4)
 
 
+class Entries(NamedTuple):
+    """A family's flat entry lists, in ``SparseConstraintFamilies``'s
+    argument order, so ``SparseConstraintFamilies(*entries)`` builds it."""
+
+    n: int
+    m: int
+    idx: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
+def read_entries(fam) -> Entries:
+    """The entries of a ``SparseConstraintFamilies`` read back from
+    ``_upper``: cell r*n + c gives (r, c), and a value off the diagonal is
+    halved.  Exact when no row repeats a cell, as in every ``build_qap``
+    family; the entries come by row, then by cell."""
+    coo = fam._upper.tocoo()
+    rows, cols = np.divmod(coo.col.astype(np.int64), fam.n)
+    vals = np.where(rows == cols, 1.0, 0.5) * coo.data
+    return Entries(fam.n, fam.m, coo.row.astype(np.int64), rows, cols, vals)
+
+
 def _entry_weights(fam) -> np.ndarray:
     """Each entry's value counted over its cells: twice off the diagonal."""
     return np.where(fam.rows == fam.cols, 1.0, 2.0) * fam.vals
@@ -1071,17 +1095,22 @@ def build_qap_frozen(q, ordered_pairs: bool = False):
     scale_c = float(np.sqrt((c_raw.multiply(c_raw)).sum())) or 1.0
     cost = (c_raw / scale_c).tocsr()
     b = b_raw / float(n + 1)
-    ops = SparseConstraintFamilies(big_n, m, idx, rows, cols, vals)
-    norms = ops.frob_norms()
-    # each scaling rebuilds the family from its scaled values
-    ops = SparseConstraintFamilies(big_n, m, idx, rows, cols, vals * (weight / norms)[idx])
+    norms = SparseConstraintFamilies(big_n, m, idx, rows, cols, vals).frob_norms()
+    # each scaling multiplies the entry values; a family is built from them
+    # only for the norms
+    vals = vals * (weight / norms)[idx]
     b = b * weight / norms
-    op_norm = estimate_operator_norm(ops)
-    ops = SparseConstraintFamilies(
-        big_n, m, idx, rows, cols, ops.vals * np.full(m, 1.0 / op_norm)[idx]
-    )
+    op_norm = estimate_operator_norm(SparseConstraintFamilies(big_n, m, idx, rows, cols, vals))
+    vals = vals * np.full(m, 1.0 / op_norm)[idx]
     b = b / op_norm
-    return cost, scale_c, b, ops.idx, ops.rows, ops.cols, ops.vals
+    return cost, scale_c, b, idx, rows, cols, vals
+
+
+def scaled_qap_entries(q) -> Entries:
+    """The entries of ``build_qap(q).constraints`` as ``build_qap_frozen``
+    builds and scales them, without reading the family's matrices."""
+    _, _, b, *entries = build_qap_frozen(q)
+    return Entries(q.size**2 + 1, b.size, *entries)
 
 
 def build_qap_ordered_pairs(q):

@@ -102,10 +102,9 @@ def build_from_families(
     )
 
 
-def mixed_inequality_problem(n: int, seed: int, n_ineq: int = 6):
-    """MaxCut diagonal equalities plus random sparse inequality rows."""
-    g = random_graph(n, 0.3, seed)
-    lap = g.laplacian().toarray()
+def mixed_inequality_rows(n: int, seed: int, n_ineq: int = 6):
+    """The rows of ``mixed_inequality_problem``: its (idx, rows, cols, vals)
+    entries, b and inequality flags."""
     rng = np.random.default_rng(seed + 1000)
     idx, rows, cols, vals, b, ineq = [], [], [], [], [], []
     for i in range(n):
@@ -125,8 +124,15 @@ def mixed_inequality_problem(n: int, seed: int, n_ineq: int = 6):
             vals.append(float(rng.standard_normal()))
         b.append(float(rng.random() * 0.5))
         ineq.append(True)
+    return tuple(np.asarray(a) for a in (idx, rows, cols, vals)), b, ineq
+
+
+def mixed_inequality_problem(n: int, seed: int, n_ineq: int = 6):
+    """MaxCut diagonal equalities plus random sparse inequality rows."""
+    g = random_graph(n, 0.3, seed)
+    triples, b, ineq = mixed_inequality_rows(n, seed, n_ineq)
     prob = build_from_families(
-        n, lap / 4.0, (idx, rows, cols, vals), b, ineq, scale_x=float(n)
+        n, g.laplacian().toarray() / 4.0, triples, b, ineq, scale_x=float(n)
     )
     return prob, g
 

@@ -323,6 +323,18 @@ class TestSolveCommand:
         bad.write_text("junk\n")
         assert main(["solve", "--problem", "maxcut", "--input", str(bad)]) == 1
 
+    @pytest.mark.parametrize("weight", ["1_0", "٥"])
+    def test_qaplib_token_outside_the_grammar_exits_1(self, tmp_path, capsys, weight):
+        """``1_0`` and U+0665 are errors, as in a MatrixMarket file, not a
+        weight of 10 or 5."""
+        bad = tmp_path / "q.dat"
+        bad.write_text(f"2\n0 {weight}\n{weight} 0\n0 1\n1 0\n", encoding="utf-8")
+        out = tmp_path / "m.csv"
+        assert main(["solve", "--problem", "qap", "--input", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "parse error: line 2" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_config_file_precedence(self, tmp_path, k3_file):
         cfgf = tmp_path / "cfg"
         cfgf.write_text("eps = 0.5\nseed = 3\n# comment\n")

@@ -9,7 +9,8 @@ reject with ``ParseError``, they must raise ``ParseError`` on the same line.
 The one allowed disagreement: an entry field that Python's ``int()`` or
 ``float()`` accepts but the documented grammar does not (digit separators
 such as ``1_0``, non-ASCII digits, an index past int64).  The frozen reader
-takes it; the vectorized reader raises ``ParseError`` on its line.
+takes it; the vectorized reader raises ``ParseError`` on its line.  A QAPLIB
+file must be ASCII without ``_`` throughout, whitespace included.
 """
 import re
 
@@ -307,6 +308,14 @@ def qap_file(draw):
     return "".join(s + t for s, t in zip(seps, [str(n), *vals, ""]))
 
 
+def _first_non_grammar_line(text: str):
+    """The line, as the readers count lines, of the first ``_`` or non-ASCII
+    character after a leading byte-order mark, or None."""
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    at = next((k for k, ch in enumerate(text) if ch == "_" or ord(ch) > 127), None)
+    return None if at is None else text[:at].count("\n") + 1
+
+
 @DIFF
 @given(text=st.one_of(qap_file(), JUNK_TEXT))
 def test_qap_reader_matches_frozen(tmp_path, text):
@@ -314,7 +323,10 @@ def test_qap_reader_matches_frozen(tmp_path, text):
     path.write_bytes(text.encode("utf-8"))
     frozen = _outcome(parse_qaplib_frozen, path)
     new = _outcome(parse_qaplib, path)
-    if frozen[0] == "ok":
+    line = _first_non_grammar_line(text)
+    if line is not None:  # the frozen reader may take it
+        assert new == ("parse", line)
+    elif frozen[0] == "ok":
         assert new[0] == "ok", new
         _same_qap(new[1], frozen[1])
     else:
@@ -339,6 +351,25 @@ def test_malformed_qap_names_line(tmp_path, text, line):
         parse_qaplib(path)
     assert err.value.line == line
     assert _outcome(parse_qaplib_frozen, path) == ("parse", line)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("2\n0 1_0\n1_0 0\n0 5\n5 0\n", 2),
+        ("2\n0 3\n3 0\n\n0 \u0665\n\u0665 0\n", 5),
+        ("\u0662\n0 3\n3 0\n0 5\n5 0\n", 1),
+        ("2\n0 3\n3 0\n0\u00a05\n5 0\n", 4),
+    ],
+    ids=["separator", "arabic-indic digit", "non-ASCII size", "non-ASCII space"],
+)
+def test_qap_tokens_are_ascii_without_separators(tmp_path, text, line):
+    """Python's ``float()`` and ``int()`` read ``1_0`` as 10 and U+0665 as
+    5; the frozen reader takes both, the reader names the line."""
+    path = tmp_path / "q.dat"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(parse_qaplib_frozen, path)[0] == "ok"
+    assert _outcome(parse_qaplib, path) == ("parse", line)
 
 
 # ---------------------------------------------------------------------------
