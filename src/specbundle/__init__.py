@@ -29,7 +29,6 @@ from .problem import (
     parse_graph_mm,
     parse_qaplib,
     proj_K,
-    proj_N,
     write_graph_mm,
     write_qaplib,
 )

@@ -186,8 +186,9 @@ class Residuals:
 
 @dataclass
 class SolverState:
+    """The whole state of the bundle loop; it holds no proximal slack."""
+
     y: np.ndarray
-    nu: np.ndarray  # the last proximal step's slack: saved, but seeds no solve
     f_y: Optional[float]
     lam_y: Optional[float]
     model: BundleModel
@@ -200,6 +201,11 @@ class SolverState:
     scale_x: float = 1.0
     # the proximal weight of the next iteration; None starts a solve at cfg.rho
     rho: Optional[float] = None
+    # each step eliminates its own slack.  This empty, read-only stand-in is
+    # not a field and is never written or saved; its only reader is
+    # perfbench/checks.py::_same_state, which compares saved.nu, loaded.nu
+    nu = np.empty(0)
+    nu.flags.writeable = False
 
 
 @dataclass
@@ -214,7 +220,6 @@ class IterationInfo:
     model_val: float
     y: np.ndarray
     y_cand: np.ndarray
-    nu_cand: np.ndarray
     residuals: Residuals
     primal: AggregateStats
     eta: float
@@ -304,20 +309,17 @@ def penalized_obj(
 
 def candidate_iterate(
     y: np.ndarray,
-    nu: np.ndarray,
     a_x: np.ndarray,
     b: np.ndarray,
     rho: float,
     ineq_idx: np.ndarray,
 ) -> np.ndarray:
-    """Proximal candidate: the sign-feasible projection of the gradient
-    step, equal to y - (b + nu - a_x)/rho for the optimally projected slack.
-    Complementarity with nu holds exactly: entries with active slack land on
-    zero."""
+    """Proximal candidate: the gradient step y - (b - a_x)/rho, clipped to
+    max(., 0) on the sign rows.  That is y - (b + nu - a_x)/rho for the
+    eliminated slack nu = min(a_x + rho*y - b, 0) on those rows."""
     out = y - (b - a_x) / rho
     if ineq_idx.size:
-        sub = out[ineq_idx]
-        out[ineq_idx] = np.where(nu[ineq_idx] < 0.0, 0.0, np.maximum(sub, 0.0))
+        out[ineq_idx] = np.maximum(out[ineq_idx], 0.0)
     return out
 
 
@@ -474,7 +476,6 @@ def cold_start(prob: SdpProblem, cfg: SolverConfig) -> SolverState:
     model = BundleModel(basis=basis, stats=stats, k_c=k_c, k_p=k_p, store=store)
     return SolverState(
         y=y,
-        nu=np.zeros(prob.m),
         f_y=f_y,
         lam_y=float(eig.eigenvalues[0]),
         model=model,
@@ -527,8 +528,7 @@ def solve(
         t0 = time.perf_counter()
         rho = state.rho
         alt = alternating_max(prob, state.model, state.y, rho)
-        state.nu = alt.nu
-        y_cand = candidate_iterate(state.y, alt.nu, alt.a_x, prob.b, rho, prob.ineq_idx)
+        y_cand = candidate_iterate(state.y, alt.a_x, prob.b, rho, prob.ineq_idx)
         t1 = time.perf_counter()
         ev = ipm_eval(assemble_eval_coeffs(prob, state.model, y_cand, alt.cost_quad))
         model_val = float(prob.b @ y_cand) - ev.value
@@ -579,7 +579,6 @@ def solve(
                     model_val=model_val,
                     y=state.y,
                     y_cand=y_cand,
-                    nu_cand=alt.nu,
                     residuals=state.residuals,
                     primal=state.last_primal,
                     eta=alt.eta,
@@ -620,15 +619,16 @@ def primal_output(model: BundleModel) -> PrimalOutput:
 # state serialization and warm starts
 
 _MAGIC = b"USBS"
-_VERSION = 2
+_VERSION = 3
 _SKETCH_KIND = 2  # the store kind of a sketch; kind 1 held a dense n x n store
 # the fixed-size head of a state file, in order: magic, version; the problem
 # fingerprint n, m, |I|, hash of b; k_c, k_p; store kind (_SKETCH_KIND),
 # sketch rank, psi seed; scale_x, scale_c; f_y, lam_y (NaN when unknown);
 # descent steps, null steps; aggregate trace, aggregate cost inner product;
-# the proximal weight rho (NaN when unknown).  The float64 payload follows: y, nu, the
-# aggregate constraint image, the n x k basis, then the n x r sketch.
-# Version 1 is the same file without rho.
+# the proximal weight rho (NaN when unknown).  The float64 payload follows: y,
+# the aggregate constraint image, the n x k basis, then the n x r sketch.
+# Versions 1 and 2 hold the last proximal step's slack, m floats, after y;
+# version 1 has no rho either.
 _HEADER = struct.Struct("<4sI QQQQ II B II dd dd QQ dd d")
 _HEADER_V1 = struct.Struct(_HEADER.format[:-2])
 
@@ -687,21 +687,21 @@ def save_state(path, state: SolverState, prob: SdpProblem) -> None:
     )
     with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "wb") as fh:
         fh.write(header)
-        for arr in (state.y, state.nu, model.stats.constr_image, model.basis, sk.sketch_mat):
+        for arr in (state.y, model.stats.constr_image, model.basis, sk.sketch_mat):
             # the array's own buffer when it is C-contiguous little-endian
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_state(path) -> StateRecord:
-    """Read a state file written by :func:`save_state`, or by its version 1,
-    which has no rho: such a state, like one saved with ``rho=None``, has
-    ``rho=None`` and resumes at ``cfg.rho``.  Raises ValueError for a wrong
-    magic or version, a store kind other than 2 (the sketch; kind 1, a
-    dense store, is no longer read), ``k_c < 1``, ``k_c + k_p > n``,
-    a sketch rank outside [1, n] (the rules :func:`cold_start` keeps), a rho
-    that is not positive, a payload shorter or longer than the header
-    declares, non-finite arrays or statistics, and a path that is not a
-    regular file."""
+    """Read a state file written by :func:`save_state`, or by its versions 1
+    and 2, whose slack block is skipped.  Version 1 has no rho: such a
+    state, like one saved with ``rho=None``, has ``rho=None`` and resumes at
+    ``cfg.rho``.  Raises ValueError for a wrong magic or version, a store
+    kind other than 2 (the sketch; kind 1, a dense store, is no longer
+    read), ``k_c < 1``, ``k_c + k_p > n``, a sketch rank outside [1, n] (the
+    rules :func:`cold_start` keeps), a rho that is not positive, a payload
+    shorter or longer than the header declares, non-finite arrays or
+    statistics, and a path that is not a regular file."""
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
         if not stat.S_ISREG(info.st_mode):
@@ -714,9 +714,9 @@ def load_state(path) -> StateRecord:
         magic, version = struct.unpack_from("<4sI", head)
         if magic != _MAGIC:
             raise ValueError("not a solver state file")
-        if version not in (1, _VERSION):
+        if version not in (1, 2, _VERSION):
             raise ValueError(f"unsupported state file version {version}")
-        header = _HEADER if version == _VERSION else _HEADER_V1
+        header = _HEADER_V1 if version == 1 else _HEADER
         if len(head) < header.size:
             raise ValueError("truncated state file")
         fields = header.unpack_from(head)
@@ -741,7 +741,7 @@ def load_state(path) -> StateRecord:
             trace,
             cost_ip,
             rho,
-        ) = fields if version == _VERSION else fields + (np.nan,)
+        ) = fields + (np.nan,) if version == 1 else fields
         if kind != _SKETCH_KIND:
             raise ValueError(
                 f"state file has store kind {kind}; only kind {_SKETCH_KIND}, a sketch, "
@@ -756,27 +756,29 @@ def load_state(path) -> StateRecord:
             raise ValueError(f"state file has sketch rank {rank}; it must lie in [1, n = {n}]")
         if not (np.isnan(rho) or (np.isfinite(rho) and rho > 0)):
             raise ValueError(f"state file has rho = {rho}; it must be positive and finite")
-        count = 3 * m + n * k + n * rank
-        expected = header.size + 8 * count
+        count = 2 * m + n * k + n * rank
+        slack = 0 if version == _VERSION else m
+        expected = header.size + 8 * (count + slack)
         if size < expected:
             raise ValueError(f"truncated state file: {size} bytes, the header declares {expected}")
         if size > expected:
             raise ValueError(f"state file has {size - expected} trailing bytes after its payload")
         payload = np.empty(count, dtype="<f8")
         fh.seek(header.size)
-        if fh.readinto(payload) != 8 * count:
+        got = fh.readinto(payload[:m])
+        fh.seek(8 * slack, os.SEEK_CUR)
+        if got + fh.readinto(payload[m:]) != 8 * count:
             raise ValueError("truncated state file")
     # a copy only on a big-endian host
     payload = payload.astype(float, copy=False)
     if not (np.all(np.isfinite(payload)) and np.isfinite([scale_x, scale_c, trace, cost_ip]).all()):
         raise ValueError("state file holds non-finite arrays, scales, trace or cost")
-    y, nu, a_xbar, basis, sketch_mat = np.split(payload, np.cumsum([m, m, m, n * k]))
+    y, a_xbar, basis, sketch_mat = np.split(payload, np.cumsum([m, m, n * k]))
     sk = sketchmod.NystromSketch(n, rank, psi_seed, sketch_mat.reshape(n, rank))
     stats = AggregateStats(trace, cost_ip, a_xbar)
     model = BundleModel(basis.reshape(n, k), stats, k_c, k_p, store=SketchStore(sk))
     state = SolverState(
         y=y,
-        nu=nu,
         f_y=None if np.isnan(f_y) else float(f_y),
         lam_y=None if np.isnan(lam_y) else float(lam_y),
         model=model,
@@ -858,8 +860,8 @@ def warm_start_pad(
     every new row does when no kept row qualifies.  For MaxCut this is
     complementary slackness, y_i = (C X)_ii / X_ii, with one common scale:
     a new vertex gets ``r * C_ii`` instead of leaving its whole diagonal
-    in ``C - A*(y)``.  The nu vector is padded with zeros, and the proximal
-    weight rho is carried over as it is.  The primal factor is padded with
+    in ``C - A*(y)``.  The proximal weight rho is carried over as it is.
+    The primal factor is padded with
     zero rows on new vertices and rescaled by the ratio of trace
     normalizations so the padded matrix represents the same unscaled
     object; statistics are recomputed against the new problem data, and
@@ -892,8 +894,6 @@ def warm_start_pad(
 
     y = _arrival_duals(prev.y, new_prob, cmap)
     y[cmap] = prev.y
-    nu = np.zeros(new_prob.m)
-    nu[cmap] = prev.nu
 
     basis = _rows_or_zeros(model.basis, src)
 
@@ -909,7 +909,6 @@ def warm_start_pad(
     new_model = BundleModel(basis=basis, stats=stats, k_c=model.k_c, k_p=model.k_p, store=store)
     return SolverState(
         y=y,
-        nu=nu,
         f_y=None,
         lam_y=None,
         model=new_model,

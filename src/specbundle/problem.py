@@ -35,7 +35,6 @@ __all__ = [
     "build_maxcut",
     "build_qap",
     "proj_K",
-    "proj_N",
     "dual_slack_operator",
     "parse_graph_mm",
     "write_graph_mm",
@@ -392,12 +391,6 @@ def proj_K(z: np.ndarray, prob: SdpProblem) -> np.ndarray:
     return out
 
 
-def proj_N(z: np.ndarray, prob: SdpProblem) -> np.ndarray:
-    """Euclidean projection onto the dual-slack domain (<= 0 on inequality
-    rows, 0 on equality rows)."""
-    return np.where(prob.ineq_mask, np.minimum(z, 0.0), 0.0)
-
-
 def dual_slack_operator(prob: SdpProblem, y: np.ndarray) -> LinOp:
     """cost - adjoint(y) as a symmetric operator, built once per evaluation
     in the constraint family's form: a CSR matrix for the diagonal family,
@@ -690,7 +683,7 @@ def _index_ok(tok: str) -> bool:
 
 def _entry_lines(path, size_lineno: int):
     """(line number, fields) of each entry line after the size line."""
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             text = line.strip()
             if ln > size_lineno and text and not text.startswith("%"):
@@ -714,14 +707,12 @@ def _first_bad_entry(path, size_lineno: int, want: int, nrows: int) -> ParseErro
     return None
 
 
-def _loadtxt_unsafe(path, encoding: str, size_lineno: int, want: int) -> bool:
+def _loadtxt_unsafe(data: bytes, size_lineno: int, want: int) -> bool:
     """Whether an entry line holds a "%" or a non-ASCII character inside one
     of its first ``want`` fields.  Such a line is malformed, and np.loadtxt
     must not read it: it takes the "%" for the start of a comment and keeps
     the field cut short, and its integer parser reads some non-ASCII
     characters as digits and crashes on others."""
-    with open(path, "rb") as fh:
-        data = fh.read()
     raw = np.frombuffer(data, dtype=np.uint8)
     pct = np.flatnonzero(raw[1:] == ord("%")) + 1
     glued = pct[~np.isin(raw[pct - 1], _FIELD_BREAKS)]
@@ -735,7 +726,7 @@ def _loadtxt_unsafe(path, encoding: str, size_lineno: int, want: int) -> bool:
     starts, stops = np.r_[0, ends + 1], np.r_[ends, raw.size]
     lines = np.unique(np.searchsorted(ends, pos))  # 0-based, so line k + 1
     for k in lines[lines >= size_lineno].tolist():
-        text = data[starts[k] : stops[k]].decode(encoding).strip()
+        text = data[starts[k] : stops[k]].decode("utf-8").strip()
         fields = [] if text.startswith("%") else text.split()[:want]
         if any("%" in f or not f.isascii() for f in fields):
             return True
@@ -785,8 +776,18 @@ def parse_graph_mm(path) -> GraphInstance:
     The header and the size line are read line by line, the entry block in
     one ``np.loadtxt`` pass, and the checks on it are array operations.
     Only a block that fails them is read again, line by line, to name the
-    line at fault."""
-    with open(path, "r") as fh:
+    line at fault.  A byte that is not UTF-8 is an error wherever it stands,
+    found before any other."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[: exc.start]  # its line as text mode counts lines
+            ends = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", ends + 1) from None
+    with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if not first:
             raise ParseError("empty file", 1)
@@ -822,7 +823,7 @@ def parse_graph_mm(path) -> GraphInstance:
             raise ParseError(f"matrix must be square, got {nrows}x{ncols}", lineno)
 
         block = None
-        if not _loadtxt_unsafe(path, fh.encoding, lineno, want):
+        if not _loadtxt_unsafe(data, lineno, want):
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -842,7 +843,7 @@ def parse_graph_mm(path) -> GraphInstance:
         )
     count = block.size
     if count != nnz:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             total = sum(1 for _ in fh)
         raise ParseError(f"expected {nnz} entries, found {count}", total)
     w = block["w"] if want == 3 else np.ones(count)
@@ -877,11 +878,14 @@ def parse_qaplib(path) -> QapInstance:
     distance block, whitespace separated with arbitrary line breaks.  The
     2 n^2 matrix tokens go through one array conversion; line numbers are
     looked up only for an error.  The text is ASCII with no ``_``."""
-    with open(path, "r") as fh:
+    # a byte that is not UTF-8 reads as a lone surrogate, U+DC80-U+DCFF
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         text = fh.read().removeprefix(_BOM)
     if not text.isascii() or "_" in text:
         at = re.search(r"[^\x00-\x7f]|_", text).start()
         line = text.count("\n", 0, at) + 1
+        if "\udc80" <= text[at] <= "\udcff":
+            raise ParseError(f"byte 0x{ord(text[at]) - 0xDC00:02x} is not UTF-8", line)
         raise ParseError(f"bad character {text[at]!r}: tokens are ASCII, with no '_'", line)
     tokens = text.split()
     if not tokens:

@@ -13,7 +13,7 @@ Newton system is reduced analytically to a single symmetric positive
 definite solve on the S-block.
 
 On inequality rows the proximal subproblem also carries a slack nu, whose
-optimum for a given X is the projection proj_N(A(X) + rho*y - b).  With nu
+optimum for a given X is min(A(X) + rho*y - b, 0) on those rows.  With nu
 eliminated the objective is a convex C^1 piecewise quadratic: each piece
 keeps the equality rows and the inequality rows with a positive residual.
 The interior-point method re-selects the piece at every Newton step, so one
@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problem import SdpProblem, proj_N
+from .problem import SdpProblem
 from .symlin import (
     ConditioningError,
     is_positive_definite,
@@ -537,7 +537,6 @@ class _Pieces:
 class AltMaxResult:
     eta: float  # weight on the aggregate matrix, original units
     s_mat: np.ndarray  # k x k block, original units
-    nu: np.ndarray  # the optimal slack, proj_N(a_x + rho*y - b)
     a_x: np.ndarray  # constraint image of the new iterate
     c_x: float  # cost inner product of the new iterate
     tr_x: float
@@ -553,8 +552,7 @@ def alternating_max(prob: SdpProblem, model, y: np.ndarray, rho: float) -> AltMa
 
     It no longer alternates: the slack is eliminated in closed form, and the
     solve re-selects the piece of the resulting piecewise-quadratic
-    objective as it goes (see the module docstring).  The optimal slack is
-    then the projection of the final residual.
+    objective as it goes (see the module docstring).
     """
     alpha = prob.alpha
     tr = model.stats.trace
@@ -577,7 +575,6 @@ def alternating_max(prob: SdpProblem, model, y: np.ndarray, rho: float) -> AltMa
     return AltMaxResult(
         eta=eta_act,
         s_mat=s_act,
-        nu=proj_N(a_x + rho * y - prob.b, prob),
         a_x=a_x,
         c_x=c_x,
         tr_x=tr_x,

@@ -1008,6 +1008,23 @@ def proj_N_frozen(z: np.ndarray, prob) -> np.ndarray:
     return out
 
 
+def proximal_slack(prob, y: np.ndarray, rho: float, a_x: np.ndarray) -> np.ndarray:
+    """The slack the proximal step at anchor y eliminates, for the step's
+    constraint image a_x: proj_N(a_x + rho*y - b)."""
+    return proj_N_frozen(a_x + rho * y - prob.b, prob)
+
+
+def candidate_iterate_frozen(y, nu, a_x, b, rho, ineq_idx) -> np.ndarray:
+    """The candidate as the solver formed it while it kept the slack: the
+    step y - (b - a_x)/rho, with the sign rows set to 0 where nu < 0 and
+    clipped to max(., 0) elsewhere."""
+    out = y - (b - a_x) / rho
+    if ineq_idx.size:
+        sub = out[ineq_idx]
+        out[ineq_idx] = np.where(nu[ineq_idx] < 0.0, 0.0, np.maximum(sub, 0.0))
+    return out
+
+
 def qap_constraint_entries_frozen(q, ordered_pairs: bool = False):
     """Frozen copy of the per-constraint loop that built the lifted
     assignment rows before they were built from index arrays, with one G
@@ -1269,23 +1286,27 @@ def write_graph_mm_frozen(g, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# frozen writer of the version-1 state file, which has no rho.  Version-1
-# files must keep loading.
+# frozen writer of the version-1 and version-2 state files, which hold the
+# last proximal step's slack nu after y; version 1 has no rho either.  Both
+# versions must keep loading.
 
 
-def save_state_v1_frozen(path, state, prob) -> None:
-    """``save_state`` as it wrote format version 1: the 19-field header
-    without rho, then the same float64 payload."""
+def save_state_frozen(path, state, prob, version: int, nu=None) -> None:
+    """``save_state`` as it wrote format version 1 (the 19-field header
+    without rho) or 2 (the 20-field header), then the float64 payload y,
+    ``nu`` (zeros by default), the aggregate image, the basis and the
+    sketch."""
     import hashlib
     import struct
 
     model = state.model
     sk = model.store.sk
     b_hash = hashlib.sha256(np.ascontiguousarray(prob.b, dtype="<f8").tobytes()).digest()
+    rho = () if version == 1 else (state.rho if state.rho is not None else np.nan,)
     header = struct.pack(
-        "<4sI QQQQ II B II dd dd QQ dd",
+        "<4sI QQQQ II B II dd dd QQ dd" + ("" if version == 1 else " d"),
         b"USBS",
-        1,
+        version,
         prob.n,
         prob.m,
         int(prob.ineq_idx.size),
@@ -1303,10 +1324,12 @@ def save_state_v1_frozen(path, state, prob) -> None:
         state.null_steps,
         model.stats.trace,
         model.stats.cost_ip,
+        *rho,
     )
+    nu = np.zeros(prob.m) if nu is None else nu
     with open(path, "wb") as fh:
         fh.write(header)
-        for arr in (state.y, state.nu, model.stats.constr_image, model.basis, sk.sketch_mat):
+        for arr in (state.y, nu, model.stats.constr_image, model.basis, sk.sketch_mat):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 

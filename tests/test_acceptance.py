@@ -15,7 +15,7 @@ from conftest import (
     record_store_updates,
 )
 from _ipm_steps import newton_direction
-from _oracles import brute_force_qap, full_newton_residual, random_quad_coeffs
+from _oracles import brute_force_qap, full_newton_residual, proximal_slack, random_quad_coeffs
 from specbundle.bundle import (
     Mapping,
     SketchStore,
@@ -304,12 +304,15 @@ def test_criterion_6_inequality_path():
     cfg = SolverConfig(rho=0.1, beta=0.25, k_c=5, k_p=1, eps=1e-3, max_iters=500, seed=0)
     worst_comp = 0.0
     worst_sign = 0.0
+    anchor = np.zeros(prob.m)  # the y of the step: the previous record's
 
     def cb(info):
-        nonlocal worst_comp, worst_sign
+        nonlocal worst_comp, worst_sign, anchor
         yc = info.y_cand
         worst_sign = min(worst_sign, float(np.min(yc[prob.ineq_idx])))
-        worst_comp = max(worst_comp, abs(float(yc @ info.nu_cand)))
+        nu = proximal_slack(prob, anchor, info.rho, info.primal.constr_image)
+        worst_comp = max(worst_comp, abs(float(yc @ nu)))
+        anchor = info.y
 
     state, _ = solve(prob, cfg, callback=cb)
     assert state.status == "converged"

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import adjoint_matrix, save_state_v1_frozen
+from _oracles import adjoint_matrix, save_state_frozen
 from conftest import (
     graph_from_edges,
     make_k3,
@@ -137,13 +137,13 @@ class TestCandidateIterate:
     def test_fixed_point(self):
         y = np.array([1.0, -2.0, 0.5])
         b = np.array([0.3, 0.1, -0.2])
-        out = candidate_iterate(y, np.zeros(3), b.copy(), b, 0.7, np.array([], dtype=int))
+        out = candidate_iterate(y, b.copy(), b, 0.7, np.array([], dtype=int))
         np.testing.assert_allclose(out, y)
 
     def test_equality_only_formula(self):
         rng = np.random.default_rng(0)
         y, b, ax = rng.standard_normal((3, 5))
-        out = candidate_iterate(y, np.zeros(5), ax, b, 2.0, np.array([], dtype=int))
+        out = candidate_iterate(y, ax, b, 2.0, np.array([], dtype=int))
         np.testing.assert_allclose(out, y - (b - ax) / 2.0)
 
     def test_clipping_on_inequality_rows(self):
@@ -153,7 +153,7 @@ class TestCandidateIterate:
         ineq = np.array([0, 1])
         rho = 1.0
         nu = np.minimum(ax + rho * y - b, 0.0)
-        out = candidate_iterate(y, nu, ax, b, rho, ineq)
+        out = candidate_iterate(y, ax, b, rho, ineq)
         # row 0 would go negative and clips to zero; row 1 stays positive
         np.testing.assert_allclose(out, [0.0, 1.0])
         assert out @ nu == 0.0
@@ -168,7 +168,7 @@ class TestCandidateIterate:
         w = ax + rho * y - b
         nu = np.zeros(m)
         nu[ineq] = np.minimum(w[ineq], 0.0)
-        out = candidate_iterate(y, nu, ax, b, rho, ineq)
+        out = candidate_iterate(y, ax, b, rho, ineq)
         direct = y - (b + nu - ax) / rho
         np.testing.assert_allclose(out, direct, atol=1e-12)
         assert np.min(out[ineq]) >= 0.0
@@ -462,7 +462,7 @@ class TestSolveEndToEnd:
         def snapshot(st):
             store = st.model.store
             mat = store.sk.sketch_mat
-            arrays = [a.copy() for a in (st.y, st.nu, st.model.basis, st.model.stats.constr_image, mat)]
+            arrays = [a.copy() for a in (st.y, st.model.basis, st.model.stats.constr_image, mat)]
             scalars = (st.f_y, st.lam_y, st.rho, st.descent_steps, st.null_steps, st.iterations,
                        st.model.stats.trace, st.model.stats.cost_ip, st.status)
             return arrays, scalars, st.model, store
@@ -591,7 +591,6 @@ class TestStateFile:
         rec = load_state(path)
         state2 = state_from_record(rec, prob)
         np.testing.assert_array_equal(state2.y, state.y)
-        np.testing.assert_array_equal(state2.nu, state.nu)
         np.testing.assert_array_equal(state2.model.basis, state.model.basis)
         assert state2.f_y == state.f_y
         assert state2.model.stats.trace == state.model.stats.trace
@@ -658,6 +657,8 @@ class TestStateFile:
             load_state(path)
 
     def test_version_2_round_trips_rho(self, tmp_path):
+        """rho, in the header since format version 2, round-trips through
+        the current version."""
         prob = build_maxcut(random_graph(12, 0.4, 3))
         cfg = SolverConfig(k_c=3, k_p=1, eps=1e-12, max_iters=3, seed=0, sketch_rank=3)
         state, _ = solve(prob, cfg)
@@ -665,7 +666,7 @@ class TestStateFile:
         for rho in (state.rho, 0.1 + 2.0**-50, 1e-300, None):
             save_state(path, replace(state, rho=rho), prob)
             assert state_from_record(load_state(path), prob).rho == rho
-        assert path.read_bytes()[4:8] == (2).to_bytes(4, "little")
+        assert path.read_bytes()[4:8] == (3).to_bytes(4, "little")
 
     @pytest.mark.parametrize("rank", [12, 3])
     def test_version_1_file_resumes_at_cfg_rho(self, tmp_path, rank):
@@ -675,19 +676,21 @@ class TestStateFile:
         cfg = SolverConfig(k_c=3, k_p=1, eps=1e-12, max_iters=3, seed=0, sketch_rank=rank)
         state, _ = solve(prob, cfg)
         assert state.rho != cfg.rho
-        v1, v2 = tmp_path / "v1.bin", tmp_path / "v2.bin"
-        save_state_v1_frozen(v1, state, prob)
-        save_state(v2, replace(state, rho=cfg.rho), prob)
+        v1, v3 = tmp_path / "v1.bin", tmp_path / "v3.bin"
+        save_state_frozen(v1, state, prob, 1)
+        save_state(v3, replace(state, rho=cfg.rho), prob)
         old = state_from_record(load_state(v1), prob)
         assert old.rho is None
         infos = []
         resumed, _ = solve(prob, cfg, init=old, callback=infos.append)
         assert infos[0].rho == cfg.rho
-        again, _ = solve(prob, cfg, init=state_from_record(load_state(v2), prob))
+        again, _ = solve(prob, cfg, init=state_from_record(load_state(v3), prob))
         np.testing.assert_array_equal(resumed.y, again.y)
         assert resumed.rho == again.rho
-        # the payloads agree; only the header grew by one float64
-        assert v1.read_bytes()[121:] == v2.read_bytes()[129:]
+        # the payloads agree but for version 1's slack after y; the header
+        # grew by one float64
+        old_bytes, y_end = v1.read_bytes(), 121 + 8 * prob.m
+        assert old_bytes[121:y_end] + old_bytes[y_end + 8 * prob.m :] == v3.read_bytes()[129:]
 
     def test_enormous_declared_payload_is_refused_before_allocating(self, tmp_path):
         """A header whose n declares terabytes of payload is refused as
@@ -728,7 +731,7 @@ class TestStateFile:
         state = cold_start(prob, SolverConfig(k_c=3, k_p=1, sketch_rank=prob.n))
         state.model.store = state.model.store.update(0.0, np.eye(prob.n, 2), np.array([0.5, 0.5]))
         path = tmp_path / "s.bin"
-        payload = 8 * (3 * prob.m + prob.n * 4 + prob.n**2)
+        payload = 8 * (2 * prob.m + prob.n * 4 + prob.n**2)
         tracemalloc.start()
         try:
             save_state(path, state, prob)
@@ -746,14 +749,17 @@ class TestStateFile:
             rec.state.model.store.sk.sketch_mat, state.model.store.sk.sketch_mat
         )
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_a_dense_store_file_is_refused(self, tmp_path, version):
         """A file whose store kind byte reads 1, the dense store of earlier
         versions, is refused with a message that names the store kind."""
         prob = build_maxcut(random_graph(12, 0.4, 3))
         state = cold_start(prob, SolverConfig(k_c=3, k_p=1, sketch_rank=4))
         path = tmp_path / "s.bin"
-        (save_state_v1_frozen if version == 1 else save_state)(path, state, prob)
+        if version < 3:
+            save_state_frozen(path, state, prob, version)
+        else:
+            save_state(path, state, prob)
         load_state(path)
         raw = bytearray(path.read_bytes())
         kind_at = struct.calcsize("<4sI QQQQ II")  # magic, version, fingerprint, k_c, k_p
@@ -781,7 +787,6 @@ class TestWarmStartPad:
         mapping = Mapping(np.arange(3), np.arange(3))
         padded = warm_start_pad(state, prob, mapping)
         np.testing.assert_allclose(padded.y, state.y)
-        np.testing.assert_allclose(padded.nu, state.nu)
         assert padded.model.stats.trace == pytest.approx(state.model.stats.trace, rel=1e-10)
         np.testing.assert_allclose(
             padded.model.stats.constr_image, state.model.stats.constr_image, atol=1e-10
@@ -809,7 +814,6 @@ class TestWarmStartPad:
         assert r > 0
         np.testing.assert_array_equal(padded.y[:9], state.y)
         assert padded.y[9] == pytest.approx(r * diag[9], rel=1e-12)
-        np.testing.assert_array_equal(padded.nu[9:], 0.0)
         assert padded.model.basis.shape == (10, state.model.k)
         # rescale ratio: old trace normalization over new
         assert padded.model.stats.trace == pytest.approx(

@@ -335,6 +335,21 @@ class TestSolveCommand:
         assert "parse error: line 2" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "problem, data",
+        [
+            ("maxcut", b"%%MatrixMarket matrix coordinate real symmetric\n3 3 1\n2 1 1.0\xff\n"),
+            ("qap", b"2\n0 3\n3 0\xff\n0 5\n5 0\n"),
+        ],
+    )
+    def test_byte_that_is_not_utf8_exits_1(self, tmp_path, capsys, problem, data):
+        """A parse error on the byte's line, not a bare codec message."""
+        bad = tmp_path / "bad"
+        bad.write_bytes(data)
+        assert main(["solve", "--problem", problem, "--input", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "parse error: line 3: byte 0xff is not UTF-8" in err and "Traceback" not in err
+
     def test_config_file_precedence(self, tmp_path, k3_file):
         cfgf = tmp_path / "cfg"
         cfgf.write_text("eps = 0.5\nseed = 3\n# comment\n")
@@ -740,7 +755,7 @@ def _corrupt_state(raw: bytes, case: str) -> bytes:
     """Damage one part of a state file written by ``save_state``."""
     import struct
 
-    head = "<4sI QQQQ II B II dd dd QQ dd d"  # format version 2
+    head = "<4sI QQQQ II B II dd dd QQ dd d"  # the header of format versions 2 and 3
     kind_at = struct.calcsize("<4sI QQQQ II")
     trace_at = struct.calcsize("<4sI QQQQ II B II dd dd QQ")
     rho_at = struct.calcsize("<4sI QQQQ II B II dd dd QQ dd")

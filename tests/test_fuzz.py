@@ -146,7 +146,8 @@ def test_parse_graph_mm_fuzz(tmp_path, capsys, data):
     _write(path, data)
     try:
         g = parse_graph_mm(path)
-    except ValueError:  # ParseError is a ValueError
+    except ValueError as exc:  # ParseError is a ValueError
+        assert not isinstance(exc, UnicodeError)  # a codec error names no line
         argv = ["round", "--problem", "maxcut", "--input", str(path), "--state", "unused.bin"]
         _cli_rejects(argv, capsys)
         return
@@ -163,7 +164,8 @@ def test_parse_qaplib_fuzz(tmp_path, capsys, data):
     _write(path, data)
     try:
         q = parse_qaplib(path)
-    except ValueError:
+    except ValueError as exc:
+        assert not isinstance(exc, UnicodeError)
         argv = ["round", "--problem", "qap", "--input", str(path), "--state", "unused.bin"]
         _cli_rejects(argv, capsys)
         return
@@ -172,7 +174,7 @@ def test_parse_qaplib_fuzz(tmp_path, capsys, data):
     _builds_or_rejects(build_qap, q, argv, capsys)
 
 
-_HEAD_FMT = "<4sI QQQQ II B II dd dd QQ dd d"  # format version 2
+_HEAD_FMT = "<4sI QQQQ II B II dd dd QQ dd d"  # the header of format versions 2 and 3
 
 
 @functools.cache

@@ -26,7 +26,6 @@ from specbundle.problem import (
     qap_family_offsets,
     parse_qaplib,
     proj_K,
-    proj_N,
     write_graph_mm,
     write_qaplib,
 )
@@ -224,14 +223,17 @@ class TestProjections:
         out = proj_K(z, prob)
         np.testing.assert_allclose(out[prob.ineq_mask], z[prob.ineq_mask])
 
+    # proj_N, the dual-slack projection, is the tests' own (proj_N_frozen):
+    # the solver eliminates the slack and no longer forms it
+
     def test_proj_n_no_ineq_zero(self):
         prob = build_maxcut(make_k3())
-        np.testing.assert_array_equal(proj_N(np.ones(3), prob), np.zeros(3))
+        np.testing.assert_array_equal(proj_N_frozen(np.ones(3), prob), np.zeros(3))
 
     def test_proj_n_nonpositive_preserved(self):
         prob = self.make_prob()
         z = -np.abs(np.random.default_rng(1).standard_normal(prob.m))
-        out = proj_N(z, prob)
+        out = proj_N_frozen(z, prob)
         np.testing.assert_allclose(out[prob.ineq_mask], z[prob.ineq_mask])
         np.testing.assert_array_equal(out[~prob.ineq_mask], 0.0)
 
@@ -240,7 +242,7 @@ class TestProjections:
         rng = np.random.default_rng(2)
         for _ in range(10):
             z = rng.standard_normal(prob.m)
-            out = proj_N(z, prob)
+            out = proj_N_frozen(z, prob)
             # coordinate-wise oracle
             expected = np.where(
                 prob.ineq_mask, np.minimum(z, 0.0), 0.0
@@ -250,7 +252,7 @@ class TestProjections:
     def test_projections_idempotent_nonexpansive(self):
         prob = self.make_prob()
         rng = np.random.default_rng(3)
-        for proj in (proj_K, proj_N):
+        for proj in (proj_K, proj_N_frozen):
             z1, z2 = rng.standard_normal((2, prob.m))
             p1, p2 = proj(z1, prob), proj(z2, prob)
             np.testing.assert_allclose(proj(p1, prob), p1)
@@ -741,15 +743,21 @@ class TestSparseImagesBitIdentity:
             check(entries, rng.standard_normal(7) * 10.0 ** rng.integers(-8, 9, 7))
 
     def test_proj_n(self, qap5):
+        """The tests' gather-and-scatter projection equals the masked form
+        the solver used, bit for bit, the sign of zero included."""
+
+        def masked(z, prob):
+            return np.where(prob.ineq_mask, np.minimum(z, 0.0), 0.0)
+
         prob = qap5[0]
         rng = np.random.default_rng(12)
         for z in (rng.standard_normal(prob.m), np.zeros(prob.m), -np.zeros(prob.m)):
-            out = proj_N(z, prob)
+            out = masked(z, prob)
             ref = proj_N_frozen(z, prob)
             assert np.array_equal(out, ref) and np.array_equal(np.signbit(out), np.signbit(ref))
         maxcut = build_maxcut(make_k3())
         z = np.array([1.0, -2.0, 0.5])
-        assert np.array_equal(proj_N(z, maxcut), proj_N_frozen(z, maxcut))
+        assert np.array_equal(masked(z, maxcut), proj_N_frozen(z, maxcut))
 
 
 def _qap_cases():

@@ -414,6 +414,40 @@ def test_byte_order_mark_keeps_error_lines(tmp_path, reader, text, line):
 
 
 # ---------------------------------------------------------------------------
+# a byte that is not UTF-8: a ParseError on its line, not a codec error
+
+_ENTRIES = b"".join(b"%d 1 1.0\n" % i for i in range(2, 3001))
+NOT_UTF8 = [
+    ("mm after an entry", parse_graph_mm, REALSYM.encode() + b"3 3 2\n2 1 1.0\xff\n3 2 1.0\n", 3),
+    ("mm latin-1 comment", parse_graph_mm, REALSYM.encode() + b"% caf\xe9\n3 3 2\n2 1 1.0\n3 2 1.0\n", 2),
+    ("mm header", parse_graph_mm, REALSYM.encode()[:-1] + b" \xff\n3 3 1\n2 1 1.0\n", 1),
+    # far past the first read buffer, in a field the reader ignores
+    ("mm ignored field", parse_graph_mm, REALSYM.encode() + b"3000 3000 3000\n" + _ENTRIES + b"1 1 1.0 \xff\n", 3002),
+    ("mm cut sequence at the end", parse_graph_mm, PAT.encode() + b"3 3 1\n2 1\n% \xc3", 4),
+    ("qaplib", parse_qaplib, b"2\n0 3\n3 0\xff\n0 5\n5 0\n", 3),
+    ("qaplib latin-1", parse_qaplib, b"2\n0 3\n3 0\n\xe90 5\n5 0\n", 4),
+]
+
+
+@pytest.mark.parametrize("reader, data, line", [c[1:] for c in NOT_UTF8], ids=[c[0] for c in NOT_UTF8])
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, reader, data, line, eol):
+    path = tmp_path / "bad"
+    path.write_bytes(data.replace(b"\n", eol))
+    with pytest.raises(ParseError, match=r"byte 0x[0-9a-f]{2} is not UTF-8") as err:
+        reader(path)
+    assert err.value.line == line
+
+
+def test_utf8_outside_the_fields_is_read(tmp_path):
+    """A UTF-8 comment or ignored field is text like any other."""
+    path = tmp_path / "g.mtx"
+    path.write_bytes(REALSYM.encode() + "% café\n3 3 1\n2 1 1.5 ½\n".encode())
+    _same_graph(parse_graph_mm(path), GraphInstance.from_arrays(3, [1], [0], [1.5]))
+
+
+
+# ---------------------------------------------------------------------------
 # the one-pass MatrixMarket writer against its per-edge frozen copy
 
 

@@ -2,7 +2,9 @@
 them with its own ``checks._same_state``; it also replays
 ``record_to_state`` and ``state_from_record`` on one record.  A change to
 the state layer that breaks either must fail here, not only in the
-benchmark's own run."""
+benchmark's own run.  ``_same_state`` also compares ``saved.nu`` with
+``loaded.nu``: the state holds no slack, so it reads ``SolverState.nu``, an
+empty read-only stand-in kept for this check alone."""
 import importlib.util
 import sys
 from pathlib import Path

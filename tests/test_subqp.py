@@ -8,12 +8,14 @@ from conftest import make_k3, mixed_inequality_problem
 from _oracles import (
     all_row_quad_coeffs,
     alternation_reference,
+    candidate_iterate_frozen,
     eval_coeffs_reference,
     full_newton_residual,
     ipm_solve_frozen,
     line_search_frozen,
     newton_direction_frozen,
     pg_quad_oracle,
+    proximal_slack,
     psi_value,
     quad_coeffs_reference,
     random_quad_coeffs,
@@ -440,17 +442,6 @@ class TestAlternatingMax:
         model = cold_start(prob, cfg).model
         res = alternating_max(prob, model, np.zeros(3), rho=0.5)
         assert res.passes == 1
-        np.testing.assert_array_equal(res.nu, np.zeros(3))
-
-    def test_nu_zero_when_projection_inactive(self):
-        prob, _ = mixed_inequality_problem(8, 4, n_ineq=4)
-        cfg = SolverConfig(k_c=3, k_p=0)
-        model = cold_start(prob, cfg).model
-        # large y makes the projection argument positive on inequality rows
-        y = np.zeros(prob.m)
-        y[prob.ineq_idx] = 10.0
-        res = alternating_max(prob, model, y, rho=1.0)
-        assert np.all(res.nu == 0.0)
 
     def test_psi_monotone_across_half_steps(self):
         """The reference alternation never lowers the coupling, and the one
@@ -473,7 +464,8 @@ class TestAlternatingMax:
         tol = 1e-8 * (1.0 + max(abs(v) for v in values))
         assert all(b >= a - tol for a, b in zip(values, values[1:]))
         one = alternating_max(prob, model, y, cfg.rho)
-        assert psi_value(prob, y, cfg.rho, one.c_x, one.a_x, one.nu) >= values[-1] - tol
+        nu = proximal_slack(prob, y, cfg.rho, one.a_x)
+        assert psi_value(prob, y, cfg.rho, one.c_x, one.a_x, nu) >= values[-1] - tol
 
     def test_capped_state_solves_exactly(self):
         """With the CLI's QAP settings, the state the first iteration leaves
@@ -578,7 +570,7 @@ def assert_matches_alternation(prob, model, y, rho):
     ref = alternation_reference(prob, model, y, rho)
     assert one.exact and ref["exact"]
     np.testing.assert_allclose(one.a_x, ref["a_x"], rtol=0, atol=1e-9)
-    psi_one = psi_value(prob, y, rho, one.c_x, one.a_x, one.nu)
+    psi_one = psi_value(prob, y, rho, one.c_x, one.a_x, proximal_slack(prob, y, rho, one.a_x))
     psi_ref = psi_value(prob, y, rho, ref["c_x"], ref["a_x"], ref["nu"])
     assert abs(psi_one - psi_ref) <= 1e-10 * abs(psi_ref)
 
@@ -609,6 +601,45 @@ class TestOneSolveMatchesAlternation:
         monkeypatch.setattr(_oracles, "_KKT_TOL", 1e-12)
         for _, prob, model, y, rho in states:
             assert_matches_alternation(prob, model, y, rho)
+
+
+class TestCandidateWithoutSlack:
+    """``candidate_iterate`` clips the sign rows of the gradient step, where
+    the solver used to set the rows of negative slack to zero first.  Both
+    give the same candidate, bit for bit, the sign of zero included."""
+
+    @staticmethod
+    def slack_and_check(prob, y, rho, a_x, y_cand=None):
+        nu = proximal_slack(prob, y, rho, a_x)
+        want = candidate_iterate_frozen(y, nu, a_x, prob.b, rho, prob.ineq_idx)
+        got = bundle.candidate_iterate(y, a_x, prob.b, rho, prob.ineq_idx) if y_cand is None else y_cand
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        return nu
+
+    def test_qap_and_mixed_states(self):
+        gated = 0
+        for _, prob, model, y, rho in qap_states() + mixed_states():
+            alt = alternating_max(prob, model, y, rho)
+            gated += np.count_nonzero(self.slack_and_check(prob, y, rho, alt.a_x) < 0)
+        assert gated > 0  # the old gate was active on some rows
+
+    @pytest.mark.parametrize("kind", ["qap", "mixed"])
+    def test_every_candidate_of_a_solve(self, kind):
+        if kind == "qap":
+            prob = build_qap(random_qap(5, 1))
+            cfg = SolverConfig(rho=0.005, beta=0.25, k_c=2, k_p=0, sketch_rank=5, max_iters=30)
+        else:
+            prob, _ = mixed_inequality_problem(12, 0)
+            cfg = SolverConfig(rho=0.1, beta=0.25, k_c=5, k_p=1, max_iters=40, seed=0)
+        anchor, gated = [np.zeros(prob.m)], []
+
+        def check(info):
+            nu = self.slack_and_check(prob, anchor[0], info.rho, info.primal.constr_image, info.y_cand)
+            gated.append(np.count_nonzero(nu < 0))
+            anchor[0] = info.y
+
+        state, _ = bundle.solve(prob, replace(cfg, eps=1e-12), callback=check)
+        assert len(gated) == state.iterations == cfg.max_iters and sum(gated) > 0
 
 
 class TestPieceSums:
