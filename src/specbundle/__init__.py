@@ -32,17 +32,7 @@ from .problem import (
     write_graph_mm,
     write_qaplib,
 )
-from .rounding import CutResult, GapTracker, PermResult, hungarian, maxcut_round, qap_round
+from .rounding import CutResult, PermResult, hungarian, maxcut_round, qap_round
 from .sketch import NystromSketch, reconstruct, sketch_init, sketch_update
-from .subqp import (
-    EvalCoeffs,
-    IpmState,
-    QuadCoeffs,
-    alternating_max,
-    assemble_eval_coeffs,
-    assemble_quad_coeffs,
-    ipm_eval,
-    ipm_quad,
-)
 
 __version__ = "0.1.0"

@@ -275,23 +275,19 @@ def penalized_obj(
     prob: SdpProblem,
     y: np.ndarray,
     cfg: SolverConfig,
-    k_c: Optional[int] = None,
+    k_c: int,
     f_stop: Optional[float] = None,
     res_max: float = math.inf,
-) -> tuple[float, Optional[EigResult]]:
-    """Penalized dual objective and the extreme eigenpairs that realize it.
+) -> tuple[float, EigResult]:
+    """Penalized dual objective at a y with y >= 0 on the inequality rows,
+    and the top ``k_c`` eigenpairs that realize it.
 
-    Returns +inf with no eigenpairs when y violates the sign constraint on
-    inequality rows.  With ``f_stop`` the eigensolve may stop at its
-    decision exit once the objective certainly exceeds ``f_stop``, every
-    wanted residual at most ``res_max``; the value returned is then a lower
-    bound on the objective (``eig.decided``).
+    With ``f_stop`` the eigensolve may stop at its decision exit once the
+    objective certainly exceeds ``f_stop``, every wanted residual at most
+    ``res_max``; the value returned is then a lower bound on the objective
+    (``eig.decided``).  ``solve`` checks the sign of its start point, and
+    every candidate it evaluates is clipped to the sign cone.
     """
-    idx = prob.ineq_idx
-    if idx.size and np.min(y[idx]) < 0:
-        return np.inf, None
-    if k_c is None:
-        k_c = min(cfg.k_c, prob.n)
     op = dual_slack_operator(prob, y)
     b_y = float(prob.b @ y)
     # f > f_stop once alpha * lambda_max > f_stop - <b, y>, and a Ritz value
@@ -503,14 +499,16 @@ def solve(
     state = replace(init) if init is not None else cold_start(prob, cfg)
     if state.model.basis.shape[0] != prob.n or state.y.shape[0] != prob.m:
         raise ValueError("initial state does not match the problem dimensions")
+    if np.any(state.y[prob.ineq_idx] < 0):  # the sign rows' y >= 0 is the dual's domain
+        raise ValueError(
+            "initial dual point violates the sign constraints: y < 0 on an inequality row"
+        )
     if state.rho is None:
         state.rho = cfg.rho
     t_start = time.monotonic()
 
     if state.f_y is None or state.lam_y is None:
         state.f_y, eig = penalized_obj(prob, state.y, cfg, k_c=state.model.k_c)
-        if not np.isfinite(state.f_y):
-            raise ValueError("initial dual point violates the sign constraints")
         state.lam_y = float(eig.eigenvalues[0])
     if state.last_primal is None:  # the last iterate's primal is not saved
         state.last_primal = state.model.stats.copy()

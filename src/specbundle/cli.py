@@ -41,7 +41,7 @@ from .problem import (
     write_graph_mm,
     write_qaplib,
 )
-from .rounding import GapTracker, maxcut_round, qap_round
+from .rounding import maxcut_round, qap_round
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -189,13 +189,25 @@ def _build_problem(kind: str, instance):
     return build_qap(instance)
 
 
-def _round_value(kind: str, instance, factor, optimum, tracker: Optional[GapTracker]):
+def _round_value(kind: str, instance, factor, optimum) -> tuple[float, Optional[float]]:
+    """The rounded objective, and its relative gap to ``optimum`` (QAP only)."""
     if kind == "maxcut":
-        return maxcut_round(factor, instance).value
+        return maxcut_round(factor, instance).value, None
     res = qap_round(factor, instance, known_optimum=optimum)
-    if tracker is not None and res.relative_gap is not None:
-        tracker.update(res)
-    return res.objective
+    return res.objective, res.relative_gap
+
+
+def _check_optimum(args, rounds: bool) -> None:
+    """``--optimum`` only scales the relative gap of a QAP rounding; a value
+    that nothing reads, or that the gap cannot divide by, is a usage error."""
+    if args.optimum is None:
+        return
+    if args.problem != "qap":
+        raise UsageError("--optimum applies to --problem qap only: a cut reports no gap")
+    if not rounds:
+        raise UsageError("--optimum needs --round: the gap is that of the rounded assignment")
+    if args.optimum == 0 or not math.isfinite(args.optimum):
+        raise UsageError("--optimum must be finite and nonzero: the relative gap divides by it")
 
 
 def _is_index(entry) -> bool:
@@ -254,6 +266,7 @@ def _emptied(fh):
 
 
 def cmd_solve(args) -> int:
+    _check_optimum(args, args.round)
     with _early_output(args.save_state, "b") as state_fh:
         return _solve(args, state_fh)
 
@@ -275,7 +288,7 @@ def _solve(args, state_fh) -> int:
             prev = bundle.record_to_state(record)
             init = warm_start_pad(prev, prob, _load_mapping(args.mapping), sketch_seed=cfg.seed)
 
-    tracker = GapTracker() if (args.problem == "qap" and args.optimum is not None) else None
+    best_gap = math.inf  # the least relative gap of the roundings, with --optimum
     out_path = args.out or "metrics.csv"
     # summed over the iterations: eigensolve matvecs, leading-pair misses
     # (decision exits left out), Newton steps, inexact proximal steps; then
@@ -288,7 +301,7 @@ def _solve(args, state_fh) -> int:
         writer.writerow(CSV_HEADER)
 
         def callback(info):
-            nonlocal exits
+            nonlocal exits, best_gap
             totals[0] += info.eig_matvecs
             totals[1] += not (info.eig_leading_converged or info.eig_decided)
             totals[2] += info.alt_newton
@@ -299,7 +312,10 @@ def _solve(args, state_fh) -> int:
             rounded = ""
             if args.round:
                 output = primal_output(info.model)
-                rounded = f"{_round_value(args.problem, instance, output.factor, args.optimum, tracker):.10g}"
+                value, gap = _round_value(args.problem, instance, output.factor, args.optimum)
+                rounded = f"{value:.10g}"
+                if gap is not None:
+                    best_gap = min(best_gap, gap)
             r = info.residuals
             writer.writerow(
                 [
@@ -335,10 +351,10 @@ def _solve(args, state_fh) -> int:
         f"linf_infeas: {r.linf_infeas:.3e}  dual_feas: {r.dual_feas:.3e}"
     )
     if args.round:
-        val = _round_value(args.problem, instance, output.factor, args.optimum, tracker)
-        print(f"rounded value: {val:.10g}")
-        if tracker is not None and tracker.best is not None:
-            print(f"best relative gap: {tracker.best:.6g}")
+        value, gap = _round_value(args.problem, instance, output.factor, args.optimum)
+        print(f"rounded value: {value:.10g}")
+        if gap is not None:
+            print(f"best relative gap: {min(best_gap, gap):.6g}")
     print(
         "summary: eigensolve matvecs {}, leading-pair misses {}, Newton steps {}, "
         "inexact subproblem solves {}".format(*totals)
@@ -352,6 +368,7 @@ def _solve(args, state_fh) -> int:
 
 
 def cmd_round(args) -> int:
+    _check_optimum(args, rounds=True)
     instance = _load_instance(args.problem, args.input)
     prob = _build_problem(args.problem, instance)
     record = load_state(args.state)

@@ -405,6 +405,13 @@ def dual_slack_operator(prob: SdpProblem, y: np.ndarray) -> LinOp:
 # builders
 
 
+# the trace bound alpha of both builders, above the unit trace they scale
+# the solution to, as the exact penalty needs
+TRACE_BOUND = 2.0
+# the power iteration of ``estimate_operator_norm``: relative tolerance on
+# ||A||^2, step cap, and the seed of its start, fixed because the QAP row
+# scales depend on the estimate to the last bit
+OPNORM_TOL, OPNORM_MAX_ITERS, OPNORM_SEED = 1e-6, 500, 0
 # a cost whose Frobenius norm reaches this bound is rejected: the sum of its
 # squares would come within a factor of four of the float range
 _MAX_COST_NORM = math.sqrt(np.finfo(float).max) / 2
@@ -435,7 +442,7 @@ def _normalized_cost(c_raw: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
     return (c_raw / scale_c).tocsr(), scale_c
 
 
-def build_maxcut(g: GraphInstance, alpha: float = 2.0) -> SdpProblem:
+def build_maxcut(g: GraphInstance) -> SdpProblem:
     """Quarter-Laplacian objective with unit diagonal constraints, rescaled
     so the cost has unit Frobenius norm and the solution has unit trace.
     Raises ValueError when that norm would overflow."""
@@ -455,7 +462,7 @@ def build_maxcut(g: GraphInstance, alpha: float = 2.0) -> SdpProblem:
         constraints=DiagonalConstraints(n),
         b=b,
         ineq_mask=np.zeros(n, dtype=bool),
-        alpha=alpha,
+        alpha=TRACE_BOUND,
         scale_c=scale_c,
         scale_x=scale_x,
         sense=1,
@@ -574,7 +581,7 @@ def qap_submatrix_constraint_map(full: QapInstance, n_sub: int) -> np.ndarray:
     return np.concatenate([offsets[f].start + np.asarray(within[f]) for f in QAP_FAMILIES])
 
 
-def estimate_operator_norm(ops, tol: float = 1e-6, max_iters: int = 500, seed: int = 0) -> float:
+def estimate_operator_norm(ops) -> float:
     """Power iteration on z -> A(A*(z)) over the m constraint rows of a
     ``SparseConstraintFamilies``; returns an estimate of the operator
     2-norm of the image map A.  Each step applies ``_upper``'s transpose
@@ -582,21 +589,21 @@ def estimate_operator_norm(ops, tol: float = 1e-6, max_iters: int = 500, seed: i
     exactly (their values are doubled) and half of it on the diagonal,
     doubles the n diagonal cells back, and applies ``_upper``."""
     upper, upper_t, diagonal = ops._upper, ops._upper.T, slice(None, None, ops.n + 1)
-    z = np.random.RandomState(seed).standard_normal(ops.m)
+    z = np.random.RandomState(OPNORM_SEED).standard_normal(ops.m)
     lam = float(np.linalg.norm(z))
-    for it in range(max_iters):
+    for it in range(OPNORM_MAX_ITERS):
         if lam == 0.0:
             return 0.0
         cells = upper_t @ (z / (2.0 * lam))
         cells[diagonal] *= 2.0
         z = upper @ cells
         lam_prev, lam = lam, float(np.linalg.norm(z))
-        if it and abs(lam - lam_prev) <= tol * lam:
+        if it and abs(lam - lam_prev) <= OPNORM_TOL * lam:
             break
     return float(np.sqrt(lam))
 
 
-def build_qap(q: QapInstance, alpha: float = 2.0) -> SdpProblem:
+def build_qap(q: QapInstance) -> SdpProblem:
     """Lifted assignment relaxation with the full normalization: unit cost
     norm, unit solution trace, unit operator norm, and unit row norms, times
     sqrt(2) on a G row that stands for two ordered pairs.  The native
@@ -644,7 +651,7 @@ def build_qap(q: QapInstance, alpha: float = 2.0) -> SdpProblem:
         constraints=ops,
         b=b,
         ineq_mask=ineq,
-        alpha=alpha,
+        alpha=TRACE_BOUND,
         scale_c=scale_c,
         scale_x=scale_x,
         sense=-1,

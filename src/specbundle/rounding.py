@@ -14,7 +14,7 @@ import numpy as np
 
 from .problem import GraphInstance, QapInstance
 
-__all__ = ["CutResult", "PermResult", "maxcut_round", "hungarian", "qap_round", "GapTracker"]
+__all__ = ["CutResult", "PermResult", "maxcut_round", "hungarian", "qap_round"]
 
 
 @dataclass
@@ -89,17 +89,3 @@ def qap_round(u: np.ndarray, q: QapInstance, known_optimum: Optional[float] = No
         best.relative_gap = (best.objective - known_optimum) / known_optimum
     return best
 
-
-class GapTracker:
-    """Running minimum over a stream of rounding results."""
-
-    def __init__(self):
-        self.best: Optional[float] = None
-
-    def update(self, gap: float | PermResult) -> float:
-        value = gap.relative_gap if isinstance(gap, PermResult) else float(gap)
-        if value is None:
-            raise ValueError("result carries no relative gap")
-        if self.best is None or value < self.best:
-            self.best = value
-        return self.best

@@ -105,7 +105,7 @@ class TestPenalizedObj:
             n, np.zeros((n, n)), (idx, idx, idx, np.ones(n)), np.ones(n), [False] * n
         )
         cfg = SolverConfig(k_c=2, k_p=0)
-        f, eig = penalized_obj(prob, np.zeros(n), cfg)
+        f, eig = penalized_obj(prob, np.zeros(n), cfg, k_c=2)
         assert f == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_slack_branch(self):
@@ -120,17 +120,51 @@ class TestPenalizedObj:
         )
         cfg = SolverConfig(k_c=2, k_p=0)
         y = np.ones(n)
-        f, eig = penalized_obj(prob, y, cfg)
+        f, eig = penalized_obj(prob, y, cfg, k_c=2)
         assert eig.eigenvalues[0] == pytest.approx(-1.0, abs=1e-9)
         assert f == pytest.approx(float(prob.b @ y), abs=1e-9)
 
-    def test_infeasible_sentinel(self):
-        prob, _ = mixed_inequality_problem(6, 1)
-        cfg = SolverConfig(k_c=2, k_p=0)
-        y = np.zeros(prob.m)
-        y[prob.ineq_idx[0]] = -1e-3
-        f, eig = penalized_obj(prob, y, cfg)
-        assert f == np.inf and eig is None
+
+class TestStartStateSign:
+    """y >= 0 on the inequality rows is the dual's domain: ``solve`` refuses
+    a start point outside it before any eigensolve, whether or not the
+    state carries ``f_y`` and ``lam_y`` (every saved state does)."""
+
+    @staticmethod
+    def _solved(kind):
+        prob = build_qap(random_qap(4, 3)) if kind == "qap" else mixed_inequality_problem(6, 1)[0]
+        cfg = SolverConfig(k_c=2, k_p=0, max_iters=3, seed=0)
+        state, _ = solve(prob, cfg)
+        return prob, cfg, state
+
+    @pytest.mark.parametrize("kind", ["qap", "mixed"])
+    @pytest.mark.parametrize("value", [-5.0, -1e-300])
+    @pytest.mark.parametrize("carries_f", [True, False])
+    def test_negative_sign_row_dual_is_refused_before_any_eigensolve(
+        self, monkeypatch, kind, value, carries_f
+    ):
+        from specbundle import bundle
+
+        prob, cfg, state = self._solved(kind)
+        assert state.f_y is not None and state.lam_y is not None
+        y = state.y.copy()
+        y[prob.ineq_idx[-1]] = value
+        init = replace(state, y=y)
+        if not carries_f:
+            init = replace(init, f_y=None, lam_y=None)
+        calls = []
+        monkeypatch.setattr(bundle, "lanczos_top", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match="sign constraints: y < 0 on an inequality row"):
+            solve(prob, cfg, init=init)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["qap", "mixed"])
+    def test_zero_on_the_sign_rows_is_accepted(self, kind):
+        prob, cfg, state = self._solved(kind)
+        y = state.y.copy()
+        y[prob.ineq_idx] = -0.0
+        resumed, _ = solve(prob, replace(cfg, max_iters=0), init=replace(state, y=y))
+        assert resumed.status in ("budget", "converged")
 
 
 class TestCandidateIterate:
@@ -360,7 +394,7 @@ class TestResiduals:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             y = state.y + 0.01 * rng.standard_normal(prob.m)
-            f, _ = penalized_obj(prob, y, cfg)
+            f, _ = penalized_obj(prob, y, cfg, k_c=cfg.k_c)
             assert f >= p_star - 1e-4
 
 
@@ -855,8 +889,9 @@ class TestWarmStartPad:
         assert np.any(ratio[18:] < 0) and np.any(ratio[18:] > 0)
         np.testing.assert_allclose(new, np.maximum(r * ratio[18:], 0.0), rtol=1e-12, atol=0)
         assert np.all(new >= 0.0)
-        f, _ = penalized_obj(big, padded.y, self.CFG)
-        assert np.isfinite(f)
+        # solve's start-state check accepts the padded point
+        resumed, _ = solve(big, replace(self.CFG, max_iters=0), init=padded)
+        assert np.isfinite(resumed.f_y)
 
     def test_arrival_certifies_sooner_than_zero_padding(self):
         # one percent of the vertices arrive, as in the benchmark's arrivals;

@@ -736,6 +736,85 @@ class TestQapCommands:
         assert "permutation:" in text
 
 
+    def test_best_relative_gap_is_the_least_over_the_roundings(self, tmp_path, capsys):
+        """``best relative gap`` is the minimum of the gaps of every rounding
+        the run made: one per iteration (the CSV's ``rounded`` column) and
+        the final one."""
+        from _oracles import brute_force_qap
+
+        q = random_qap(5, 0)
+        optimum, _ = brute_force_qap(q.weights, q.distances)
+        src, out = tmp_path / "q.dat", tmp_path / "q.csv"
+        write_qaplib(q, src)
+        rc = main(
+            [
+                "solve", "--problem", "qap", "--input", str(src), "--max-iters", "30",
+                "--round", "--optimum", repr(optimum), "--out", str(out),
+            ]
+        )
+        assert rc in (0, 2)
+        text = capsys.readouterr().out
+        final = float(re.search(r"^rounded value: (\S+)$", text, re.M).group(1))
+        values = [float(row[8]) for row in read_rows(out)[1:]] + [final]
+        gaps = [(v - optimum) / optimum for v in values]
+        best = re.search(r"^best relative gap: (\S+)$", text, re.M).group(1)
+        assert best == f"{min(gaps):.6g}"
+        # the least gap is neither the first nor the last one
+        assert min(gaps) < min(gaps[0], gaps[-1])
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["solve", "--problem", "maxcut", "--round", "--optimum", "2"], "qap only"),
+        (["round", "--problem", "maxcut", "--optimum", "2"], "qap only"),
+        (["solve", "--problem", "qap", "--optimum", "5"], "needs --round"),
+        (["solve", "--problem", "qap", "--round", "--optimum", "0"], "finite and nonzero"),
+        (["round", "--problem", "qap", "--optimum", "0"], "finite and nonzero"),
+        (["solve", "--problem", "qap", "--round", "--optimum", "inf"], "finite and nonzero"),
+    ],
+    ids=["maxcut-solve", "maxcut-round", "qap-solve-without-round", "qap-solve-at-0",
+         "qap-round-at-0", "qap-solve-at-inf"],
+)
+def test_optimum_that_nothing_reads_is_a_usage_error(tmp_path, capsys, argv, reason):
+    """``--optimum`` scales only the relative gap of a QAP rounding: with
+    MaxCut, in a QAP solve without ``--round`` and at 0 it would be silently
+    ignored, so it exits 64 before any file is read or written."""
+    argv = argv + ["--input", str(tmp_path / "in"), "--out", str(tmp_path / "m.csv")]
+    if argv[0] == "round":
+        argv = argv[:-2] + ["--state", str(tmp_path / "s.bin")]
+    else:
+        argv += ["--save-state", str(tmp_path / "s.bin")]
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --optimum") and reason in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_warm_start_with_a_negative_sign_row_dual_exits_1(tmp_path, capsys):
+    """A saved state carries f(y), so only the start-state check sees a dual
+    below 0 on an inequality row: the resume exits 1 with a message."""
+    from specbundle.bundle import load_state, save_state, state_from_record
+    from specbundle.problem import build_qap
+
+    q = random_qap(4, 0)
+    src, state = tmp_path / "q.dat", tmp_path / "q.bin"
+    write_qaplib(q, src)
+    argv = ["solve", "--problem", "qap", "--input", str(src), "--max-iters", "5"]
+    assert main(argv + ["--out", str(tmp_path / "a.csv"), "--save-state", str(state)]) in (0, 2)
+    prob = build_qap(parse_qaplib(src))
+    saved = state_from_record(load_state(state), prob)
+    assert saved.f_y is not None
+    saved.y = saved.y.copy()
+    saved.y[prob.ineq_idx[0]] = -5.0
+    save_state(state, saved, prob)
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "b.csv"), "--warm-start", str(state)]) == 1
+    err = capsys.readouterr().err
+    assert "error: initial dual point violates the sign constraints" in err
+    assert "Traceback" not in err
+
+
 def test_sketch_rank_0_exits_with_message(tmp_path, capsys):
     """The primal store is always a sketch, so rank 0 is refused."""
     path = tmp_path / "g.mtx"

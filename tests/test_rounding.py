@@ -18,7 +18,7 @@ from _oracles import (
 import specbundle
 from specbundle.bundle import SolverConfig, solve
 from specbundle.problem import GraphInstance, build_maxcut
-from specbundle.rounding import GapTracker, hungarian, maxcut_round, qap_round
+from specbundle.rounding import hungarian, maxcut_round, qap_round
 
 
 def _weighted_graph(n: int, p: float, seed: int) -> GraphInstance:
@@ -271,20 +271,3 @@ def test_only_assignment_rounding_loads_scipy_optimize():
     _, output = solve(build_maxcut(g), SolverConfig(**cfg))
     assert seen["cut"] == maxcut_round(output.factor, g).value
     assert seen["perm"] == perm.tolist() and seen["after_qap"]
-
-
-class TestGapTracker:
-    def test_running_minimum(self):
-        t = GapTracker()
-        assert t.best is None
-        assert t.update(0.5) == 0.5
-        assert t.update(0.3) == 0.3
-        assert t.update(0.4) == 0.3
-
-    def test_matches_fold_min(self):
-        rng = np.random.default_rng(27)
-        vals = rng.random(50)
-        t = GapTracker()
-        for v in vals:
-            t.update(float(v))
-        assert t.best == pytest.approx(vals.min())
