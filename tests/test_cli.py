@@ -735,7 +735,6 @@ class TestQapCommands:
         text = capsys.readouterr().out
         assert "permutation:" in text
 
-
     def test_best_relative_gap_is_the_least_over_the_roundings(self, tmp_path, capsys):
         """``best relative gap`` is the minimum of the gaps of every rounding
         the run made: one per iteration (the CSV's ``rounded`` column) and
@@ -778,8 +777,8 @@ class TestQapCommands:
 )
 def test_optimum_that_nothing_reads_is_a_usage_error(tmp_path, capsys, argv, reason):
     """``--optimum`` scales only the relative gap of a QAP rounding: with
-    MaxCut, in a QAP solve without ``--round`` and at 0 it would be silently
-    ignored, so it exits 64 before any file is read or written."""
+    MaxCut, in a QAP solve without ``--round``, and at 0 or inf it gave no
+    gap, so it exits 64 before any file is read or written."""
     argv = argv + ["--input", str(tmp_path / "in"), "--out", str(tmp_path / "m.csv")]
     if argv[0] == "round":
         argv = argv[:-2] + ["--state", str(tmp_path / "s.bin")]
