@@ -112,6 +112,7 @@ class SolverConfig:
             "sketch_rank": (self.sketch_rank >= 1, "at least 1"),
             "max_iters": (self.max_iters >= 0, "at least 0"),
             "max_time": (self.max_time is None or self.max_time >= 0, "None or at least 0"),
+            "seed": (self.seed >= 0, "at least 0"),
         }
         for name, (ok, rule) in rules.items():
             if not ok:
@@ -135,9 +136,6 @@ class AggregateStats:
     trace: float
     cost_ip: float
     constr_image: np.ndarray
-
-    def copy(self) -> "AggregateStats":
-        return AggregateStats(self.trace, self.cost_ip, self.constr_image.copy())
 
 
 @dataclass
@@ -186,21 +184,24 @@ class Residuals:
 
 @dataclass
 class SolverState:
-    """The whole state of the bundle loop; it holds no proximal slack."""
+    """The whole state of the bundle loop, all of it saved in a state file
+    but the residuals and status, which ``solve`` recomputes; it holds no
+    proximal slack."""
 
     y: np.ndarray
-    f_y: Optional[float]
+    f_y: Optional[float]  # None, with lam_y, until evaluated (a padded state)
     lam_y: Optional[float]
     model: BundleModel
+    # the statistics of the last proximal step's primal X+, which the
+    # certificate reads; cold_start and warm_start_pad give the aggregate's
+    last_primal: AggregateStats
+    rho: float  # the proximal weight of the next iteration
     descent_steps: int = 0
     null_steps: int = 0
     iterations: int = 0
-    last_primal: Optional[AggregateStats] = None
     residuals: Optional[Residuals] = None
     status: Optional[str] = None
     scale_x: float = 1.0
-    # the proximal weight of the next iteration; None starts a solve at cfg.rho
-    rho: Optional[float] = None
     # each step eliminates its own slack.  This empty, read-only stand-in is
     # not a field and is never written or saved; its only reader is
     # perfbench/checks.py::_same_state, which compares saved.nu, loaded.nu
@@ -475,8 +476,9 @@ def cold_start(prob: SdpProblem, cfg: SolverConfig) -> SolverState:
         f_y=f_y,
         lam_y=float(eig.eigenvalues[0]),
         model=model,
-        scale_x=prob.scale_x,
+        last_primal=stats,
         rho=cfg.rho,
+        scale_x=prob.scale_x,
     )
 
 
@@ -492,8 +494,11 @@ def solve(
     output reconstructed from the aggregate store.  The loop reads and
     writes ``state`` alone, and assigns new arrays rather than mutating
     them, so a saved state resumes exactly where this solve stopped, and
-    ``init`` is left as it was.  ``cfg.rho`` is the initial proximal weight
-    of a state that carries none; :func:`balance_rho` moves it after every
+    ``init`` is left as it was.  Before the first iteration the start
+    state's ``last_primal`` is checked against ``cfg.eps``, so a state
+    saved at convergence resumes converged after 0 iterations.
+    ``cfg.rho`` is the initial proximal weight of a cold start; a given
+    state carries its own, and :func:`balance_rho` moves it after every
     iteration.
     """
     state = replace(init) if init is not None else cold_start(prob, cfg)
@@ -503,15 +508,11 @@ def solve(
         raise ValueError(
             "initial dual point violates the sign constraints: y < 0 on an inequality row"
         )
-    if state.rho is None:
-        state.rho = cfg.rho
     t_start = time.monotonic()
 
     if state.f_y is None or state.lam_y is None:
         state.f_y, eig = penalized_obj(prob, state.y, cfg, k_c=state.model.k_c)
         state.lam_y = float(eig.eigenvalues[0])
-    if state.last_primal is None:  # the last iterate's primal is not saved
-        state.last_primal = state.model.stats.copy()
     state.residuals = compute_residuals(prob, state.f_y, state.lam_y, state.last_primal)
     state.iterations = 0
     state.status = "converged" if state.residuals.converged(cfg.eps, cfg.linf_check) else None
@@ -617,18 +618,15 @@ def primal_output(model: BundleModel) -> PrimalOutput:
 # state serialization and warm starts
 
 _MAGIC = b"USBS"
-_VERSION = 3
-_SKETCH_KIND = 2  # the store kind of a sketch; kind 1 held a dense n x n store
+_VERSION = 4
 # the fixed-size head of a state file, in order: magic, version; the problem
-# fingerprint n, m, |I|, hash of b; k_c, k_p; store kind (_SKETCH_KIND),
-# sketch rank, psi seed; scale_x, scale_c; f_y, lam_y (NaN when unknown);
-# descent steps, null steps; aggregate trace, aggregate cost inner product;
-# the proximal weight rho (NaN when unknown).  The float64 payload follows: y,
-# the aggregate constraint image, the n x k basis, then the n x r sketch.
-# Versions 1 and 2 hold the last proximal step's slack, m floats, after y;
-# version 1 has no rho either.
-_HEADER = struct.Struct("<4sI QQQQ II B II dd dd QQ dd d")
-_HEADER_V1 = struct.Struct(_HEADER.format[:-2])
+# fingerprint n, m, |I|, hash of b; k_c, k_p; sketch rank, psi seed; scale_x;
+# f_y, lam_y (NaN when unknown); descent steps, null steps; aggregate trace,
+# aggregate cost inner product; the proximal weight rho; the last primal's
+# trace and cost inner product.  The float64 payload follows: y, the
+# aggregate constraint image, the last primal's constraint image, the n x k
+# basis, then the n x r sketch.
+_HEADER = struct.Struct("<4sI QQQQ II II d dd QQ dd d dd")
 
 
 _FINGERPRINT_FIELDS = ("n", "m", "inequality rows", "hash of b")
@@ -664,42 +662,42 @@ def save_state(path, state: SolverState, prob: SdpProblem) -> None:
     a file name or to a binary file object opened for writing."""
     model = state.model
     sk = model.store.sk
+    last = state.last_primal
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
         *fingerprint_of(prob),
         model.k_c,
         model.k_p,
-        _SKETCH_KIND,
         sk.r,
         sk.psi_seed & 0xFFFFFFFF,
         state.scale_x,
-        prob.scale_c,
         state.f_y if state.f_y is not None else np.nan,
         state.lam_y if state.lam_y is not None else np.nan,
         state.descent_steps,
         state.null_steps,
         model.stats.trace,
         model.stats.cost_ip,
-        state.rho if state.rho is not None else np.nan,
+        state.rho,
+        last.trace,
+        last.cost_ip,
     )
+    arrays = (state.y, model.stats.constr_image, last.constr_image, model.basis, sk.sketch_mat)
     with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "wb") as fh:
         fh.write(header)
-        for arr in (state.y, model.stats.constr_image, model.basis, sk.sketch_mat):
+        for arr in arrays:
             # the array's own buffer when it is C-contiguous little-endian
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_state(path) -> StateRecord:
-    """Read a state file written by :func:`save_state`, or by its versions 1
-    and 2, whose slack block is skipped.  Version 1 has no rho: such a
-    state, like one saved with ``rho=None``, has ``rho=None`` and resumes at
-    ``cfg.rho``.  Raises ValueError for a wrong magic or version, a store
-    kind other than 2 (the sketch; kind 1, a dense store, is no longer
-    read), ``k_c < 1``, ``k_c + k_p > n``, a sketch rank outside [1, n] (the
-    rules :func:`cold_start` keeps), a rho that is not positive, a payload
-    shorter or longer than the header declares, non-finite arrays or
-    statistics, and a path that is not a regular file."""
+    """Read a state file written by :func:`save_state`.  Raises ValueError
+    for a wrong magic, a version other than 4 (versions 1 to 3 lack the
+    last primal, so the solve must run again), ``k_c < 1``,
+    ``k_c + k_p > n``, a sketch rank outside [1, n] (the rules
+    :func:`cold_start` keeps), a rho that is not positive and finite, a
+    payload shorter or longer than the header declares, non-finite arrays
+    or statistics, and a path that is not a regular file."""
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
         if not stat.S_ISREG(info.st_mode):
@@ -707,44 +705,21 @@ def load_state(path) -> StateRecord:
             raise ValueError(f"state file {path} is not a regular file")
         size = info.st_size
         head = fh.read(_HEADER.size)
-        if len(head) < _HEADER_V1.size:
+        if len(head) < 8:
             raise ValueError("truncated state file")
         magic, version = struct.unpack_from("<4sI", head)
         if magic != _MAGIC:
             raise ValueError("not a solver state file")
-        if version not in (1, 2, _VERSION):
-            raise ValueError(f"unsupported state file version {version}")
-        header = _HEADER_V1 if version == 1 else _HEADER
-        if len(head) < header.size:
-            raise ValueError("truncated state file")
-        fields = header.unpack_from(head)
-        (
-            _,
-            _,
-            n,
-            m,
-            n_ineq,
-            b_hash,
-            k_c,
-            k_p,
-            kind,
-            rank,
-            psi_seed,
-            scale_x,
-            scale_c,
-            f_y,
-            lam_y,
-            descent,
-            null,
-            trace,
-            cost_ip,
-            rho,
-        ) = fields + (np.nan,) if version == 1 else fields
-        if kind != _SKETCH_KIND:
+        if version != _VERSION:
             raise ValueError(
-                f"state file has store kind {kind}; only kind {_SKETCH_KIND}, a sketch, "
-                "is read (kind 1, a dense store, is no longer supported)"
+                f"unsupported state file version {version}: only version {_VERSION}, which "
+                "holds the last primal, is read; run the solve again to write one"
             )
+        if len(head) < _HEADER.size:
+            raise ValueError("truncated state file")
+        fields = _HEADER.unpack(head)
+        n, m, n_ineq, b_hash, k_c, k_p, rank, psi_seed, scale_x, f_y, lam_y = fields[2:13]
+        descent, null, trace, cost_ip, rho, last_trace, last_cost = fields[13:]
         if k_c < 1:
             raise ValueError(f"state file has k_c = {k_c}; it must be at least 1")
         k = k_c + k_p
@@ -752,26 +727,24 @@ def load_state(path) -> StateRecord:
             raise ValueError(f"state file has k_c + k_p = {k}; it must be at most n = {n}")
         if not 1 <= rank <= n:
             raise ValueError(f"state file has sketch rank {rank}; it must lie in [1, n = {n}]")
-        if not (np.isnan(rho) or (np.isfinite(rho) and rho > 0)):
+        if not (np.isfinite(rho) and rho > 0):
             raise ValueError(f"state file has rho = {rho}; it must be positive and finite")
-        count = 2 * m + n * k + n * rank
-        slack = 0 if version == _VERSION else m
-        expected = header.size + 8 * (count + slack)
+        count = 3 * m + n * k + n * rank
+        expected = _HEADER.size + 8 * count
         if size < expected:
             raise ValueError(f"truncated state file: {size} bytes, the header declares {expected}")
         if size > expected:
             raise ValueError(f"state file has {size - expected} trailing bytes after its payload")
         payload = np.empty(count, dtype="<f8")
-        fh.seek(header.size)
-        got = fh.readinto(payload[:m])
-        fh.seek(8 * slack, os.SEEK_CUR)
-        if got + fh.readinto(payload[m:]) != 8 * count:
+        if fh.readinto(payload) != 8 * count:
             raise ValueError("truncated state file")
     # a copy only on a big-endian host
     payload = payload.astype(float, copy=False)
-    if not (np.all(np.isfinite(payload)) and np.isfinite([scale_x, scale_c, trace, cost_ip]).all()):
-        raise ValueError("state file holds non-finite arrays, scales, trace or cost")
-    y, a_xbar, basis, sketch_mat = np.split(payload, np.cumsum([m, m, n * k]))
+    finite = np.isfinite([scale_x, trace, cost_ip, last_trace, last_cost]).all()
+    # f_y and lam_y are NaN when unknown; a resume certifies with them
+    if not (np.all(np.isfinite(payload)) and finite) or np.isinf([f_y, lam_y]).any():
+        raise ValueError("state file holds non-finite arrays, scale, f_y, lam_y, traces or costs")
+    y, a_xbar, a_last, basis, sketch_mat = np.split(payload, np.cumsum([m, m, m, n * k]))
     sk = sketchmod.NystromSketch(n, rank, psi_seed, sketch_mat.reshape(n, rank))
     stats = AggregateStats(trace, cost_ip, a_xbar)
     model = BundleModel(basis.reshape(n, k), stats, k_c, k_p, store=SketchStore(sk))
@@ -780,10 +753,11 @@ def load_state(path) -> StateRecord:
         f_y=None if np.isnan(f_y) else float(f_y),
         lam_y=None if np.isnan(lam_y) else float(lam_y),
         model=model,
+        last_primal=AggregateStats(last_trace, last_cost, a_last),
+        rho=rho,
         descent_steps=descent,
         null_steps=null,
         scale_x=scale_x,
-        rho=None if np.isnan(rho) else float(rho),
     )
     return StateRecord(fingerprint=(n, m, n_ineq, b_hash), state=state)
 
@@ -910,6 +884,7 @@ def warm_start_pad(
         f_y=None,
         lam_y=None,
         model=new_model,
-        scale_x=new_prob.scale_x,
+        last_primal=stats,
         rho=prev.rho,
+        scale_x=new_prob.scale_x,
     )

@@ -233,7 +233,7 @@ def _load_mapping(path) -> Mapping:
 
 
 @contextlib.contextmanager
-def _early_output(path, mode: str = ""):
+def _early_output(path, mode: str = "", newline=None):
     """``path`` opened for writing before the work whose result goes there,
     so that a path that cannot be written fails fast, or None for no path.
     An existing file is opened for appending and kept as it is: it may be
@@ -244,9 +244,9 @@ def _early_output(path, mode: str = ""):
         yield None
         return
     try:
-        fh, created = open(path, "x" + mode), True
+        fh, created = open(path, "x" + mode, newline=newline), True
     except FileExistsError:
-        fh, created = open(path, "a" + mode), False
+        fh, created = open(path, "a" + mode, newline=newline), False
     written = False
     try:
         with fh:
@@ -267,11 +267,14 @@ def _emptied(fh):
 
 def cmd_solve(args) -> int:
     _check_optimum(args, args.round)
-    with _early_output(args.save_state, "b") as state_fh:
-        return _solve(args, state_fh)
+    with (
+        _early_output(args.save_state, "b") as state_fh,
+        _early_output(args.out or "metrics.csv", newline="") as out_fh,
+    ):
+        return _solve(args, state_fh, out_fh)
 
 
-def _solve(args, state_fh) -> int:
+def _solve(args, state_fh, out_fh) -> int:
     instance = _load_instance(args.problem, args.input)
     prob = _build_problem(args.problem, instance)
     cfg = _resolve_config(args, args.problem, instance)
@@ -289,49 +292,56 @@ def _solve(args, state_fh) -> int:
             init = warm_start_pad(prev, prob, _load_mapping(args.mapping), sketch_seed=cfg.seed)
 
     best_gap = math.inf  # the least relative gap of the roundings, with --optimum
-    out_path = args.out or "metrics.csv"
     # summed over the iterations: eigensolve matvecs, leading-pair misses
     # (decision exits left out), Newton steps, inexact proximal steps; then
     # decision exits and the seconds of each phase
     totals = [0, 0, 0, 0]
     exits = 0
     phases = dict.fromkeys(_PHASES, 0.0)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
+    writer = None
 
-        def callback(info):
-            nonlocal exits, best_gap
-            totals[0] += info.eig_matvecs
-            totals[1] += not (info.eig_leading_converged or info.eig_decided)
-            totals[2] += info.alt_newton
-            totals[3] += not info.alt_exact
-            exits += info.eig_decided
-            for name in phases:
-                phases[name] += getattr(info, f"secs_{name}")
-            rounded = ""
-            if args.round:
-                output = primal_output(info.model)
-                value, gap = _round_value(args.problem, instance, output.factor, args.optimum)
-                rounded = f"{value:.10g}"
-                if gap is not None:
-                    best_gap = min(best_gap, gap)
-            r = info.residuals
-            writer.writerow(
-                [
-                    info.t,
-                    f"{info.elapsed:.6f}",
-                    f"{info.f_y:.12g}",
-                    f"{r.rel_subopt:.6e}",
-                    f"{r.rel_infeas:.6e}",
-                    f"{r.linf_infeas:.6e}",
-                    f"{r.dual_feas:.6e}",
-                    info.step,
-                    rounded,
-                ]
-            )
+    def csv_writer():
+        # the metrics file is replaced only once the solve has passed its
+        # start-state checks: at its first iteration, or at its end
+        nonlocal writer
+        if writer is None:
+            writer = csv.writer(_emptied(out_fh))
+            writer.writerow(CSV_HEADER)
+        return writer
 
-        state, output = solve(prob, cfg, init=init, callback=callback)
+    def callback(info):
+        nonlocal exits, best_gap
+        totals[0] += info.eig_matvecs
+        totals[1] += not (info.eig_leading_converged or info.eig_decided)
+        totals[2] += info.alt_newton
+        totals[3] += not info.alt_exact
+        exits += info.eig_decided
+        for name in phases:
+            phases[name] += getattr(info, f"secs_{name}")
+        rounded = ""
+        if args.round:
+            output = primal_output(info.model)
+            value, gap = _round_value(args.problem, instance, output.factor, args.optimum)
+            rounded = f"{value:.10g}"
+            if gap is not None:
+                best_gap = min(best_gap, gap)
+        r = info.residuals
+        csv_writer().writerow(
+            [
+                info.t,
+                f"{info.elapsed:.6f}",
+                f"{info.f_y:.12g}",
+                f"{r.rel_subopt:.6e}",
+                f"{r.rel_infeas:.6e}",
+                f"{r.linf_infeas:.6e}",
+                f"{r.dual_feas:.6e}",
+                info.step,
+                rounded,
+            ]
+        )
+
+    state, output = solve(prob, cfg, init=init, callback=callback)
+    csv_writer()  # the header alone when the solve ran no iteration
 
     if state_fh is not None:
         save_state(_emptied(state_fh), state, prob)

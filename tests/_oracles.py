@@ -1286,23 +1286,23 @@ def write_graph_mm_frozen(g, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# frozen writer of the version-1 and version-2 state files, which hold the
-# last proximal step's slack nu after y; version 1 has no rho either.  Both
-# versions must keep loading.
+# frozen writer of the state files of format versions 1 to 3, which hold no
+# last primal; versions 1 and 2 hold the last proximal step's slack nu after
+# y, and version 1 has no rho either.  Each must be refused by its version.
 
 
-def save_state_frozen(path, state, prob, version: int, nu=None) -> None:
+def save_state_frozen(path, state, prob, version: int) -> None:
     """``save_state`` as it wrote format version 1 (the 19-field header
-    without rho) or 2 (the 20-field header), then the float64 payload y,
-    ``nu`` (zeros by default), the aggregate image, the basis and the
-    sketch."""
+    without rho), 2 or 3 (the 20-field header), then the float64 payload y,
+    for versions 1 and 2 a zero slack, the aggregate image, the basis and
+    the sketch."""
     import hashlib
     import struct
 
     model = state.model
     sk = model.store.sk
     b_hash = hashlib.sha256(np.ascontiguousarray(prob.b, dtype="<f8").tobytes()).digest()
-    rho = () if version == 1 else (state.rho if state.rho is not None else np.nan,)
+    rho = () if version == 1 else (state.rho,)
     header = struct.pack(
         "<4sI QQQQ II B II dd dd QQ dd" + ("" if version == 1 else " d"),
         b"USBS",
@@ -1326,10 +1326,10 @@ def save_state_frozen(path, state, prob, version: int, nu=None) -> None:
         model.stats.cost_ip,
         *rho,
     )
-    nu = np.zeros(prob.m) if nu is None else nu
+    slack = [] if version == 3 else [np.zeros(prob.m)]
     with open(path, "wb") as fh:
         fh.write(header)
-        for arr in (state.y, nu, model.stats.constr_image, model.basis, sk.sketch_mat):
+        for arr in (state.y, *slack, model.stats.constr_image, model.basis, sk.sketch_mat):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 

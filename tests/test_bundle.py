@@ -81,6 +81,7 @@ class TestSolverConfig:
             ("max_iters", -3),
             ("max_time", -1.0),
             ("max_time", float("nan")),
+            ("seed", -1),
         ],
     )
     def test_rejects_a_setting_that_breaks_the_solve(self, field, value):
@@ -88,7 +89,8 @@ class TestSolverConfig:
             SolverConfig(**{field: value})
 
     @pytest.mark.parametrize(
-        "field, value", [("rho", 1e-300), ("max_iters", 0), ("max_time", 0.0), ("eps", 1e300)]
+        "field, value",
+        [("rho", 1e-300), ("max_iters", 0), ("max_time", 0.0), ("eps", 1e300), ("seed", 0)],
     )
     def test_accepts_the_edge_of_each_range(self, field, value):
         assert getattr(SolverConfig(**{field: value}), field) == value
@@ -243,11 +245,10 @@ class TestModelUpdate:
         model.store = model.store.update(0.0, np.eye(prob.n), np.full(prob.n, 0.3 / prob.n))
         rng = np.random.default_rng(2)
         vecs, _ = np.linalg.qr(rng.standard_normal((prob.n, model.k_c)))
-        before = model.stats.copy()
         new = model_update(model, 1.0, np.zeros((model.k, model.k)), vecs, prob)
-        assert new.stats.trace == pytest.approx(before.trace)
-        assert new.stats.cost_ip == pytest.approx(before.cost_ip)
-        np.testing.assert_allclose(new.stats.constr_image, before.constr_image)
+        assert new.stats.trace == pytest.approx(0.3)
+        assert new.stats.cost_ip == pytest.approx(0.1)
+        np.testing.assert_allclose(new.stats.constr_image, np.full(prob.m, 0.01))
 
     def test_stats_match_dense_shadow(self, monkeypatch):
         prob, cfg, model = self.setup_model(n=20, k_c=4, k_p=2, seed=3)
@@ -631,7 +632,10 @@ class TestStateFile:
         np.testing.assert_array_equal(
             state2.model.store.sk.sketch_mat, state.model.store.sk.sketch_mat
         )
-        assert _HEADER.unpack_from(path.read_bytes())[11:13] == (prob.scale_x, prob.scale_c)
+        last, last2 = state.last_primal, state2.last_primal
+        assert (last2.trace, last2.cost_ip) == (last.trace, last.cost_ip)
+        np.testing.assert_array_equal(last2.constr_image, last.constr_image)
+        assert _HEADER.unpack_from(path.read_bytes())[10] == prob.scale_x
 
     def test_fingerprint_rejects_other_problem(self, tmp_path, k3):
         prob = build_maxcut(k3)
@@ -697,34 +701,41 @@ class TestStateFile:
         cfg = SolverConfig(k_c=3, k_p=1, eps=1e-12, max_iters=3, seed=0, sketch_rank=3)
         state, _ = solve(prob, cfg)
         path = tmp_path / "s.bin"
-        for rho in (state.rho, 0.1 + 2.0**-50, 1e-300, None):
+        for rho in (state.rho, 0.1 + 2.0**-50, 1e-300):
             save_state(path, replace(state, rho=rho), prob)
             assert state_from_record(load_state(path), prob).rho == rho
-        assert path.read_bytes()[4:8] == (3).to_bytes(4, "little")
+        assert path.read_bytes()[4:8] == (4).to_bytes(4, "little")
 
-    @pytest.mark.parametrize("rank", [12, 3])
-    def test_version_1_file_resumes_at_cfg_rho(self, tmp_path, rank):
-        """A file of format version 1 has no rho: it loads with rho None and
-        resumes exactly as the same state started at cfg.rho."""
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_older_format_versions_are_refused_by_name(self, tmp_path, version):
+        """Versions 1 to 3 hold no last primal, so a resume from them could
+        not check the certified primal: each is refused with a message that
+        names its version.  Their store-kind byte, and version 1's missing
+        rho, are never read."""
         prob = build_maxcut(random_graph(12, 0.4, 3))
-        cfg = SolverConfig(k_c=3, k_p=1, eps=1e-12, max_iters=3, seed=0, sketch_rank=rank)
+        cfg = SolverConfig(k_c=3, k_p=1, eps=1e-12, max_iters=3, seed=0, sketch_rank=4)
         state, _ = solve(prob, cfg)
-        assert state.rho != cfg.rho
-        v1, v3 = tmp_path / "v1.bin", tmp_path / "v3.bin"
-        save_state_frozen(v1, state, prob, 1)
-        save_state(v3, replace(state, rho=cfg.rho), prob)
-        old = state_from_record(load_state(v1), prob)
-        assert old.rho is None
-        infos = []
-        resumed, _ = solve(prob, cfg, init=old, callback=infos.append)
-        assert infos[0].rho == cfg.rho
-        again, _ = solve(prob, cfg, init=state_from_record(load_state(v3), prob))
-        np.testing.assert_array_equal(resumed.y, again.y)
-        assert resumed.rho == again.rho
-        # the payloads agree but for version 1's slack after y; the header
-        # grew by one float64
-        old_bytes, y_end = v1.read_bytes(), 121 + 8 * prob.m
-        assert old_bytes[121:y_end] + old_bytes[y_end + 8 * prob.m :] == v3.read_bytes()[129:]
+        path = tmp_path / "s.bin"
+        save_state_frozen(path, state, prob, version)
+        message = f"unsupported state file version {version}: only version 4"
+        with pytest.raises(ValueError, match=f"^{message}.*run the solve again"):
+            load_state(path)
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_a_dense_store_file_is_refused(self, tmp_path, version):
+        """A file whose store kind byte reads 1, the dense store of earlier
+        versions, is refused by its version before that byte is read."""
+        prob = build_maxcut(random_graph(12, 0.4, 3))
+        state = cold_start(prob, SolverConfig(k_c=3, k_p=1, sketch_rank=4))
+        path = tmp_path / "s.bin"
+        save_state_frozen(path, state, prob, version)
+        raw = bytearray(path.read_bytes())
+        kind_at = struct.calcsize("<4sI QQQQ II")  # magic, version, fingerprint, k_c, k_p
+        assert raw[kind_at] == 2
+        raw[kind_at] = 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"^unsupported state file version {version}:"):
+            load_state(path)
 
     def test_enormous_declared_payload_is_refused_before_allocating(self, tmp_path):
         """A header whose n declares terabytes of payload is refused as
@@ -765,7 +776,7 @@ class TestStateFile:
         state = cold_start(prob, SolverConfig(k_c=3, k_p=1, sketch_rank=prob.n))
         state.model.store = state.model.store.update(0.0, np.eye(prob.n, 2), np.array([0.5, 0.5]))
         path = tmp_path / "s.bin"
-        payload = 8 * (2 * prob.m + prob.n * 4 + prob.n**2)
+        payload = 8 * (3 * prob.m + prob.n * 4 + prob.n**2)
         tracemalloc.start()
         try:
             save_state(path, state, prob)
@@ -783,27 +794,7 @@ class TestStateFile:
             rec.state.model.store.sk.sketch_mat, state.model.store.sk.sketch_mat
         )
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    def test_a_dense_store_file_is_refused(self, tmp_path, version):
-        """A file whose store kind byte reads 1, the dense store of earlier
-        versions, is refused with a message that names the store kind."""
-        prob = build_maxcut(random_graph(12, 0.4, 3))
-        state = cold_start(prob, SolverConfig(k_c=3, k_p=1, sketch_rank=4))
-        path = tmp_path / "s.bin"
-        if version < 3:
-            save_state_frozen(path, state, prob, version)
-        else:
-            save_state(path, state, prob)
-        load_state(path)
-        raw = bytearray(path.read_bytes())
-        kind_at = struct.calcsize("<4sI QQQQ II")  # magic, version, fingerprint, k_c, k_p
-        assert raw[kind_at] == 2
-        raw[kind_at] = 1
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="store kind 1"):
-            load_state(path)
-
-    @pytest.mark.parametrize("rho", [0.0, -1.0, np.inf])
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_a_rho_that_is_not_positive(self, tmp_path, rho):
         prob = build_maxcut(make_k3())
         state = cold_start(prob, SolverConfig(k_c=2, k_p=0, sketch_rank=2))

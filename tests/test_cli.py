@@ -364,7 +364,9 @@ class TestSolveCommand:
         rows = read_rows(out)
         assert float(rows[-1][4]) <= 1e-3
 
-    @pytest.mark.parametrize("flag, value", [("--eps", "inf"), ("--rho", "inf"), ("--rho", "1e-320")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--eps", "inf"), ("--rho", "inf"), ("--rho", "1e-320"), ("--seed", "-1")]
+    )
     def test_setting_that_breaks_the_solve_exits_1(self, tmp_path, k3_file, capsys, flag, value):
         out = tmp_path / "m.csv"
         code = main(
@@ -790,15 +792,14 @@ def test_optimum_that_nothing_reads_is_a_usage_error(tmp_path, capsys, argv, rea
     assert list(tmp_path.iterdir()) == []
 
 
-def test_warm_start_with_a_negative_sign_row_dual_exits_1(tmp_path, capsys):
-    """A saved state carries f(y), so only the start-state check sees a dual
-    below 0 on an inequality row: the resume exits 1 with a message."""
+def _negative_sign_row_warm_start(tmp_path) -> list[str]:
+    """``solve`` argv that warm-starts a 4-slot QAP from a saved state with
+    one inequality-row dual set to -5; the argv has no --out."""
     from specbundle.bundle import load_state, save_state, state_from_record
     from specbundle.problem import build_qap
 
-    q = random_qap(4, 0)
     src, state = tmp_path / "q.dat", tmp_path / "q.bin"
-    write_qaplib(q, src)
+    write_qaplib(random_qap(4, 0), src)
     argv = ["solve", "--problem", "qap", "--input", str(src), "--max-iters", "5"]
     assert main(argv + ["--out", str(tmp_path / "a.csv"), "--save-state", str(state)]) in (0, 2)
     prob = build_qap(parse_qaplib(src))
@@ -807,11 +808,39 @@ def test_warm_start_with_a_negative_sign_row_dual_exits_1(tmp_path, capsys):
     saved.y = saved.y.copy()
     saved.y[prob.ineq_idx[0]] = -5.0
     save_state(state, saved, prob)
+    return argv + ["--warm-start", str(state)]
+
+
+def test_warm_start_with_a_negative_sign_row_dual_exits_1(tmp_path, capsys):
+    """A saved state carries f(y), so only the start-state check sees a dual
+    below 0 on an inequality row: the resume exits 1 with a message."""
+    argv = _negative_sign_row_warm_start(tmp_path)
     capsys.readouterr()
-    assert main(argv + ["--out", str(tmp_path / "b.csv"), "--warm-start", str(state)]) == 1
+    assert main(argv + ["--out", str(tmp_path / "b.csv")]) == 1
     err = capsys.readouterr().err
     assert "error: initial dual point violates the sign constraints" in err
     assert "Traceback" not in err
+
+
+def test_a_refused_solve_leaves_the_metrics_file_as_it_was(tmp_path, monkeypatch):
+    """A run that ``solve`` refuses writes no metrics: an existing --out
+    file keeps its bytes, and neither a new path nor the default
+    ``metrics.csv`` is created."""
+    argv = _negative_sign_row_warm_start(tmp_path)
+    kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+    kept.write_bytes(b"iter,time_s\r\n0,1.5\r\n")
+    assert main(argv + ["--out", str(kept)]) == 1
+    assert main(argv + ["--out", str(new)]) == 1
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert kept.read_bytes() == b"iter,time_s\r\n0,1.5\r\n"
+    assert not new.exists() and not (tmp_path / "metrics.csv").exists()
+    # a run that starts replaces the whole file
+    assert main(argv[: argv.index("--warm-start")] + ["--out", str(kept)]) in (0, 2)
+    rows = read_rows(kept)
+    assert rows[0] == cli_mod.CSV_HEADER
+    assert [r[0] for r in rows[1:]] == [str(t) for t in range(len(rows) - 1)] != []
+    assert {len(r) for r in rows} == {len(cli_mod.CSV_HEADER)}
 
 
 def test_sketch_rank_0_exits_with_message(tmp_path, capsys):
@@ -833,17 +862,13 @@ def _corrupt_state(raw: bytes, case: str) -> bytes:
     """Damage one part of a state file written by ``save_state``."""
     import struct
 
-    head = "<4sI QQQQ II B II dd dd QQ dd d"  # the header of format versions 2 and 3
-    kind_at = struct.calcsize("<4sI QQQQ II")
-    trace_at = struct.calcsize("<4sI QQQQ II B II dd dd QQ")
-    rho_at = struct.calcsize("<4sI QQQQ II B II dd dd QQ dd")
+    head = "<4sI QQQQ II II d dd QQ dd d dd"  # the header of format version 4
+    f_y_at = struct.calcsize("<4sI QQQQ II II d")
+    trace_at = struct.calcsize("<4sI QQQQ II II d dd QQ")
+    rho_at = struct.calcsize("<4sI QQQQ II II d dd QQ dd")
     size = struct.calcsize(head)
-    if case == "store kind 0":
-        return raw[:kind_at] + bytes([0]) + raw[kind_at + 1:]
-    if case == "store kind 1":
-        return raw[:kind_at] + bytes([1]) + raw[kind_at + 1:]
-    if case == "store kind 3":
-        return raw[:kind_at] + bytes([3]) + raw[kind_at + 1:]
+    if case.startswith("version "):
+        return raw[:4] + struct.pack("<I", int(case.split()[1])) + raw[8:]
     if case == "truncated payload":
         return raw[:-8]
     if case == "trailing bytes":
@@ -856,6 +881,8 @@ def _corrupt_state(raw: bytes, case: str) -> bytes:
         return raw[:trace_at] + struct.pack("<d", float("inf")) + raw[trace_at + 8:]
     if case == "nan cost":
         return raw[:trace_at + 8] + struct.pack("<d", float("nan")) + raw[trace_at + 16:]
+    if case == "-inf f_y":
+        return raw[:f_y_at] + struct.pack("<d", -float("inf")) + raw[f_y_at + 8:]
     if case == "negative rho":
         return raw[:rho_at] + struct.pack("<d", -0.01) + raw[rho_at + 8:]
     raise AssertionError(case)
@@ -864,15 +891,16 @@ def _corrupt_state(raw: bytes, case: str) -> bytes:
 @pytest.mark.parametrize(
     "case, message",
     [
-        ("store kind 0", "store kind"),
-        ("store kind 1", "store kind"),
-        ("store kind 3", "store kind"),
+        ("version 2", "unsupported state file version 2"),
+        ("version 3", "unsupported state file version 3"),
+        ("version 5", "unsupported state file version 5"),
         ("truncated payload", "truncated"),
         ("trailing bytes", "trailing bytes"),
         ("nan in y", "non-finite"),
         ("inf in primal store", "non-finite"),
         ("inf trace", "non-finite"),
         ("nan cost", "non-finite"),
+        ("-inf f_y", "non-finite"),
         ("negative rho", "rho"),
     ],
 )

@@ -174,7 +174,7 @@ def test_parse_qaplib_fuzz(tmp_path, capsys, data):
     _builds_or_rejects(build_qap, q, argv, capsys)
 
 
-_HEAD_FMT = "<4sI QQQQ II B II dd dd QQ dd d"  # the header of format versions 2 and 3
+_HEAD_FMT = "<4sI QQQQ II II d dd QQ dd d dd"  # the header of format version 4
 
 
 @functools.cache
@@ -223,8 +223,8 @@ def mutated_state(draw):
 
 STATE_BYTES = st.one_of(
     mutated_state(),
-    st.binary(max_size=256).map(lambda b: b"USBS\x01\0\0\0" + b),
-    st.binary(max_size=256).map(lambda b: b"USBS\x02\0\0\0" + b),
+    st.binary(max_size=256).map(lambda b: b"USBS\x03\0\0\0" + b),
+    st.binary(max_size=256).map(lambda b: b"USBS\x04\0\0\0" + b),
     st.binary(),
 )
 

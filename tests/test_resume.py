@@ -1,18 +1,15 @@
 """The resume contract: a saved state is the whole loop state.  Solving N
 iterations gives bit for bit what solving N1, saving, loading and solving
-N - N1 more gives, through the library and through the CLI.  Files of the
-older format versions 1 and 2 resume as the current version does."""
+N - N1 more gives, through the library and through the CLI; and a state
+saved at convergence resumes converged, after 0 iterations."""
 import re
-import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from _oracles import proximal_slack, save_state_frozen
-from conftest import random_graph
+from conftest import mixed_inequality_problem, random_graph
 from specbundle.bundle import (
-    _HEADER,
     SolverConfig,
     load_state,
     save_state,
@@ -112,8 +109,8 @@ def test_cli_split_run_writes_the_straight_state_file(tmp_path, capsys, problem)
 
 
 def test_cli_warm_start_resumes_at_the_saved_rho(tmp_path, capsys):
-    """A version-2 state carries its weight, so ``--rho`` on the resumed
-    run does not change where it goes."""
+    """A state file carries its weight, so ``--rho`` on the resumed run
+    does not change where it goes."""
     instance = tmp_path / "g.mtx"
     write_graph_mm(random_graph(30, 0.3, 2), instance)
 
@@ -132,70 +129,23 @@ def test_cli_warm_start_resumes_at_the_saved_rho(tmp_path, capsys):
     assert (tmp_path / "resumed.bin").read_bytes() == (tmp_path / "straight.bin").read_bytes()
 
 
-def _solve_keeping_the_slack(prob, cfg):
-    """A cold solve and the slack of its last proximal step, which format
-    versions 1 and 2 saved after y."""
-    anchor, slack = [np.zeros(prob.m)], [None]
-
-    def keep(info):
-        slack[0] = proximal_slack(prob, anchor[0], info.rho, info.primal.constr_image)
-        anchor[0] = info.y
-
-    state, _ = solve(prob, cfg, callback=keep)
-    return state, slack[0]
-
-
-def _with_version(raw: bytes, version: int) -> bytes:
-    return raw[:4] + struct.pack("<I", version) + raw[8:]
-
-
-@pytest.mark.parametrize("kind", ["maxcut-sketch", "qap"])
-def test_old_format_versions_resume_as_version_3(tmp_path, kind):
-    """Versions 1 and 2 load to the state a version-3 file holds, their
-    slack skipped, and resume to the same bytes: version 2 at its saved
-    rho, version 1 as the state with rho None.  A version-3 file holds the
-    header and 2m + nk + nr floats; its size is checked per version."""
-    prob, cfg, (n1, _) = _case(kind)
-    first, nu = _solve_keeping_the_slack(prob, replace(cfg, max_iters=n1))
-    assert np.count_nonzero(nu) > 0 or not prob.has_ineq
-    paths = {v: tmp_path / f"v{v}.bin" for v in (1, 2, 3)}
-    save_state_frozen(paths[1], first, prob, 1, nu)
-    save_state_frozen(paths[2], first, prob, 2, nu)
-    save_state(paths[3], first, prob)
-    model = first.model
-    floats = 2 * prob.m + prob.n * model.k + prob.n * model.store.sk.r
-    assert paths[3].stat().st_size == _HEADER.size + 8 * floats
-    assert paths[2].stat().st_size == _HEADER.size + 8 * (floats + prob.m)
-    assert paths[1].stat().st_size == paths[2].stat().st_size - 8
-
-    rest = replace(cfg, max_iters=cfg.max_iters - n1)
-    new = state_from_record(load_state(paths[3]), prob)
-    assert new.rho == first.rho is not None
-    for version, rho in ((2, new.rho), (1, None)):
-        old = state_from_record(load_state(paths[version]), prob)
-        for a, b in (
-            (old.y, new.y),
-            (old.model.basis, new.model.basis),
-            (old.model.stats.constr_image, new.model.stats.constr_image),
-            (old.model.store.sk.sketch_mat, new.model.store.sk.sketch_mat),
-        ):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert old.rho == rho
-        done_old, _ = solve(prob, rest, init=old)
-        done_new, _ = solve(prob, rest, init=replace(new, rho=rho))
-        save_state(tmp_path / "old.bin", done_old, prob)
-        save_state(tmp_path / "new.bin", done_new, prob)
-        assert (tmp_path / "old.bin").read_bytes() == (tmp_path / "new.bin").read_bytes()
-
-    raw = paths[3].read_bytes()
-    broken = {
-        "truncated": raw[:-8],
-        "trailing": raw + b"\0",
-        "version 2 without its slack": _with_version(raw, 2),
-        "version 3 with a slack": _with_version(paths[2].read_bytes(), 3),
-    }
-    for case, data in broken.items():
-        paths[3].write_bytes(data)
-        message = "trailing bytes" if case in ("trailing", "version 3 with a slack") else "truncated"
-        with pytest.raises(ValueError, match=message):
-            load_state(paths[3])
+@pytest.mark.parametrize("kind", ["maxcut", "mixed"])
+def test_a_converged_solve_resumes_converged_after_0_iterations(tmp_path, kind):
+    """The state file holds the last primal X+, which the certificate
+    reads, so a resume at the same eps checks X+ and not the aggregate
+    (which lacks the k_p kept eigenpairs): it reports ``converged`` before
+    any iteration, with the saved solve's residuals."""
+    if kind == "maxcut":
+        prob, cfg = build_maxcut(random_graph(30, 0.3, 2)), SolverConfig(seed=0)
+    else:
+        prob = mixed_inequality_problem(8, 1)[0]
+        cfg = SolverConfig(k_c=3, k_p=1, max_iters=2000, seed=0)
+    assert cfg.k_p > 0
+    done, _ = solve(prob, cfg)
+    assert done.status == "converged" and done.iterations > 0
+    path = tmp_path / "s.bin"
+    save_state(path, done, prob)
+    resumed, _ = solve(prob, cfg, init=state_from_record(load_state(path), prob))
+    assert resumed.status == "converged" and resumed.iterations == 0
+    assert resumed.residuals == done.residuals
+    np.testing.assert_array_equal(resumed.y, done.y)
