@@ -29,11 +29,7 @@ import scipy.linalg
 from . import sketch as sketchmod
 from .eigsolve import EigResult, lanczos_top
 from .problem import SdpProblem, dual_slack_operator, proj_K
-from .subqp import (
-    alternating_max,
-    assemble_eval_coeffs,
-    ipm_eval,
-)
+from .subqp import alternating_max, assemble_eval_coeffs, ipm_eval
 from .symlin import small_eigh
 
 __all__ = [
@@ -53,6 +49,7 @@ __all__ = [
     "candidate_iterate",
     "descent_test",
     "model_update",
+    "certified_primal",
     "compute_residuals",
     "balance_rho",
     "cold_start",
@@ -98,7 +95,6 @@ class SolverConfig:
     max_iters: int = 1000
     max_time: Optional[float] = None
     seed: int = 0
-    linf_check: bool = False
 
     def __post_init__(self):
         rules = {
@@ -145,23 +141,19 @@ class SketchStore:
 
     sk: sketchmod.NystromSketch
 
-    def update(self, eta: float, factor: np.ndarray, lams: np.ndarray) -> "SketchStore":
-        """A new store holding the sketch of eta * Xbar + factor diag(lams)
-        factor^T; this one keeps its sketch, so each BundleModel owns its
-        iteration's aggregate."""
-        return SketchStore(sketchmod.sketch_update(self.sk, eta, factor, lams))
-
-    def factorize(self) -> tuple[np.ndarray, np.ndarray]:
-        return sketchmod.reconstruct(self.sk)
-
 
 @dataclass
 class BundleModel:
+    """The spectral set and the last proximal step's primal
+    X+ = Xbar + W W^T: the aggregate Xbar, as statistics and a sketch, and
+    the kept part W, the k_p eigenpairs of the step that stay in the basis."""
+
     basis: np.ndarray  # n x k, orthonormal columns
-    stats: AggregateStats
+    stats: AggregateStats  # of Xbar
     k_c: int
     k_p: int
-    store: SketchStore
+    store: SketchStore  # of Xbar
+    kept: np.ndarray  # W, n x k_p
 
     @property
     def k(self) -> int:
@@ -175,11 +167,12 @@ class Residuals:
     linf_infeas: float
     dual_feas: float
 
-    def converged(self, eps: float, linf_check: bool = False) -> bool:
-        ok = self.rel_subopt <= eps and self.rel_infeas <= eps and self.dual_feas <= eps
-        if linf_check:
-            ok = ok and self.linf_infeas <= eps
-        return ok
+    def converged(self, eps: float) -> bool:
+        """Every measure is at most eps, the gap in absolute value: <C, X>
+        above the dual bound f(y) by more than eps means X is not yet
+        feasible, or f(y) is wrong, not that X is optimal."""
+        measures = (abs(self.rel_subopt), self.rel_infeas, self.linf_infeas, self.dual_feas)
+        return all(v <= eps for v in measures)
 
 
 @dataclass
@@ -192,9 +185,6 @@ class SolverState:
     f_y: Optional[float]  # None, with lam_y, until evaluated (a padded state)
     lam_y: Optional[float]
     model: BundleModel
-    # the statistics of the last proximal step's primal X+, which the
-    # certificate reads; cold_start and warm_start_pad give the aggregate's
-    last_primal: AggregateStats
     rho: float  # the proximal weight of the next iteration
     descent_steps: int = 0
     null_steps: int = 0
@@ -222,7 +212,7 @@ class IterationInfo:
     y: np.ndarray
     y_cand: np.ndarray
     residuals: Residuals
-    primal: AggregateStats
+    primal: AggregateStats  # of the certified X+
     eta: float
     rho: float  # the proximal weight of this step; state.rho is the next one
     lam_cand: float
@@ -366,33 +356,48 @@ def model_update(
     """Fold the subproblem solution into the aggregate and rebuild the basis.
 
     The top k_p eigenpairs of the block solution carry past spectral
-    information into the next basis; the remaining k_c eigenpairs are folded
-    into the aggregate statistics and the primal store.  The new basis spans
-    the kept directions together with the fresh extreme eigenvectors.
+    information into the next basis, and are the kept part W of the
+    certified primal; the remaining k_c eigenpairs are folded into the
+    aggregate statistics and the primal store.  The new basis spans the
+    kept directions together with the fresh extreme eigenvectors.
     """
     k_p, k_c = model.k_p, model.k_c
     vals, q = small_eigh(s_next)
     lam_c = np.maximum(vals[k_p:], 0.0)
-    q_c = q[:, k_p:]
-    q_p = q[:, :k_p]
-
-    factor = model.basis @ q_c
+    factor = model.basis @ q[:, k_p:]
+    kept_dirs = model.basis @ q[:, :k_p]
     stats = model.stats
     new_trace = eta * stats.trace + float(lam_c.sum())
     new_cost = eta * stats.cost_ip + prob.cost_factor_ip(factor, lam_c)
     new_image = eta * stats.constr_image + prob.constraints.primal_image_factor(factor, lam_c)
     new_stats = AggregateStats(new_trace, new_cost, new_image)
 
-    store = model.store.update(eta, factor, lam_c)
+    # a new store, so that each BundleModel owns its iteration's aggregate
+    store = SketchStore(sketchmod.sketch_update(model.store.sk, eta, factor, lam_c))
+    kept = kept_dirs * np.sqrt(np.maximum(vals[:k_p], 0.0))
 
     if k_p == 0:
         new_basis = np.asarray(new_vecs, dtype=float)
     else:
-        new_basis = _orthonormalize(np.column_stack([model.basis @ q_p, new_vecs]))
+        new_basis = _orthonormalize(np.column_stack([kept_dirs, new_vecs]))
     if new_basis.shape[1] < model.k:
         new_basis = _completion_columns(new_basis, model.k, seed, tag)
 
-    return BundleModel(basis=new_basis, stats=new_stats, k_c=k_c, k_p=k_p, store=store)
+    return BundleModel(new_basis, new_stats, k_c, k_p, store, kept)
+
+
+def certified_primal(prob: SdpProblem, model: BundleModel) -> AggregateStats:
+    """The statistics of the primal the certificate reads, the last proximal
+    step's X+ = Xbar + W W^T; with no kept part that is the aggregate."""
+    w = model.kept
+    if not w.shape[1]:
+        return model.stats
+    ones = np.ones(w.shape[1])
+    return AggregateStats(
+        model.stats.trace + float(np.sum(w * w)),
+        model.stats.cost_ip + prob.cost_factor_ip(w, ones),
+        model.stats.constr_image + prob.constraints.primal_image_factor(w, ones),
+    )
 
 
 def compute_residuals(
@@ -470,16 +475,8 @@ def cold_start(prob: SdpProblem, cfg: SolverConfig) -> SolverState:
     basis = _completion_columns(eig.eigenvectors, k, cfg.seed, tag=0)
     stats = AggregateStats(0.0, 0.0, np.zeros(prob.m))
     store = SketchStore(sketchmod.sketch_init(prob.n, min(cfg.sketch_rank, prob.n), sketch_seed))
-    model = BundleModel(basis=basis, stats=stats, k_c=k_c, k_p=k_p, store=store)
-    return SolverState(
-        y=y,
-        f_y=f_y,
-        lam_y=float(eig.eigenvalues[0]),
-        model=model,
-        last_primal=stats,
-        rho=cfg.rho,
-        scale_x=prob.scale_x,
-    )
+    model = BundleModel(basis, stats, k_c, k_p, store, kept=np.zeros((prob.n, k_p)))
+    return SolverState(y, f_y, float(eig.eigenvalues[0]), model, cfg.rho, scale_x=prob.scale_x)
 
 
 def solve(
@@ -491,15 +488,15 @@ def solve(
     """Run the bundle loop until the residual targets or the budget is hit.
 
     Returns the final state (status "converged" or "budget") and the primal
-    output reconstructed from the aggregate store.  The loop reads and
-    writes ``state`` alone, and assigns new arrays rather than mutating
-    them, so a saved state resumes exactly where this solve stopped, and
-    ``init`` is left as it was.  Before the first iteration the start
-    state's ``last_primal`` is checked against ``cfg.eps``, so a state
-    saved at convergence resumes converged after 0 iterations.
-    ``cfg.rho`` is the initial proximal weight of a cold start; a given
-    state carries its own, and :func:`balance_rho` moves it after every
-    iteration.
+    output, the certified primal reconstructed from the store.  The loop
+    reads and writes ``state`` alone, and assigns new arrays rather than
+    mutating them, so a saved state resumes exactly where this solve
+    stopped, and ``init`` is left as it was.  Before the first iteration
+    the start state, its ``f_y`` checked against ``lam_y`` and ``y``, is
+    certified against ``cfg.eps``, so a state saved at convergence resumes
+    converged after 0 iterations.  ``cfg.rho`` is the initial proximal
+    weight of a cold start; a given state carries its own, and
+    :func:`balance_rho` moves it after every iteration.
     """
     state = replace(init) if init is not None else cold_start(prob, cfg)
     if state.model.basis.shape[0] != prob.n or state.y.shape[0] != prob.m:
@@ -513,9 +510,13 @@ def solve(
     if state.f_y is None or state.lam_y is None:
         state.f_y, eig = penalized_obj(prob, state.y, cfg, k_c=state.model.k_c)
         state.lam_y = float(eig.eigenvalues[0])
-    state.residuals = compute_residuals(prob, state.f_y, state.lam_y, state.last_primal)
+    else:
+        _check_f_y(prob, state)
+    state.residuals = compute_residuals(
+        prob, state.f_y, state.lam_y, certified_primal(prob, state.model)
+    )
     state.iterations = 0
-    state.status = "converged" if state.residuals.converged(cfg.eps, cfg.linf_check) else None
+    state.status = "converged" if state.residuals.converged(cfg.eps) else None
 
     while state.status is None:
         if state.iterations >= cfg.max_iters or (
@@ -561,8 +562,8 @@ def solve(
             seed=cfg.seed, tag=state.descent_steps + state.null_steps,
         )
         t5 = time.perf_counter()
-        state.last_primal = AggregateStats(alt.tr_x, alt.c_x, alt.a_x)
-        state.residuals = compute_residuals(prob, state.f_y, state.lam_y, state.last_primal)
+        primal = certified_primal(prob, state.model)
+        state.residuals = compute_residuals(prob, state.f_y, state.lam_y, primal)
         state.rho = balance_rho(rho, state.residuals, accept)
         state.iterations += 1
         t6 = time.perf_counter()
@@ -579,7 +580,7 @@ def solve(
                     y=state.y,
                     y_cand=y_cand,
                     residuals=state.residuals,
-                    primal=state.last_primal,
+                    primal=primal,
                     eta=alt.eta,
                     rho=rho,
                     lam_cand=float(eig_cand.eigenvalues[0]),
@@ -603,14 +604,30 @@ def solve(
                     secs_iter=t6 - t0,
                 )
             )
-        if state.residuals.converged(cfg.eps, cfg.linf_check):
+        if state.residuals.converged(cfg.eps):
             state.status = "converged"
 
     return state, primal_output(state.model)
 
 
+def _check_f_y(prob: SdpProblem, state: SolverState) -> None:
+    """Refuse a start ``f_y`` other than the ``alpha * max(lam_y, 0) + <b, y>``
+    that :func:`penalized_obj` writes, beyond the rounding of ``<b, y>``."""
+    lam = prob.alpha * max(state.lam_y, 0.0)
+    f_y, terms = lam + float(prob.b @ state.y), lam + float(np.abs(prob.b) @ np.abs(state.y))
+    if not abs(state.f_y - f_y) <= (prob.m + 2) * np.finfo(float).eps * terms:
+        raise ValueError(
+            f"initial f_y = {state.f_y!r} is not alpha * max(lam_y, 0) + <b, y> = {f_y!r}"
+        )
+
+
 def primal_output(model: BundleModel) -> PrimalOutput:
-    factor, lams = model.store.factorize()
+    """The rank-r factor of the certified primal X+ = Xbar + W W^T: the
+    sketch is linear, so W W^T is added to a copy of the sketch of Xbar
+    before the reconstruction, which at rank n gives X+ itself."""
+    sk, w = model.store.sk, model.kept
+    sk = replace(sk, sketch_mat=sk.sketch_mat + w @ (w.T @ sk.psi()))
+    factor, lams = sketchmod.reconstruct(sk)
     return PrimalOutput(factor=factor, lams=lams)
 
 
@@ -618,15 +635,14 @@ def primal_output(model: BundleModel) -> PrimalOutput:
 # state serialization and warm starts
 
 _MAGIC = b"USBS"
-_VERSION = 4
+_VERSION = 5
 # the fixed-size head of a state file, in order: magic, version; the problem
 # fingerprint n, m, |I|, hash of b; k_c, k_p; sketch rank, psi seed; scale_x;
 # f_y, lam_y (NaN when unknown); descent steps, null steps; aggregate trace,
-# aggregate cost inner product; the proximal weight rho; the last primal's
-# trace and cost inner product.  The float64 payload follows: y, the
-# aggregate constraint image, the last primal's constraint image, the n x k
-# basis, then the n x r sketch.
-_HEADER = struct.Struct("<4sI QQQQ II II d dd QQ dd d dd")
+# aggregate cost inner product; the proximal weight rho.  The float64
+# payload follows: y, the aggregate constraint image, the n x k basis, the
+# n x r sketch, then the n x k_p kept part W.
+_HEADER = struct.Struct("<4sI QQQQ II II d dd QQ dd d")
 
 
 _FINGERPRINT_FIELDS = ("n", "m", "inequality rows", "hash of b")
@@ -662,7 +678,6 @@ def save_state(path, state: SolverState, prob: SdpProblem) -> None:
     a file name or to a binary file object opened for writing."""
     model = state.model
     sk = model.store.sk
-    last = state.last_primal
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
@@ -679,10 +694,8 @@ def save_state(path, state: SolverState, prob: SdpProblem) -> None:
         model.stats.trace,
         model.stats.cost_ip,
         state.rho,
-        last.trace,
-        last.cost_ip,
     )
-    arrays = (state.y, model.stats.constr_image, last.constr_image, model.basis, sk.sketch_mat)
+    arrays = (state.y, model.stats.constr_image, model.basis, sk.sketch_mat, model.kept)
     with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "wb") as fh:
         fh.write(header)
         for arr in arrays:
@@ -692,9 +705,9 @@ def save_state(path, state: SolverState, prob: SdpProblem) -> None:
 
 def load_state(path) -> StateRecord:
     """Read a state file written by :func:`save_state`.  Raises ValueError
-    for a wrong magic, a version other than 4 (versions 1 to 3 lack the
-    last primal, so the solve must run again), ``k_c < 1``,
-    ``k_c + k_p > n``, a sketch rank outside [1, n] (the rules
+    for a wrong magic, a version other than 5 (earlier versions lack the
+    kept part W of the certified primal, so the solve must run again),
+    ``k_c < 1``, ``k_c + k_p > n``, a sketch rank outside [1, n] (the rules
     :func:`cold_start` keeps), a rho that is not positive and finite, a
     payload shorter or longer than the header declares, non-finite arrays
     or statistics, and a path that is not a regular file."""
@@ -713,13 +726,13 @@ def load_state(path) -> StateRecord:
         if version != _VERSION:
             raise ValueError(
                 f"unsupported state file version {version}: only version {_VERSION}, which "
-                "holds the last primal, is read; run the solve again to write one"
+                "holds the certified primal, is read; run the solve again to write one"
             )
         if len(head) < _HEADER.size:
             raise ValueError("truncated state file")
         fields = _HEADER.unpack(head)
         n, m, n_ineq, b_hash, k_c, k_p, rank, psi_seed, scale_x, f_y, lam_y = fields[2:13]
-        descent, null, trace, cost_ip, rho, last_trace, last_cost = fields[13:]
+        descent, null, trace, cost_ip, rho = fields[13:]
         if k_c < 1:
             raise ValueError(f"state file has k_c = {k_c}; it must be at least 1")
         k = k_c + k_p
@@ -729,7 +742,7 @@ def load_state(path) -> StateRecord:
             raise ValueError(f"state file has sketch rank {rank}; it must lie in [1, n = {n}]")
         if not (np.isfinite(rho) and rho > 0):
             raise ValueError(f"state file has rho = {rho}; it must be positive and finite")
-        count = 3 * m + n * k + n * rank
+        count = 2 * m + n * k + n * rank + n * k_p
         expected = _HEADER.size + 8 * count
         if size < expected:
             raise ValueError(f"truncated state file: {size} bytes, the header declares {expected}")
@@ -740,20 +753,19 @@ def load_state(path) -> StateRecord:
             raise ValueError("truncated state file")
     # a copy only on a big-endian host
     payload = payload.astype(float, copy=False)
-    finite = np.isfinite([scale_x, trace, cost_ip, last_trace, last_cost]).all()
+    finite = np.isfinite([scale_x, trace, cost_ip]).all()
     # f_y and lam_y are NaN when unknown; a resume certifies with them
     if not (np.all(np.isfinite(payload)) and finite) or np.isinf([f_y, lam_y]).any():
         raise ValueError("state file holds non-finite arrays, scale, f_y, lam_y, traces or costs")
-    y, a_xbar, a_last, basis, sketch_mat = np.split(payload, np.cumsum([m, m, m, n * k]))
+    y, a_xbar, basis, sketch_mat, kept = np.split(payload, np.cumsum([m, m, n * k, n * rank]))
     sk = sketchmod.NystromSketch(n, rank, psi_seed, sketch_mat.reshape(n, rank))
     stats = AggregateStats(trace, cost_ip, a_xbar)
-    model = BundleModel(basis.reshape(n, k), stats, k_c, k_p, store=SketchStore(sk))
+    model = BundleModel(basis.reshape(n, k), stats, k_c, k_p, SketchStore(sk), kept.reshape(n, k_p))
     state = SolverState(
         y=y,
         f_y=None if np.isnan(f_y) else float(f_y),
         lam_y=None if np.isnan(lam_y) else float(lam_y),
         model=model,
-        last_primal=AggregateStats(last_trace, last_cost, a_last),
         rho=rho,
         descent_steps=descent,
         null_steps=null,
@@ -833,13 +845,12 @@ def warm_start_pad(
     complementary slackness, y_i = (C X)_ii / X_ii, with one common scale:
     a new vertex gets ``r * C_ii`` instead of leaving its whole diagonal
     in ``C - A*(y)``.  The proximal weight rho is carried over as it is.
-    The primal factor is padded with
-    zero rows on new vertices and rescaled by the ratio of trace
-    normalizations so the padded matrix represents the same unscaled
-    object; statistics are recomputed against the new problem data, and
-    the padded matrix is sketched afresh at the old rank, clamped to the
-    new n.  Both maps must be injective and in range; a ValueError names
-    the map that is not.
+    The aggregate's factor is padded with zero rows on new vertices and
+    rescaled by the ratio of trace normalizations so the padded matrix
+    represents the same unscaled object; statistics are recomputed against
+    the new problem data, and the padded matrix is sketched afresh at the
+    old rank, clamped to the new n.  The kept part W is zero.  Both maps
+    must be injective and in range; a ValueError names the map that is not.
     """
     vmap = np.asarray(mapping.vertex_map, dtype=np.int64)
     cmap = np.asarray(mapping.constraint_map, dtype=np.int64)
@@ -857,7 +868,7 @@ def warm_start_pad(
 
     model = prev.model
     tau = prev.scale_x / new_prob.scale_x
-    factor_old, lams_old = model.store.factorize()
+    factor_old, lams_old = sketchmod.reconstruct(model.store.sk)
     # old row of each new vertex; a new vertex points one past the last row
     src = np.full(new_prob.n, vmap.size)
     src[vmap] = np.arange(vmap.size)
@@ -878,13 +889,6 @@ def warm_start_pad(
     sk = sketchmod.sketch_init(new_prob.n, min(model.store.sk.r, new_prob.n), seed)
     store = SketchStore(sketchmod.sketch_update(sk, 0.0, factor, lams))
 
-    new_model = BundleModel(basis=basis, stats=stats, k_c=model.k_c, k_p=model.k_p, store=store)
-    return SolverState(
-        y=y,
-        f_y=None,
-        lam_y=None,
-        model=new_model,
-        last_primal=stats,
-        rho=prev.rho,
-        scale_x=new_prob.scale_x,
-    )
+    kept = np.zeros((new_prob.n, model.k_p))
+    model = BundleModel(basis, stats, model.k_c, model.k_p, store, kept)
+    return SolverState(y, None, None, model, rho=prev.rho, scale_x=new_prob.scale_x)

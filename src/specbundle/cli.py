@@ -107,7 +107,6 @@ def _build_parser() -> _Parser:
     ps.add_argument("--max-iters", type=int, default=None)
     ps.add_argument("--max-time", type=float, default=None)
     ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--linf-check", action="store_true", default=None)
     ps.add_argument("--warm-start", default=None, help="state file to start from")
     ps.add_argument("--mapping", default=None, help="index mapping for cross-size warm starts")
     ps.add_argument("--save-state", default=None)
@@ -144,18 +143,11 @@ def _read_config_file(path) -> dict:
     return out
 
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
-
-
 def _coerce(key, value, like):
     try:
-        if isinstance(like, bool):
-            return _BOOLEANS[value.lower()]
         return int(value) if isinstance(like, int) else float(value)
-    except (KeyError, ValueError):
-        kind = ("a boolean (1/true/yes/on or 0/false/no/off)" if isinstance(like, bool)
-                else "an integer" if isinstance(like, int) else "a number")
+    except ValueError:
+        kind = "an integer" if isinstance(like, int) else "a number"
         raise UsageError(f"config key {key!r} must be {kind}, not {value!r}") from None
 
 
@@ -168,7 +160,7 @@ def _resolve_config(args, kind: str, instance) -> SolverConfig:
     if args.config:
         for key, val in _read_config_file(args.config).items():
             if key not in _KEYS:
-                raise UsageError(f"unknown config key {key!r}")
+                raise UsageError(f"unknown config key {key!r} (set to {val!r})")
             name = _ALIASES.get(key, key)
             settings[name] = _coerce(key, val, getattr(cfg, name))
     for key in _KEYS:
@@ -346,7 +338,7 @@ def _solve(args, state_fh, out_fh) -> int:
     if state_fh is not None:
         save_state(_emptied(state_fh), state, prob)
 
-    obj = prob.unscale_objective(state.last_primal.cost_ip)
+    obj = prob.unscale_objective(bundle.certified_primal(prob, state.model).cost_ip)
     print(f"status: {state.status}")
     # the state's step counts run over every solve it went through, and
     # solve leaves init as it was; the summary reports this solve's

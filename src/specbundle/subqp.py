@@ -538,8 +538,6 @@ class AltMaxResult:
     eta: float  # weight on the aggregate matrix, original units
     s_mat: np.ndarray  # k x k block, original units
     a_x: np.ndarray  # constraint image of the new iterate
-    c_x: float  # cost inner product of the new iterate
-    tr_x: float
     passes: int  # pieces the solve visited; 1 without inequality rows
     newton: int  # Newton steps of the one interior-point solve
     exact: bool
@@ -570,14 +568,10 @@ def alternating_max(prob: SdpProblem, model, y: np.ndarray, rho: float) -> AltMa
     s_act = alpha * res.s_opt
     eta_act = (alpha * res.eta_opt / tr) if tr > 0.0 else 0.0
     a_x = eta_act * model.stats.constr_image + prob.constraints.primal_image_lowrank(v, s_act)
-    c_x = eta_act * model.stats.cost_ip + float((cost_quad * s_act).sum())
-    tr_x = eta_act * tr + float(s_act.trace())
     return AltMaxResult(
         eta=eta_act,
         s_mat=s_act,
         a_x=a_x,
-        c_x=c_x,
-        tr_x=tr_x,
         passes=pieces.visited if pieces is not None else 1,
         newton=res.newton_iters,
         exact=res.exact,

@@ -1286,50 +1286,51 @@ def write_graph_mm_frozen(g, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# frozen writer of the state files of format versions 1 to 3, which hold no
-# last primal; versions 1 and 2 hold the last proximal step's slack nu after
-# y, and version 1 has no rho either.  Each must be refused by its version.
+# frozen writer of the state files of format versions 1 to 4, which hold no
+# kept part W of the certified primal; versions 1 to 3 hold no last primal
+# either, versions 1 and 2 hold the last proximal step's slack nu after y,
+# and version 1 has no rho.  Each must be refused by its version.
 
 
 def save_state_frozen(path, state, prob, version: int) -> None:
     """``save_state`` as it wrote format version 1 (the 19-field header
     without rho), 2 or 3 (the 20-field header), then the float64 payload y,
     for versions 1 and 2 a zero slack, the aggregate image, the basis and
-    the sketch."""
+    the sketch; or version 4 (no store kind or scale_c, and the last
+    primal's trace and cost after rho), then y, the aggregate image, the
+    last primal's image, the basis and the sketch."""
     import hashlib
     import struct
+
+    from specbundle.bundle import certified_primal
 
     model = state.model
     sk = model.store.sk
     b_hash = hashlib.sha256(np.ascontiguousarray(prob.b, dtype="<f8").tobytes()).digest()
-    rho = () if version == 1 else (state.rho,)
-    header = struct.pack(
-        "<4sI QQQQ II B II dd dd QQ dd" + ("" if version == 1 else " d"),
-        b"USBS",
-        version,
-        prob.n,
-        prob.m,
-        int(prob.ineq_idx.size),
-        int.from_bytes(b_hash[:8], "little"),
-        model.k_c,
-        model.k_p,
-        2,  # store kind: a sketch
-        sk.r,
-        sk.psi_seed & 0xFFFFFFFF,
-        state.scale_x,
-        prob.scale_c,
-        state.f_y if state.f_y is not None else np.nan,
-        state.lam_y if state.lam_y is not None else np.nan,
-        state.descent_steps,
-        state.null_steps,
-        model.stats.trace,
-        model.stats.cost_ip,
-        *rho,
-    )
-    slack = [] if version == 3 else [np.zeros(prob.m)]
+    fingerprint = (prob.n, prob.m, int(prob.ineq_idx.size), int.from_bytes(b_hash[:8], "little"))
+    seed = sk.psi_seed & 0xFFFFFFFF
+    f_y = state.f_y if state.f_y is not None else np.nan
+    lam_y = state.lam_y if state.lam_y is not None else np.nan
+    steps = (state.descent_steps, state.null_steps, model.stats.trace, model.stats.cost_ip)
+    if version == 4:
+        last = certified_primal(prob, model)
+        header = struct.pack(
+            "<4sI QQQQ II II d dd QQ dd d dd", b"USBS", 4, *fingerprint, model.k_c, model.k_p,
+            sk.r, seed, state.scale_x, f_y, lam_y, *steps, state.rho, last.trace, last.cost_ip,
+        )
+        images = (model.stats.constr_image, last.constr_image)
+    else:
+        rho = () if version == 1 else (state.rho,)
+        header = struct.pack(
+            "<4sI QQQQ II B II dd dd QQ dd" + ("" if version == 1 else " d"), b"USBS", version,
+            *fingerprint, model.k_c, model.k_p, 2, sk.r, seed,  # store kind 2: a sketch
+            state.scale_x, prob.scale_c, f_y, lam_y, *steps, *rho,
+        )
+        slack = () if version == 3 else (np.zeros(prob.m),)
+        images = (*slack, model.stats.constr_image)
     with open(path, "wb") as fh:
         fh.write(header)
-        for arr in (state.y, *slack, model.stats.constr_image, model.basis, sk.sketch_mat):
+        for arr in (state.y, *images, model.basis, sk.sketch_mat):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -1365,8 +1366,8 @@ def orthonormalize_frozen(a: np.ndarray) -> np.ndarray:
 
 
 # the CLI's settings tables as they stood while the CLI kept its own copy of
-# them: keyed by the CLI's names (kc, kp), with a QAP sketch rank of None
-# meaning the assignment size
+# them, less the linf_check switch, which is gone: keyed by the CLI's names
+# (kc, kp), with a QAP sketch rank of None meaning the assignment size
 CLI_DEFAULTS_FROZEN = {
     "maxcut": {"rho": 0.01, "beta": 0.25, "kc": 10, "kp": 1, "sketch_rank": 10},
     "qap": {"rho": 0.005, "beta": 0.25, "kc": 2, "kp": 0, "sketch_rank": None},
@@ -1376,7 +1377,6 @@ CLI_COMMON_FROZEN = {
     "max_iters": 1000,
     "max_time": None,
     "seed": 0,
-    "linf_check": False,
 }
 
 

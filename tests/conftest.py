@@ -16,6 +16,7 @@ import scipy.sparse as sp
 sys.path.insert(0, str(Path(__file__).parent))
 
 from _oracles import graph_from_edges
+from specbundle import sketch as sketchmod
 from specbundle.problem import (
     GraphInstance,
     QapInstance,
@@ -57,17 +58,18 @@ def random_qap(n: int, seed: int, lo: int = 0, hi: int = 10) -> QapInstance:
     return QapInstance(w, d)
 
 
-def record_store_updates(monkeypatch, store_cls) -> list:
-    """Wrap ``store_cls.update`` for the test: each call appends its
-    (eta, factor, lams) to the returned list, then returns the updated store."""
+def record_store_updates(monkeypatch) -> list:
+    """Wrap ``sketch.sketch_update`` for the test: each call appends its
+    (eta, factor, lams) to the returned list, then returns the updated
+    sketch."""
     updates = []
-    real = store_cls.update
+    real = sketchmod.sketch_update
 
-    def update(self, eta, factor, lams):
+    def update(sk, eta, factor, lams):
         updates.append((eta, factor, lams))
-        return real(self, eta, factor, lams)
+        return real(sk, eta, factor, lams)
 
-    monkeypatch.setattr(store_cls, "update", update)
+    monkeypatch.setattr(sketchmod, "sketch_update", update)
     return updates
 
 

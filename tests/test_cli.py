@@ -405,14 +405,28 @@ class TestSolveCommand:
         assert f"config key {key!r}" in err and repr(value) in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "value, expected",
+        "value, was",
         [(v, True) for v in ("1", "true", "YES", "On")]
         + [(v, False) for v in ("0", "False", "no", "OFF")],
     )
-    def test_config_booleans(self, value, expected):
-        from specbundle.cli import _coerce
+    def test_config_booleans(self, tmp_path, k3_file, capsys, value, was):
+        """No setting is a boolean: the linf_check switch, the only one, is
+        gone, since the stop rule reads linf_infeas always.  A config line
+        that set it to any value its reader took, as true or false (``was``),
+        is a usage error."""
+        cfgf = tmp_path / "cfg"
+        cfgf.write_text(f"linf_check = {value}\n")
+        argv = ["solve", "--problem", "maxcut", "--input", str(k3_file), "--config", str(cfgf)]
+        assert main(argv + ["--out", str(tmp_path / "m.csv")]) == 64
+        err = capsys.readouterr().err
+        assert "unknown config key 'linf_check'" in err and "Traceback" not in err
 
-        assert _coerce("linf_check", value, False) is expected
+    def test_linf_check_flag_is_a_usage_error(self, tmp_path, k3_file, capsys):
+        argv = ["solve", "--problem", "maxcut", "--input", str(k3_file), "--linf-check"]
+        assert main(argv + ["--out", str(tmp_path / "m.csv")]) == 64
+        err = capsys.readouterr().err
+        assert "--linf-check" in err and "Traceback" not in err
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestResolvedConfig:
@@ -422,11 +436,9 @@ class TestResolvedConfig:
 
     CONFIG = (
         "rho = 0.5\nbeta = 0.5\nkc = 3\nkp = 2\nsketch-rank = 7\n"
-        "max_time = 2\nseed = 5\nlinf_check = yes\n"
+        "max_time = 2\nseed = 5\n"
     )
-    FROM_CONFIG = dict(
-        rho=0.5, beta=0.5, kc=3, kp=2, sketch_rank=7, max_time=2.0, seed=5, linf_check=True
-    )
+    FROM_CONFIG = dict(rho=0.5, beta=0.5, kc=3, kp=2, sketch_rank=7, max_time=2.0, seed=5)
     FLAGS = ["--rho", "0.25", "--kc", "4", "--kp", "0", "--eps", "1e-4", "--max-iters", "7"]
     FROM_FLAGS = dict(rho=0.25, kc=4, kp=0, eps=1e-4, max_iters=7)
 
@@ -822,6 +834,24 @@ def test_warm_start_with_a_negative_sign_row_dual_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_warm_start_with_a_forged_f_y_exits_1(tmp_path, k3_file, capsys):
+    """A converged K3 state whose f_y is rewritten to -1e300 passes the
+    loader, which checks only finiteness; solve refuses it by name, so the
+    hugely negative gap cannot certify the resume."""
+    import struct
+
+    state = tmp_path / "s.bin"
+    argv = ["solve", "--problem", "maxcut", "--input", str(k3_file)]
+    assert main(argv + ["--out", str(tmp_path / "a.csv"), "--save-state", str(state)]) == 0
+    raw = state.read_bytes()
+    f_y_at = struct.calcsize("<4sI QQQQ II II d")
+    state.write_bytes(raw[:f_y_at] + struct.pack("<d", -1e300) + raw[f_y_at + 8:])
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "b.csv"), "--warm-start", str(state)]) == 1
+    err = capsys.readouterr().err
+    assert "error: initial f_y = -1e+300 is not" in err and "Traceback" not in err
+
+
 def test_a_refused_solve_leaves_the_metrics_file_as_it_was(tmp_path, monkeypatch):
     """A run that ``solve`` refuses writes no metrics: an existing --out
     file keeps its bytes, and neither a new path nor the default
@@ -862,7 +892,7 @@ def _corrupt_state(raw: bytes, case: str) -> bytes:
     """Damage one part of a state file written by ``save_state``."""
     import struct
 
-    head = "<4sI QQQQ II II d dd QQ dd d dd"  # the header of format version 4
+    head = "<4sI QQQQ II II d dd QQ dd d"  # the header of format version 5
     f_y_at = struct.calcsize("<4sI QQQQ II II d")
     trace_at = struct.calcsize("<4sI QQQQ II II d dd QQ")
     rho_at = struct.calcsize("<4sI QQQQ II II d dd QQ dd")
@@ -893,7 +923,8 @@ def _corrupt_state(raw: bytes, case: str) -> bytes:
     [
         ("version 2", "unsupported state file version 2"),
         ("version 3", "unsupported state file version 3"),
-        ("version 5", "unsupported state file version 5"),
+        ("version 4", "unsupported state file version 4"),
+        ("version 6", "unsupported state file version 6"),
         ("truncated payload", "truncated"),
         ("trailing bytes", "trailing bytes"),
         ("nan in y", "non-finite"),

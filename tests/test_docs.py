@@ -53,7 +53,7 @@ def test_documented_cli_defaults_match_the_cli():
     for kind, own in (("maxcut", maxcut), ("qap", qap)):
         settings = vars(bundle.default_config(kind, 7))
         # every numeric setting is documented; max_time (None, no limit)
-        # and linf_check (False) need not be
+        # need not be
         numbers = {key for key, value in settings.items() if type(value) in (int, float)}
         documented = {cli._ALIASES.get(key, key): value for key, value in {**both, **own}.items()}
         assert numbers <= documented.keys() <= settings.keys()

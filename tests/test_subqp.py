@@ -465,7 +465,7 @@ class TestAlternatingMax:
         assert all(b >= a - tol for a, b in zip(values, values[1:]))
         one = alternating_max(prob, model, y, cfg.rho)
         nu = proximal_slack(prob, y, cfg.rho, one.a_x)
-        assert psi_value(prob, y, cfg.rho, one.c_x, one.a_x, nu) >= values[-1] - tol
+        assert psi_value(prob, y, cfg.rho, step_cost(model, one), one.a_x, nu) >= values[-1] - tol
 
     def test_capped_state_solves_exactly(self):
         """With the CLI's QAP settings, the state the first iteration leaves
@@ -527,7 +527,7 @@ class TestAlternatingMax:
         cfg = SolverConfig(k_c=3, k_p=0)
         model = cold_start(prob, cfg).model
         res = alternating_max(prob, model, np.zeros(3), rho=0.01)
-        assert res.tr_x <= prob.alpha + 1e-9
+        assert res.eta * model.stats.trace + np.trace(res.s_mat) <= prob.alpha + 1e-9
 
 
 def qap_states():
@@ -565,12 +565,18 @@ def mixed_states():
     return out
 
 
+def step_cost(model, step) -> float:
+    """<C, X+> of a proximal step, X+ = eta Xbar + V S V^T."""
+    return step.eta * model.stats.cost_ip + float(np.sum(step.cost_quad * step.s_mat))
+
+
 def assert_matches_alternation(prob, model, y, rho):
     one = alternating_max(prob, model, y, rho)
     ref = alternation_reference(prob, model, y, rho)
     assert one.exact and ref["exact"]
     np.testing.assert_allclose(one.a_x, ref["a_x"], rtol=0, atol=1e-9)
-    psi_one = psi_value(prob, y, rho, one.c_x, one.a_x, proximal_slack(prob, y, rho, one.a_x))
+    c_one = step_cost(model, one)
+    psi_one = psi_value(prob, y, rho, c_one, one.a_x, proximal_slack(prob, y, rho, one.a_x))
     psi_ref = psi_value(prob, y, rho, ref["c_x"], ref["a_x"], ref["nu"])
     assert abs(psi_one - psi_ref) <= 1e-10 * abs(psi_ref)
 
@@ -624,17 +630,21 @@ class TestCandidateWithoutSlack:
         assert gated > 0  # the old gate was active on some rows
 
     @pytest.mark.parametrize("kind", ["qap", "mixed"])
-    def test_every_candidate_of_a_solve(self, kind):
+    def test_every_candidate_of_a_solve(self, monkeypatch, kind):
         if kind == "qap":
             prob = build_qap(random_qap(5, 1))
             cfg = SolverConfig(rho=0.005, beta=0.25, k_c=2, k_p=0, sketch_rank=5, max_iters=30)
         else:
             prob, _ = mixed_inequality_problem(12, 0)
             cfg = SolverConfig(rho=0.1, beta=0.25, k_c=5, k_p=1, max_iters=40, seed=0)
-        anchor, gated = [np.zeros(prob.m)], []
+        anchor, gated, steps = [np.zeros(prob.m)], [], []
+        real = bundle.alternating_max
+        monkeypatch.setattr(
+            bundle, "alternating_max", lambda *a: steps.append(real(*a)) or steps[-1]
+        )
 
         def check(info):
-            nu = self.slack_and_check(prob, anchor[0], info.rho, info.primal.constr_image, info.y_cand)
+            nu = self.slack_and_check(prob, anchor[0], info.rho, steps[-1].a_x, info.y_cand)
             gated.append(np.count_nonzero(nu < 0))
             anchor[0] = info.y
 
