@@ -12,6 +12,7 @@ never on the iteration count.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import copy
 import hashlib
@@ -234,8 +235,9 @@ class IterationInfo:
     # one per matvec below eigsolve.PARTIAL_REORTH_MIN_N, fewer above it
     eig_reorth_passes: int
     # the proximal step: the pieces of its objective that the one
-    # interior-point solve visited (1 without inequality rows), its Newton
-    # steps, and alt_exact False when that solve stopped inexact
+    # interior-point solve visited (sets of sign rows kept; 1 for a problem
+    # without sign rows, whose objective has one piece), its Newton steps,
+    # and alt_exact False when that solve stopped inexact
     alt_passes: int
     alt_newton: int
     alt_exact: bool
@@ -305,8 +307,7 @@ def candidate_iterate(
     max(., 0) on the sign rows.  That is y - (b + nu - a_x)/rho for the
     eliminated slack nu = min(a_x + rho*y - b, 0) on those rows."""
     out = y - (b - a_x) / rho
-    if ineq_idx.size:
-        out[ineq_idx] = np.maximum(out[ineq_idx], 0.0)
+    out[ineq_idx] = np.maximum(out[ineq_idx], 0.0)
     return out
 
 
@@ -636,13 +637,22 @@ def primal_output(model: BundleModel) -> PrimalOutput:
 
 _MAGIC = b"USBS"
 _VERSION = 5
-# the fixed-size head of a state file, in order: magic, version; the problem
-# fingerprint n, m, |I|, hash of b; k_c, k_p; sketch rank, psi seed; scale_x;
-# f_y, lam_y (NaN when unknown); descent steps, null steps; aggregate trace,
-# aggregate cost inner product; the proximal weight rho.  The float64
-# payload follows: y, the aggregate constraint image, the n x k basis, the
-# n x r sketch, then the n x k_p kept part W.
-_HEADER = struct.Struct("<4sI QQQQ II II d dd QQ dd d")
+# the fixed-size head of a state file: each field's name and struct code, in
+# order.  The float64 payload follows: y, the aggregate constraint image,
+# the n x k basis, the n x r sketch, then the n x k_p kept part W.
+_HEADER_FIELDS = (
+    ("magic", "4s"), ("version", "I"),
+    ("n", "Q"), ("m", "Q"), ("n_ineq", "Q"), ("b_hash", "Q"),  # the fingerprint
+    ("k_c", "I"), ("k_p", "I"),
+    ("rank", "I"), ("psi_seed", "I"),  # the sketch's rank and test-matrix seed
+    ("scale_x", "d"),
+    ("f_y", "d"), ("lam_y", "d"),  # NaN when unknown
+    ("descent", "Q"), ("null", "Q"),  # step counts
+    ("trace", "d"), ("cost_ip", "d"),  # the aggregate's trace and <C, Xbar>
+    ("rho", "d"),  # the proximal weight
+)
+_HEADER = struct.Struct("<" + "".join(code for _, code in _HEADER_FIELDS))
+_Header = collections.namedtuple("_Header", [name for name, _ in _HEADER_FIELDS])
 
 
 _FINGERPRINT_FIELDS = ("n", "m", "inequality rows", "hash of b")
@@ -678,26 +688,19 @@ def save_state(path, state: SolverState, prob: SdpProblem) -> None:
     a file name or to a binary file object opened for writing."""
     model = state.model
     sk = model.store.sk
-    header = _HEADER.pack(
-        _MAGIC,
-        _VERSION,
-        *fingerprint_of(prob),
-        model.k_c,
-        model.k_p,
-        sk.r,
-        sk.psi_seed & 0xFFFFFFFF,
-        state.scale_x,
-        state.f_y if state.f_y is not None else np.nan,
-        state.lam_y if state.lam_y is not None else np.nan,
-        state.descent_steps,
-        state.null_steps,
-        model.stats.trace,
-        model.stats.cost_ip,
-        state.rho,
+    n, m, n_ineq, b_hash = fingerprint_of(prob)
+    header = _Header(
+        magic=_MAGIC, version=_VERSION, n=n, m=m, n_ineq=n_ineq, b_hash=b_hash,
+        k_c=model.k_c, k_p=model.k_p, rank=sk.r, psi_seed=sk.psi_seed & 0xFFFFFFFF,
+        scale_x=state.scale_x,
+        f_y=state.f_y if state.f_y is not None else np.nan,
+        lam_y=state.lam_y if state.lam_y is not None else np.nan,
+        descent=state.descent_steps, null=state.null_steps,
+        trace=model.stats.trace, cost_ip=model.stats.cost_ip, rho=state.rho,
     )
     arrays = (state.y, model.stats.constr_image, model.basis, sk.sketch_mat, model.kept)
     with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(_HEADER.pack(*header))
         for arr in arrays:
             # the array's own buffer when it is C-contiguous little-endian
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))
@@ -730,9 +733,8 @@ def load_state(path) -> StateRecord:
             )
         if len(head) < _HEADER.size:
             raise ValueError("truncated state file")
-        fields = _HEADER.unpack(head)
-        n, m, n_ineq, b_hash, k_c, k_p, rank, psi_seed, scale_x, f_y, lam_y = fields[2:13]
-        descent, null, trace, cost_ip, rho = fields[13:]
+        h = _Header._make(_HEADER.unpack(head))
+        n, m, k_c, k_p, rank, rho = h.n, h.m, h.k_c, h.k_p, h.rank, h.rho
         if k_c < 1:
             raise ValueError(f"state file has k_c = {k_c}; it must be at least 1")
         k = k_c + k_p
@@ -753,25 +755,25 @@ def load_state(path) -> StateRecord:
             raise ValueError("truncated state file")
     # a copy only on a big-endian host
     payload = payload.astype(float, copy=False)
-    finite = np.isfinite([scale_x, trace, cost_ip]).all()
+    finite = np.isfinite([h.scale_x, h.trace, h.cost_ip]).all()
     # f_y and lam_y are NaN when unknown; a resume certifies with them
-    if not (np.all(np.isfinite(payload)) and finite) or np.isinf([f_y, lam_y]).any():
+    if not (np.all(np.isfinite(payload)) and finite) or np.isinf([h.f_y, h.lam_y]).any():
         raise ValueError("state file holds non-finite arrays, scale, f_y, lam_y, traces or costs")
     y, a_xbar, basis, sketch_mat, kept = np.split(payload, np.cumsum([m, m, n * k, n * rank]))
-    sk = sketchmod.NystromSketch(n, rank, psi_seed, sketch_mat.reshape(n, rank))
-    stats = AggregateStats(trace, cost_ip, a_xbar)
+    sk = sketchmod.NystromSketch(n, rank, h.psi_seed, sketch_mat.reshape(n, rank))
+    stats = AggregateStats(h.trace, h.cost_ip, a_xbar)
     model = BundleModel(basis.reshape(n, k), stats, k_c, k_p, SketchStore(sk), kept.reshape(n, k_p))
     state = SolverState(
         y=y,
-        f_y=None if np.isnan(f_y) else float(f_y),
-        lam_y=None if np.isnan(lam_y) else float(lam_y),
+        f_y=None if np.isnan(h.f_y) else float(h.f_y),
+        lam_y=None if np.isnan(h.lam_y) else float(h.lam_y),
         model=model,
         rho=rho,
-        descent_steps=descent,
-        null_steps=null,
-        scale_x=scale_x,
+        descent_steps=h.descent,
+        null_steps=h.null,
+        scale_x=h.scale_x,
     )
-    return StateRecord(fingerprint=(n, m, n_ineq, b_hash), state=state)
+    return StateRecord(fingerprint=(n, m, h.n_ineq, h.b_hash), state=state)
 
 
 def record_to_state(rec: StateRecord) -> SolverState:

@@ -366,10 +366,6 @@ class SdpProblem:
     def ineq_idx(self) -> np.ndarray:
         return self._ineq_idx
 
-    @property
-    def has_ineq(self) -> bool:
-        return self._ineq_idx.size > 0
-
     def unscale_objective(self, scaled_value: float) -> float:
         """Objective of the original (unscaled, sign-restored) problem."""
         return self.sense * scaled_value * self.scale_c * self.scale_x
@@ -386,8 +382,7 @@ def proj_K(z: np.ndarray, prob: SdpProblem) -> np.ndarray:
     """Euclidean projection onto the feasible right-hand-side set."""
     out = prob.b.copy()
     idx = prob.ineq_idx
-    if idx.size:
-        out[idx] = np.minimum(z[idx], prob.b[idx])
+    out[idx] = np.minimum(z[idx], prob.b[idx])
     return out
 
 

@@ -12,12 +12,14 @@ candidate iterate, is solved by a primal-dual path-following method whose
 Newton system is reduced analytically to a single symmetric positive
 definite solve on the S-block.
 
-On inequality rows the proximal subproblem also carries a slack nu, whose
-optimum for a given X is min(A(X) + rho*y - b, 0) on those rows.  With nu
-eliminated the objective is a convex C^1 piecewise quadratic: each piece
-keeps the equality rows and the inequality rows with a positive residual.
-The interior-point method re-selects the piece at every Newton step, so one
-solve reaches the joint optimum over (X, nu).
+On its sign rows (the inequality rows) the proximal subproblem also carries
+a slack nu, whose optimum for a given X is min(A(X) + rho*y - b, 0) on
+those rows.  With nu eliminated the objective is a convex C^1 piecewise
+quadratic: each piece keeps the equality rows and the sign rows with a
+positive residual, so a problem without sign rows has one piece.  The
+interior-point method re-selects the piece at every Newton step, reading
+the residual on the sign rows alone, so one solve reaches the joint optimum
+over (X, nu).
 """
 from __future__ import annotations
 
@@ -327,20 +329,15 @@ def _coeff_scale(q: QuadCoeffs) -> float:
     )
 
 
-def ipm_quad(coeffs: QuadCoeffs | None, pieces: _Pieces | None = None) -> IpmResult:
-    """Minimize the quadratic proximal objective over the budget set, from
-    the cold center.
+def ipm_quad(pieces: _Pieces) -> IpmResult:
+    """Minimize the piecewise-quadratic proximal objective over the budget
+    set, from the cold center.
 
-    ``pieces`` (with ``coeffs`` None) makes the objective piecewise
-    quadratic: the piece active at the iterate is selected at the top of
-    every Newton step, the first included, and the coefficients are replaced
-    when it changes.  The gradient is continuous across pieces, so the exit
-    test certifies the piecewise objective."""
-    q = coeffs
-    if pieces is None:
-        st, coeff_scale = _cold_state(q.k, q.has_eta), _coeff_scale(q)
-    else:  # the first select supplies q and its scale
-        st, coeff_scale = _cold_state(pieces.k, pieces.has_eta), None
+    The piece active at the iterate is selected at the top of every Newton
+    step, the first included, and the coefficients are replaced when it
+    changes.  The gradient is continuous across pieces, so the exit test
+    certifies the piecewise objective."""
+    st = _cold_state(pieces.k, pieces.has_eta)
     mu = st.mu
 
     exact = False
@@ -353,10 +350,9 @@ def ipm_quad(coeffs: QuadCoeffs | None, pieces: _Pieces | None = None) -> IpmRes
     # the estimate behind each barrier update serves the next step's gate.
     achieved = st.complementarity() / (2.0 * st.pairs())
     for iters in range(1, MAX_NEWTON + 1):
-        if pieces is not None:
-            piece = pieces.select(st.s_mat, st.eta)
-            if piece is not None:
-                q, coeff_scale = piece, _coeff_scale(piece)
+        piece = pieces.select(st.s_mat, st.eta)  # the first call returns one
+        if piece is not None:
+            q, coeff_scale = piece, _coeff_scale(piece)
         t_vec = svec(st.t_mat)
         f1, f2 = _stationarity(q, st, svec(st.s_mat), t_vec)
         stat_res = max(float(np.abs(f1).max()), abs(f2))
@@ -423,6 +419,12 @@ def assemble_eval_coeffs(
     return EvalCoeffs(lin_s=lin_s, lin_eta=lin_eta, has_eta=has_eta, k=v.shape[1])
 
 
+def _rows(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of ``block``.  np.take gathers a C-ordered block 3x faster than
+    indexing, but copies an F-ordered one (MaxCut's n x d) whole, even for no rows."""
+    return np.take(block, rows, axis=0) if block.flags.c_contiguous else block[rows]
+
+
 def _row_sums(c: np.ndarray, w_vec: np.ndarray, a_img: np.ndarray | None) -> list:
     """The sums over a set of constraint rows that fix the proximal
     coefficients on them, given the rows of the compressed block ``c``, of
@@ -441,7 +443,7 @@ def assemble_quad_coeffs(
     """Coefficients of (1/(2 rho)) * sum over a row set D of r_i^2 - <C, X>,
     with r = A(X) + rho*y - b, from the sums over D of :func:`_row_sums`
     and ``cost_quad`` = V^T C V for the model's basis V.  With D every row
-    it is the objective of a problem without inequality rows."""
+    it is the objective of a problem without sign rows."""
     gram, c_w, c_a, a_a, a_w = sums
     alpha = prob.alpha
     tr = model.stats.trace
@@ -469,14 +471,17 @@ def assemble_quad_coeffs(
 class _Pieces:
     """The pieces of the proximal objective with the slack eliminated.
 
-    A piece keeps the equality rows and the inequality rows whose residual
+    A piece keeps the equality rows and the sign rows whose residual
     r = A(X) + rho*y - b is positive; the optimal slack absorbs the others.
     Its coefficients are fixed by sums over the rows it keeps
-    (:func:`_row_sums`).  Those are seeded from the equality rows, and each
-    :meth:`select` adds the sums of the rows that enter the piece and
-    subtracts those of the rows that leave it.  ``compressed`` is the
-    compressed block of every row and ``cost_quad`` = V^T C V.  ``visited``
-    counts the pieces :meth:`select` has returned.
+    (:func:`_row_sums`).  The equality rows are summed once, on the
+    compressed block itself when every row is one, and each :meth:`select`
+    adds the sums of the sign rows that enter the piece and subtracts those
+    of the sign rows that leave it.  r is read on the sign rows alone: their
+    rows of the block, of w = y - b/rho and of the aggregate's image are
+    gathered once.  Without sign rows there is one piece.  ``keep`` marks
+    the sign rows of the piece returned last, and ``visited`` counts the
+    pieces :meth:`select` has returned.
     """
 
     def __init__(
@@ -488,43 +493,45 @@ class _Pieces:
         compressed: np.ndarray,
         cost_quad: np.ndarray,
     ):
-        self.prob, self.model, self.rho = prob, model, rho
-        self.compressed, self.cost_quad = compressed, cost_quad
+        self.prob, self.model, self.rho, self.cost_quad = prob, model, rho, cost_quad
         self.k, self.has_eta = model.basis.shape[1], model.stats.trace > 0.0
-        self.w_vec = y - prob.b / rho
-        self.r0 = rho * y - prob.b
-        self.equality = ~prob.ineq_mask
-        self.keep = self.equality.copy()
-        self.sums = self._sums(np.flatnonzero(self.keep))
+        w_vec, a_img = y - prob.b / rho, model.stats.constr_image
+        sign = prob.ineq_idx
+        self.c_sign, self.w_sign, self.a_sign = _rows(compressed, sign), w_vec[sign], a_img[sign]
+        self.r0 = rho * y[sign] - prob.b[sign]
+        if sign.size:
+            equality = np.flatnonzero(~prob.ineq_mask)
+            compressed, w_vec, a_img = _rows(compressed, equality), w_vec[equality], a_img[equality]
+        self.sums = _row_sums(compressed, w_vec, a_img if self.has_eta else None)
+        self.keep = np.zeros(sign.size, dtype=bool)
         self.visited = 0
 
     def _sums(self, rows: np.ndarray) -> list:
-        """The :func:`_row_sums` of ``rows``."""
-        stats = self.model.stats
-        return _row_sums(
-            np.take(self.compressed, rows, axis=0),
-            np.take(self.w_vec, rows),
-            np.take(stats.constr_image, rows) if self.has_eta else None,
-        )
+        """The :func:`_row_sums` of the sign rows at positions ``rows``."""
+        a_img = self.a_sign[rows] if self.has_eta else None
+        return _row_sums(_rows(self.c_sign, rows), self.w_sign[rows], a_img)
 
     def select(self, s_mat: np.ndarray, eta: float) -> QuadCoeffs | None:
         """Coefficients of the piece active at (S, eta), or None when it is
-        the piece returned last."""
-        # r = A(X) + rho*y - b at the iterate X = (alpha/tr) eta Xbar + alpha V S V^T
-        alpha, stats = self.prob.alpha, self.model.stats
-        r = self.compressed @ (alpha * svec(s_mat))
+        the piece returned last.  Without sign rows only the first call
+        returns a piece, and no call reads a row."""
+        if self.visited and not self.keep.size:
+            return None
+        # r on the sign rows at the iterate X = (alpha/tr) eta Xbar + alpha V S V^T
+        alpha = self.prob.alpha
+        r = self.c_sign @ (alpha * svec(s_mat))
         r += self.r0
         if self.has_eta:
-            r += (alpha * eta / stats.trace) * stats.constr_image
+            r += (alpha * eta / self.model.stats.trace) * self.a_sign
         pos = r > 0.0
-        pos |= self.equality
         flips = np.flatnonzero(pos != self.keep)
-        if self.visited and not flips.size:
+        if flips.size:
+            entering = pos[flips]
+            added, removed = self._sums(flips[entering]), self._sums(flips[~entering])
+            self.sums = [s + a - d for s, a, d in zip(self.sums, added, removed)]
+            self.keep = pos
+        elif self.visited:
             return None
-        entering = pos[flips]
-        added, removed = self._sums(flips[entering]), self._sums(flips[~entering])
-        self.sums = [s + a - r for s, a, r in zip(self.sums, added, removed)]
-        self.keep = pos
         self.visited += 1
         return assemble_quad_coeffs(self.prob, self.model, self.rho, self.sums, self.cost_quad)
 
@@ -538,7 +545,7 @@ class AltMaxResult:
     eta: float  # weight on the aggregate matrix, original units
     s_mat: np.ndarray  # k x k block, original units
     a_x: np.ndarray  # constraint image of the new iterate
-    passes: int  # pieces the solve visited; 1 without inequality rows
+    passes: int  # pieces the solve visited; 1 without sign rows
     newton: int  # Newton steps of the one interior-point solve
     exact: bool
     cost_quad: np.ndarray  # V^T C V for the model's basis
@@ -546,25 +553,20 @@ class AltMaxResult:
 
 def alternating_max(prob: SdpProblem, model, y: np.ndarray, rho: float) -> AltMaxResult:
     """Maximize the proximal coupling over (X, nu) with one interior-point
-    solve.
+    solve, which re-selects the piece of the objective with the slack
+    eliminated as it goes (see the module docstring).
 
-    It no longer alternates: the slack is eliminated in closed form, and the
-    solve re-selects the piece of the resulting piecewise-quadratic
-    objective as it goes (see the module docstring).
+    The name is the one of the alternation over X and nu that this solve
+    replaced; it stays because the benchmark's tracer
+    (``perfbench/spans.py``) patches the function by that name.
     """
     alpha = prob.alpha
     tr = model.stats.trace
     v = model.basis
     compressed = prob.constraints.compressed_rows(v)
     cost_quad = prob.cost_quad(v)
-    if prob.has_ineq:
-        pieces = _Pieces(prob, model, y, rho, compressed, cost_quad)
-        res = ipm_quad(None, pieces)
-    else:
-        pieces = None
-        a_img = model.stats.constr_image if tr > 0.0 else None
-        sums = _row_sums(compressed, y - prob.b / rho, a_img)
-        res = ipm_quad(assemble_quad_coeffs(prob, model, rho, sums, cost_quad))
+    pieces = _Pieces(prob, model, y, rho, compressed, cost_quad)
+    res = ipm_quad(pieces)
     s_act = alpha * res.s_opt
     eta_act = (alpha * res.eta_opt / tr) if tr > 0.0 else 0.0
     a_x = eta_act * model.stats.constr_image + prob.constraints.primal_image_lowrank(v, s_act)
@@ -572,7 +574,7 @@ def alternating_max(prob: SdpProblem, model, y: np.ndarray, rho: float) -> AltMa
         eta=eta_act,
         s_mat=s_act,
         a_x=a_x,
-        passes=pieces.visited if pieces is not None else 1,
+        passes=pieces.visited,
         newton=res.newton_iters,
         exact=res.exact,
         cost_quad=cost_quad,

@@ -1,7 +1,8 @@
 """One Newton step of ``subqp.ipm_quad`` taken apart, for tests that check
-the direction, the step length and the barrier update on their own.
+the direction, the step length and the barrier update on their own, and a
+one-piece objective for tests that solve fixed coefficients.
 
-Each function computes, from the state alone, the arguments that
+Each step function computes, from the state alone, the arguments that
 ``ipm_quad`` hands the private step functions, then calls them.
 """
 from __future__ import annotations
@@ -34,3 +35,21 @@ def strictly_feasible(st: subqp.IpmState) -> bool:
     if st.has_eta and (st.eta <= 0 or st.zeta <= 0):
         return False
     return is_positive_definite(st.s_mat) and is_positive_definite(st.t_mat)
+
+
+class OnePiece:
+    """Fixed coefficients as the one piece of a proximal objective: the
+    first :meth:`select` returns them and every later one returns None, as
+    ``subqp._Pieces`` does for a problem without sign rows."""
+
+    def __init__(self, q: subqp.QuadCoeffs):
+        self.q, self.k, self.has_eta, self.visited = q, q.k, q.has_eta, 0
+
+    def select(self, s_mat, eta) -> subqp.QuadCoeffs | None:
+        self.visited += 1
+        return self.q if self.visited == 1 else None
+
+
+def solve_quad(q: subqp.QuadCoeffs) -> subqp.IpmResult:
+    """``ipm_quad`` on the objective with the one piece ``q``."""
+    return subqp.ipm_quad(OnePiece(q))

@@ -704,8 +704,9 @@ def alternation_reference(
 
 
 def all_row_quad_coeffs(prob, model, y: np.ndarray, rho: float):
-    """The library's proximal coefficients over every constraint row, formed
-    as the proximal step forms them on a problem without inequality rows."""
+    """The library's proximal coefficients over every constraint row, from
+    its row sums over the whole compressed block, as the proximal step
+    forms the one piece of a problem without sign rows."""
     from specbundle.subqp import _row_sums, assemble_quad_coeffs
 
     v = model.basis

@@ -6,6 +6,7 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import struct
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import scipy.sparse as sp
 sys.path.insert(0, str(Path(__file__).parent))
 
 from _oracles import graph_from_edges
+from specbundle import bundle
 from specbundle import sketch as sketchmod
 from specbundle.problem import (
     GraphInstance,
@@ -56,6 +58,14 @@ def random_qap(n: int, seed: int, lo: int = 0, hi: int = 10) -> QapInstance:
     d = d + d.T
     np.fill_diagonal(d, 0.0)
     return QapInstance(w, d)
+
+
+def state_header_offset(name: str) -> int:
+    """Byte offset in a state file of the header field ``name``, read from
+    the library's table of header fields."""
+    names = [field for field, _ in bundle._HEADER_FIELDS]
+    codes = [code for _, code in bundle._HEADER_FIELDS[: names.index(name)]]
+    return struct.calcsize("<" + "".join(codes))
 
 
 def record_store_updates(monkeypatch) -> list:

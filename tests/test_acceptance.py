@@ -14,7 +14,7 @@ from conftest import (
     random_qap,
     record_store_updates,
 )
-from _ipm_steps import newton_direction
+from _ipm_steps import newton_direction, solve_quad
 from _oracles import brute_force_qap, full_newton_residual, proximal_slack, random_quad_coeffs
 from specbundle.bundle import (
     Mapping,
@@ -32,7 +32,6 @@ from specbundle.subqp import (
     IpmState,
     QuadCoeffs,
     ipm_eval,
-    ipm_quad,
 )
 from specbundle.symlin import svec, svec_dim
 
@@ -169,7 +168,7 @@ def test_criterion_3_subproblem_oracles():
     worst_quad = 0.0
     for seed_str, expected in frozen["values"].items():
         coeffs = random_quad_coeffs(int(seed_str))
-        res = ipm_quad(coeffs)
+        res = solve_quad(coeffs)
         worst_quad = max(worst_quad, abs(res.value - expected))
         assert abs(res.value - expected) <= 1e-5
     elapsed = time.monotonic() - t0

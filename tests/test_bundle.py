@@ -1,6 +1,5 @@
 import functools
 import os
-import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -15,6 +14,7 @@ from conftest import (
     random_graph,
     random_qap,
     record_store_updates,
+    state_header_offset,
 )
 from specbundle.bundle import (
     AggregateStats,
@@ -24,6 +24,7 @@ from specbundle.bundle import (
     SolverConfig,
     SketchStore,
     _HEADER,
+    _Header,
     _completion_columns,
     balance_rho,
     candidate_iterate,
@@ -473,8 +474,10 @@ class TestSolveEndToEnd:
             assert sum(phases) <= info.secs_iter
         assert sum(info.secs_iter for info in infos) <= infos[-1].elapsed
 
-    def test_monotone_objective_and_feasible_duals(self):
-        prob, _ = mixed_inequality_problem(10, 3)
+    @staticmethod
+    def monotone_solve(prob):
+        """Solve ``prob``, checking that f(y) never rises and that the duals
+        of the sign rows stay at or above 0 at every iteration."""
         cfg = SolverConfig(rho=0.1, k_c=5, k_p=1, eps=1e-3, max_iters=300, seed=0)
         f_values = []
 
@@ -483,7 +486,23 @@ class TestSolveEndToEnd:
             assert np.min(info.y[prob.ineq_idx], initial=0.0) >= 0.0
 
         state, _ = solve(prob, cfg, callback=cb)
+        assert len(f_values) == state.iterations > 1
         assert all(b <= a + 1e-12 for a, b in zip(f_values, f_values[1:]))
+        return state
+
+    def test_monotone_objective_and_feasible_duals(self):
+        """``mixed_inequality_problem(10, 3)`` is primal-infeasible within
+        the trace bound: f(y) falls without bound (below -9 after 300
+        iterations), the relative infeasibility stays near 1.1e-2, and the
+        solve, which has no infeasibility exit, runs its whole budget."""
+        prob, _ = mixed_inequality_problem(10, 3)
+        state = self.monotone_solve(prob)
+        assert state.status == "budget" and state.f_y < 0.0
+
+    def test_monotone_objective_and_feasible_duals_to_convergence(self):
+        """The same checks on a feasible instance, which converges."""
+        prob, _ = mixed_inequality_problem(8, 1)
+        assert self.monotone_solve(prob).status == "converged"
 
     def test_minorant_and_subgradient_bounds(self):
         g = random_graph(15, 0.4, 30)
@@ -682,7 +701,7 @@ class TestStateFile:
         last, last2 = certified_primal(prob, state.model), certified_primal(prob, state2.model)
         assert (last2.trace, last2.cost_ip) == (last.trace, last.cost_ip)
         np.testing.assert_array_equal(last2.constr_image, last.constr_image)
-        assert _HEADER.unpack_from(path.read_bytes())[10] == prob.scale_x
+        assert _Header._make(_HEADER.unpack_from(path.read_bytes())).scale_x == prob.scale_x
 
     def test_fingerprint_rejects_other_problem(self, tmp_path, k3):
         prob = build_maxcut(k3)
@@ -777,7 +796,7 @@ class TestStateFile:
         path = tmp_path / "s.bin"
         save_state_frozen(path, state, prob, version)
         raw = bytearray(path.read_bytes())
-        kind_at = struct.calcsize("<4sI QQQQ II")  # magic, version, fingerprint, k_c, k_p
+        kind_at = state_header_offset("rank")  # the byte after k_p
         assert raw[kind_at] == 2
         raw[kind_at] = 1
         path.write_bytes(bytes(raw))
@@ -791,9 +810,8 @@ class TestStateFile:
         path = tmp_path / "s.bin"
         save_state(path, cold_start(prob, SolverConfig(k_c=2, k_p=0, sketch_rank=2)), prob)
         raw = path.read_bytes()
-        fields = list(_HEADER.unpack_from(raw))
-        fields[2] = 2**40  # n
-        path.write_bytes(_HEADER.pack(*fields) + raw[_HEADER.size :])
+        head = _Header._make(_HEADER.unpack_from(raw))._replace(n=2**40)
+        path.write_bytes(_HEADER.pack(*head) + raw[_HEADER.size :])
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=r"^truncated state file: \d+ bytes, the header declares"):

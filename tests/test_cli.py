@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from _oracles import cli_settings_frozen, qap_constraint_entries_frozen
-from conftest import graph_from_edges, random_graph, random_qap
+from conftest import graph_from_edges, random_graph, random_qap, state_header_offset
+from specbundle import bundle
 from specbundle import cli as cli_mod
 from specbundle.cli import main
 from specbundle.problem import (
@@ -844,7 +845,7 @@ def test_warm_start_with_a_forged_f_y_exits_1(tmp_path, k3_file, capsys):
     argv = ["solve", "--problem", "maxcut", "--input", str(k3_file)]
     assert main(argv + ["--out", str(tmp_path / "a.csv"), "--save-state", str(state)]) == 0
     raw = state.read_bytes()
-    f_y_at = struct.calcsize("<4sI QQQQ II II d")
+    f_y_at = state_header_offset("f_y")
     state.write_bytes(raw[:f_y_at] + struct.pack("<d", -1e300) + raw[f_y_at + 8:])
     capsys.readouterr()
     assert main(argv + ["--out", str(tmp_path / "b.csv"), "--warm-start", str(state)]) == 1
@@ -873,6 +874,18 @@ def test_a_refused_solve_leaves_the_metrics_file_as_it_was(tmp_path, monkeypatch
     assert {len(r) for r in rows} == {len(cli_mod.CSV_HEADER)}
 
 
+def test_a_converged_state_resumes_converged_after_0_iterations(tmp_path, capsys):
+    """A 40-vertex graph solved to convergence and saved resumes from its
+    state file converged: exit 0 after 0 iterations."""
+    path, state = tmp_path / "g.mtx", tmp_path / "conv.bin"
+    write_graph_mm(random_graph(40, 0.15, 0), path)
+    argv = ["solve", "--problem", "maxcut", "--input", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "conv.csv"), "--save-state", str(state)]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "resume.csv"), "--warm-start", str(state)]) == 0
+    assert re.search(r"^iterations: 0 ", capsys.readouterr().out, re.MULTILINE)
+
+
 def test_sketch_rank_0_exits_with_message(tmp_path, capsys):
     """The primal store is always a sketch, so rank 0 is refused."""
     path = tmp_path / "g.mtx"
@@ -892,11 +905,10 @@ def _corrupt_state(raw: bytes, case: str) -> bytes:
     """Damage one part of a state file written by ``save_state``."""
     import struct
 
-    head = "<4sI QQQQ II II d dd QQ dd d"  # the header of format version 5
-    f_y_at = struct.calcsize("<4sI QQQQ II II d")
-    trace_at = struct.calcsize("<4sI QQQQ II II d dd QQ")
-    rho_at = struct.calcsize("<4sI QQQQ II II d dd QQ dd")
-    size = struct.calcsize(head)
+    f_y_at, trace_at, cost_at, rho_at = (
+        state_header_offset(name) for name in ("f_y", "trace", "cost_ip", "rho")
+    )
+    size = bundle._HEADER.size
     if case.startswith("version "):
         return raw[:4] + struct.pack("<I", int(case.split()[1])) + raw[8:]
     if case == "truncated payload":
@@ -910,7 +922,7 @@ def _corrupt_state(raw: bytes, case: str) -> bytes:
     if case == "inf trace":
         return raw[:trace_at] + struct.pack("<d", float("inf")) + raw[trace_at + 8:]
     if case == "nan cost":
-        return raw[:trace_at + 8] + struct.pack("<d", float("nan")) + raw[trace_at + 16:]
+        return raw[:cost_at] + struct.pack("<d", float("nan")) + raw[cost_at + 8:]
     if case == "-inf f_y":
         return raw[:f_y_at] + struct.pack("<d", -float("inf")) + raw[f_y_at + 8:]
     if case == "negative rho":

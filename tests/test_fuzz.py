@@ -9,8 +9,6 @@ rejected by the builder with ``ValueError``, which the CLI reports the same
 way.  Examples are derandomized so every run sees the same cases.
 """
 import functools
-import re
-import struct
 import tempfile
 from pathlib import Path
 
@@ -18,6 +16,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from specbundle import bundle
 from specbundle.bundle import SolverConfig, load_state, save_state, solve
 from specbundle.cli import main
 from specbundle.problem import build_maxcut, build_qap, parse_graph_mm, parse_qaplib
@@ -174,9 +173,6 @@ def test_parse_qaplib_fuzz(tmp_path, capsys, data):
     _builds_or_rejects(build_qap, q, argv, capsys)
 
 
-_HEAD_FMT = "<4sI QQQQ II II d dd QQ dd d"  # the header of format version 5
-
-
 @functools.cache
 def _state_bases():
     """Converged K3 states with a sketch of rank n and of rank 2."""
@@ -200,18 +196,18 @@ def _header_value(fmt_char):
     return st.one_of(st.integers(0, 12), st.integers(0, 2**bits - 1))
 
 
-_FIELD_CHARS = re.findall(r"\d*[A-Za-z]", _HEAD_FMT)  # "4s", "I", "Q", ...
+_FIELD_CHARS = [code for _, code in bundle._HEADER_FIELDS]  # "4s", "I", "Q", ...
 
 
 @st.composite
 def mutated_state(draw):
     raw = bytearray(draw(st.sampled_from(_state_bases())))
-    head_size = struct.calcsize(_HEAD_FMT)
+    head = bundle._HEADER  # the header of the current format version
     if draw(st.booleans()):
-        fields = list(struct.unpack(_HEAD_FMT, bytes(raw[:head_size])))
+        fields = list(head.unpack(bytes(raw[: head.size])))
         for i in draw(st.lists(st.integers(0, len(fields) - 1), min_size=1, max_size=3)):
             fields[i] = draw(_header_value(_FIELD_CHARS[i]))
-        raw[:head_size] = struct.pack(_HEAD_FMT, *fields)
+        raw[: head.size] = head.pack(*fields)
     flips = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255))
     for pos, byte in draw(st.lists(flips, max_size=4)):
         raw[pos] = byte

@@ -57,7 +57,7 @@ class TestBuildMaxcut:
         g = make_k3()
         prob = build_maxcut(g)
         assert (prob.n, prob.m) == (3, 3)
-        assert not prob.has_ineq
+        assert not prob.ineq_mask.any()
         np.testing.assert_allclose(prob.b, np.full(3, 1 / 3))
         assert frob(prob.cost) == pytest.approx(1.0, abs=1e-10)
         assert prob.scale_c == pytest.approx(np.linalg.norm(g.laplacian().toarray() / 4))

@@ -21,7 +21,13 @@ from _oracles import (
     random_quad_coeffs,
 )
 from conftest import random_graph, random_qap
-from _ipm_steps import barrier_update, line_search_feasible, newton_direction, strictly_feasible
+from _ipm_steps import (
+    barrier_update,
+    line_search_feasible,
+    newton_direction,
+    solve_quad,
+    strictly_feasible,
+)
 from specbundle import bundle, subqp
 from specbundle.bundle import SolverConfig, cold_start
 from conftest import build_from_families
@@ -35,7 +41,6 @@ from specbundle.subqp import (
     alternating_max,
     assemble_eval_coeffs,
     ipm_eval,
-    ipm_quad,
 )
 from specbundle.subqp import Direction
 from specbundle.symlin import svec, svec_dim, svec_inv
@@ -278,7 +283,7 @@ class TestIpmQuad:
             has_eta=False,
             k=1,
         )
-        res = ipm_quad(coeffs)
+        res = solve_quad(coeffs)
         assert res.s_opt[0, 0] == pytest.approx(1.0, abs=1e-3)
         assert res.value == pytest.approx(-0.5, abs=1e-6)
 
@@ -292,7 +297,7 @@ class TestIpmQuad:
             has_eta=False,
             k=2,
         )
-        res = ipm_quad(coeffs)
+        res = solve_quad(coeffs)
         assert res.value == pytest.approx(0.0, abs=1e-6)
         assert np.abs(res.s_opt).max() <= 1e-3
 
@@ -300,7 +305,7 @@ class TestIpmQuad:
         rng = np.random.default_rng(4)
         for trial in range(10):
             coeffs = random_quad(rng, 3, has_eta=True)
-            res = ipm_quad(coeffs)
+            res = solve_quad(coeffs)
             assert res.value <= 1e-9  # no worse than (S, eta) = 0
             # unconstrained minimum of the joint quadratic bounds from below
             sd = svec_dim(3)
@@ -323,7 +328,7 @@ class TestIpmQuad:
         assert frozen["steps"] == 10**6
         for seed_str, expected in frozen["values"].items():
             coeffs = random_quad_coeffs(int(seed_str))
-            res = ipm_quad(coeffs)
+            res = solve_quad(coeffs)
             assert res.value == pytest.approx(expected, abs=1e-5), seed_str
 
     @pytest.mark.skipif(
@@ -332,7 +337,7 @@ class TestIpmQuad:
     )
     def test_live_projected_gradient_agreement(self):
         coeffs = random_quad_coeffs(0)
-        res = ipm_quad(coeffs)
+        res = solve_quad(coeffs)
         oracle = pg_quad_oracle(coeffs, steps=10**6)
         assert res.value == pytest.approx(oracle, abs=1e-5)
 
@@ -520,7 +525,7 @@ class TestAlternatingMax:
         assert len(records) == cfg.max_iters
         for newton, passes, calls in records:
             assert calls == [newton] and newton > 0
-            assert passes >= 1 and (prob.has_ineq or passes == 1)
+            assert passes >= 1 and (prob.ineq_idx.size > 0 or passes == 1)
 
     def test_trace_budget_respected(self):
         prob = build_maxcut(make_k3())
@@ -653,19 +658,28 @@ class TestCandidateWithoutSlack:
 
 
 class TestPieceSums:
-    """The proximal step updates its piece's sums by the rows that change
-    side.  Every piece it selects must match the coefficients computed from
-    scratch on the same rows, and the all-row path (every MaxCut step) must
-    stay the old formula bit for bit."""
+    """The proximal step updates its piece's sums by the sign rows that
+    change side.  Every piece it selects must match the coefficients
+    computed from scratch on the same rows, and the one piece of a problem
+    without sign rows (every MaxCut step) must stay the old all-row formula
+    bit for bit."""
 
     QUAD_FIELDS = ("quad_ss", "lin_s", "quad_s_eta", "quad_eta", "lin_eta")
+
+    @staticmethod
+    def kept_rows(prob, pieces):
+        """Every row a piece keeps, as a mask over all m rows: the equality
+        rows and the sign rows that ``pieces.keep`` marks."""
+        rows = ~prob.ineq_mask
+        rows[prob.ineq_idx[pieces.keep]] = True
+        return rows
 
     @staticmethod
     def watch_pieces(monkeypatch):
         """Wrap the proximal step and the piece selection: each piece
         returned is compared with ``quad_coeffs_reference`` on the rows it
         keeps, within 1e-12 of each coefficient's largest entry.  Returns the
-        tally: pieces compared, and rows that left a piece and came back
+        tally: pieces compared, and sign rows that left a piece and came back
         within one proximal step."""
         tally = {"pieces": 0, "returned": 0}
         current = {}
@@ -683,7 +697,8 @@ class TestPieceSums:
             tally["returned"] += int(np.count_nonzero(current["left"] & self.keep))
             if piece is not None:
                 want = quad_coeffs_reference(
-                    current["prob"], current["model"], current["y"], current["rho"], self.keep
+                    current["prob"], current["model"], current["y"], current["rho"],
+                    TestPieceSums.kept_rows(current["prob"], self),
                 )
                 for name in TestPieceSums.QUAD_FIELDS:
                     got, ref = np.asarray(getattr(piece, name)), np.asarray(want[name])
@@ -742,12 +757,53 @@ class TestPieceSums:
         return prob, [(cold.model, cold.y, cfg.rho), (state.model, state.y, state.rho)]
 
     def test_maxcut_all_rows_bit_for_bit(self):
+        """The one piece of a MaxCut step is the all-row formula, on the
+        block as ``compressed_rows`` returns it, bit for bit."""
         prob, states = self.maxcut_states()
         for model, y, rho in states:
-            got = all_row_quad_coeffs(prob, model, y, rho)
-            want = quad_coeffs_reference(prob, model, y, rho)
-            for name in self.QUAD_FIELDS:
-                assert np.array_equal(getattr(got, name), want[name]), name
+            v = model.basis
+            pieces = subqp._Pieces(
+                prob, model, y, rho, prob.constraints.compressed_rows(v), prob.cost_quad(v)
+            )
+            for got in (pieces.select(np.eye(v.shape[1]), 0.5), all_row_quad_coeffs(prob, model, y, rho)):
+                want = quad_coeffs_reference(prob, model, y, rho)
+                for name in self.QUAD_FIELDS:
+                    assert np.array_equal(getattr(got, name), want[name]), name
+
+    def test_maxcut_step_has_one_piece_on_the_block_itself(self, monkeypatch):
+        """A MaxCut step goes through the piece selection like any other:
+        its first ``select`` returns the one piece and every later one
+        returns None.  The equality rows are summed on the compressed block
+        itself, not on a copy, and no other sum reads a row."""
+        prob, states = self.maxcut_states()
+        blocks, summed, selected = [], [], []
+        real_rows, real_sums, real_select = (
+            type(prob.constraints).compressed_rows, subqp._row_sums, subqp._Pieces.select,
+        )
+
+        def compressed_rows(self, v):
+            blocks.append(real_rows(self, v))
+            return blocks[-1]
+
+        def row_sums(c, w_vec, a_img):
+            summed.append(c)
+            return real_sums(c, w_vec, a_img)
+
+        def select(self, s_mat, eta):
+            selected.append(real_select(self, s_mat, eta))
+            return selected[-1]
+
+        monkeypatch.setattr(type(prob.constraints), "compressed_rows", compressed_rows)
+        monkeypatch.setattr(subqp, "_row_sums", row_sums)
+        monkeypatch.setattr(subqp._Pieces, "select", select)
+        for model, y, rho in states:
+            blocks.clear(), summed.clear(), selected.clear()
+            res = alternating_max(prob, model, y, rho)
+            assert res.passes == 1 and res.exact
+            assert len(selected) == res.newton + 1  # one call per Newton step and the exit test
+            assert selected[0] is not None and all(piece is None for piece in selected[1:])
+            assert len(blocks) == 1 and summed[0] is blocks[0]
+            assert all(c.shape[0] == 0 for c in summed[1:])
 
     def test_maxcut_eval_coeffs_bit_for_bit(self, monkeypatch):
         """The model value takes V^T C V from the proximal step: the same
@@ -784,7 +840,7 @@ class TestDegenerateAggregate:
         assert model.stats.trace == 0.0
         coeffs = all_row_quad_coeffs(prob, model, np.zeros(3), rho=0.1)
         assert not coeffs.has_eta
-        res = ipm_quad(coeffs)
+        res = solve_quad(coeffs)
         assert res.eta_opt == 0.0
 
 
@@ -796,7 +852,7 @@ class TestExitCertificate:
         for trial in range(10):
             k = int(rng.integers(2, 5))
             coeffs = random_quad(rng, k, has_eta=True)
-            res = ipm_quad(coeffs)
+            res = solve_quad(coeffs)
             assert res.exact
             st = res.state
             scale = 1.0 + max(
@@ -849,7 +905,7 @@ class TestNewtonBitIdentity:
         rng = np.random.default_rng(400 + 10 * k + int(has_eta))
         for trial in range(4):
             coeffs = random_quad(rng, k, has_eta, include_quad=trial != 2)
-            assert_same_solve(ipm_quad(coeffs), ipm_solve_frozen(coeffs, None))
+            assert_same_solve(solve_quad(coeffs), ipm_solve_frozen(coeffs, None))
 
     @pytest.mark.parametrize("k", [1, 2, 5, 11])
     def test_direction_and_step(self, k):
@@ -874,10 +930,10 @@ class TestNewtonBitIdentity:
         calls = []
         real_quad = subqp.ipm_quad
 
-        def checked_quad(coeffs, pieces=None):
+        def checked_quad(pieces):
             twin = copy.deepcopy(pieces)
-            res = real_quad(coeffs, pieces)
-            assert_same_solve(res, ipm_solve_frozen(coeffs, None, twin))
+            res = real_quad(pieces)
+            assert_same_solve(res, ipm_solve_frozen(None, None, twin))
             calls.append((res.newton_iters, pieces.visited))
             return res
 
