@@ -421,20 +421,32 @@ def assemble_eval_coeffs(
 
 def _rows(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Rows ``rows`` of ``block``.  np.take gathers a C-ordered block 3x faster than
-    indexing, but copies an F-ordered one (MaxCut's n x d) whole, even for no rows."""
+    indexing, but copies an F-ordered one (a MaxCut block) whole, even for no rows."""
     return np.take(block, rows, axis=0) if block.flags.c_contiguous else block[rows]
+
+
+def _block_sums(c: np.ndarray, w_vec: np.ndarray, a_img: np.ndarray | None) -> list:
+    """``[c^T c, c^T w, c^T a]`` over the rows of the compressed block ``c``,
+    given their rows of w = y - b/rho and of the aggregate's image (None
+    without an aggregate, when c^T a is zero).  Rows of the compressed block
+    are svec(V^T A_i V), so the adjoint compression of any row vector is a
+    single product, and the sums over a row set add block by block."""
+    c_a = np.zeros(c.shape[1]) if a_img is None else c.T @ a_img
+    return [c.T @ c, c.T @ w_vec, c_a]
+
+
+def _image_sums(w_vec: np.ndarray, a_img: np.ndarray | None) -> list:
+    """``[a . a, a . w]`` over a set of constraint rows, zero without an
+    aggregate."""
+    return [0.0, 0.0] if a_img is None else [float(a_img @ a_img), float(a_img @ w_vec)]
 
 
 def _row_sums(c: np.ndarray, w_vec: np.ndarray, a_img: np.ndarray | None) -> list:
     """The sums over a set of constraint rows that fix the proximal
     coefficients on them, given the rows of the compressed block ``c``, of
     w = y - b/rho and of the aggregate's image (None without an aggregate):
-    ``[c^T c, c^T w, c^T a, a . a, a . w]``, the a-sums zero without one.
-    Rows of the compressed block are svec(V^T A_i V), so the adjoint
-    compression of any row vector is a single product."""
-    if a_img is None:
-        return [c.T @ c, c.T @ w_vec, np.zeros(c.shape[1]), 0.0, 0.0]
-    return [c.T @ c, c.T @ w_vec, c.T @ a_img, float(a_img @ a_img), float(a_img @ w_vec)]
+    ``[c^T c, c^T w, c^T a, a . a, a . w]``, the a-sums zero without one."""
+    return _block_sums(c, w_vec, a_img) + _image_sums(w_vec, a_img)
 
 
 def assemble_quad_coeffs(
@@ -474,14 +486,18 @@ class _Pieces:
     A piece keeps the equality rows and the sign rows whose residual
     r = A(X) + rho*y - b is positive; the optimal slack absorbs the others.
     Its coefficients are fixed by sums over the rows it keeps
-    (:func:`_row_sums`).  The equality rows are summed once, on the
-    compressed block itself when every row is one, and each :meth:`select`
-    adds the sums of the sign rows that enter the piece and subtracts those
-    of the sign rows that leave it.  r is read on the sign rows alone: their
-    rows of the block, of w = y - b/rho and of the aggregate's image are
-    gathered once.  Without sign rows there is one piece.  ``keep`` marks
-    the sign rows of the piece returned last, and ``visited`` counts the
-    pieces :meth:`select` has returned.
+    (:func:`_row_sums`).  The compressed rows come as ``(rows, block)``
+    pairs (``compressed_blocks``), and each block is read once: its sign
+    rows are kept and its equality rows are added into the sums
+    (:func:`_block_sums`, on the block itself when every row is one), so
+    only one block and the sign rows are ever held.  The image sums are one
+    dot each over all equality rows.  Each :meth:`select` adds the sums of
+    the sign rows that enter the piece and subtracts those of the sign rows
+    that leave it.  r is read on the sign rows alone: their rows of w =
+    y - b/rho and of the aggregate's image are gathered once.  Without sign
+    rows there is one piece.  ``keep`` marks the sign rows of the piece
+    returned last, and ``visited`` counts the pieces :meth:`select` has
+    returned.
     """
 
     def __init__(
@@ -490,19 +506,32 @@ class _Pieces:
         model,
         y: np.ndarray,
         rho: float,
-        compressed: np.ndarray,
+        blocks,
         cost_quad: np.ndarray,
     ):
         self.prob, self.model, self.rho, self.cost_quad = prob, model, rho, cost_quad
         self.k, self.has_eta = model.basis.shape[1], model.stats.trace > 0.0
         w_vec, a_img = y - prob.b / rho, model.stats.constr_image
         sign = prob.ineq_idx
-        self.c_sign, self.w_sign, self.a_sign = _rows(compressed, sign), w_vec[sign], a_img[sign]
+        self.w_sign, self.a_sign = w_vec[sign], a_img[sign]
         self.r0 = rho * y[sign] - prob.b[sign]
+        c_sign, sums = [], None
+        for rows, c in blocks:
+            w_b, a_b, on_sign = w_vec[rows], a_img[rows], prob.ineq_mask[rows]
+            if on_sign.any():
+                c_sign.append(_rows(c, np.flatnonzero(on_sign)))
+                equality = np.flatnonzero(~on_sign)
+                c, w_b, a_b = _rows(c, equality), w_b[equality], a_b[equality]
+            part = _block_sums(c, w_b, a_b if self.has_eta else None)
+            sums = part if sums is None else [s + p for s, p in zip(sums, part)]
+            del c  # the next block is formed without this one held
         if sign.size:
             equality = np.flatnonzero(~prob.ineq_mask)
-            compressed, w_vec, a_img = _rows(compressed, equality), w_vec[equality], a_img[equality]
-        self.sums = _row_sums(compressed, w_vec, a_img if self.has_eta else None)
+            w_vec, a_img = w_vec[equality], a_img[equality]
+        self.sums = sums + _image_sums(w_vec, a_img if self.has_eta else None)
+        if len(c_sign) != 1:  # no sign rows, or sign rows in several blocks
+            c_sign = [np.concatenate([np.empty((0, svec_dim(self.k))), *c_sign])]
+        self.c_sign = c_sign[0]
         self.keep = np.zeros(sign.size, dtype=bool)
         self.visited = 0
 
@@ -563,9 +592,8 @@ def alternating_max(prob: SdpProblem, model, y: np.ndarray, rho: float) -> AltMa
     alpha = prob.alpha
     tr = model.stats.trace
     v = model.basis
-    compressed = prob.constraints.compressed_rows(v)
     cost_quad = prob.cost_quad(v)
-    pieces = _Pieces(prob, model, y, rho, compressed, cost_quad)
+    pieces = _Pieces(prob, model, y, rho, prob.constraints.compressed_blocks(v), cost_quad)
     res = ipm_quad(pieces)
     s_act = alpha * res.s_opt
     eta_act = (alpha * res.eta_opt / tr) if tr > 0.0 else 0.0

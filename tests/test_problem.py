@@ -29,6 +29,7 @@ from specbundle.problem import (
     write_graph_mm,
     write_qaplib,
 )
+from specbundle import problem
 
 
 def frob(m):
@@ -643,26 +644,51 @@ class TestDiagonalCompressedRows:
     @pytest.mark.parametrize("k", range(1, 13))
     def test_equal_to_fancy_index_form_in_f_order(self, n, k):
         # F order is the layout of v[:, i], which fixes how
-        # compressed.T @ compressed rounds
+        # compressed.T @ compressed rounds; a row range is those rows of it
         from specbundle.symlin import tri_indices
 
         v = np.random.default_rng(100 * n + k).standard_normal((n, k))
         i, j, w = tri_indices(k)
-        out = DiagonalConstraints(n).compressed_rows(v)
-        assert np.array_equal(out, v[:, i] * v[:, j] * w[None, :])
-        assert out.flags.f_contiguous
+        want = v[:, i] * v[:, j] * w[None, :]
+        for rows in (slice(None), slice(n // 3, n - 1)):
+            out = DiagonalConstraints(n).compressed_rows(v, rows)
+            assert np.array_equal(out, want[rows])
+            assert out.flags.f_contiguous
 
     def test_no_second_n_by_d_temporary(self):
         import tracemalloc
 
         v = np.random.default_rng(10).standard_normal((20000, 11))
-        tracemalloc.start()
-        try:
-            out = DiagonalConstraints(20000).compressed_rows(v)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * out.nbytes
+        for rows in (slice(None), slice(3000, 3000 + 2**14)):
+            tracemalloc.start()
+            try:
+                out = DiagonalConstraints(20000).compressed_rows(v, rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * out.nbytes
+
+    @pytest.mark.parametrize("row_block, n", [(2**14, 1000), (2**14, 2**14), (7, 30), (7, 28)])
+    def test_blocks_are_the_rows_in_order(self, monkeypatch, row_block, n):
+        """``compressed_blocks`` gives consecutive slices of at most
+        ``ROW_BLOCK`` rows whose blocks stack to ``compressed_rows(v)`` bit
+        for bit; at n <= ROW_BLOCK the one block is all n rows, F-ordered."""
+        monkeypatch.setattr(problem, "ROW_BLOCK", row_block)
+        v = np.random.default_rng(n).standard_normal((n, 4))
+        fam = DiagonalConstraints(n)
+        blocks = list(fam.compressed_blocks(v))
+        assert len(blocks) == -(-n // row_block)
+        assert [rows.start for rows, _ in blocks] == list(range(0, n, row_block))
+        assert all(c.shape[0] <= row_block and c.flags.f_contiguous for _, c in blocks)
+        assert np.array_equal(np.vstack([c for _, c in blocks]), fam.compressed_rows(v))
+        assert np.array_equal(np.arange(n)[blocks[-1][0]], np.arange(blocks[-1][0].start, n))
+
+    def test_sparse_family_is_one_block(self):
+        prob = build_qap(random_qap(3, 1))
+        v = np.random.default_rng(2).standard_normal((prob.n, 3))
+        ((rows, c),) = prob.constraints.compressed_blocks(v)
+        assert rows == slice(None)
+        assert np.array_equal(c, prob.constraints.compressed_rows(v))
 
 
 class TestSparseImagesBitIdentity:

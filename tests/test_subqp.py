@@ -28,7 +28,7 @@ from _ipm_steps import (
     solve_quad,
     strictly_feasible,
 )
-from specbundle import bundle, subqp
+from specbundle import bundle, problem, subqp
 from specbundle.bundle import SolverConfig, cold_start
 from conftest import build_from_families
 from specbundle.problem import build_maxcut, build_qap
@@ -728,16 +728,17 @@ class TestPieceSums:
     def test_inequality_step_never_sums_every_row(self, monkeypatch):
         """With inequality rows the step seeds its sums from the equality
         rows and updates them by the rows that change side, so no
-        :func:`subqp._row_sums` call gets all m rows."""
+        :func:`subqp._block_sums` call, the one sum every other goes
+        through, gets all m rows."""
         states = [qap_states()[1], mixed_states()[1]]  # built before the wrap
         rows = []
-        real = subqp._row_sums
+        real = subqp._block_sums
 
         def counted(c, w_vec, a_img):
             rows.append(c.shape[0])
             return real(c, w_vec, a_img)
 
-        monkeypatch.setattr(subqp, "_row_sums", counted)
+        monkeypatch.setattr(subqp, "_block_sums", counted)
         for _, prob, model, y, rho in states:
             rows.clear()
             res = alternating_max(prob, model, y, rho)
@@ -763,29 +764,72 @@ class TestPieceSums:
         for model, y, rho in states:
             v = model.basis
             pieces = subqp._Pieces(
-                prob, model, y, rho, prob.constraints.compressed_rows(v), prob.cost_quad(v)
+                prob, model, y, rho, prob.constraints.compressed_blocks(v), prob.cost_quad(v)
             )
             for got in (pieces.select(np.eye(v.shape[1]), 0.5), all_row_quad_coeffs(prob, model, y, rho)):
                 want = quad_coeffs_reference(prob, model, y, rho)
                 for name in self.QUAD_FIELDS:
                     assert np.array_equal(getattr(got, name), want[name]), name
 
+    @staticmethod
+    def piece_path(prob, model, y, rho, points) -> list:
+        """What ``select`` returns at each (S, eta) of ``points`` in turn, from
+        one set of pieces."""
+        v = model.basis
+        pieces = subqp._Pieces(
+            prob, model, y, rho, prob.constraints.compressed_blocks(v), prob.cost_quad(v)
+        )
+        return [pieces.select(s_mat, eta) for s_mat, eta in points]
+
+    @pytest.mark.parametrize("sign_rows", [False, True])
+    def test_maxcut_row_blocks_match_one_block(self, monkeypatch, sign_rows):
+        """With ``ROW_BLOCK`` at 7 rows a 30-vertex step forms its compressed
+        rows in 5 blocks, and every piece agrees with the one-block piece to
+        1e-13 of each coefficient's largest entry.  With every third row
+        made a sign row, the sign rows of all 5 blocks are kept together and
+        the pieces change at the same points."""
+        prob, states = self.maxcut_states()
+        if sign_rows:
+            prob = replace(prob, ineq_mask=np.arange(prob.m) % 3 == 0)
+        rng = np.random.default_rng(3)
+        for model, y, rho in states:
+            k = model.basis.shape[1]
+            points = []
+            for _ in range(6):
+                g = rng.standard_normal((k, k))
+                points.append((g @ g.T / (4 * k * k), rng.uniform(0.0, 0.5)))
+            one = self.piece_path(prob, model, y, rho, points)
+            monkeypatch.setattr(problem, "ROW_BLOCK", 7)
+            assert len(list(prob.constraints.compressed_blocks(model.basis))) == 5
+            blocked = self.piece_path(prob, model, y, rho, points)
+            monkeypatch.undo()
+            returned = sum(piece is not None for piece in one)
+            assert returned > 1 if sign_rows else returned == 1
+            for want, got in zip(one, blocked):
+                assert (want is None) == (got is None)
+                for name in self.QUAD_FIELDS if want is not None else ():
+                    ref = np.asarray(getattr(want, name))
+                    err = np.abs(np.asarray(getattr(got, name)) - ref).max()
+                    assert err <= 1e-13 * np.abs(ref).max(), name
+
     def test_maxcut_step_has_one_piece_on_the_block_itself(self, monkeypatch):
         """A MaxCut step goes through the piece selection like any other:
         its first ``select`` returns the one piece and every later one
-        returns None.  The equality rows are summed on the compressed block
-        itself, not on a copy, and no other sum reads a row."""
+        returns None.  Its compressed rows are formed in blocks of at most
+        ``ROW_BLOCK`` rows, here 7 and the default, and each block is summed
+        once, itself, not a copy; no row is gathered and no other sum reads
+        a row."""
         prob, states = self.maxcut_states()
         blocks, summed, selected = [], [], []
         real_rows, real_sums, real_select = (
-            type(prob.constraints).compressed_rows, subqp._row_sums, subqp._Pieces.select,
+            type(prob.constraints).compressed_rows, subqp._block_sums, subqp._Pieces.select,
         )
 
-        def compressed_rows(self, v):
-            blocks.append(real_rows(self, v))
+        def compressed_rows(self, v, rows=slice(None)):
+            blocks.append(real_rows(self, v, rows))
             return blocks[-1]
 
-        def row_sums(c, w_vec, a_img):
+        def block_sums(c, w_vec, a_img):
             summed.append(c)
             return real_sums(c, w_vec, a_img)
 
@@ -793,17 +837,61 @@ class TestPieceSums:
             selected.append(real_select(self, s_mat, eta))
             return selected[-1]
 
+        def gathered(*args):
+            raise AssertionError("a MaxCut step gathered rows")
+
         monkeypatch.setattr(type(prob.constraints), "compressed_rows", compressed_rows)
-        monkeypatch.setattr(subqp, "_row_sums", row_sums)
+        monkeypatch.setattr(subqp, "_block_sums", block_sums)
         monkeypatch.setattr(subqp._Pieces, "select", select)
-        for model, y, rho in states:
-            blocks.clear(), summed.clear(), selected.clear()
-            res = alternating_max(prob, model, y, rho)
-            assert res.passes == 1 and res.exact
-            assert len(selected) == res.newton + 1  # one call per Newton step and the exit test
-            assert selected[0] is not None and all(piece is None for piece in selected[1:])
-            assert len(blocks) == 1 and summed[0] is blocks[0]
-            assert all(c.shape[0] == 0 for c in summed[1:])
+        monkeypatch.setattr(subqp, "_rows", gathered)
+        for row_block in (problem.ROW_BLOCK, 7):
+            monkeypatch.setattr(problem, "ROW_BLOCK", row_block)
+            for model, y, rho in states:
+                blocks.clear(), summed.clear(), selected.clear()
+                res = alternating_max(prob, model, y, rho)
+                assert res.passes == 1 and res.exact
+                assert len(selected) == res.newton + 1  # one call per Newton step and the exit test
+                assert selected[0] is not None and all(piece is None for piece in selected[1:])
+                assert len(blocks) == -(-prob.m // row_block)
+                assert [c.shape[0] for c in blocks] == [
+                    min(row_block, prob.m - start) for start in range(0, prob.m, row_block)
+                ]
+                assert len(summed) == len(blocks)
+                assert all(c is block for c, block in zip(summed, blocks))
+
+    def test_maxcut_step_holds_one_row_block(self):
+        """At n = 5e4 and k = 11 one proximal step's traced peak stays below
+        the 26.4 MB of one n x 66 compressed block: the rows are formed and
+        summed 2^14 at a time."""
+        import tracemalloc
+
+        from specbundle.bundle import AggregateStats, BundleModel, SketchStore
+        from specbundle.problem import GraphInstance
+        from specbundle.sketch import sketch_init
+
+        n, k = 50_000, 11
+        rng = np.random.default_rng(8)
+        u = rng.integers(0, n, 4 * n)
+        w = rng.integers(0, n, 4 * n)
+        keep = u != w
+        prob = build_maxcut(
+            GraphInstance.from_arrays(n, u[keep], w[keep], np.ones(int(keep.sum())))
+        )
+        basis, _ = np.linalg.qr(rng.standard_normal((n, k)))
+        stats = AggregateStats(1.0, 0.5, rng.uniform(0.0, 2.0 / n, n))
+        model = BundleModel(
+            basis, stats, k - 1, 1, SketchStore(sketch_init(n, 10, 1)), np.zeros((n, 1))
+        )
+        y = rng.standard_normal(n) / n
+        block = n * svec_dim(k) * 8
+        tracemalloc.start()
+        try:
+            res = alternating_max(prob, model, y, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.passes == 1
+        assert peak < block
 
     def test_maxcut_eval_coeffs_bit_for_bit(self, monkeypatch):
         """The model value takes V^T C V from the proximal step: the same
